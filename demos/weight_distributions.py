@@ -11,15 +11,14 @@ their counts add.
 import numpy as np
 
 from mincodes import first, weight_distribution
-from mincodes.codes import coeff_blocks
+from mincodes.codes import codeword_blocks
 from mincodes.constructions import comb0, predicted_ws
 
 
 def stratified(code):
     """Codeword weights grouped by coefficient weight."""
     out = {}
-    for block in coeff_blocks(code):
-        values = code.field.matmul(block, code.gen.data)
+    for block, values in codeword_blocks(code):
         cw = np.count_nonzero(block, axis=1)
         w = np.count_nonzero(values, axis=1)
         for s in np.unique(cw):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import DEFAULT_BUDGET, Codeword, LinearCode, coeff_blocks, \
+from .codes import DEFAULT_BUDGET, Codeword, LinearCode, projective_blocks, \
     weight_distribution
 from .errors import BadParams, DimensionMismatch, NotInCode
 from .matrix import in_span
@@ -105,23 +105,6 @@ def covers(c1: Codeword, c2: Codeword) -> bool:
     return bool(np.all(b[a]))
 
 
-def projective_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
-    """Stream (coeff block, value block) for one codeword per scalar class.
-
-    Representatives have first nonzero coefficient 1 and appear in canonical
-    coefficient order.
-    """
-    for block in coeff_blocks(code, budget):
-        nz = block != 0
-        has_nz = nz.any(axis=1)
-        lead = block[np.arange(len(block)), nz.argmax(axis=1)]
-        keep = has_nz & (lead == 1)
-        if not keep.any():
-            continue
-        u = block[keep]
-        yield u, code.field.matmul(u, code.gen.data)
-
-
 def _projective_arrays(code: LinearCode, budget: int):
     coeffs, values = [], []
     for u, v in projective_blocks(code, budget):
@@ -137,6 +120,21 @@ def _as_word(values_row, coeffs_row) -> Codeword:
     )
 
 
+def _covered_blocks(supp: np.ndarray):
+    """Yield (start, covered) per _ROW_BLOCK classes, where covered[i, j]
+    is true when Supp(start+i) lies inside Supp(j) for j != start+i."""
+    comp = (~supp).astype(np.int64)
+    classes = len(supp)
+    for start in range(0, classes, _ROW_BLOCK):
+        stop = min(start + _ROW_BLOCK, classes)
+        # counts coords nonzero in start+i but zero in j; the int64 product
+        # dies here so only the boolean mask is held across the yield
+        covered = (supp[start:stop].astype(np.int64) @ comp.T) == 0
+        iota = np.arange(start, stop)
+        covered[iota - start, iota] = False  # ignore self-containment
+        yield start, covered
+
+
 def is_minimal_code(code: LinearCode,
                     budget: int = DEFAULT_BUDGET) -> MinimalityReport:
     """Exhaustively decide minimality of the whole code.
@@ -145,18 +143,11 @@ def is_minimal_code(code: LinearCode,
     classes; equivalent to the definition over all nonzero codewords.
     """
     u, v = _projective_arrays(code, budget)
-    supp = v != 0
-    comp = (~supp).astype(np.int64)
-    classes = supp.shape[0]
+    classes = len(v)
     pairs = 0
-    for start in range(0, classes, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, classes)
-        # outside[i, j] = #coords where class (start+i) is nonzero but j is zero
-        outside = supp[start:stop].astype(np.int64) @ comp.T
-        iota = np.arange(start, stop)
-        outside[iota - start, iota] = 1  # ignore self-containment
-        pairs += (stop - start) * (classes - 1)
-        hits = np.argwhere(outside == 0)
+    for start, covered in _covered_blocks(v != 0):
+        pairs += len(covered) * (classes - 1)
+        hits = np.argwhere(covered)
         if hits.size:
             i, j = (int(x) for x in hits[0])
             i += start
@@ -178,17 +169,10 @@ def minimal_codewords(code: LinearCode,
     exactly their nonzero scalar multiples (see scalar_class).
     """
     u, v = _projective_arrays(code, budget)
-    supp = v != 0
-    comp = (~supp).astype(np.int64)
-    classes = supp.shape[0]
-    minimal = np.ones(classes, dtype=bool)
-    for start in range(0, classes, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, classes)
-        outside = supp[start:stop].astype(np.int64) @ comp.T
-        iota = np.arange(start, stop)
-        outside[iota - start, iota] = 1
-        # class j is covered by class start+i when outside[i, j] == 0
-        minimal &= ~(outside == 0).any(axis=0)
+    minimal = np.ones(len(v), dtype=bool)
+    for _, covered in _covered_blocks(v != 0):
+        # class j is not minimal when another class's support sits inside it
+        minimal &= ~covered.any(axis=0)
     return [_as_word(v[j], u[j]) for j in np.nonzero(minimal)[0]]
 
 
@@ -252,7 +236,8 @@ def has_full_value_property(code: LinearCode,
                             budget: int = DEFAULT_BUDGET) -> FullValueReport:
     """Check that every nonzero codeword realizes all q field values."""
     q = code.q
-    for ublock, vblock in _nonzero_blocks(code, budget):
+    # scaling permutes the field values, so one word per class decides
+    for ublock, vblock in projective_blocks(code, budget):
         ok = np.ones(len(vblock), dtype=bool)
         for val in range(q):
             ok &= (vblock == val).any(axis=1)
@@ -263,11 +248,3 @@ def has_full_value_property(code: LinearCode,
             return FullValueReport(False, word, present)
     return FullValueReport(True, None, None)
 
-
-def _nonzero_blocks(code: LinearCode, budget: int):
-    for block in coeff_blocks(code, budget):
-        nz = block.any(axis=1)
-        if not nz.any():
-            continue
-        u = block[nz]
-        yield u, code.field.matmul(u, code.gen.data)

@@ -3,7 +3,9 @@
 A code is fixed by a full-row-rank generator matrix over GF(q).  Codewords
 are enumerated in the canonical order of their coefficient vectors (read as
 base-q integers, first coefficient most significant), so every stream,
-distribution, and report derived from enumeration is deterministic.
+distribution, and report derived from enumeration is deterministic.  Every
+walk goes through ``codeword_blocks`` (all q^k words) or, for checks that
+scaling cannot change, ``projective_blocks`` (one word per scalar class).
 
 Exhaustive operations refuse to run past a word budget (default 10**7
 codewords) instead of silently taking forever.
@@ -71,9 +73,6 @@ class LinearCode:
     def size(self) -> int:
         return self.q**self.k
 
-    def words_exceed(self, budget: int) -> bool:
-        return self.size > budget
-
     def codeword(self, coeffs) -> Codeword:
         u = np.asarray(coeffs, dtype=np.int64).reshape(1, self.k)
         v = self.field.matmul(u, self.gen.data)[0]
@@ -108,12 +107,32 @@ def coeff_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET,
         yield (idx[:, None] // place[None, :]) % q
 
 
+def codeword_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
+    """All q^k codewords in canonical order, as (coeff block, value block)."""
+    for block in coeff_blocks(code, budget):
+        yield block, code.field.matmul(block, code.gen.data)
+
+
+def projective_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
+    """One codeword per scalar class, as (coeff block, value block).
+
+    Representatives have first nonzero coefficient 1, which makes each the
+    first word of its class in canonical coefficient order.
+    """
+    for block in coeff_blocks(code, budget):
+        lead = block[np.arange(len(block)), (block != 0).argmax(axis=1)]
+        keep = lead == 1  # the zero word has lead 0
+        if not keep.any():
+            continue
+        u = block[keep]
+        yield u, code.field.matmul(u, code.gen.data)
+
+
 def enumerate_codewords(code: LinearCode,
                         budget: int = DEFAULT_BUDGET) -> Iterator[Codeword]:
     """Yield all q^k codewords in canonical coefficient order."""
-    for block in coeff_blocks(code, budget):
-        values = code.field.matmul(block, code.gen.data)
-        for u, v in zip(block, values):
+    for ublock, vblock in codeword_blocks(code, budget):
+        for u, v in zip(ublock, vblock):
             yield Codeword(tuple(int(c) for c in u), tuple(int(x) for x in v))
 
 
@@ -153,10 +172,11 @@ def weight_distribution(code: LinearCode,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
     """Exhaustive weight distribution of the code."""
     counts = np.zeros(code.n + 1, dtype=np.int64)
-    for block in coeff_blocks(code, budget):
-        values = code.field.matmul(block, code.gen.data)
+    for _, values in projective_blocks(code, budget):
         weights = np.count_nonzero(values, axis=1)
         counts += np.bincount(weights, minlength=code.n + 1)
+    counts *= code.q - 1  # the q-1 words of a class share its weight
+    counts[0] = 1  # the zero word
     return WeightDistribution(
         q=code.q, n=code.n, k=code.k,
         counts={int(w): int(c) for w, c in enumerate(counts) if c},

@@ -23,7 +23,7 @@ from .analysis import minimal_codewords
 from .codes import (
     DEFAULT_BUDGET,
     LinearCode,
-    coeff_blocks,
+    codeword_blocks,
     dual_code,
 )
 from .errors import (
@@ -157,8 +157,9 @@ def is_authorized(scheme: SssScheme, subset) -> bool:
 def reconstruct(scheme: SssScheme, subset, shares) -> int:
     """Recover the secret from an authorized coalition's shares.
 
-    The result does not depend on which solution of the span system the
-    solver picks, provided the shares are consistent with some codeword;
+    One row reduction of [coalition columns | secret column] decides
+    authorization, checks that the shares match some codeword and gives
+    the secret, which is the same for every codeword they match;
     inconsistent shares are rejected.
     """
     ids = scheme._check(subset)
@@ -169,24 +170,24 @@ def reconstruct(scheme: SssScheme, subset, shares) -> int:
         )
     if any(not 0 <= v < scheme.field.q for v in vals):
         raise BadParams(f"share values out of range: {vals}")
-    cols = scheme.participant_cols(ids)
-    x = in_span(scheme.field, scheme.secret_col(), cols)
-    if x is None:
+    f = scheme.field
+    aug = np.column_stack(
+        scheme.participant_cols(ids) + [scheme.secret_col()])
+    red, r = rref(GFMatrix(f, aug))
+    red = red.data[:r]
+    pivots = (red != 0).argmax(axis=1)
+    m = len(ids)
+    if pivots[-1] == m:  # secret column nonzero, so r >= 1
         raise Unauthorized(f"coalition {sorted(ids)} cannot reconstruct")
-    sub = np.array(cols).T if cols else np.zeros((scheme.code.k, 0),
-                                                 dtype=np.int64)
-    _, r_plain = rref(GFMatrix(scheme.field, sub))
-    stacked = np.vstack([sub, np.array(vals)[None, :]])
-    _, r_aug = rref(GFMatrix(scheme.field, stacked))
-    if r_aug != r_plain:
+    # vals is in the row space of the coalition columns iff it is the
+    # pivot-weighted sum of the reduced rows, whose last entry is the secret
+    want = np.array(vals, dtype=np.int64)
+    got = f.matmul(want[pivots][None, :], red)[0]
+    if not np.array_equal(got[:m], want):
         raise InconsistentShares(
             f"shares {vals} match no codeword on {sorted(ids)}"
         )
-    f = scheme.field
-    out = 0
-    for xi, v in zip(x, vals):
-        out = f.add(out, f.mul(int(xi), v))
-    return out
+    return int(got[m])
 
 
 def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
@@ -247,8 +248,7 @@ def perfectness_check(scheme: SssScheme, subset,
     q = scheme.code.q
     pats = []
     secrets = []
-    for block in coeff_blocks(scheme.code, budget):
-        values = scheme.field.matmul(block, scheme.code.gen.data)
+    for _, values in codeword_blocks(scheme.code, budget):
         secrets.append(values[:, c0].copy())
         pats.append(values[:, idx].copy())
     pats = np.concatenate(pats)

@@ -27,13 +27,13 @@ from fractions import Fraction
 from importlib import resources
 from itertools import combinations
 from pathlib import Path
-from typing import Callable, Iterable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .analysis import ab_condition, has_full_value_property, is_minimal_code
-from .codes import (DEFAULT_BUDGET, LinearCode, coeff_blocks, dual_code,
-                    from_generator, min_max_weight, random_code,
+from .codes import (DEFAULT_BUDGET, LinearCode, dual_code, from_generator,
+                    min_max_weight, projective_blocks, random_code,
                     weight_distribution)
 from .constructions import (cf_code, cg_code, comb0, extended, first, lift,
                             predicted_dprime_weights, predicted_first_params,
@@ -142,9 +142,8 @@ def _instance_guard(checks: list, criterion: int, instance: str,
 
 def _stratified_weights(code: LinearCode, budget: int) -> dict[int, set[int]]:
     """Map each coefficient weight s to the codeword weights it attains."""
-    out: dict[int, set[int]] = {}
-    for block in coeff_blocks(code, budget):
-        values = code.field.matmul(block, code.gen.data)
+    out: dict[int, set[int]] = {0: {0}}
+    for block, values in projective_blocks(code, budget):
         cw = np.count_nonzero(block, axis=1)
         w = np.count_nonzero(values, axis=1)
         for s in np.unique(cw):
@@ -349,13 +348,10 @@ def _extended_case_counterexample(code, t, q, budget):
     The formula under test assigns w_s to a combination of s rows whose
     first coefficient is zero and w_s + (q-1) otherwise.
     """
-    for block in coeff_blocks(code, budget):
-        values = code.field.matmul(block, code.gen.data)
+    for block, values in projective_blocks(code, budget):
         w = np.count_nonzero(values, axis=1)
         cw = np.count_nonzero(block, axis=1)
         for u, got, s in zip(block, w, cw):
-            if s == 0:
-                continue
             want = predicted_ws(int(s), t, q) + (q - 1 if u[0] else 0)
             if int(got) != want:
                 return tuple(int(x) for x in u), int(got), want
@@ -606,17 +602,22 @@ def _run_consistency(instances, budget, registry) -> list[CheckResult]:
     sufficient = 0
     vacuous = 0
     for label, code in registry.items():
-        ab = ab_condition(code, budget)
-        if not ab.sufficient:
-            vacuous += 1
-            continue
-        sufficient += 1
-        rep = is_minimal_code(code, budget)
-        checks.append(CheckResult(
-            11, label, "sufficient-implies-minimal", rep.is_minimal,
-            f"w_min/w_max = {ab.ratio} > {ab.threshold} and the exhaustive "
-            "check agrees" if rep.is_minimal else
-            f"ratio {ab.ratio} is sufficient yet " + _witness_detail(rep)))
+
+        def body():
+            nonlocal sufficient, vacuous
+            ab = ab_condition(code, budget)
+            if not ab.sufficient:
+                vacuous += 1
+                return
+            sufficient += 1
+            rep = is_minimal_code(code, budget)
+            checks.append(CheckResult(
+                11, label, "sufficient-implies-minimal", rep.is_minimal,
+                f"w_min/w_max = {ab.ratio} > {ab.threshold} and the "
+                "exhaustive check agrees" if rep.is_minimal else
+                f"ratio {ab.ratio} is sufficient yet " + _witness_detail(rep)))
+
+        _instance_guard(checks, 11, label, body)
     checks.append(CheckResult(
         11, "(registry)", "coverage", True,
         f"{len(registry)} codes registered; {sufficient} met the ratio "
@@ -655,15 +656,37 @@ _CRITERIA: dict[int, _CriterionSpec] = {
 }
 
 
+def _spec(number) -> _CriterionSpec:
+    spec = _CRITERIA.get(number) if type(number) is int else None
+    if spec is None:
+        raise BadParams(f"unknown criterion {number!r}; valid ids are 1..11")
+    return spec
+
+
+def _check_instances(spec: _CriterionSpec, instances) -> Optional[tuple]:
+    """Instances as a tuple of integer tuples (None stays None)."""
+    if instances is None:
+        return None
+    if spec.instances is None:
+        raise BadParams(f"criterion {spec.number} does not take instances")
+    if not isinstance(instances, (list, tuple)):
+        raise BadParams(f"criterion {spec.number} instances must be a list, "
+                        f"got {instances!r}")
+    for item in instances:
+        if (not isinstance(item, (list, tuple)) or len(item) != spec.arity
+                or not all(type(x) is int for x in item)):
+            raise BadParams(
+                f"criterion {spec.number} instances must be length-"
+                f"{spec.arity} integer tuples, got {item!r}")
+    return tuple(tuple(item) for item in instances)
+
+
 def default_instances(number: int) -> Optional[tuple]:
     """The default instance list of a criterion, None when fixed."""
-    spec = _CRITERIA.get(number)
-    if spec is None:
-        raise BadParams(f"unknown criterion {number}; valid ids are 1..11")
-    return spec.instances
+    return _spec(number).instances
 
 
-def run_criterion(number: int, instances: Optional[Iterable] = None,
+def run_criterion(number: int, instances: Optional[Sequence] = None,
                   budget: int = DEFAULT_BUDGET,
                   registry: Optional[CodeRegistry] = None) -> CriterionResult:
     """Run one numbered criterion and collect its checks.
@@ -672,23 +695,9 @@ def run_criterion(number: int, instances: Optional[Iterable] = None,
     empty registry it first rebuilds the full default corpus of criteria
     1 to 10, so that the consistency audit always has codes to read.
     """
-    spec = _CRITERIA.get(number)
-    if spec is None:
-        raise BadParams(f"unknown criterion {number}; valid ids are 1..11")
-    if instances is not None:
-        if spec.instances is None:
-            raise BadParams(f"criterion {number} does not take instances")
-        cleaned = []
-        for item in instances:
-            item = tuple(item)
-            if (len(item) != spec.arity
-                    or not all(isinstance(x, int) for x in item)):
-                raise BadParams(
-                    f"criterion {number} instances must be length-"
-                    f"{spec.arity} integer tuples, got {item!r}")
-            cleaned.append(item)
-        use: Optional[tuple] = tuple(cleaned)
-    else:
+    spec = _spec(number)
+    use = _check_instances(spec, instances)
+    if use is None:
         use = spec.instances
     if registry is None:
         registry = CodeRegistry()
@@ -766,34 +775,18 @@ def validate_config(cfg) -> dict:
     if not isinstance(cfg, dict) or not isinstance(cfg.get("criteria"), list):
         raise BadParams("sweep config must be an object with a "
                         "'criteria' list")
+    version = cfg.get("version", 1)
+    if type(version) is not int:
+        raise BadParams(f"sweep config version must be an integer, "
+                        f"got {version!r}")
     entries = []
     for entry in cfg["criteria"]:
-        if isinstance(entry, int):
+        if not isinstance(entry, dict):
             entry = {"id": entry}
-        if not isinstance(entry, dict) or not isinstance(entry.get("id"), int):
-            raise BadParams(f"bad criteria entry: {entry!r}")
-        number = entry["id"]
-        spec = _CRITERIA.get(number)
-        if spec is None:
-            raise BadParams(f"unknown criterion {number}; "
-                            "valid ids are 1..11")
-        instances = entry.get("instances")
-        if instances is not None:
-            if spec.instances is None:
-                raise BadParams(
-                    f"criterion {number} does not take instances")
-            cleaned = []
-            for item in instances:
-                if (not isinstance(item, (list, tuple))
-                        or len(item) != spec.arity
-                        or not all(isinstance(x, int) for x in item)):
-                    raise BadParams(
-                        f"criterion {number} instances must be length-"
-                        f"{spec.arity} integer lists")
-                cleaned.append(tuple(item))
-            instances = tuple(cleaned)
-        entries.append({"id": number, "instances": instances})
-    return {"version": int(cfg.get("version", 1)), "criteria": entries}
+        spec = _spec(entry.get("id"))
+        entries.append({"id": spec.number, "instances":
+                        _check_instances(spec, entry.get("instances"))})
+    return {"version": version, "criteria": entries}
 
 
 def run_sweep(config: Optional[dict] = None, budget: int = DEFAULT_BUDGET,

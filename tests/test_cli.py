@@ -277,6 +277,23 @@ def test_sweep_bad_config_exits_1(tmp_path, capsys):
     assert "unknown criterion" in err
 
 
+def test_sweep_malformed_instances_exit_1(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"criteria": [{"id": 1, "instances": 5}]}')
+    status, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert status == 1
+    assert "error: BadParams" in err
+
+
+def test_sweep_budget_overrun_in_consistency_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "small.json"
+    cfg.write_text('{"criteria": [{"id": 1, "instances": [[5, 5]]}, 11]}')
+    status, out, _ = run_cli(capsys, "sweep", "--config", str(cfg),
+                             "--budget", "1000")
+    assert status == 2
+    assert "criterion 11" in out and "FAIL" in out
+
+
 def test_usage_errors_exit_1(capsys):
     assert run_cli(capsys, "frobnicate")[0] == 1
     assert run_cli(capsys)[0] == 1

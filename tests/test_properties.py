@@ -1,0 +1,178 @@
+"""Property tests: the block generators and the scans built on them agree
+with direct per-word oracles on random small codes.
+
+Codes are drawn over q in {2, 3, 4, 5, 8, 9} with k <= 4 and n <= 7, and
+every enumeration runs with a small block size drawn per example, so
+block boundaries (and blocks with no scalar-class representative) fall
+anywhere in the canonical order.
+"""
+
+import functools
+import itertools
+from collections import Counter
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from mincodes import analysis, codes
+from mincodes.analysis import (
+    has_full_value_property,
+    is_minimal_code,
+    minimal_codewords,
+)
+from mincodes.codes import (
+    LinearCode,
+    codeword_blocks,
+    enumerate_codewords,
+    projective_blocks,
+    weight_distribution,
+)
+from mincodes.errors import InconsistentShares, Unauthorized
+from mincodes.field import build_field
+from mincodes.matrix import GFMatrix, in_span, rank
+from mincodes.sss import SssScheme, deal, reconstruct
+
+FIELDS = (2, 3, 4, 5, 8, 9)
+SETTINGS = settings(max_examples=40, deadline=None, database=None,
+                    derandomize=True)
+
+
+@st.composite
+def small_codes(draw, max_k=4, max_n=7):
+    q = draw(st.sampled_from(FIELDS))
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(k, max_n))
+    entries = st.integers(0, q - 1)
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n),
+                         min_size=k, max_size=k))
+    gen = GFMatrix(build_field(q), np.array(rows))
+    assume(rank(gen) == k)
+    return LinearCode(gen)
+
+
+chunks = st.integers(1, 64)
+
+
+def small_chunks(chunk):
+    """Make every enumeration walk coefficient vectors chunk at a time."""
+    return mock.patch.object(
+        codes, "coeff_blocks",
+        functools.partial(codes.coeff_blocks, chunk=chunk))
+
+
+def lead(u) -> int:
+    return next((int(c) for c in u if c), 0)
+
+
+def all_words(code):
+    """(coeffs, values) for every u in canonical order, via code.codeword."""
+    out = []
+    for u in itertools.product(range(code.q), repeat=code.k):
+        word = code.codeword(u)
+        out.append((word.coeffs, word.values))
+    return out
+
+
+def flatten(blocks):
+    return [(tuple(int(c) for c in u), tuple(int(x) for x in v))
+            for ublock, vblock in blocks for u, v in zip(ublock, vblock)]
+
+
+@SETTINGS
+@given(small_codes(), chunks)
+def test_codeword_blocks_match_codeword(code, chunk):
+    with small_chunks(chunk):
+        got = flatten(codeword_blocks(code))
+    assert got == all_words(code)
+
+
+@SETTINGS
+@given(small_codes(), chunks)
+def test_projective_blocks_are_lead_one_rows(code, chunk):
+    with small_chunks(chunk):
+        got = flatten(projective_blocks(code))
+        stream = flatten(codeword_blocks(code))
+    assert got == [(u, v) for u, v in stream if lead(u) == 1]
+
+
+@SETTINGS
+@given(small_codes(), chunks)
+def test_weight_distribution_counts_every_word(code, chunk):
+    with small_chunks(chunk):
+        got = weight_distribution(code).counts
+    want = Counter(w.weight for w in enumerate_codewords(code))
+    assert got == dict(want)
+
+
+@SETTINGS
+@given(small_codes(), chunks)
+def test_full_value_matches_scan_of_all_nonzero_words(code, chunk):
+    with small_chunks(chunk):
+        report = has_full_value_property(code)
+    witness = next((w for w in enumerate_codewords(code)
+                    if not w.is_zero() and len(set(w.values)) < code.q),
+                   None)
+    assert report.holds == (witness is None)
+    assert report.witness == witness
+    if witness is not None:
+        assert report.witness_values == tuple(sorted(set(witness.values)))
+
+
+@SETTINGS
+@given(small_codes(max_k=3), chunks, st.integers(1, 5))
+def test_cover_scan_matches_pairwise_oracle(code, chunk, row_block):
+    reps = [w for w in enumerate_codewords(code) if lead(w.coeffs) == 1]
+    masks = [sum(1 << i for i in w.support) for w in reps]
+    witness = next(((reps[i], reps[j])
+                    for i, j in itertools.product(range(len(reps)), repeat=2)
+                    if i != j and masks[i] & ~masks[j] == 0), None)
+    minimal = [w for j, w in enumerate(reps)
+               if not any(i != j and masks[i] & ~masks[j] == 0
+                          for i in range(len(reps)))]
+    with small_chunks(chunk), \
+            mock.patch.object(analysis, "_ROW_BLOCK", row_block):
+        report = is_minimal_code(code)
+        got = minimal_codewords(code)
+    assert report.is_minimal == (witness is None)
+    assert report.witness == witness
+    assert report.classes == len(reps)
+    assert got == minimal
+
+
+@SETTINGS
+@given(small_codes(), st.data())
+def test_reconstruct_matches_span_oracles(code, data):
+    assume(not code.zero_columns and code.n >= 2)
+    f = code.field
+    scheme = SssScheme(code)
+    secret = data.draw(st.integers(0, f.q - 1))
+    dealt = deal(scheme, secret, seed=data.draw(st.integers(0, 99)))
+    for size in range(len(scheme.participants) + 1):
+        for ids in itertools.combinations(scheme.participants, size):
+            cols = scheme.participant_cols(ids)
+            x = in_span(f, scheme.secret_col(), cols)
+            vals = [dealt.shares[i] for i in ids]
+            if x is None:
+                with pytest.raises(Unauthorized):
+                    reconstruct(scheme, ids, vals)
+                continue
+            assert reconstruct(scheme, ids, vals) == secret
+            pos = data.draw(st.integers(0, size - 1))
+            delta = data.draw(st.integers(1, f.q - 1))
+            vals[pos] = f.add(vals[pos], delta)
+            sub = np.column_stack(cols)
+            consistent = (rank(GFMatrix(f, np.vstack([sub, [vals]])))
+                          == rank(GFMatrix(f, sub)))
+            try:
+                got = reconstruct(scheme, ids, vals)
+            except InconsistentShares:
+                assert not consistent
+                continue
+            assert consistent
+            want = 0
+            for xi, v in zip(x, vals):
+                want = f.add(want, f.mul(int(xi), v))
+            assert got == want

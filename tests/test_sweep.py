@@ -118,6 +118,41 @@ def test_wrong_instance_arity():
         run_criterion(4, instances=[(4, 3)])
 
 
+def test_non_list_instances_rejected():
+    with pytest.raises(BadParams):
+        validate_config({"criteria": [{"id": 1, "instances": 5}]})
+
+
+def test_non_integer_version_rejected():
+    with pytest.raises(BadParams):
+        validate_config({"version": "x", "criteria": []})
+
+
+def test_null_version_rejected():
+    with pytest.raises(BadParams):
+        validate_config({"version": None, "criteria": []})
+
+
+def test_boolean_criterion_id_rejected():
+    with pytest.raises(BadParams):
+        validate_config({"criteria": [{"id": True}]})
+    with pytest.raises(BadParams):
+        run_criterion(True)
+
+
+def test_boolean_instance_value_rejected():
+    with pytest.raises(BadParams):
+        run_criterion(1, instances=[(2, True)])
+
+
+def test_consistency_budget_overrun_is_a_failed_check():
+    report = run_sweep({"criteria": [1, 11]}, budget=1000)
+    consistency = report.results[1]
+    overruns = by_check(consistency, "budget")
+    assert overruns and not consistency.passed
+    assert {c.instance for c in overruns} == {"first(5,4)", "first(5,5)"}
+
+
 def test_default_instances():
     assert default_instances(1)[0] == (2, 2)
     assert default_instances(7) is None
