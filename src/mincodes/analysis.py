@@ -5,7 +5,9 @@ contained in Supp(c) is a scalar multiple of c; a code is minimal when all
 its nonzero codewords are.  Support containment is invariant under scaling,
 so all checks run on one representative per scalar class (the codeword whose
 first nonzero coefficient is 1), which cuts the pairwise work by (q-1)^2
-without changing any verdict.
+without changing any verdict.  The pairwise cover scan runs as a float32
+GEMM (BLAS sgemm); its zero test is exact because every term is
+nonnegative.
 
 The sufficient (not necessary) weight-ratio test: a code is minimal whenever
 w_min / w_max > (q-1)/q.  The comparison is exact, by cross-multiplication.
@@ -123,13 +125,17 @@ def _as_word(values_row, coeffs_row) -> Codeword:
 def _covered_blocks(supp: np.ndarray):
     """Yield (start, covered) per _ROW_BLOCK classes, where covered[i, j]
     is true when Supp(start+i) lies inside Supp(j) for j != start+i."""
-    comp = (~supp).astype(np.int64)
+    rows = supp.astype(np.float32)
+    comp = (~supp).astype(np.float32)
     classes = len(supp)
     for start in range(0, classes, _ROW_BLOCK):
         stop = min(start + _ROW_BLOCK, classes)
-        # counts coords nonzero in start+i but zero in j; the int64 product
-        # dies here so only the boolean mask is held across the yield
-        covered = (supp[start:stop].astype(np.int64) @ comp.T) == 0
+        # counts coords nonzero in start+i but zero in j, as a float32 GEMM;
+        # every term is 0 or 1, and a float sum of nonnegative terms is 0
+        # exactly when every term is 0, so the zero test is exact at any n
+        # and in any summation order.  The product dies here, so only the
+        # boolean mask is held across the yield.
+        covered = (rows[start:stop] @ comp.T) == 0
         iota = np.arange(start, stop)
         covered[iota - start, iota] = False  # ignore self-containment
         yield start, covered

@@ -272,9 +272,11 @@ def _cmd_sweep(args) -> int:
     config = load_config(args.config)
     report = run_sweep(config, budget=args.budget, strict=args.strict)
     if args.out_dir:
-        write_distribution_csvs(report, args.out_dir)
-        out = Path(args.out_dir) / "sweep_report.json"
-        out.write_text(report.to_json(), encoding="ascii")
+        out = Path(args.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "sweep_report.json").write_text(report.to_json(),
+                                               encoding="ascii")
+        write_distribution_csvs(report, out)
     if args.json:
         sys.stdout.write(report.to_json())
     else:

@@ -783,6 +783,10 @@ def validate_config(cfg) -> dict:
     for entry in cfg["criteria"]:
         if not isinstance(entry, dict):
             entry = {"id": entry}
+        unknown = [key for key in entry if key not in ("id", "instances")]
+        if unknown:
+            raise BadParams(f"unknown key {unknown[0]!r} in criteria entry; "
+                            f"valid keys are 'id' and 'instances'")
         spec = _spec(entry.get("id"))
         entries.append({"id": spec.number, "instances":
                         _check_instances(spec, entry.get("instances"))})
@@ -818,11 +822,17 @@ def _slug(label: str) -> str:
 
 
 def write_distribution_csvs(report: SweepReport, out_dir) -> list[Path]:
-    """Write one weight-distribution CSV per registered code."""
+    """Write one weight-distribution CSV per registered code.
+
+    Codes with more than report.budget words are skipped: the sweep has
+    already recorded their overrun as a failed budget check.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for label, code in report.registry.items():
+        if code.size > report.budget:
+            continue
         dist = weight_distribution(code, report.budget)
         path = out / f"dist_{_slug(label)}.csv"
         path.write_text(dist.to_csv(), encoding="utf-8")

@@ -261,6 +261,19 @@ def test_sweep_out_dir(tmp_path, capsys):
     assert report["summary"]["criteria_total"] == 1
 
 
+def test_sweep_out_dir_keeps_report_on_budget_overrun(tmp_path, capsys):
+    cfg = tmp_path / "big.json"
+    cfg.write_text('{"criteria": [{"id": 1, "instances": [[5, 5]]}]}')
+    out_dir = tmp_path / "out"
+    status, out, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                               "--budget", "1000", "--out-dir", str(out_dir))
+    assert status == 2
+    assert "FAIL" in out and "error" not in err
+    assert [p.name for p in out_dir.iterdir()] == ["sweep_report.json"]
+    report = json.loads((out_dir / "sweep_report.json").read_text())
+    assert report["summary"]["criteria_passed"] == 0
+
+
 def test_sweep_json_byte_identical(tmp_path, capsys):
     cfg = tmp_path / "small.json"
     cfg.write_text('{"criteria": [{"id": 1, "instances": [[3, 3]]}]}')
@@ -283,6 +296,15 @@ def test_sweep_malformed_instances_exit_1(tmp_path, capsys):
     status, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert status == 1
     assert "error: BadParams" in err
+
+
+def test_sweep_unknown_entry_key_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "typo.json"
+    cfg.write_text('{"criteria": [{"id": 1, "instance": [[2, 2]]}]}')
+    status, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert status == 1
+    assert out == ""
+    assert "error: BadParams" in err and "'instance'" in err
 
 
 def test_sweep_budget_overrun_in_consistency_exits_2(tmp_path, capsys):

@@ -4,11 +4,14 @@ with direct per-word oracles on random small codes.
 Codes are drawn over q in {2, 3, 4, 5, 8, 9} with k <= 4 and n <= 7, and
 every enumeration runs with a small block size drawn per example, so
 block boundaries (and blocks with no scalar-class representative) fall
-anywhere in the canonical order.
+anywhere in the canonical order.  The cover scan is also checked on its
+own, on random support matrices up to 300 columns wide, and the weight
+distribution of every dual code against the MacWilliams transform.
 """
 
 import functools
 import itertools
+import math
 from collections import Counter
 from unittest import mock
 
@@ -26,6 +29,7 @@ from mincodes.analysis import (
 from mincodes.codes import (
     LinearCode,
     codeword_blocks,
+    dual_code,
     enumerate_codewords,
     projective_blocks,
     weight_distribution,
@@ -140,6 +144,62 @@ def test_cover_scan_matches_pairwise_oracle(code, chunk, row_block):
     assert report.witness == witness
     assert report.classes == len(reps)
     assert got == minimal
+
+
+@st.composite
+def support_masks(draw, max_n=300, max_rows=24):
+    """Bitmask rows of width n: random rows, subsets and repeats of earlier
+    rows, and one all-ones row, shuffled."""
+    n = draw(st.integers(1, max_n))
+    full = (1 << n) - 1
+    masks = [full]
+    for _ in range(draw(st.integers(0, max_rows))):
+        kind = draw(st.sampled_from(("random", "subset", "repeat")))
+        if kind == "random":
+            masks.append(draw(st.integers(0, full)))
+            continue
+        base = masks[draw(st.integers(0, len(masks) - 1))]
+        masks.append(base if kind == "repeat"
+                     else base & draw(st.integers(0, full)))
+    return n, draw(st.permutations(masks))
+
+
+@SETTINGS
+@given(support_masks(), st.integers(1, 8))
+def test_covered_blocks_match_bitmask_oracle(drawn, row_block):
+    n, masks = drawn
+    supp = np.array([[(m >> c) & 1 for c in range(n)] for m in masks],
+                    dtype=bool)
+    want = np.array([[i != j and masks[i] & ~masks[j] == 0
+                      for j in range(len(masks))]
+                     for i in range(len(masks))], dtype=bool)
+    with mock.patch.object(analysis, "_ROW_BLOCK", row_block):
+        blocks = list(analysis._covered_blocks(supp))
+    assert [start for start, _ in blocks] == \
+        list(range(0, len(masks), row_block))
+    assert all(covered.dtype == bool for _, covered in blocks)
+    assert np.array_equal(np.vstack([c for _, c in blocks]), want)
+
+
+def krawtchouk(j: int, i: int, n: int, q: int) -> int:
+    return sum((-1) ** s * (q - 1) ** (j - s)
+               * math.comb(i, s) * math.comb(n - i, j - s)
+               for s in range(j + 1))
+
+
+@SETTINGS
+@given(small_codes())
+def test_dual_weights_match_macwilliams(code):
+    assume(code.n > code.k)
+    n, q = code.n, code.q
+    dist = weight_distribution(code).counts
+    want = {}
+    for j in range(n + 1):
+        total = sum(a * krawtchouk(j, i, n, q) for i, a in dist.items())
+        assert total % code.size == 0
+        if total:
+            want[j] = total // code.size
+    assert weight_distribution(dual_code(code)).counts == want
 
 
 @SETTINGS

@@ -145,6 +145,18 @@ def test_boolean_instance_value_rejected():
         run_criterion(1, instances=[(2, True)])
 
 
+def test_unknown_entry_key_rejected():
+    with pytest.raises(BadParams, match="'instance'"):
+        validate_config({"criteria": [{"id": 1, "instance": [[2, 2]]}]})
+
+
+def test_distribution_csvs_skip_codes_over_budget(tmp_path):
+    cfg = {"criteria": [{"id": 1, "instances": [[2, 2], [5, 5]]}]}
+    report = run_sweep(cfg, budget=1000)
+    paths = write_distribution_csvs(report, tmp_path)
+    assert [p.name for p in paths] == ["dist_first_2_2.csv"]
+
+
 def test_consistency_budget_overrun_is_a_failed_check():
     report = run_sweep({"criteria": [1, 11]}, budget=1000)
     consistency = report.results[1]
