@@ -286,9 +286,9 @@ def _cmd_sweep(args) -> int:
 
 # -- parser -------------------------------------------------------------------
 
-def _add_budget(p) -> None:
+def _add_budget(p, counted: str = "codewords") -> None:
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help="enumeration budget (default 10^7 codewords)")
+                   help=f"enumeration budget (default 10^7 {counted})")
 
 
 def _add_infile(p) -> None:
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(f"--{flag}", type=int)
     p.add_argument("--alphas", help="comma-separated nonzero encodings")
     p.add_argument("--out", help="output file (default: stdout)")
-    _add_budget(p)
+    _add_budget(p, "codewords; families cf and cg count points")
     p.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("analyze", help="verify minimality and report "
@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="auto")
     a.add_argument("--secret-column", type=int, default=1)
     a.add_argument("--json", action="store_true")
-    _add_budget(a)
+    _add_budget(a, "codewords; --method search counts coalitions")
     a.set_defaults(func=_cmd_sss_access)
 
     p = sub.add_parser("sweep", help="run the scripted verification "

@@ -156,7 +156,7 @@ def _points(q: int, n: int, budget: int) -> np.ndarray:
     """All nonzero x in GF(q)^n as rows, ascending base-q encoding."""
     total = q**n - 1
     if total > budget:
-        raise BudgetExceeded(total, budget)
+        raise BudgetExceeded(total, budget, unit="points")
     idx = np.arange(1, q**n, dtype=np.int64)
     place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return (idx[:, None] // place[None, :]) % q

@@ -34,13 +34,18 @@ class NotInCode(MinCodesError):
 
 
 class BudgetExceeded(MinCodesError):
-    """An exhaustive enumeration would exceed the configured budget."""
+    """An exhaustive enumeration would exceed the configured budget.
 
-    def __init__(self, needed: int, budget: int):
+    unit names what the budget counts: codewords by default, coalitions
+    for the access-structure search, points for the function codes.
+    """
+
+    def __init__(self, needed: int, budget: int, *, unit: str = "words"):
         self.needed = needed
         self.budget = budget
+        self.unit = unit
         super().__init__(
-            f"enumeration needs {needed} words, budget is {budget}"
+            f"enumeration needs {needed} {unit}, budget is {budget}"
         )
 
 

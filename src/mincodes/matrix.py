@@ -137,6 +137,35 @@ def in_span(field: GF, target, vectors) -> np.ndarray | None:
     return x
 
 
+def in_span_batch(field: GF, stacks: np.ndarray) -> np.ndarray:
+    """For each matrix of an (M, k, s+1) stack, whether its last column
+    lies in the span of its first s columns.
+
+    The same decision as ``in_span``, made for all M matrices at once by
+    one elimination with the field tables: at each column every matrix
+    picks its own pivot among its rows not yet used as a pivot and clears
+    that column in its other unused rows.  The last column is in the span
+    exactly when it is zero in every unused row at the end.
+    """
+    a = np.array(stacks, dtype=field.add_table.dtype)
+    if a.ndim != 3:
+        raise DimensionMismatch(f"expected (M, k, s+1) stacks, got {a.shape}")
+    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
+    batch = np.arange(a.shape[0])
+    used = np.zeros(a.shape[:2], dtype=bool)
+    for c in range(a.shape[2] - 1):
+        cand = (a[:, :, c] != 0) & ~used
+        p = cand.argmax(axis=1)
+        found = cand[batch, p]
+        used[batch[found], p[found]] = True
+        # without a pivot, every unused row is zero at c: nothing changes
+        row = mul[a[batch, p, c + 1:], inv[a[batch, p, c]][:, None]]
+        factor = np.where(used, 0, a[:, :, c])
+        a[:, :, c + 1:] = sub[a[:, :, c + 1:],
+                              mul[factor[:, :, None], row[:, None, :]]]
+    return ~((a[:, :, -1] != 0) & ~used).any(axis=1)
+
+
 def nullspace(matrix: GFMatrix) -> GFMatrix:
     """Basis of the right nullspace, one vector per row.
 

@@ -7,7 +7,9 @@ secret and hands participant i the coordinate of u.G at its column.  A
 coalition can reconstruct exactly when the secret column lies in the
 span of its columns, and the minimal such coalitions are read off the
 minimal codewords of the dual code that are nonzero on the secret
-column.
+column.  Where the dual is too big to enumerate they are found by
+search instead, which decides the coalitions of one size together, in
+batched row reductions (``matrix.in_span_batch``).
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import numpy as np
 
 from .analysis import minimal_codewords
 from .codes import (
+    _CHUNK,
     DEFAULT_BUDGET,
     LinearCode,
     codeword_blocks,
@@ -33,7 +36,7 @@ from .errors import (
     Unauthorized,
     ZeroColumn,
 )
-from .matrix import GFMatrix, in_span, rref
+from .matrix import GFMatrix, in_span, in_span_batch, rref
 
 
 class SssScheme:
@@ -194,15 +197,41 @@ def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
     n, k = scheme.code.n, scheme.code.k
     total = sum(math.comb(n - 1, size) for size in range(1, k + 1))
     if total > budget:
-        raise BudgetExceeded(total, budget)
+        raise BudgetExceeded(total, budget, unit="coalitions")
+    gen = scheme.code.gen.data
+    ids = np.array(scheme.participants)
+    secret = scheme.secret_col()[None, :, None]
+    # binom[x, i] = C(x, i); a coalition c_0 < ... < c_{s-1} of participant
+    # positions has colex rank sum_i C(c_i, i+1) among those of its size
+    binom = np.array([[math.comb(x, i) for i in range(k + 1)]
+                      for x in range(n)], dtype=np.int64)
+    # the empty coalition: the secret column is nonzero, so unauthorized
+    prev = np.zeros(1, dtype=bool)
     found: list[tuple[int, ...]] = []
     for size in range(1, k + 1):
-        for cand in itertools.combinations(scheme.participants, size):
-            cs = set(cand)
-            if any(set(m) <= cs for m in found):
-                continue
-            if is_authorized(scheme, cand):
-                found.append(cand)
+        auth = np.zeros(math.comb(n - 1, size), dtype=bool)
+        combos = itertools.combinations(range(n - 1), size)
+        while True:
+            block = np.fromiter(
+                itertools.chain.from_iterable(
+                    itertools.islice(combos, _CHUNK)),
+                dtype=np.int64).reshape(-1, size)
+            if not len(block):
+                break
+            stacks = np.concatenate(
+                [gen[:, ids[block] - 1].transpose(1, 0, 2),
+                 np.broadcast_to(secret, (len(block), k, 1))], axis=2)
+            ok = in_span_batch(scheme.field, stacks)
+            own = binom[block, np.arange(1, size + 1)]
+            auth[own.sum(axis=1)] = ok
+            # dropping c_j shifts every later c_i down to place i-1
+            low = binom[block, np.arange(size)]
+            before = np.cumsum(own, axis=1) - own
+            after = np.cumsum(low[:, ::-1], axis=1)[:, ::-1] - low
+            minimal = ok & ~prev[before + after].any(axis=1)
+            found.extend(tuple(int(i) for i in ids[row])
+                         for row in block[minimal])
+        prev = auth
     return [AccessSet(indices=m, minimal=True) for m in found]
 
 
@@ -222,8 +251,11 @@ def minimal_authorized_sets(scheme: SssScheme, method: str = "auto",
     """All minimal coalitions, sorted by size then lexicographically.
 
     method "dual" enumerates the dual code and maps its minimal codewords
-    that are nonzero on the secret column; "search" tries coalitions of
-    size 1..k directly; "auto" picks dual when the dual is small enough.
+    that are nonzero on the secret column; "search" decides the
+    coalitions of each size 1..k together, in batched row reductions of
+    up to ``codes._CHUNK`` coalitions, keeps the authorized ones with no
+    authorized subset one smaller, and counts coalitions against the
+    budget; "auto" picks dual when the dual is small enough.
     """
     n, k, q = scheme.code.n, scheme.code.k, scheme.code.q
     if method == "auto":

@@ -327,3 +327,12 @@ def test_budget_overrun_exits_1(first33, capsys):
                              "--budget", "5")
     assert status == 1
     assert "BudgetExceeded" in err
+
+
+def test_access_search_budget_names_coalitions(first33, capsys):
+    status, out, err = run_cli(capsys, "sss", "access", "--in", str(first33),
+                               "--method", "search", "--budget", "10")
+    assert status == 1
+    assert out == ""
+    assert ("error: BudgetExceeded: enumeration needs 92 coalitions, "
+            "budget is 10") in err

@@ -486,7 +486,8 @@ def test_cf_code_bad_params():
         cf_code(4, 2, 3, (1,))  # wrong alpha count
     with pytest.raises(BadParams):
         cf_code(4, 2, 3, (1, 0))  # zero alpha
-    with pytest.raises(BudgetExceeded):
+    with pytest.raises(BudgetExceeded,
+                       match="needs 80 points, budget is 10"):
         cf_code(4, 2, 3, (1, 2), budget=10)
 
 

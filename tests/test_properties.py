@@ -6,7 +6,10 @@ every enumeration runs with a small block size drawn per example, so
 block boundaries (and blocks with no scalar-class representative) fall
 anywhere in the canonical order.  The cover scan is also checked on its
 own, on random support matrices up to 300 columns wide, and the weight
-distribution of every dual code against the MacWilliams transform.
+distribution of every dual code against the MacWilliams transform.  The
+batched coalition search is checked against a per-coalition ``in_span``
+loop and the dual-code path with every column as the secret column (n <= 8
+here), and its span kernel against ``in_span`` one matrix at a time.
 """
 
 import functools
@@ -20,7 +23,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mincodes import analysis, codes
+from mincodes import analysis, codes, sss
 from mincodes.analysis import (
     has_full_value_property,
     is_minimal_code,
@@ -36,8 +39,8 @@ from mincodes.codes import (
 )
 from mincodes.errors import InconsistentShares, Unauthorized
 from mincodes.field import build_field
-from mincodes.matrix import GFMatrix, in_span, rank
-from mincodes.sss import SssScheme, deal, reconstruct
+from mincodes.matrix import GFMatrix, in_span, in_span_batch, rank
+from mincodes.sss import AccessSet, SssScheme, deal, reconstruct
 
 FIELDS = (2, 3, 4, 5, 8, 9)
 SETTINGS = settings(max_examples=40, deadline=None, database=None,
@@ -236,3 +239,91 @@ def test_reconstruct_matches_span_oracles(code, data):
             for xi, v in zip(x, vals):
                 want = f.add(want, f.mul(int(xi), v))
             assert got == want
+
+
+# -- access structures by coalition search ------------------------------------
+
+
+def search_oracle(scheme):
+    """Coalitions of size 1..k in order, one in_span call each, skipping
+    supersets of sets already found."""
+    found = []
+    for size in range(1, scheme.code.k + 1):
+        for cand in itertools.combinations(scheme.participants, size):
+            if any(set(m) <= set(cand) for m in found):
+                continue
+            cols = scheme.participant_cols(cand)
+            if in_span(scheme.field, scheme.secret_col(), cols) is not None:
+                found.append(cand)
+    return [AccessSet(indices=m, minimal=True) for m in found]
+
+
+# largest n - k that keeps every dual at most 1024 words
+DUAL_SPAN = {2: 10, 3: 6, 4: 5, 5: 4, 8: 3, 9: 3}
+
+
+@st.composite
+def sss_codes(draw, q, max_k=4, max_n=8):
+    """Codes with no zero column, so that every column can hold the
+    secret, and a dual small enough to enumerate."""
+    k = draw(st.integers(1, max_k))
+    n = draw(st.integers(k, min(max_n, k + DUAL_SPAN[q])))
+    cols = draw(st.lists(st.integers(1, q ** k - 1), min_size=n, max_size=n))
+    place = q ** np.arange(k - 1, -1, -1)
+    gen = GFMatrix(build_field(q), (np.array(cols)[None, :]
+                                    // place[:, None]) % q)
+    assume(rank(gen) == k)
+    return LinearCode(gen)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data(), chunk=st.integers(1, 8))
+def test_search_path_matches_oracle_and_dual(q, data, chunk):
+    code = data.draw(sss_codes(q))
+    for secret_column in range(1, code.n + 1):
+        scheme = SssScheme(code, secret_column)
+        want = search_oracle(scheme)
+        with mock.patch.object(sss, "_CHUNK", chunk):
+            assert sss._search_path(scheme, codes.DEFAULT_BUDGET) == want
+        dual = (sss._dual_path(scheme, codes.DEFAULT_BUDGET)
+                if code.n > code.k else [])
+        assert dual == want
+
+
+@st.composite
+def span_stacks(draw, f):
+    """(M, k, s+1) stacks whose columns are zero, random, repeats of an
+    earlier column or combinations of earlier columns; the last column
+    plays the target, and s runs past k."""
+    k = draw(st.integers(1, 4))
+    s = draw(st.integers(0, 6))
+    m = draw(st.integers(1, 6))
+    entries = st.integers(0, f.q - 1)
+    stack = np.zeros((m, k, s + 1), dtype=np.int64)
+    for i in range(m):
+        for j in range(s + 1):
+            kind = draw(st.sampled_from(
+                ("zero", "random", "repeat", "combination")))
+            if kind == "zero":
+                continue
+            if kind == "random" or j == 0:
+                stack[i, :, j] = draw(st.lists(entries, min_size=k,
+                                               max_size=k))
+            elif kind == "repeat":
+                stack[i, :, j] = stack[i, :, draw(st.integers(0, j - 1))]
+            else:
+                x = draw(st.lists(entries, min_size=j, max_size=j))
+                stack[i, :, j] = f.matmul(stack[i, :, :j],
+                                          np.array(x)[:, None])[:, 0]
+    return stack
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_in_span_batch_matches_in_span(q, data):
+    f = build_field(q)
+    stack = data.draw(span_stacks(f))
+    want = [in_span(f, a[:, -1], a[:, :-1].T) is not None for a in stack]
+    assert in_span_batch(f, stack).tolist() == want
