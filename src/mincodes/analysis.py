@@ -4,10 +4,21 @@ A nonzero codeword c is minimal when every codeword whose support is
 contained in Supp(c) is a scalar multiple of c; a code is minimal when all
 its nonzero codewords are.  Support containment is invariant under scaling,
 so all checks run on one representative per scalar class (the codeword whose
-first nonzero coefficient is 1), which cuts the pairwise work by (q-1)^2
-without changing any verdict.  The pairwise cover scan runs as a float32
-GEMM (BLAS sgemm); its zero test is exact because every term is
-nonnegative.
+first nonzero coefficient is 1).
+
+Minimality is decided class by class by rank: c = uG is minimal exactly
+when the columns of G on which c vanishes span a space of dimension k-1,
+the hyperplane orthogonal to u.  This is the cutting blocking set
+characterization (Alfarano, Borello and Neri, "A geometric characterization
+of minimal codes and their asymptotic performance"; Tang, Qiu, Liao and
+Zhou, "Full characterization of minimal linear codes as cutting blocking
+sets").  The ranks are taken one block of classes at a time, so memory is
+linear: one block of zero columns, plus n bits of support per class kept
+for the witness.  A non-minimal code takes the full rank pass and then
+scans every class in canonical order against the non-minimal ones; a class
+that covers another is non-minimal, so this finds the same first covered
+pair as a scan of all pairs.  That scan is a float32 GEMM (BLAS sgemm); its
+zero test is exact because every term is nonnegative.
 
 The sufficient (not necessary) weight-ratio test: a code is minimal whenever
 w_min / w_max > (q-1)/q.  The comparison is exact, by cross-multiplication.
@@ -15,26 +26,33 @@ w_min / w_max > (q-1)/q.  The comparison is exact, by cross-multiplication.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .codes import DEFAULT_BUDGET, Codeword, LinearCode, projective_blocks, \
-    weight_distribution
+from .codes import DEFAULT_BUDGET, Codeword, LinearCode, WeightDistribution, \
+    projective_blocks, weight_distribution
 from .errors import BadParams, DimensionMismatch, NotInCode
-from .matrix import in_span
+from .field import build_field
+from .matrix import GFMatrix, in_span, rank
 
 _ROW_BLOCK = 1024
 
 
 @dataclass(frozen=True)
 class MinimalityReport:
-    """Outcome of the exhaustive pairwise minimality check.
+    """Outcome of the exhaustive minimality check.
 
-    witness, present iff is_minimal is false, is a pair (covered, covering)
-    of non-proportional codewords with Supp(covered) subseteq Supp(covering);
-    it is the first violation in canonical scan order.
+    is_minimal comes from the rank test on every scalar class.  witness,
+    present iff is_minimal is false, is a pair (covered, covering) of
+    non-proportional codewords with Supp(covered) subseteq Supp(covering);
+    it is the first violation in canonical scan order.  pairs_checked
+    counts the ordered pairs of distinct classes that a scan of all pairs,
+    _ROW_BLOCK covered rows at a time, would examine: classes*(classes-1)
+    for a minimal code, otherwise the end of the block holding the covered
+    class times classes-1.
     """
 
     is_minimal: bool
@@ -107,63 +125,178 @@ def covers(c1: Codeword, c2: Codeword) -> bool:
     return bool(np.all(b[a]))
 
 
-def _projective_arrays(code: LinearCode, budget: int):
-    coeffs, values = [], []
-    for u, v in projective_blocks(code, budget):
-        coeffs.append(u)
-        values.append(v)
-    return np.vstack(coeffs), np.vstack(values)
-
-
 def _as_word(values_row, coeffs_row) -> Codeword:
-    return Codeword(
-        tuple(int(c) for c in coeffs_row),
-        tuple(int(v) for v in values_row),
-    )
+    return Codeword(tuple(coeffs_row.tolist()), tuple(values_row.tolist()))
 
 
-def _covered_blocks(supp: np.ndarray):
-    """Yield (start, covered) per _ROW_BLOCK classes, where covered[i, j]
-    is true when Supp(start+i) lies inside Supp(j) for j != start+i."""
-    rows = supp.astype(np.float32)
-    comp = (~supp).astype(np.float32)
-    classes = len(supp)
-    for start in range(0, classes, _ROW_BLOCK):
-        stop = min(start + _ROW_BLOCK, classes)
-        # counts coords nonzero in start+i but zero in j, as a float32 GEMM;
-        # every term is 0 or 1, and a float sum of nonnegative terms is 0
-        # exactly when every term is 0, so the zero test is exact at any n
-        # and in any summation order.  The product dies here, so only the
-        # boolean mask is held across the yield.
-        covered = (rows[start:stop] @ comp.T) == 0
-        iota = np.arange(start, stop)
-        covered[iota - start, iota] = False  # ignore self-containment
-        yield start, covered
+def _prime_columns(field, gen: np.ndarray) -> np.ndarray:
+    """The columns of gen over the prime field, for the rank tests.
+
+    GF(p^m) is an m-dimensional GF(p)-space, so the GF(q)-span of some
+    columns is the GF(p)-span of their multiples by x^0..x^(m-1), with m
+    times the dimension.  Entry (c, i, j) is base-p digit c of x^i times
+    column j (x^i is encoded as p^i), over k*m digits; column n is the
+    zero column that pads the gathers.
+    """
+    k, n = gen.shape
+    p, m = field.p, field.m
+    place = p ** np.arange(m)
+    scaled = field.mul_table[place[:, None, None], gen]
+    digits = scaled[..., None] // place % p
+    out = np.zeros((k * m, m, n + 1), dtype=gen.dtype)
+    out[..., :n] = digits.transpose(1, 3, 0, 2).reshape(k * m, m, n)
+    return out
+
+
+def _xor_rank(a: np.ndarray, bits: int) -> np.ndarray:
+    """GF(2) rank of each column of a, a (V, M) stack of V bit-packed
+    vectors per matrix, eliminated in place, top bit first.
+
+    Once bit b is done no vector has a bit above b set, so at bit b the
+    largest vector holds it if any does and serves as the pivot, and
+    a >> b is 1 exactly on the vectors that hold it.
+    """
+    pivots = np.empty((bits, a.shape[1]), dtype=a.dtype)
+    step = np.empty_like(a)
+    for b in range(bits - 1, -1, -1):
+        pivots[b] = pv = a.max(axis=0)
+        if b:  # bit 0 is the last: nothing reads a after it
+            np.right_shift(a, b, out=step)
+            step *= pv
+            a ^= step
+    return (pivots >> np.arange(bits, dtype=a.dtype)[:, None]).sum(axis=0)
+
+
+def _mod_rank(a: np.ndarray, p: int) -> np.ndarray:
+    """GF(p) rank, p odd, of each matrix of a (K, V, M) stack of V vectors
+    of K digits per matrix, eliminated in place: at digit c every matrix
+    takes a vector with a nonzero digit c as the pivot and clears digit c
+    from all its vectors, the pivot included.
+
+    Entries stay nonnegative and are reduced mod p only where they are
+    read; a step adds at most (p-1)^2, so the dtype must hold
+    (p-1) * (1 + K*(p-1)).
+    """
+    dims, _, matrices = a.shape
+    batch = np.arange(matrices)
+    gf = build_field(p)
+    # scale[l, y] = -y / l: a pivot with lead l scaled to -1 at its lead,
+    # so adding col times it clears digit c
+    scale = gf.neg_table[gf.mul_table[gf.inv_table]].astype(a.dtype)
+    leads = np.empty((dims, matrices), dtype=a.dtype)
+    step = np.empty_like(a[1:])
+    for c in range(dims):
+        col = a[c] % p
+        leads[c] = lead = col.max(axis=0)
+        if c + 1 < dims:
+            pivot = scale[lead, a[c + 1:, col.argmax(axis=0), batch] % p]
+            a[c + 1:] += np.multiply(col, pivot[:, None, :], out=step[c:])
+    return (leads != 0).sum(axis=0)
+
+
+def _rank_blocks(code: LinearCode, budget: int):
+    """Yield (coeffs, values, minimal) per block of projective_blocks.
+
+    Class i is minimal iff the columns of G where values[i] vanishes have
+    rank k-1 (they lie in the hyperplane orthogonal to coeffs[i], so the
+    rank is at most k-1).  Ranks are taken over GF(p) (see
+    _prime_columns): with XOR on bit-packed columns in characteristic 2
+    (q^k within any enumerable budget keeps k*m below 64), and mod p
+    otherwise.  Each block gathers every row's zero columns once,
+    left-aligned and padded with the zero column to the widest row.
+    """
+    f, n, k = code.field, code.n, code.k
+    cols = _prime_columns(f, code.gen.data)
+    dims = len(cols)
+    if f.p == 2:
+        dtype = np.min_scalar_type((1 << dims) - 1)
+        place = 1 << np.arange(dims, dtype=dtype)
+        cols = np.bitwise_or.reduce(cols * place[:, None, None], axis=0,
+                                    dtype=dtype)
+        rank = functools.partial(_xor_rank, bits=dims)
+    else:
+        p = f.p
+        cols = cols.astype(np.min_scalar_type((p - 1) * (1 + dims * (p - 1))))
+        rank = functools.partial(_mod_rank, p=p)
+    position, pad = np.arange(n, dtype=np.int32), np.int32(n)
+    for u, v in projective_blocks(code, budget):
+        supp = v != 0
+        width = max(1, n - int(supp.sum(axis=1).min()))
+        # zero coordinates sort first; the others land past n, and the
+        # clipped take reads them as the zero column n
+        idx = np.sort(position + supp * pad, axis=1)[:, :width]
+        a = np.take(cols, idx.T, axis=-1, mode="clip")
+        yield u, v, rank(a.reshape(a.shape[:-3] + (-1, len(v)))) \
+            == f.m * (k - 1)
+
+
+def _class_coeffs(q: int, k: int, index: int) -> list[int]:
+    """Coefficients of the index-th lead-1 vector in canonical order:
+    e_(k-1) first, then the q vectors with lead at k-2, and so on."""
+    tail, before = 0, 0
+    while before + q**tail <= index:
+        before += q**tail
+        tail += 1
+    value = q**tail + index - before
+    return [value // q**(k - 1 - s) % q for s in range(k)]
+
+
+def _first_cover(packed: np.ndarray, bad: np.ndarray, n: int):
+    """(i, j): the first class i in canonical order whose support lies
+    inside the support of a non-minimal class j != i, and the first such j.
+
+    packed holds every class's support as packed bits; bad lists the
+    non-minimal classes, ascending.  Both sides go _ROW_BLOCK at a time.
+    """
+    def block(rows):
+        return np.unpackbits(rows, axis=1, count=n).astype(np.float32)
+
+    for start in range(0, len(packed), _ROW_BLOCK):
+        rows = block(packed[start:start + _ROW_BLOCK])
+        first = None
+        for cstart in range(0, len(bad), _ROW_BLOCK):
+            cols = bad[cstart:cstart + _ROW_BLOCK]
+            # counts coords nonzero in the row but zero in the column, as a
+            # float32 GEMM; every term is 0 or 1, and a float sum of
+            # nonnegative terms is 0 exactly when every term is, so the
+            # zero test is exact at any n and in any summation order.
+            covered = (rows @ (1 - block(packed[cols])).T) == 0
+            own = (cols >= start) & (cols < start + len(rows))
+            covered[cols[own] - start, np.nonzero(own)[0]] = False
+            hits = np.argwhere(covered)
+            if hits.size and (first is None or hits[0, 0] < first[0]):
+                first = (int(hits[0, 0]), int(cols[hits[0, 1]]))
+        if first is not None:
+            return start + first[0], first[1]
+    raise AssertionError("a non-minimal class covers another")  # unreachable
 
 
 def is_minimal_code(code: LinearCode,
                     budget: int = DEFAULT_BUDGET) -> MinimalityReport:
     """Exhaustively decide minimality of the whole code.
 
-    Checks support containment over all ordered pairs of distinct scalar
-    classes; equivalent to the definition over all nonzero codewords.
+    Decides every scalar class by the rank of its zero columns; a
+    non-minimal code then gets its canonical witness from a scan of every
+    class against the non-minimal ones.
     """
-    u, v = _projective_arrays(code, budget)
-    classes = len(v)
-    pairs = 0
-    for start, covered in _covered_blocks(v != 0):
-        pairs += len(covered) * (classes - 1)
-        hits = np.argwhere(covered)
-        if hits.size:
-            i, j = (int(x) for x in hits[0])
-            i += start
-            return MinimalityReport(
-                is_minimal=False,
-                witness=(_as_word(v[i], u[i]), _as_word(v[j], u[j])),
-                classes=classes,
-                pairs_checked=pairs,
-            )
-    return MinimalityReport(True, None, classes, pairs)
+    supports, minimal = [], []
+    for _, v, ok in _rank_blocks(code, budget):
+        supports.append(np.packbits(v != 0, axis=1))
+        minimal.append(ok)
+    minimal = np.concatenate(minimal)
+    classes = len(minimal)
+    if minimal.all():
+        return MinimalityReport(True, None, classes, classes * (classes - 1))
+    i, j = _first_cover(np.vstack(supports), np.nonzero(~minimal)[0], code.n)
+    u = np.array([_class_coeffs(code.q, code.k, x) for x in (i, j)])
+    v = code.field.matmul(u, code.gen.data)
+    stop = min(i - i % _ROW_BLOCK + _ROW_BLOCK, classes)
+    return MinimalityReport(
+        is_minimal=False,
+        witness=(_as_word(v[0], u[0]), _as_word(v[1], u[1])),
+        classes=classes,
+        pairs_checked=stop * (classes - 1),
+    )
 
 
 def minimal_codewords(code: LinearCode,
@@ -174,12 +307,9 @@ def minimal_codewords(code: LinearCode,
     in canonical coefficient order; the complete set of minimal codewords is
     exactly their nonzero scalar multiples (see scalar_class).
     """
-    u, v = _projective_arrays(code, budget)
-    minimal = np.ones(len(v), dtype=bool)
-    for _, covered in _covered_blocks(v != 0):
-        # class j is not minimal when another class's support sits inside it
-        minimal &= ~covered.any(axis=0)
-    return [_as_word(v[j], u[j]) for j in np.nonzero(minimal)[0]]
+    return [Codeword(tuple(c), tuple(x))
+            for u, v, ok in _rank_blocks(code, budget)
+            for c, x in zip(u[ok].tolist(), v[ok].tolist())]
 
 
 def scalar_class(code: LinearCode, word: Codeword) -> list[Codeword]:
@@ -200,9 +330,9 @@ def _coeffs_for(code: LinearCode, values) -> np.ndarray:
     return x
 
 
-def is_minimal_codeword(code: LinearCode, word,
-                        budget: int = DEFAULT_BUDGET) -> bool:
-    """Decide minimality of one codeword (a Codeword or a value vector)."""
+def is_minimal_codeword(code: LinearCode, word) -> bool:
+    """Decide minimality of one codeword (a Codeword or a value vector):
+    the columns of G where it vanishes must have rank k-1."""
     values = np.asarray(
         word.values if isinstance(word, Codeword) else word, dtype=np.int64
     )
@@ -210,24 +340,16 @@ def is_minimal_codeword(code: LinearCode, word,
         raise DimensionMismatch(f"expected a length-{code.n} vector")
     if not values.any():
         raise BadParams("the zero codeword is excluded from minimality")
-    coeffs = _coeffs_for(code, values)
-    f = code.field
-    lead = int(coeffs[np.nonzero(coeffs)[0][0]])
-    norm_v = f.mul_table[int(f.inv_table[lead]), values]
-    wsupp = values != 0
-    for _, v in projective_blocks(code, budget):
-        inside = ~((v != 0) & ~wsupp[None, :]).any(axis=1)
-        same = (v == norm_v[None, :]).all(axis=1)
-        if (inside & ~same).any():
-            return False
-    return True
+    _coeffs_for(code, values)  # raises NotInCode
+    zero_cols = GFMatrix(code.field, code.gen.data[:, values == 0])
+    return rank(zero_cols) == code.k - 1
 
 
-def ab_condition(code: LinearCode, budget: int = DEFAULT_BUDGET) -> AbReport:
-    """Exact Ashikhmin-Barg style check: sufficient iff q*w_min > (q-1)*w_max."""
-    dist = weight_distribution(code, budget)
+def ab_report(dist: WeightDistribution) -> AbReport:
+    """The weight-ratio check on a computed distribution: sufficient iff
+    q*w_min > (q-1)*w_max."""
     w_min, w_max = dist.min_nonzero(), dist.max_weight()
-    q = code.q
+    q = dist.q
     return AbReport(
         q=q,
         w_min=w_min,
@@ -236,6 +358,11 @@ def ab_condition(code: LinearCode, budget: int = DEFAULT_BUDGET) -> AbReport:
         threshold=Fraction(q - 1, q),
         sufficient=q * w_min > (q - 1) * w_max,
     )
+
+
+def ab_condition(code: LinearCode, budget: int = DEFAULT_BUDGET) -> AbReport:
+    """Exact Ashikhmin-Barg style check: sufficient iff q*w_min > (q-1)*w_max."""
+    return ab_report(weight_distribution(code, budget))
 
 
 def has_full_value_property(code: LinearCode,

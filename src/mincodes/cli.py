@@ -32,7 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import ab_condition, has_full_value_property, is_minimal_code
+from .analysis import ab_report, has_full_value_property, is_minimal_code
 from .codes import (DEFAULT_BUDGET, LinearCode, from_generator,
                     weight_distribution)
 from .constructions import (cf_code, cg_code, extended, first, lift, second,
@@ -132,7 +132,7 @@ def _cmd_analyze(args) -> int:
     code = _load_code(args.infile)
     dist = weight_distribution(code, args.budget)
     minimal = is_minimal_code(code, args.budget)
-    ab = ab_condition(code, args.budget)
+    ab = ab_report(dist)
     fv = has_full_value_property(code, args.budget)
     counts = {str(w): dist.counts[w] for w in sorted(dist.counts)}
     if args.json:

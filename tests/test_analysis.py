@@ -1,6 +1,7 @@
 """Minimality and value-coverage checks against a plain-python oracle."""
 
 import itertools
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from mincodes.analysis import (
     minimal_codewords,
     scalar_class,
 )
-from mincodes.codes import Codeword, from_generator
+from mincodes.codes import Codeword, from_generator, random_code
 from mincodes.matrix import GFMatrix
 
 
@@ -218,3 +219,19 @@ def test_minimality_survives_appended_columns():
         data = [list(row) + extra[i] for i, row in enumerate(base.gen.data.tolist())]
         bigger = make_code(3, data)
         assert is_minimal_code(bigger).is_minimal
+
+
+@pytest.mark.parametrize("n, k, minimal", [(90, 13, True), (40, 14, False)])
+def test_is_minimal_code_peak_memory(n, k, minimal):
+    # tracemalloc sees numpy's buffers; a scan of all pairs of classes
+    # peaked at 55.8 MiB ([90,13]_2) and 88.0 MiB ([40,14]_2, 832
+    # non-minimal classes) on these two codes
+    code = random_code(n, k, 2, seed=1)
+    tracemalloc.start()
+    try:
+        report = is_minimal_code(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.is_minimal is minimal
+    assert peak <= 32 * 2**20

@@ -4,12 +4,16 @@ with direct per-word oracles on random small codes.
 Codes are drawn over q in {2, 3, 4, 5, 8, 9} with k <= 4 and n <= 7, and
 every enumeration runs with a small block size drawn per example, so
 block boundaries (and blocks with no scalar-class representative) fall
-anywhere in the canonical order.  The cover scan is also checked on its
-own, on random support matrices up to 300 columns wide, and the weight
-distribution of every dual code against the MacWilliams transform.  The
-batched coalition search is checked against a per-coalition ``in_span``
-loop and the dual-code path with every column as the secret column (n <= 8
-here), and its span kernel against ``in_span`` one matrix at a time.
+anywhere in the canonical order.  The rank test of minimality is checked
+against the pairwise cover scan it replaced (kept here as the oracle, and
+itself checked on random support matrices up to 300 columns wide) on codes
+with k = 1, with zero columns and with a class that has no zero coordinate,
+and ``is_minimal_codeword`` against a walk over every class.  The weight
+distribution of every dual code is checked against the MacWilliams
+transform.  The batched coalition search is checked against a
+per-coalition ``in_span`` loop and the dual-code path with every column as
+the secret column (n <= 8 here), and its span kernel against ``in_span``
+one matrix at a time.
 """
 
 import functools
@@ -27,6 +31,7 @@ from mincodes import analysis, codes, sss
 from mincodes.analysis import (
     has_full_value_property,
     is_minimal_code,
+    is_minimal_codeword,
     minimal_codewords,
 )
 from mincodes.codes import (
@@ -149,6 +154,22 @@ def test_cover_scan_matches_pairwise_oracle(code, chunk, row_block):
     assert got == minimal
 
 
+def covered_blocks(supp: np.ndarray, row_block: int):
+    """The pairwise cover scan: yield (start, covered) per row_block
+    classes, where covered[i, j] is true when Supp(start+i) lies inside
+    Supp(j) for j != start+i."""
+    rows = supp.astype(np.float32)
+    comp = (~supp).astype(np.float32)
+    classes = len(supp)
+    for start in range(0, classes, row_block):
+        stop = min(start + row_block, classes)
+        # float32 GEMM of 0/1 terms: the sum is 0 exactly when every term is
+        covered = (rows[start:stop] @ comp.T) == 0
+        iota = np.arange(start, stop)
+        covered[iota - start, iota] = False  # ignore self-containment
+        yield start, covered
+
+
 @st.composite
 def support_masks(draw, max_n=300, max_rows=24):
     """Bitmask rows of width n: random rows, subsets and repeats of earlier
@@ -176,12 +197,103 @@ def test_covered_blocks_match_bitmask_oracle(drawn, row_block):
     want = np.array([[i != j and masks[i] & ~masks[j] == 0
                       for j in range(len(masks))]
                      for i in range(len(masks))], dtype=bool)
-    with mock.patch.object(analysis, "_ROW_BLOCK", row_block):
-        blocks = list(analysis._covered_blocks(supp))
+    blocks = list(covered_blocks(supp, row_block))
     assert [start for start, _ in blocks] == \
         list(range(0, len(masks), row_block))
     assert all(covered.dtype == bool for _, covered in blocks)
     assert np.array_equal(np.vstack([c for _, c in blocks]), want)
+
+
+def pairwise_minimality(code, row_block):
+    """(mask, witness, pairs) by the pairwise cover scan: class j is
+    minimal when no other class's support lies inside its own, and the
+    witness is the first covered pair in row-major order."""
+    blocks = list(projective_blocks(code))
+    u = np.vstack([b[0] for b in blocks])
+    v = np.vstack([b[1] for b in blocks])
+    classes = len(v)
+    minimal = np.ones(classes, dtype=bool)
+    witness, pairs = None, 0
+    for start, covered in covered_blocks(v != 0, row_block):
+        minimal &= ~covered.any(axis=0)
+        if witness is None:
+            pairs += len(covered) * (classes - 1)
+            hits = np.argwhere(covered)
+            if hits.size:
+                i, j = start + hits[0, 0], hits[0, 1]
+                witness = tuple(analysis._as_word(v[x], u[x]) for x in (i, j))
+    return minimal, witness, pairs
+
+
+SHAPES = ("random", "k = 1", "zero column", "class without zeros")
+
+
+@st.composite
+def shaped_codes(draw, q, shape, max_k=4, max_words=729, max_n=8):
+    """Random codes with at most max_words words; "zero column" zeroes one
+    column of G, and "class without zeros" makes row 0 nonzero everywhere,
+    so the class of e_0 has no zero coordinate."""
+    max_k = min(max_k, int(math.log(max_words + 0.5, q)))
+    k = 1 if shape == "k = 1" else draw(st.integers(1, max_k))
+    n = draw(st.integers(k + (shape == "zero column"), max_n))
+    low = 1 if shape == "class without zeros" else 0
+    rows = [draw(st.lists(st.integers(low if i == 0 else 0, q - 1),
+                          min_size=n, max_size=n)) for i in range(k)]
+    data = np.array(rows)
+    if shape == "zero column":
+        data[:, draw(st.integers(0, n - 1))] = 0
+    gen = GFMatrix(build_field(q), data)
+    assume(rank(gen) == k)
+    return LinearCode(gen)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data(), chunk=chunks, row_block=st.integers(1, 5))
+def test_rank_mask_matches_pairwise_oracle(q, data, chunk, row_block):
+    for shape in SHAPES:
+        code = data.draw(shaped_codes(q, shape), label=shape)
+        want, witness, pairs = pairwise_minimality(code, row_block)
+        with small_chunks(chunk), \
+                mock.patch.object(analysis, "_ROW_BLOCK", row_block):
+            got = np.concatenate([ok for _, _, ok in analysis._rank_blocks(
+                code, codes.DEFAULT_BUDGET)])
+            report = is_minimal_code(code)
+            words = minimal_codewords(code)
+        assert np.array_equal(got, want)
+        assert report.is_minimal == (witness is None)
+        assert report.witness == witness
+        assert report.pairs_checked == pairs
+        assert report.classes == len(want)
+        reps = flatten(projective_blocks(code))
+        assert [(w.coeffs, w.values) for w in words] == \
+            [r for r, ok in zip(reps, want) if ok]
+
+
+def class_walk_minimal(code, values) -> bool:
+    """Minimality of one codeword by walking every scalar class: no class
+    other than the word's own may have its support inside the word's."""
+    f = code.field
+    coeffs = in_span(f, values, code.gen.data)
+    norm = f.mul_table[int(f.inv_table[lead(coeffs)]), values]
+    wsupp = values != 0
+    for _, v in projective_blocks(code):
+        inside = ~((v != 0) & ~wsupp[None, :]).any(axis=1)
+        same = (v == norm[None, :]).all(axis=1)
+        if (inside & ~same).any():
+            return False
+    return True
+
+
+@SETTINGS
+@given(small_codes(max_k=3), st.data())
+def test_is_minimal_codeword_matches_class_walk(code, data):
+    f = code.field
+    for _, v in flatten(projective_blocks(code)):
+        lam = data.draw(st.integers(1, f.q - 1))
+        word = f.mul_table[lam, np.array(v)]
+        assert is_minimal_codeword(code, word) == \
+            class_walk_minimal(code, word.astype(np.int64))
 
 
 def krawtchouk(j: int, i: int, n: int, q: int) -> int:
