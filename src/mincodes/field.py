@@ -22,7 +22,7 @@ import functools
 
 import numpy as np
 
-from .errors import DivisionByZero, NotPrimePower
+from .errors import BadParams, DimensionMismatch, DivisionByZero, NotPrimePower
 
 
 def _prime_power(q: int) -> tuple[int, int] | None:
@@ -190,7 +190,7 @@ class GF:
     def _check(self, *elems: int) -> None:
         for a in elems:
             if not 0 <= a < self.q:
-                raise ValueError(f"{a} is not an element encoding of {self}")
+                raise BadParams(f"{a} is not an element encoding of {self}")
 
     def add(self, a: int, b: int) -> int:
         self._check(a, b)
@@ -274,7 +274,7 @@ class GF:
         a = np.asarray(a)
         b = np.asarray(b)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-            raise ValueError(f"bad matmul shapes {a.shape} x {b.shape}")
+            raise DimensionMismatch(f"bad matmul shapes {a.shape} x {b.shape}")
         if self.m == 1:
             out = (a.astype(np.int64) @ b.astype(np.int64)) % self.p
             return out.astype(self.add_table.dtype)

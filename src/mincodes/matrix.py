@@ -25,7 +25,7 @@ class GFMatrix:
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected 2-D data, got shape {arr.shape}")
         if arr.size and (arr.min() < 0 or arr.max() >= field.q):
-            raise ValueError(f"entries outside [0, {field.q})")
+            raise BadParams(f"entries outside [0, {field.q})")
         self.field = field
         self.data = arr.astype(field.add_table.dtype)
         self.data.setflags(write=False)
@@ -237,8 +237,6 @@ def loads_matrix(text: str) -> GFMatrix:
         )
     field = build_field(q)  # NotPrimePower propagates
     arr = np.array(entries, dtype=np.int64).reshape(nrows, ncols)
-    if arr.min() < 0 or arr.max() >= q:
-        raise BadParams(f"entries outside [0, {q})")
     return GFMatrix(field, arr)
 
 

@@ -7,6 +7,16 @@ list of fine-grained check results rather than a single flag, which keeps
 failures localized: a wrong weight at one instance cannot hide the other
 instances.
 
+Each criterion has a runner: a generator of ``(instance label, body)``
+pairs. A body is a zero-argument callable that yields the instance's
+checks as plain ``(check, passed, detail[, paper_discrepancy])`` tuples.
+One driver, ``_collect``, attaches the label to each tuple. A
+``BudgetExceeded`` raised in a body ends that instance only: the checks
+it already yielded are kept, a failed ``budget`` check follows them, and
+the driver goes on to the next instance. A body may also yield a ready
+``CheckResult`` for a check that belongs to another instance but is run
+only when this one completes (the repeated-alpha variant of criterion 8).
+
 Checks whose outcome is known to contradict a published closed-form claim
 carry ``paper_discrepancy=True``. The sweep never patches an expectation
 to make such a check pass; the check fails, and the flag tells the reader
@@ -61,7 +71,6 @@ AB_COUNTER = {(2, 2), (2, 3), (3, 3)}
 class CheckResult:
     """One fine-grained pass/fail fact established by a sweep."""
 
-    criterion: int
     instance: str
     check: str
     passed: bool
@@ -130,16 +139,6 @@ class CodeRegistry:
         return len(self._codes)
 
 
-def _instance_guard(checks: list, criterion: int, instance: str,
-                    body: Callable[[], None]) -> None:
-    """Run one instance body; a budget overrun becomes a failed check."""
-    try:
-        body()
-    except BudgetExceeded as exc:
-        checks.append(CheckResult(criterion, instance, "budget", False,
-                                  str(exc)))
-
-
 def _stratified_weights(code: LinearCode, budget: int) -> dict[int, set[int]]:
     """Map each coefficient weight s to the codeword weights it attains."""
     out: dict[int, set[int]] = {0: {0}}
@@ -163,8 +162,25 @@ def _witness_detail(rep) -> str:
             f"of coeffs {covering.coeffs}")
 
 
-def _run_first_params(instances, budget, registry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _minimal_check(code: LinearCode, budget: int, flagged: bool = False):
+    """The ``is-minimal`` check; a failure is flagged when ``flagged``."""
+    rep = is_minimal_code(code, budget)
+    return ("is-minimal", rep.is_minimal,
+            f"exhaustive check over {rep.classes} scalar classes"
+            if rep.is_minimal else _witness_detail(rep),
+            flagged and not rep.is_minimal)
+
+
+def _full_value_check(code: LinearCode, budget: int, flagged: bool = False):
+    """The ``full-value`` check; a failure is flagged when ``flagged``."""
+    fv = has_full_value_property(code, budget)
+    return ("full-value", fv.holds,
+            "every nonzero codeword takes all field values" if fv.holds else
+            f"witness values {sorted(fv.witness_values)} on coeffs "
+            f"{fv.witness.coeffs}", flagged and not fv.holds)
+
+
+def _run_first_params(instances, budget, registry):
     for t, q in instances:
         label = f"first({t},{q})"
 
@@ -174,78 +190,61 @@ def _run_first_params(instances, budget, registry) -> list[CheckResult]:
             d, _ = min_max_weight(code, budget)
             got = (code.n, code.k, d)
             want = (pred.n, pred.k, pred.d)
-            checks.append(CheckResult(
-                1, label, "params", got == want,
-                f"[n,k,d] = {list(got)}, predicted {list(want)}"))
+            yield ("params", got == want,
+                   f"[n,k,d] = {list(got)}, predicted {list(want)}")
             strata = _stratified_weights(code, budget)
             want_strata: dict[int, set[int]] = {0: {0}}
             for s in range(1, t + 1):
                 want_strata[s] = {predicted_ws(s, t, q)}
             ok = strata == want_strata
-            checks.append(CheckResult(
-                1, label, "stratified-weights", ok,
-                "every combination of s rows has weight w_s, s = 1..t"
-                if ok else f"got {strata}, predicted {want_strata}"))
-            single = all(len(strata.get(s, ())) == 1 for s in range(1, t + 1))
-            if single:
-                ws = [0] + [next(iter(strata[s])) for s in range(1, t + 1)]
-                bad = [s for s in range(1, t + 1)
-                       if ws[s] - ws[s - 1] != -t + (t - s) * q + 2]
-                checks.append(CheckResult(
-                    1, label, "step-identity", not bad,
-                    "w_s - w_(s-1) = -t + (t-s)q + 2 for s = 1..t"
-                    if not bad else f"identity fails at s in {bad}"))
-            else:
-                checks.append(CheckResult(
-                    1, label, "step-identity", False,
-                    "per-s weights are not single-valued"))
+            yield ("stratified-weights", ok,
+                   "every combination of s rows has weight w_s, s = 1..t"
+                   if ok else f"got {strata}, predicted {want_strata}")
+            if not all(len(strata.get(s, ())) == 1 for s in range(1, t + 1)):
+                yield ("step-identity", False,
+                       "per-s weights are not single-valued")
+                return
+            ws = [0] + [next(iter(strata[s])) for s in range(1, t + 1)]
+            bad = [s for s in range(1, t + 1)
+                   if ws[s] - ws[s - 1] != -t + (t - s) * q + 2]
+            yield ("step-identity", not bad,
+                   "w_s - w_(s-1) = -t + (t-s)q + 2 for s = 1..t"
+                   if not bad else f"identity fails at s in {bad}")
 
-        _instance_guard(checks, 1, label, body)
-    return checks
+        yield label, body
 
 
-def _run_first_minimality(instances, budget, registry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_first_minimality(instances, budget, registry):
     for t, q in instances:
         label = f"first({t},{q})"
 
         def body():
             code = registry.obtain(label, lambda: first(t, q))
-            rep = is_minimal_code(code, budget)
-            checks.append(CheckResult(
-                2, label, "is-minimal", rep.is_minimal,
-                f"exhaustive check over {rep.classes} scalar classes"
-                if rep.is_minimal else _witness_detail(rep)))
+            yield _minimal_check(code, budget)
             ab = ab_condition(code, budget)
             want = Fraction(
                 1 + (t - 1) * (q - 1),
                 (t - 1) + comb0(t - 1, 2) * (q - 2) + (t - 1) * (q - 1))
-            checks.append(CheckResult(
-                2, label, "ratio-formula", ab.ratio == want,
-                f"w_min/w_max = {ab.ratio}" if ab.ratio == want
-                else f"w_min/w_max = {ab.ratio}, predicted {want}"))
+            yield ("ratio-formula", ab.ratio == want,
+                   f"w_min/w_max = {ab.ratio}" if ab.ratio == want
+                   else f"w_min/w_max = {ab.ratio}, predicted {want}")
             if (t, q) in AB_STRICT:
                 ok = ab.ratio < ab.threshold and not ab.sufficient
-                checks.append(CheckResult(
-                    2, label, "ratio-below-threshold", ok,
-                    f"{ab.ratio} < {ab.threshold}: minimal although the "
-                    "weight-ratio bound is inconclusive" if ok else
-                    f"expected {ab.ratio} < {ab.threshold}"))
+                yield ("ratio-below-threshold", ok,
+                       f"{ab.ratio} < {ab.threshold}: minimal although the "
+                       "weight-ratio bound is inconclusive" if ok else
+                       f"expected {ab.ratio} < {ab.threshold}")
             if (t, q) in AB_COUNTER:
-                checks.append(CheckResult(
-                    2, label, "ratio-exceeds-threshold", ab.sufficient,
-                    f"{ab.ratio} > {ab.threshold}: the weight-ratio bound "
-                    "applies here although a published claim places this "
-                    "instance outside it" if ab.sufficient else
-                    f"expected {ab.ratio} > {ab.threshold}",
-                    paper_discrepancy=True))
+                yield ("ratio-exceeds-threshold", ab.sufficient,
+                       f"{ab.ratio} > {ab.threshold}: the weight-ratio bound "
+                       "applies here although a published claim places this "
+                       "instance outside it" if ab.sufficient else
+                       f"expected {ab.ratio} > {ab.threshold}", True)
 
-        _instance_guard(checks, 2, label, body)
-    return checks
+        yield label, body
 
 
-def _run_first_counts(instances, budget, registry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_first_counts(instances, budget, registry):
     for t, q in instances:
         label = f"first({t},{q})"
 
@@ -257,55 +256,42 @@ def _run_first_counts(instances, budget, registry) -> list[CheckResult]:
                 w = predicted_ws(s, t, q)
                 want[w] = want.get(w, 0) + comb0(t, s) * (q - 1) ** s
             ok = dist.counts == want
-            checks.append(CheckResult(
-                3, label, "weight-counts", ok,
-                f"counts {_fmt_counts(dist.counts)}" if ok else
-                f"counts {_fmt_counts(dist.counts)}, "
-                f"predicted {_fmt_counts(want)}"))
+            yield ("weight-counts", ok,
+                   f"counts {_fmt_counts(dist.counts)}" if ok else
+                   f"counts {_fmt_counts(dist.counts)}, "
+                   f"predicted {_fmt_counts(want)}")
 
-        _instance_guard(checks, 3, label, body)
+        yield label, body
     if instances:
-        checks.append(CheckResult(
-            3, "(all instances)", "count-formula-note", True,
+        yield "(all instances)", lambda: [(
+            "count-formula-note", True,
             "the census at weight w_s is C(t,s)(q-1)^s; a published count "
-            "omits the binomial factor", paper_discrepancy=True))
-    return checks
+            "omits the binomial factor", True)]
 
 
-def _run_second(instances, budget, registry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_second(instances, budget, registry):
     for t, k, q in instances:
         label = f"second({t},{k},{q})"
 
         def body():
             code = registry.obtain(label, lambda: second(t, k, q))
             bound = predicted_second_bound(t, k, q)
-            checks.append(CheckResult(
-                4, label, "params",
-                (code.n, code.k) == (bound.n, bound.dim),
-                f"[n,k] = [{code.n},{code.k}], "
-                f"predicted [{bound.n},{bound.dim}]"))
+            yield ("params", (code.n, code.k) == (bound.n, bound.dim),
+                   f"[n,k] = [{code.n},{code.k}], "
+                   f"predicted [{bound.n},{bound.dim}]")
             d, _ = min_max_weight(code, budget)
             row = code.codeword([1] + [0] * (t - 1))
             ok = d <= bound.d_upper and row.weight == bound.d_upper
-            checks.append(CheckResult(
-                4, label, "distance-bound", ok,
-                f"d = {d} <= {bound.d_upper}, first row attains the bound"
-                if ok else f"d = {d}, bound {bound.d_upper}, "
-                f"first row weight {row.weight}"))
-            rep = is_minimal_code(code, budget)
-            checks.append(CheckResult(
-                4, label, "is-minimal", rep.is_minimal,
-                f"exhaustive check over {rep.classes} scalar classes"
-                if rep.is_minimal else _witness_detail(rep),
-                paper_discrepancy=not rep.is_minimal))
+            yield ("distance-bound", ok,
+                   f"d = {d} <= {bound.d_upper}, first row attains the bound"
+                   if ok else f"d = {d}, bound {bound.d_upper}, "
+                   f"first row weight {row.weight}")
+            yield _minimal_check(code, budget, flagged=True)
 
-        _instance_guard(checks, 4, label, body)
-    return checks
+        yield label, body
 
 
-def _run_weight_family(instances, budget, registry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_weight_family(instances, budget, registry):
     for t, s, q in instances:
         label = f"weight_s({s},{t},{q})"
 
@@ -315,31 +301,23 @@ def _run_weight_family(instances, budget, registry) -> list[CheckResult]:
             strata = _stratified_weights(code, budget)
             want = {r: {pred[r]} for r in range(t + 1)}
             ok = strata == want
-            checks.append(CheckResult(
-                5, label, "stratified-weights", ok,
-                f"weights by coefficient weight r = 0..t: "
-                f"{[pred[r] for r in range(t + 1)]}"
-                if ok else f"got {strata}, predicted {want}"))
-            rep = is_minimal_code(code, budget)
-            checks.append(CheckResult(
-                5, label, "is-minimal", rep.is_minimal,
-                f"exhaustive check over {rep.classes} scalar classes"
-                if rep.is_minimal else _witness_detail(rep),
-                paper_discrepancy=not rep.is_minimal))
+            yield ("stratified-weights", ok,
+                   f"weights by coefficient weight r = 0..t: "
+                   f"{[pred[r] for r in range(t + 1)]}"
+                   if ok else f"got {strata}, predicted {want}")
+            yield _minimal_check(code, budget, flagged=True)
             if s * s <= 3 * t:
                 nonzero = {r: w for r, w in pred.items() if r >= 1}
                 best = min(nonzero.values())
                 attained = nonzero[s] == best
-                checks.append(CheckResult(
-                    5, label, "minimum-at-r-equals-s", attained,
-                    f"weights for r = 1..t are "
-                    f"{[nonzero[r] for r in range(1, t + 1)]}; minimum "
-                    f"{best} " + ("attained at r = s" if attained else
-                                  f"not attained at r = {s}"),
-                    paper_discrepancy=not attained))
+                yield ("minimum-at-r-equals-s", attained,
+                       f"weights for r = 1..t are "
+                       f"{[nonzero[r] for r in range(1, t + 1)]}; minimum "
+                       f"{best} " + ("attained at r = s" if attained else
+                                     f"not attained at r = {s}"),
+                       not attained)
 
-        _instance_guard(checks, 5, label, body)
-    return checks
+        yield label, body
 
 
 def _extended_case_counterexample(code, t, q, budget):
@@ -358,190 +336,127 @@ def _extended_case_counterexample(code, t, q, budget):
     return None
 
 
-def _run_extended(instances, budget, registry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_extended(instances, budget, registry):
     for t, q in instances:
         label = f"extended({t},{q})"
 
         def body():
             code = registry.obtain(label, lambda: extended(t, q))
             want_n = comb0(t, 2) * (q - 1) + t + q - 2
-            checks.append(CheckResult(
-                6, label, "params", (code.n, code.k) == (want_n, t),
-                f"[n,k] = [{code.n},{code.k}], predicted [{want_n},{t}]"))
-            rep = is_minimal_code(code, budget)
-            checks.append(CheckResult(
-                6, label, "is-minimal", rep.is_minimal,
-                f"exhaustive check over {rep.classes} scalar classes"
-                if rep.is_minimal else _witness_detail(rep)))
-            fv = has_full_value_property(code, budget)
-            checks.append(CheckResult(
-                6, label, "full-value", fv.holds,
-                "every nonzero codeword takes all field values" if fv.holds
-                else f"witness values {sorted(fv.witness_values)}"))
+            yield ("params", (code.n, code.k) == (want_n, t),
+                   f"[n,k] = [{code.n},{code.k}], predicted [{want_n},{t}]")
+            yield _minimal_check(code, budget)
+            yield _full_value_check(code, budget)
             bad = _extended_case_counterexample(code, t, q, budget)
-            checks.append(CheckResult(
-                6, label, "case-weights", bad is None,
-                "weights split as w_s and w_s + (q-1) by the first "
-                "coefficient" if bad is None else
-                f"coeffs {bad[0]} have weight {bad[1]}, the split formula "
-                f"predicts {bad[2]}; the enumerated offset for a nonzero "
-                "first coefficient is q-2, not q-1",
-                paper_discrepancy=bad is not None))
+            yield ("case-weights", bad is None,
+                   "weights split as w_s and w_s + (q-1) by the first "
+                   "coefficient" if bad is None else
+                   f"coeffs {bad[0]} have weight {bad[1]}, the split formula "
+                   f"predicts {bad[2]}; the enumerated offset for a nonzero "
+                   "first coefficient is q-2, not q-1", bad is not None)
 
-        _instance_guard(checks, 6, label, body)
-    return checks
+        yield label, body
 
 
-def _lift_bases() -> tuple[tuple[str, LinearCode], ...]:
-    plain = from_generator(GFMatrix(build_field(2), np.array([[1, 0]])))
-    return (("gen(1,0)", plain),
-            ("extended(3,3)", extended(3, 3)),
-            ("extended(3,4)", extended(3, 4)))
+_LIFT_BASES = (
+    ("gen(1,0)",
+     lambda: from_generator(GFMatrix(build_field(2), np.array([[1, 0]])))),
+    ("extended(3,3)", lambda: extended(3, 3)),
+    ("extended(3,4)", lambda: extended(3, 4)),
+)
 
 
-def _run_lift(instances, budget, registry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    for base_label, base in _lift_bases():
-        registry.obtain(base_label, lambda: base)
+def _run_lift(instances, budget, registry):
+    for base_label, build in _LIFT_BASES:
+        base = registry.obtain(base_label, build)
         for s in (1, 2):
-            inst = f"lift({base_label},{s})"
+            label = f"lift({base_label},{s})"
 
             def body():
-                lifted = registry.obtain(inst, lambda: lift(base, s, budget))
+                lifted = registry.obtain(label, lambda: lift(base, s, budget))
                 want = ((s + 1) * base.n, s + base.k)
-                checks.append(CheckResult(
-                    7, inst, "params", (lifted.n, lifted.k) == want,
-                    f"[n,k] = [{lifted.n},{lifted.k}], "
-                    f"predicted {list(want)}"))
-                rep = is_minimal_code(lifted, budget)
-                checks.append(CheckResult(
-                    7, inst, "is-minimal", rep.is_minimal,
-                    f"exhaustive check over {rep.classes} scalar classes"
-                    if rep.is_minimal else _witness_detail(rep),
-                    paper_discrepancy=not rep.is_minimal))
-                fv = has_full_value_property(lifted, budget)
-                checks.append(CheckResult(
-                    7, inst, "full-value", fv.holds,
-                    "every nonzero codeword takes all field values"
-                    if fv.holds else
-                    f"witness values {sorted(fv.witness_values)} on "
-                    f"coeffs {fv.witness.coeffs}",
-                    paper_discrepancy=not fv.holds))
+                yield ("params", (lifted.n, lifted.k) == want,
+                       f"[n,k] = [{lifted.n},{lifted.k}], "
+                       f"predicted {list(want)}")
+                yield _minimal_check(lifted, budget, flagged=True)
+                yield _full_value_check(lifted, budget, flagged=True)
 
-            _instance_guard(checks, 7, inst, body)
-        inst = f"lift(lift({base_label},1),1)"
+            yield label, body
+        label = f"lift(lift({base_label},1),1)"
 
-        def compose_body():
+        def compose():
             try:
                 twice = registry.obtain(
-                    inst, lambda: lift(lift(base, 1, budget), 1, budget))
+                    label, lambda: lift(lift(base, 1, budget), 1, budget))
             except PreconditionFailed as exc:
-                checks.append(CheckResult(
-                    7, inst, "compose", False,
-                    f"second lift rejected: {exc}",
-                    paper_discrepancy=True))
+                yield "compose", False, f"second lift rejected: {exc}", True
                 return
             rep = is_minimal_code(twice, budget)
             fv = has_full_value_property(twice, budget)
             ok = rep.is_minimal and fv.holds
-            checks.append(CheckResult(
-                7, inst, "compose", ok,
-                f"[{twice.n},{twice.k}] is minimal and full-valued" if ok
-                else f"minimal = {rep.is_minimal}, full-value = {fv.holds}",
-                paper_discrepancy=not ok))
+            yield ("compose", ok,
+                   f"[{twice.n},{twice.k}] is minimal and full-valued" if ok
+                   else f"minimal = {rep.is_minimal}, full-value = {fv.holds}",
+                   not ok)
 
-        _instance_guard(checks, 7, inst, compose_body)
-    return checks
+        yield label, compose
 
 
-def _run_function_codes(instances, budget, registry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_function_codes(instances, budget, registry):
+    def cg():
+        code = registry.obtain("cg(2,2,2)", lambda: cg_code(2, 2, 2, budget))
+        yield ("params", (code.n, code.k) == (15, 5),
+               f"[n,k] = [{code.n},{code.k}], predicted [15,5]")
+        yield _full_value_check(code, budget)
+        yield _minimal_check(code, budget)
 
-    def cg_body():
-        label = "cg(2,2,2)"
-        code = registry.obtain(label, lambda: cg_code(2, 2, 2, budget))
-        checks.append(CheckResult(
-            8, label, "params", (code.n, code.k) == (15, 5),
-            f"[n,k] = [{code.n},{code.k}], predicted [15,5]"))
-        fv = has_full_value_property(code, budget)
-        checks.append(CheckResult(
-            8, label, "full-value", fv.holds,
-            "every nonzero codeword takes all field values" if fv.holds
-            else f"witness values {sorted(fv.witness_values)}"))
-        rep = is_minimal_code(code, budget)
-        checks.append(CheckResult(
-            8, label, "is-minimal", rep.is_minimal,
-            f"exhaustive check over {rep.classes} scalar classes"
-            if rep.is_minimal else _witness_detail(rep)))
-
-    _instance_guard(checks, 8, "cg(2,2,2)", cg_body)
-
-    def cf_body():
-        label = "cf(4,2,3;1,2)"
-        code = registry.obtain(label,
+    def cf():
+        code = registry.obtain("cf(4,2,3;1,2)",
                                lambda: cf_code(4, 2, 3, (1, 2), budget))
-        checks.append(CheckResult(
-            8, label, "params", code.n == 80 and code.k <= 5,
-            f"[n,k] = [{code.n},{code.k}], n = 80 and k <= 5 expected"))
-        rep = is_minimal_code(code, budget)
-        checks.append(CheckResult(
-            8, label, "is-minimal", rep.is_minimal,
-            f"exhaustive check over {rep.classes} scalar classes"
-            if rep.is_minimal else _witness_detail(rep)))
+        yield ("params", code.n == 80 and code.k <= 5,
+               f"[n,k] = [{code.n},{code.k}], n = 80 and k <= 5 expected")
+        yield _minimal_check(code, budget)
         fv = has_full_value_property(code, budget)
-        checks.append(CheckResult(
-            8, label, "full-value-report", True,
-            f"holds = {fv.holds} with alphas (1, 2) covering every nonzero "
-            "field value; the published sufficiency condition needs k >= q "
-            "and does not apply at k = 2, q = 3"))
-        variant_label = "cf(4,2,3;1,1)"
-        variant = registry.obtain(variant_label,
+        yield ("full-value-report", True,
+               f"holds = {fv.holds} with alphas (1, 2) covering every nonzero "
+               "field value; the published sufficiency condition needs k >= q "
+               "and does not apply at k = 2, q = 3")
+        # the variant is reported only when the (1, 2) instance completes
+        label = "cf(4,2,3;1,1)"
+        variant = registry.obtain(label,
                                   lambda: cf_code(4, 2, 3, (1, 1), budget))
         fv2 = has_full_value_property(variant, budget)
-        checks.append(CheckResult(
-            8, variant_label, "full-value-report", True,
+        yield CheckResult(
+            label, "full-value-report", True,
             f"holds = {fv2.holds} with repeated alphas (1, 1)" +
             ("" if fv2.holds else
-             f"; witness values {sorted(fv2.witness_values)}")))
+             f"; witness values {sorted(fv2.witness_values)}"))
 
-    _instance_guard(checks, 8, "cf(4,2,3;1,2)", cf_body)
-    return checks
+    yield "cg(2,2,2)", cg
+    yield "cf(4,2,3;1,2)", cf
 
 
-def _run_tensor(instances, budget, registry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
-    cases = ((2, 2, (9, 4, 4)), (2, 3, (16, 4, 9)))
-    for t, q, want in cases:
-        inst = f"first({t},{q}) x first({t},{q})"
+def _run_tensor(instances, budget, registry):
+    for t, q, want in ((2, 2, (9, 4, 4)), (2, 3, (16, 4, 9))):
+        label = f"first({t},{q}) x first({t},{q})"
 
         def body():
             base = registry.obtain(f"first({t},{q})", lambda: first(t, q))
-            prod = registry.obtain(inst,
-                                   lambda: tensor_product(base, base))
+            prod = registry.obtain(label, lambda: tensor_product(base, base))
             d, _ = min_max_weight(prod, budget)
-            ok = (prod.n, prod.k, d) == want
-            checks.append(CheckResult(
-                9, inst, "params", ok,
-                f"[n,k,d] = [{prod.n},{prod.k},{d}], "
-                f"predicted {list(want)}"))
+            yield ("params", (prod.n, prod.k, d) == want,
+                   f"[n,k,d] = [{prod.n},{prod.k},{d}], "
+                   f"predicted {list(want)}")
             d1, _ = min_max_weight(base, budget)
-            checks.append(CheckResult(
-                9, inst, "distance-product", d == d1 * d1,
-                f"d = {d} = {d1}*{d1}" if d == d1 * d1 else
-                f"d = {d}, factors have d = {d1}"))
-            rep = is_minimal_code(prod, budget)
-            checks.append(CheckResult(
-                9, inst, "is-minimal", rep.is_minimal,
-                f"exhaustive check over {rep.classes} scalar classes"
-                if rep.is_minimal else _witness_detail(rep)))
+            yield ("distance-product", d == d1 * d1,
+                   f"d = {d} = {d1}*{d1}" if d == d1 * d1 else
+                   f"d = {d}, factors have d = {d1}")
+            yield _minimal_check(prod, budget)
 
-        _instance_guard(checks, 9, inst, body)
-    return checks
+        yield label, body
 
 
-def _run_sss(instances, budget, registry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_sss(instances, budget, registry):
     specs = (("first(2,2)", lambda: first(2, 2), True),
              ("first(3,3)", lambda: first(3, 3), True),
              ("random(5,3,3;seed=7)",
@@ -556,12 +471,11 @@ def _run_sss(instances, budget, registry) -> list[CheckResult]:
                                                 budget=budget)
             search_sets = minimal_authorized_sets(scheme, method="search",
                                                   budget=budget)
-            checks.append(CheckResult(
-                10, label, "structure-agreement", dual_sets == search_sets,
-                f"{len(dual_sets)} minimal authorized sets from both the "
-                "dual scan and the direct search" if
-                dual_sets == search_sets else
-                f"dual found {len(dual_sets)}, search {len(search_sets)}"))
+            yield ("structure-agreement", dual_sets == search_sets,
+                   f"{len(dual_sets)} minimal authorized sets from both the "
+                   "dual scan and the direct search" if
+                   dual_sets == search_sets else
+                   f"dual found {len(dual_sets)}, search {len(search_sets)}")
             q = code.q
             trials = 0
             mismatches = 0
@@ -575,11 +489,10 @@ def _run_sss(instances, budget, registry) -> list[CheckResult]:
                         trials += 1
                         if got != secret:
                             mismatches += 1
-            checks.append(CheckResult(
-                10, label, "round-trip", trials > 0 and mismatches == 0,
-                f"{trials} reconstructions over {len(dual_sets)} minimal "
-                f"sets, {q} secrets, 10 seeds" +
-                ("" if mismatches == 0 else f"; {mismatches} mismatches")))
+            yield ("round-trip", trials > 0 and mismatches == 0,
+                   f"{trials} reconstructions over {len(dual_sets)} minimal "
+                   f"sets, {q} secrets, 10 seeds" +
+                   ("" if mismatches == 0 else f"; {mismatches} mismatches"))
             if small:
                 failing = []
                 total = 0
@@ -588,17 +501,14 @@ def _run_sss(instances, budget, registry) -> list[CheckResult]:
                         total += 1
                         if not perfectness_check(scheme, subset, budget).ok:
                             failing.append(subset)
-                checks.append(CheckResult(
-                    10, label, "perfectness", not failing,
-                    f"all {total} participant subsets pass" if not failing
-                    else f"failing coalitions: {failing}"))
+                yield ("perfectness", not failing,
+                       f"all {total} participant subsets pass" if not failing
+                       else f"failing coalitions: {failing}")
 
-        _instance_guard(checks, 10, label, body)
-    return checks
+        yield label, body
 
 
-def _run_consistency(instances, budget, registry) -> list[CheckResult]:
-    checks: list[CheckResult] = []
+def _run_consistency(instances, budget, registry):
     sufficient = 0
     vacuous = 0
     for label, code in registry.items():
@@ -611,79 +521,81 @@ def _run_consistency(instances, budget, registry) -> list[CheckResult]:
                 return
             sufficient += 1
             rep = is_minimal_code(code, budget)
-            checks.append(CheckResult(
-                11, label, "sufficient-implies-minimal", rep.is_minimal,
-                f"w_min/w_max = {ab.ratio} > {ab.threshold} and the "
-                "exhaustive check agrees" if rep.is_minimal else
-                f"ratio {ab.ratio} is sufficient yet " + _witness_detail(rep)))
+            yield ("sufficient-implies-minimal", rep.is_minimal,
+                   f"w_min/w_max = {ab.ratio} > {ab.threshold} and the "
+                   "exhaustive check agrees" if rep.is_minimal else
+                   f"ratio {ab.ratio} is sufficient yet "
+                   + _witness_detail(rep))
 
-        _instance_guard(checks, 11, label, body)
-    checks.append(CheckResult(
-        11, "(registry)", "coverage", True,
+        yield label, body
+    yield "(registry)", lambda: [(
+        "coverage", True,
         f"{len(registry)} codes registered; {sufficient} met the ratio "
-        f"bound, {vacuous} were inconclusive"))
-    return checks
+        f"bound, {vacuous} were inconclusive")]
 
 
-@dataclass(frozen=True)
-class _CriterionSpec:
-    number: int
-    name: str
-    instances: Optional[tuple]
-    arity: Optional[int]
-    runner: Callable
-
-
-_CRITERIA: dict[int, _CriterionSpec] = {
-    1: _CriterionSpec(1, "first-family-parameters",
-                      FIRST_INSTANCES, 2, _run_first_params),
-    2: _CriterionSpec(2, "first-family-minimality",
-                      FIRST_INSTANCES, 2, _run_first_minimality),
-    3: _CriterionSpec(3, "first-family-weight-counts",
-                      FIRST_INSTANCES, 2, _run_first_counts),
-    4: _CriterionSpec(4, "second-family",
-                      SECOND_INSTANCES, 3, _run_second),
-    5: _CriterionSpec(5, "weight-bounded-family",
-                      WEIGHT_INSTANCES, 3, _run_weight_family),
-    6: _CriterionSpec(6, "extended-family",
-                      EXTENDED_INSTANCES, 2, _run_extended),
-    7: _CriterionSpec(7, "lift", None, None, _run_lift),
-    8: _CriterionSpec(8, "function-codes", None, None, _run_function_codes),
-    9: _CriterionSpec(9, "tensor-products", None, None, _run_tensor),
-    10: _CriterionSpec(10, "secret-sharing", None, None, _run_sss),
-    11: _CriterionSpec(11, "ratio-bound-consistency",
-                       None, None, _run_consistency),
+# criterion number -> (name, default instances or None when fixed, runner)
+_CRITERIA: dict[int, tuple[str, Optional[tuple], Callable]] = {
+    1: ("first-family-parameters", FIRST_INSTANCES, _run_first_params),
+    2: ("first-family-minimality", FIRST_INSTANCES, _run_first_minimality),
+    3: ("first-family-weight-counts", FIRST_INSTANCES, _run_first_counts),
+    4: ("second-family", SECOND_INSTANCES, _run_second),
+    5: ("weight-bounded-family", WEIGHT_INSTANCES, _run_weight_family),
+    6: ("extended-family", EXTENDED_INSTANCES, _run_extended),
+    7: ("lift", None, _run_lift),
+    8: ("function-codes", None, _run_function_codes),
+    9: ("tensor-products", None, _run_tensor),
+    10: ("secret-sharing", None, _run_sss),
+    11: ("ratio-bound-consistency", None, _run_consistency),
 }
 
 
-def _spec(number) -> _CriterionSpec:
+def _spec(number) -> tuple[str, Optional[tuple], Callable]:
     spec = _CRITERIA.get(number) if type(number) is int else None
     if spec is None:
         raise BadParams(f"unknown criterion {number!r}; valid ids are 1..11")
     return spec
 
 
-def _check_instances(spec: _CriterionSpec, instances) -> Optional[tuple]:
+def _check_instances(number, instances) -> Optional[tuple]:
     """Instances as a tuple of integer tuples (None stays None)."""
+    defaults = _spec(number)[1]
     if instances is None:
         return None
-    if spec.instances is None:
-        raise BadParams(f"criterion {spec.number} does not take instances")
+    if defaults is None:
+        raise BadParams(f"criterion {number} does not take instances")
     if not isinstance(instances, (list, tuple)):
-        raise BadParams(f"criterion {spec.number} instances must be a list, "
+        raise BadParams(f"criterion {number} instances must be a list, "
                         f"got {instances!r}")
+    arity = len(defaults[0])
     for item in instances:
-        if (not isinstance(item, (list, tuple)) or len(item) != spec.arity
+        if (not isinstance(item, (list, tuple)) or len(item) != arity
                 or not all(type(x) is int for x in item)):
             raise BadParams(
-                f"criterion {spec.number} instances must be length-"
-                f"{spec.arity} integer tuples, got {item!r}")
+                f"criterion {number} instances must be length-"
+                f"{arity} integer tuples, got {item!r}")
     return tuple(tuple(item) for item in instances)
+
+
+def _collect(number: int, instances: Optional[tuple], budget: int,
+             registry: CodeRegistry) -> list[CheckResult]:
+    """Run every instance body of a criterion; see the module docstring."""
+    _, defaults, runner = _CRITERIA[number]
+    checks: list[CheckResult] = []
+    use = defaults if instances is None else instances
+    for label, body in runner(use, budget, registry):
+        try:
+            for c in body():
+                checks.append(c if isinstance(c, CheckResult)
+                              else CheckResult(label, *c))
+        except BudgetExceeded as exc:
+            checks.append(CheckResult(label, "budget", False, str(exc)))
+    return checks
 
 
 def default_instances(number: int) -> Optional[tuple]:
     """The default instance list of a criterion, None when fixed."""
-    return _spec(number).instances
+    return _spec(number)[1]
 
 
 def run_criterion(number: int, instances: Optional[Sequence] = None,
@@ -695,19 +607,14 @@ def run_criterion(number: int, instances: Optional[Sequence] = None,
     empty registry it first rebuilds the full default corpus of criteria
     1 to 10, so that the consistency audit always has codes to read.
     """
-    spec = _spec(number)
-    use = _check_instances(spec, instances)
-    if use is None:
-        use = spec.instances
+    use = _check_instances(number, instances)
     if registry is None:
         registry = CodeRegistry()
     if number == 11 and not len(registry):
         for m in range(1, 11):
-            prior = _CRITERIA[m]
-            prior.runner(prior.instances, budget, registry)
-    checks = spec.runner(use, budget, registry)
-    return CriterionResult(number=number, name=spec.name,
-                           checks=tuple(checks))
+            _collect(m, None, budget, registry)
+    checks = _collect(number, use, budget, registry)
+    return CriterionResult(number, _CRITERIA[number][0], tuple(checks))
 
 
 @dataclass
@@ -776,9 +683,8 @@ def validate_config(cfg) -> dict:
         raise BadParams("sweep config must be an object with a "
                         "'criteria' list")
     version = cfg.get("version", 1)
-    if type(version) is not int:
-        raise BadParams(f"sweep config version must be an integer, "
-                        f"got {version!r}")
+    if type(version) is not int or version != 1:
+        raise BadParams(f"sweep config version must be 1, got {version!r}")
     entries = []
     for entry in cfg["criteria"]:
         if not isinstance(entry, dict):
@@ -787,9 +693,9 @@ def validate_config(cfg) -> dict:
         if unknown:
             raise BadParams(f"unknown key {unknown[0]!r} in criteria entry; "
                             f"valid keys are 'id' and 'instances'")
-        spec = _spec(entry.get("id"))
-        entries.append({"id": spec.number, "instances":
-                        _check_instances(spec, entry.get("instances"))})
+        number = entry.get("id")
+        entries.append({"id": number, "instances":
+                        _check_instances(number, entry.get("instances"))})
     return {"version": version, "criteria": entries}
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mincodes import DivisionByZero, NotPrimePower, build_field
+from mincodes import (BadParams, DimensionMismatch, DivisionByZero,
+                      NotPrimePower, build_field)
 
 # Hand-computed multiplication table for GF(4) = GF(2)[x]/(x^2+x+1),
 # encodings 2 = x, 3 = x+1:
@@ -155,7 +156,15 @@ def test_field_identity_and_cache():
 
 def test_bad_encodings_rejected():
     f = build_field(4)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         f.add(1, 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         f.neg(-1)
+
+
+def test_bad_matmul_shapes_rejected():
+    f = build_field(3)
+    with pytest.raises(DimensionMismatch):
+        f.matmul(np.zeros((2, 3), dtype=int), np.zeros((2, 3), dtype=int))
+    with pytest.raises(DimensionMismatch):
+        f.matmul(np.zeros(3, dtype=int), np.zeros((3, 1), dtype=int))

@@ -138,7 +138,7 @@ def test_kronecker_field_mismatch():
 
 
 def test_matrix_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadParams):
         gfm(3, [[0, 3]])
     with pytest.raises(DimensionMismatch):
         gfm(3, [1, 2])

@@ -1,5 +1,7 @@
 """Tests for the sweep engine on small, fast configurations."""
 
+from pathlib import Path
+
 import pytest
 
 from mincodes.errors import BadParams
@@ -8,8 +10,16 @@ from mincodes.sweep import (CodeRegistry, default_instances, load_config,
                             write_distribution_csvs)
 
 
+GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
+
+
 def by_check(result, name):
     return [c for c in result.checks if c.check == name]
+
+
+@pytest.fixture(scope="module")
+def default_report():
+    return run_sweep()
 
 
 def test_criterion_1_small_instances():
@@ -103,6 +113,33 @@ def test_budget_overrun_is_a_failed_check():
     assert "3125" in budget.detail
 
 
+def test_budget_overrun_ends_only_its_instance():
+    res = run_criterion(4, instances=[(5, 4, 2), (4, 3, 2)], budget=20)
+    got = [(c.instance, c.check, c.passed) for c in res.checks]
+    assert got == [
+        ("second(5,4,2)", "params", True),
+        ("second(5,4,2)", "budget", False),
+        ("second(4,3,2)", "params", True),
+        ("second(4,3,2)", "distance-bound", True),
+        ("second(4,3,2)", "is-minimal", False),
+    ]
+
+
+def test_criterion_11_alone_rebuilds_the_default_corpus(default_report):
+    alone = run_criterion(11)
+    assert alone == default_report.results[10]
+    coverage, = by_check(alone, "coverage")
+    assert coverage.detail == ("38 codes registered; 14 met the ratio "
+                               "bound, 24 were inconclusive")
+
+
+def test_default_sweep_matches_goldens(default_report):
+    golden_json = (GOLDEN / "sweep_report.json").read_text(encoding="utf-8")
+    golden_table = (GOLDEN / "sweep_table.txt").read_text(encoding="utf-8")
+    assert default_report.to_json() == golden_json
+    assert default_report.table() == golden_table
+
+
 def test_unknown_criterion():
     with pytest.raises(BadParams):
         run_criterion(12)
@@ -131,6 +168,13 @@ def test_non_integer_version_rejected():
 def test_null_version_rejected():
     with pytest.raises(BadParams):
         validate_config({"version": None, "criteria": []})
+
+
+def test_unsupported_version_rejected():
+    for version in (0, 2, 7, True):
+        with pytest.raises(BadParams, match="version must be 1"):
+            validate_config({"version": version, "criteria": [1]})
+    assert validate_config({"version": 1, "criteria": []})["version"] == 1
 
 
 def test_boolean_criterion_id_rejected():
