@@ -16,7 +16,8 @@ with ``#`` starting a comment.
 Exit codes: 0 on success, 1 on usage or input errors, 2 when a verified
 property fails to hold, so that automation can tell a mathematical
 regression from an environment problem. Reports, JSON or human, are
-byte-identical across identical invocations; wall-clock timing goes to
+byte-identical across identical invocations (except ``sss deal`` without
+``--seed``, which draws fresh randomness); wall-clock timing goes to
 stderr only.
 
 The command line caps q at 64. The library itself has no such limit,
@@ -223,7 +224,9 @@ def _cmd_sss_deal(args) -> int:
                        for i in scheme.participants},
         })
     else:
-        print(f"secret {args.secret}, seed {args.seed}, "
+        dealing = ("unseeded" if args.seed is None
+                   else f"seed {args.seed}")
+        print(f"secret {args.secret}, {dealing}, "
               f"[{scheme.code.n},{scheme.code.k}]_{scheme.code.q} scheme")
         for i in scheme.participants:
             print(f"share {i}: {shares.shares[i]}")
@@ -345,7 +348,10 @@ def build_parser() -> argparse.ArgumentParser:
     d = sss_sub.add_parser("deal", help="deal shares for a secret")
     _add_infile(d)
     d.add_argument("--secret", type=int, required=True)
-    d.add_argument("--seed", type=int, required=True)
+    d.add_argument("--seed", type=int,
+                   help="replay the dealing drawn from this seed; without "
+                        "it the shares come from the system's randomness "
+                        "and cannot be replayed")
     d.add_argument("--secret-column", type=int, default=1)
     d.add_argument("--json", action="store_true")
     d.set_defaults(func=_cmd_sss_deal)

@@ -154,6 +154,8 @@ def in_span_batch(field: GF, stacks: np.ndarray) -> np.ndarray:
     batch = np.arange(a.shape[0])
     used = np.zeros(a.shape[:2], dtype=bool)
     for c in range(a.shape[2] - 1):
+        if c >= a.shape[1] and used.all():
+            break  # every matrix has rank k: each target is in the span
         cand = (a[:, :, c] != 0) & ~used
         p = cand.argmax(axis=1)
         found = cand[batch, p]

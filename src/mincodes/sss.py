@@ -10,6 +10,14 @@ minimal codewords of the dual code that are nonzero on the secret
 column.  Where the dual is too big to enumerate they are found by
 search instead, which decides the coalitions of one size together, in
 batched row reductions (``matrix.in_span_batch``).
+
+Each Massey operation has a batched form that the single call wraps:
+``deal_batch`` makes many dealings with one matmul, ``reconstruct_batch``
+decides a block of share rows for one coalition with one row reduction
+and one matmul, and ``perfectness_batch`` enumerates the q^k dealings
+once for all the coalitions it checks.  Dealings draw from
+``secrets.SystemRandom`` unless a seed is given; a seed replays the same
+shares from ``random.Random(seed)``.
 """
 
 from __future__ import annotations
@@ -36,7 +44,11 @@ from .errors import (
     Unauthorized,
     ZeroColumn,
 )
-from .matrix import GFMatrix, in_span, in_span_batch, rref
+from .matrix import _rref_array, in_span, in_span_batch
+
+# the class ``secrets`` exports; importing it from ``random`` avoids loading
+# hmac and OpenSSL at import time
+_SYSTEM_RANDOM = random.SystemRandom()
 
 
 class SssScheme:
@@ -61,6 +73,21 @@ class SssScheme:
         self.participants = tuple(
             i for i in range(1, code.n + 1) if i != secret_column
         )
+        # [secret | free draws] @ _deal_map = [dealer coeffs | codeword]: row
+        # 0 is e_p/col_p and row 1+i is e_j - (col_j/col_p)*e_p for the i-th
+        # row j other than the pivot p, each followed by its image under G
+        f, gen = self.field, code.gen.data
+        col = self.secret_col()
+        p = int(np.flatnonzero(col)[0])
+        basis = np.hstack([np.eye(code.k, dtype=gen.dtype), gen])
+        scale = f.inv_table[col[p]]
+        free = np.array([j for j in range(code.k) if j != p], dtype=np.int64)
+        ratio = f.mul_table[col[free], scale]
+        self._deal_map = np.vstack([
+            f.mul_table[scale, basis[p]][None, :],
+            f.sub_table[basis[free],
+                        f.mul_table[ratio[:, None], basis[p][None, :]]],
+        ])
 
     def secret_col(self) -> np.ndarray:
         return self.code.gen.data[:, self.secret_column - 1]
@@ -86,13 +113,14 @@ class SssScheme:
 class ShareVector:
     """One dealing: the secret, the per-participant shares, and the seed.
 
+    seed is None for a dealing drawn from the system's randomness.
     dealer_coeffs is kept only when the dealing was made with
     keep_coeffs=True; production dealings drop it.
     """
 
     secret: int
     shares: dict[int, int]
-    seed: int
+    seed: int | None
     dealer_coeffs: tuple[int, ...] | None = None
 
 
@@ -117,38 +145,45 @@ class PerfectnessReport:
     patterns: int
 
 
-def deal(scheme: SssScheme, secret: int, seed: int,
-         keep_coeffs: bool = False) -> ShareVector:
-    """Draw u uniformly with u.G_secret = secret and emit the shares.
+def deal_batch(scheme: SssScheme, secrets, seeds=None,
+               keep_coeffs: bool = False) -> list[ShareVector]:
+    """One dealing per secret: u uniform with u.G_secret = secret.
 
-    The free coefficients are drawn in row order from random.Random(seed)
-    and the coefficient at the first nonzero row of the secret column is
-    solved for, which makes dealings replayable.
+    The coefficients at the rows other than the first nonzero row of the
+    secret column are drawn in row order, from random.Random(seed) for a
+    row with a seed (so its dealing replays) and from the system's
+    randomness for a row whose seed is None; seeds=None leaves every row
+    unseeded.  The pivot coefficient is solved for, and all dealings come
+    out of one matmul with the scheme's dealing map.
     """
-    f = scheme.field
-    q = f.q
-    if not 0 <= secret < q:
-        raise BadParams(f"secret must be in 0..{q - 1}, got {secret}")
-    col = scheme.secret_col()
-    pivot = next(i for i, x in enumerate(col) if x)
-    rng = random.Random(seed)
-    u = [0] * scheme.code.k
-    for j in range(scheme.code.k):
-        if j != pivot:
-            u[j] = rng.randrange(q)
-    acc = secret
-    for j in range(scheme.code.k):
-        if j != pivot:
-            acc = f.sub(acc, f.mul(u[j], int(col[j])))
-    u[pivot] = f.div(acc, int(col[pivot]))
-    word = scheme.code.codeword(u)
-    shares = {i: word.values[i - 1] for i in scheme.participants}
-    return ShareVector(
+    q, k = scheme.field.q, scheme.code.k
+    secrets = list(secrets)
+    seeds = [None] * len(secrets) if seeds is None else list(seeds)
+    if len(seeds) != len(secrets):
+        raise BadParams(f"{len(secrets)} secrets but {len(seeds)} seeds")
+    draws = []
+    for secret, seed in zip(secrets, seeds):
+        if not 0 <= secret < q:
+            raise BadParams(f"secret must be in 0..{q - 1}, got {secret}")
+        rng = _SYSTEM_RANDOM if seed is None else random.Random(seed)
+        draws.append([secret] + [rng.randrange(q) for _ in range(k - 1)])
+    out = scheme.field.matmul(np.array(draws, dtype=np.int64).reshape(-1, k),
+                              scheme._deal_map)
+    shares = out[:, [k + i - 1 for i in scheme.participants]].tolist()
+    coeffs = out[:, :k].tolist()
+    return [ShareVector(
         secret=secret,
-        shares=shares,
+        shares=dict(zip(scheme.participants, row)),
         seed=seed,
-        dealer_coeffs=word.coeffs if keep_coeffs else None,
-    )
+        dealer_coeffs=tuple(u) if keep_coeffs else None,
+    ) for secret, seed, row, u in zip(secrets, seeds, shares, coeffs)]
+
+
+def deal(scheme: SssScheme, secret: int, seed: int | None = None,
+         keep_coeffs: bool = False) -> ShareVector:
+    """One dealing of secret; see ``deal_batch``.  Without a seed the
+    coefficients come from the system's randomness."""
+    return deal_batch(scheme, [secret], [seed], keep_coeffs)[0]
 
 
 def is_authorized(scheme: SssScheme, subset) -> bool:
@@ -157,40 +192,56 @@ def is_authorized(scheme: SssScheme, subset) -> bool:
     return in_span(scheme.field, scheme.secret_col(), cols) is not None
 
 
-def reconstruct(scheme: SssScheme, subset, shares) -> int:
-    """Recover the secret from an authorized coalition's shares.
+def reconstruct_batch(scheme: SssScheme, subset, share_rows) -> np.ndarray:
+    """Recover the secret of each row of shares held by one coalition.
 
     One row reduction of [coalition columns | secret column] decides
-    authorization, checks that the shares match some codeword and gives
-    the secret, which is the same for every codeword they match;
-    inconsistent shares are rejected.
+    authorization, and one matmul of the share rows with the reduced rows
+    checks that each row matches some codeword and gives its secret,
+    which is the same for every codeword the row matches.  The first row
+    that matches none is named in the InconsistentShares raised.
     """
     ids = scheme._check(subset)
-    vals = [int(v) for v in shares]
-    if len(vals) != len(ids):
-        raise BadParams(
-            f"{len(ids)} participants but {len(vals)} shares"
-        )
-    if any(not 0 <= v < scheme.field.q for v in vals):
-        raise BadParams(f"share values out of range: {vals}")
+    m, q = len(ids), scheme.field.q
+    rows = []
+    for shares in share_rows:
+        vals = [int(v) for v in shares]
+        if len(vals) != m:
+            raise BadParams(f"{m} participants but {len(vals)} shares")
+        if any(not 0 <= v < q for v in vals):
+            raise BadParams(f"share values out of range: {vals}")
+        rows.append(vals)
     f = scheme.field
-    aug = np.column_stack(
-        scheme.participant_cols(ids) + [scheme.secret_col()])
-    red, r = rref(GFMatrix(f, aug))
-    red = red.data[:r]
-    pivots = (red != 0).argmax(axis=1)
-    m = len(ids)
-    if pivots[-1] == m:  # secret column nonzero, so r >= 1
+    cols = [i - 1 for i in ids] + [scheme.secret_column - 1]
+    red, pivots = _rref_array(f, scheme.code.gen.data[:, cols])
+    if pivots[-1] == m:  # secret column nonzero, so there is a pivot
         raise Unauthorized(f"coalition {sorted(ids)} cannot reconstruct")
-    # vals is in the row space of the coalition columns iff it is the
+    # a row is in the row space of the coalition columns iff it is the
     # pivot-weighted sum of the reduced rows, whose last entry is the secret
-    want = np.array(vals, dtype=np.int64)
-    got = f.matmul(want[pivots][None, :], red)[0]
-    if not np.array_equal(got[:m], want):
+    want = np.array(rows, dtype=np.int64).reshape(len(rows), m)
+    got = f.matmul(want[:, pivots], red[:len(pivots)])
+    bad = (got[:, :m] != want).any(axis=1)
+    if bad.any():
         raise InconsistentShares(
-            f"shares {vals} match no codeword on {sorted(ids)}"
-        )
-    return int(got[m])
+            f"shares {rows[int(bad.argmax())]} match no codeword on "
+            f"{sorted(ids)}")
+    return got[:, m].astype(np.int64)
+
+
+def reconstruct(scheme: SssScheme, subset, shares) -> int:
+    """Recover the secret from an authorized coalition's shares; see
+    ``reconstruct_batch``.  Inconsistent shares are rejected."""
+    return int(reconstruct_batch(scheme, subset, [shares])[0])
+
+
+def _authorized(scheme: SssScheme, cols: np.ndarray) -> np.ndarray:
+    """Whether each row of an (M, s) block of 0-based generator columns
+    spans the secret column, in one batched row reduction."""
+    gen = scheme.code.gen.data
+    secret = scheme.secret_col()[None, :, None]
+    return in_span_batch(scheme.field, np.concatenate(
+        [gen[:, cols].transpose(1, 0, 2),
+         np.broadcast_to(secret, (len(cols), gen.shape[0], 1))], axis=2))
 
 
 def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
@@ -198,9 +249,7 @@ def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
     total = sum(math.comb(n - 1, size) for size in range(1, k + 1))
     if total > budget:
         raise BudgetExceeded(total, budget, unit="coalitions")
-    gen = scheme.code.gen.data
     ids = np.array(scheme.participants)
-    secret = scheme.secret_col()[None, :, None]
     # binom[x, i] = C(x, i); a coalition c_0 < ... < c_{s-1} of participant
     # positions has colex rank sum_i C(c_i, i+1) among those of its size
     binom = np.array([[math.comb(x, i) for i in range(k + 1)]
@@ -218,10 +267,7 @@ def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
                 dtype=np.int64).reshape(-1, size)
             if not len(block):
                 break
-            stacks = np.concatenate(
-                [gen[:, ids[block] - 1].transpose(1, 0, 2),
-                 np.broadcast_to(secret, (len(block), k, 1))], axis=2)
-            ok = in_span_batch(scheme.field, stacks)
+            ok = _authorized(scheme, ids[block] - 1)
             own = binom[block, np.arange(1, size + 1)]
             auth[own.sum(axis=1)] = ok
             # dropping c_j shifts every later c_i down to place i-1
@@ -271,36 +317,64 @@ def minimal_authorized_sets(scheme: SssScheme, method: str = "auto",
     return sorted(out, key=lambda a: (len(a.indices), a.indices))
 
 
+def perfectness_batch(scheme: SssScheme, subsets,
+                      budget: int = DEFAULT_BUDGET) -> list[PerfectnessReport]:
+    """Enumerate all q^k dealings once and test each coalition's knowledge.
+
+    A coalition's share patterns are its columns of the dealings.  The
+    coalitions of one size are taken together, as many at a time as fit
+    ``codes._CHUNK`` (coalition, dealing) rows: the rows are sorted by
+    coalition and then entry by entry (``np.lexsort``), and a new pattern
+    number starts wherever the coalition or an entry changes.  No pattern
+    is packed into a mixed-radix integer, so no coalition is too wide.
+    Authorization of all the coalitions of one size is one
+    ``in_span_batch`` call.  Reports come in the order of ``subsets``.
+    """
+    subsets = [scheme._check(s) for s in subsets]
+    values = np.concatenate(
+        [v for _, v in codeword_blocks(scheme.code, budget)])
+    secret = values[:, scheme.secret_column - 1].astype(np.int64)
+    dealings, q = len(values), scheme.field.q
+    step = max(1, _CHUNK // dealings)
+    reports: list[PerfectnessReport | None] = [None] * len(subsets)
+    for size in sorted({len(ids) for ids in subsets}):
+        which = [i for i, ids in enumerate(subsets) if len(ids) == size]
+        cols = np.array([subsets[i] for i in which],
+                        dtype=np.int64).reshape(len(which), size) - 1
+        authorized = _authorized(scheme, cols)
+        for start in range(0, len(which), step):
+            part = cols[start:start + step]
+            flat = values[:, part].transpose(1, 0, 2).reshape(
+                len(part) * dealings, size)
+            owner = np.repeat(np.arange(len(part)), dealings)
+            order = np.lexsort(np.vstack([flat.T[::-1], owner]))
+            flat, owner = flat[order], owner[order]
+            new = np.ones(len(flat), dtype=bool)
+            new[1:] = ((owner[1:] != owner[:-1])
+                       | (flat[1:] != flat[:-1]).any(axis=1))
+            group = np.cumsum(new) - 1
+            n_groups = int(group[-1]) + 1
+            table = np.bincount(group * q + np.tile(secret, len(part))[order],
+                                minlength=n_groups * q).reshape(n_groups, q)
+            owner = owner[new]
+            one = (table > 0).sum(axis=1) == 1
+            even = np.all(table == table[:, :1], axis=1) & (table[:, 0] > 0)
+            auth = authorized[start:start + step]
+            good = np.where(auth[owner], one, even)
+            failed = np.bincount(owner[~good], minlength=len(part))
+            patterns = np.bincount(owner, minlength=len(part))
+            for j, i in enumerate(which[start:start + step]):
+                reports[i] = PerfectnessReport(
+                    subset=tuple(sorted(subsets[i])),
+                    authorized=bool(auth[j]),
+                    ok=not failed[j],
+                    patterns=int(patterns[j]),
+                )
+    return reports
+
+
 def perfectness_check(scheme: SssScheme, subset,
                       budget: int = DEFAULT_BUDGET) -> PerfectnessReport:
-    """Enumerate all q^k dealings and test the coalition's knowledge."""
-    ids = scheme._check(subset)
-    idx = [i - 1 for i in ids]
-    c0 = scheme.secret_column - 1
-    q = scheme.code.q
-    pats = []
-    secrets = []
-    for _, values in codeword_blocks(scheme.code, budget):
-        secrets.append(values[:, c0].copy())
-        pats.append(values[:, idx].copy())
-    pats = np.concatenate(pats)
-    secrets = np.concatenate(secrets)
-    if pats.shape[1] == 0:
-        groups = np.zeros(len(pats), dtype=np.int64)
-        n_groups = 1
-    else:
-        uniq, groups = np.unique(pats, axis=0, return_inverse=True)
-        n_groups = len(uniq)
-    table = np.zeros((n_groups, q), dtype=np.int64)
-    np.add.at(table, (groups, secrets), 1)
-    authorized = is_authorized(scheme, ids)
-    if authorized:
-        ok = bool(np.all((table > 0).sum(axis=1) == 1))
-    else:
-        ok = bool(np.all(table == table[:, :1]) and np.all(table[:, 0] > 0))
-    return PerfectnessReport(
-        subset=tuple(sorted(ids)),
-        authorized=authorized,
-        ok=ok,
-        patterns=n_groups,
-    )
+    """Enumerate all q^k dealings and test the coalition's knowledge; see
+    ``perfectness_batch``."""
+    return perfectness_batch(scheme, [subset], budget)[0]

@@ -52,8 +52,8 @@ from .constructions import (cf_code, cg_code, comb0, extended, first, lift,
 from .errors import BadParams, BudgetExceeded, PreconditionFailed
 from .field import build_field
 from .matrix import GFMatrix
-from .sss import (SssScheme, deal, minimal_authorized_sets,
-                  perfectness_check, reconstruct)
+from .sss import (SssScheme, deal_batch, minimal_authorized_sets,
+                  perfectness_batch, reconstruct_batch)
 
 FIRST_INSTANCES = ((2, 2), (2, 3), (3, 3), (3, 4), (3, 5),
                    (4, 3), (4, 4), (5, 4), (5, 5))
@@ -477,32 +477,31 @@ def _run_sss(instances, budget, registry):
                    dual_sets == search_sets else
                    f"dual found {len(dual_sets)}, search {len(search_sets)}")
             q = code.q
+            secrets = [secret for secret in range(q) for _ in range(10)]
+            dealt = deal_batch(scheme, secrets, list(range(10)) * q)
             trials = 0
             mismatches = 0
             for aset in dual_sets:
-                for secret in range(q):
-                    for seed in range(10):
-                        sv = deal(scheme, secret, seed)
-                        got = reconstruct(
-                            scheme, aset.indices,
-                            [sv.shares[i] for i in aset.indices])
-                        trials += 1
-                        if got != secret:
-                            mismatches += 1
+                got = reconstruct_batch(
+                    scheme, aset.indices,
+                    [[sv.shares[i] for i in aset.indices] for sv in dealt])
+                trials += len(got)
+                mismatches += int(np.count_nonzero(got != secrets))
             yield ("round-trip", trials > 0 and mismatches == 0,
                    f"{trials} reconstructions over {len(dual_sets)} minimal "
                    f"sets, {q} secrets, 10 seeds" +
                    ("" if mismatches == 0 else f"; {mismatches} mismatches"))
             if small:
-                failing = []
-                total = 0
-                for size in range(len(scheme.participants) + 1):
-                    for subset in combinations(scheme.participants, size):
-                        total += 1
-                        if not perfectness_check(scheme, subset, budget).ok:
-                            failing.append(subset)
+                subsets = [subset
+                           for size in range(len(scheme.participants) + 1)
+                           for subset in combinations(scheme.participants,
+                                                      size)]
+                reports = perfectness_batch(scheme, subsets, budget)
+                failing = [subset for subset, rep in zip(subsets, reports)
+                           if not rep.ok]
                 yield ("perfectness", not failing,
-                       f"all {total} participant subsets pass" if not failing
+                       f"all {len(subsets)} participant subsets pass"
+                       if not failing
                        else f"failing coalitions: {failing}")
 
         yield label, body

@@ -187,6 +187,34 @@ def test_sss_deal_reconstruct_roundtrip(first33, capsys):
     assert json.loads(out)["secret"] == 2
 
 
+def test_sss_deal_without_seed_reconstructs(first33, capsys):
+    status, out, _ = run_cli(capsys, "sss", "deal", "--in", str(first33),
+                             "--secret", "1", "--json")
+    assert status == 0
+    dealt = json.loads(out)
+    assert dealt["parameters"]["seed"] is None
+    for subset in (("2", "4"), ("3", "5", "8")):
+        values = ",".join(str(dealt["shares"][i]) for i in subset)
+        status, out, _ = run_cli(capsys, "sss", "reconstruct",
+                                 "--in", str(first33),
+                                 "--subset", ",".join(subset),
+                                 "--shares", values, "--json")
+        assert status == 0
+        assert json.loads(out)["secret"] == 1
+    status, out, _ = run_cli(capsys, "sss", "deal", "--in", str(first33),
+                             "--secret", "1")
+    assert status == 0
+    assert out.splitlines()[0] == "secret 1, unseeded, [9,3]_3 scheme"
+
+
+def test_sss_deal_seed_help_says_what_omitting_does(capsys):
+    status, out, _ = run_cli(capsys, "sss", "deal", "--help")
+    assert status == 0
+    help_text = " ".join(out.split())
+    assert "without it the shares come from the system's randomness" \
+        in help_text
+
+
 def test_sss_reconstruct_unauthorized_exits_1(first33, capsys):
     status, _, err = run_cli(capsys, "sss", "reconstruct",
                              "--in", str(first33), "--subset", "2",

@@ -13,12 +13,19 @@ distribution of every dual code is checked against the MacWilliams
 transform.  The batched coalition search is checked against a
 per-coalition ``in_span`` loop and the dual-code path with every column as
 the secret column (n <= 8 here), and its span kernel against ``in_span``
-one matrix at a time.
+one matrix at a time.  The batched Massey operations are checked against
+their single calls: ``deal_batch`` also against the scalar dealing it
+replaced, ``reconstruct_batch`` also against a rank test of consistency,
+and ``perfectness_batch`` against the per-coalition check it replaced
+(``np.unique(axis=0)`` and ``in_span``), on dealings thinned at random so
+that both verdicts can fail, and on a coalition too wide for any int64
+pattern key.
 """
 
 import functools
 import itertools
 import math
+import random
 from collections import Counter
 from unittest import mock
 
@@ -45,7 +52,17 @@ from mincodes.codes import (
 from mincodes.errors import InconsistentShares, Unauthorized
 from mincodes.field import build_field
 from mincodes.matrix import GFMatrix, in_span, in_span_batch, rank
-from mincodes.sss import AccessSet, SssScheme, deal, reconstruct
+from mincodes.sss import (
+    AccessSet,
+    PerfectnessReport,
+    SssScheme,
+    deal,
+    deal_batch,
+    is_authorized,
+    perfectness_batch,
+    reconstruct,
+    reconstruct_batch,
+)
 
 FIELDS = (2, 3, 4, 5, 8, 9)
 SETTINGS = settings(max_examples=40, deadline=None, database=None,
@@ -439,3 +456,185 @@ def test_in_span_batch_matches_in_span(q, data):
     stack = data.draw(span_stacks(f))
     want = [in_span(f, a[:, -1], a[:, :-1].T) is not None for a in stack]
     assert in_span_batch(f, stack).tolist() == want
+
+
+# -- batched Massey operations --------------------------------------------------
+
+
+def scalar_deal(scheme, secret, seed):
+    """The per-coefficient dealing that ``deal_batch`` replaced: free
+    coefficients drawn in row order, the pivot one solved with scalar field
+    operations, then one codeword."""
+    f, k = scheme.field, scheme.code.k
+    col = scheme.secret_col()
+    pivot = next(i for i, x in enumerate(col) if x)
+    rng = random.Random(seed)
+    u = [0] * k
+    for j in range(k):
+        if j != pivot:
+            u[j] = rng.randrange(f.q)
+    acc = secret
+    for j in range(k):
+        if j != pivot:
+            acc = f.sub(acc, f.mul(u[j], int(col[j])))
+    u[pivot] = f.div(acc, int(col[pivot]))
+    word = scheme.code.codeword(u)
+    return {i: word.values[i - 1] for i in scheme.participants}, word.coeffs
+
+
+@st.composite
+def sss_schemes(draw, q, max_k=4, max_n=8):
+    code = draw(sss_codes(q, max_k, max_n))
+    return SssScheme(code, draw(st.integers(1, code.n)))
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_deal_batch_matches_single_and_scalar_deals(q, data):
+    scheme = data.draw(sss_schemes(q))
+    secrets = data.draw(st.lists(st.integers(0, q - 1), max_size=6))
+    seeds = data.draw(st.lists(st.integers(0, 10**6), min_size=len(secrets),
+                               max_size=len(secrets)))
+    dealt = deal_batch(scheme, secrets, seeds, keep_coeffs=True)
+    assert len(dealt) == len(secrets)
+    for sv, secret, seed in zip(dealt, secrets, seeds):
+        assert sv == deal(scheme, secret, seed, keep_coeffs=True)
+        assert (sv.shares, sv.dealer_coeffs) == scalar_deal(scheme, secret,
+                                                            seed)
+        assert (sv.secret, sv.seed) == (secret, seed)
+    assert [sv.shares for sv in deal_batch(scheme, secrets, seeds)] == [
+        sv.shares for sv in dealt]
+    for sv, secret in zip(deal_batch(scheme, secrets, keep_coeffs=True),
+                          secrets):
+        word = scheme.code.codeword(sv.dealer_coeffs)
+        assert word.values[scheme.secret_column - 1] == secret
+        assert sv.shares == {i: word.values[i - 1]
+                             for i in scheme.participants}
+        assert sv.seed is None
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_reconstruct_batch_matches_single_calls(q, data):
+    scheme = data.draw(sss_schemes(q))
+    f, parts = scheme.field, scheme.participants
+    assume(parts)
+    ids = tuple(data.draw(st.permutations(parts))[
+        :data.draw(st.integers(1, len(parts)))])
+    secrets = data.draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                 max_size=5))
+    dealt = deal_batch(scheme, secrets, range(len(secrets)))
+    rows = [[sv.shares[i] for i in ids] for sv in dealt]
+    if not is_authorized(scheme, ids):
+        with pytest.raises(Unauthorized) as single:
+            reconstruct(scheme, ids, rows[0])
+        with pytest.raises(Unauthorized) as batch:
+            reconstruct_batch(scheme, ids, rows)
+        assert str(batch.value) == str(single.value)
+        return
+    got = reconstruct_batch(scheme, ids, rows)
+    assert got.tolist() == [reconstruct(scheme, ids, r) for r in rows]
+    assert got.tolist() == secrets
+    bad = data.draw(st.integers(0, len(rows) - 1))
+    pos = data.draw(st.integers(0, len(ids) - 1))
+    rows[bad][pos] = f.add(rows[bad][pos], data.draw(st.integers(1, q - 1)))
+    sub = np.column_stack(scheme.participant_cols(ids))
+    consistent = (rank(GFMatrix(f, np.vstack([sub, [rows[bad]]])))
+                  == rank(GFMatrix(f, sub)))
+    if consistent:
+        got = reconstruct_batch(scheme, ids, rows)
+        assert got.tolist() == [reconstruct(scheme, ids, r) for r in rows]
+        return
+    with pytest.raises(InconsistentShares) as single:
+        reconstruct(scheme, ids, rows[bad])
+    with pytest.raises(InconsistentShares) as batch:
+        reconstruct_batch(scheme, ids, rows)
+    assert str(batch.value) == str(single.value)
+
+
+def perfectness_oracle(scheme, subset, values):
+    """The per-coalition check that ``perfectness_batch`` replaced, on the
+    given (dealings, n) value rows: patterns grouped by
+    ``np.unique(axis=0)``, authorization by ``in_span``."""
+    ids = scheme._check(subset)
+    q = scheme.field.q
+    pats = values[:, [i - 1 for i in ids]]
+    secrets = values[:, scheme.secret_column - 1].astype(np.int64)
+    if pats.shape[1] == 0:
+        groups = np.zeros(len(pats), dtype=np.int64)
+        n_groups = 1
+    else:
+        uniq, groups = np.unique(pats, axis=0, return_inverse=True)
+        n_groups = len(uniq)
+    table = np.zeros((n_groups, q), dtype=np.int64)
+    np.add.at(table, (groups, secrets), 1)
+    cols = scheme.participant_cols(ids)
+    authorized = in_span(scheme.field, scheme.secret_col(), cols) is not None
+    if authorized:
+        ok = bool(np.all((table > 0).sum(axis=1) == 1))
+    else:
+        ok = bool(np.all(table == table[:, :1]) and np.all(table[:, 0] > 0))
+    return PerfectnessReport(subset=tuple(sorted(ids)),
+                             authorized=authorized, ok=ok, patterns=n_groups)
+
+
+def all_values(code):
+    return np.concatenate([v for _, v in codeword_blocks(code)])
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data(), chunk=chunks,
+       dealings=st.sampled_from(("all", "thinned", "corrupted")))
+def test_perfectness_batch_matches_per_coalition_oracle(q, data, chunk,
+                                                        dealings):
+    scheme = data.draw(sss_schemes(q, max_k=3, max_n=7))
+    parts = scheme.participants
+    subsets = data.draw(st.lists(
+        st.lists(st.sampled_from(parts), unique=True) if parts
+        else st.just([]), max_size=8))
+    values = all_values(scheme.code)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    if dealings != "all":
+        # a random part of the dealings is no longer uniform, so the
+        # unauthorized test can fail
+        values = values[rng.random(len(values)) < 0.6]
+        assume(len(values))
+    if dealings == "corrupted":
+        # copies of some dealings with another secret put two secrets on
+        # one pattern, so the authorized test fails too
+        extra = values[rng.random(len(values)) < 0.3]
+        c0 = scheme.secret_column - 1
+        extra[:, c0] = scheme.field.add_table[
+            extra[:, c0], rng.integers(1, q, len(extra))]
+        values = np.vstack([values, extra])
+    with mock.patch.object(sss, "_CHUNK", chunk), \
+            mock.patch.object(sss, "codeword_blocks",
+                              lambda code, budget: iter([(None, values)])):
+        got = perfectness_batch(scheme, subsets)
+    assert got == [perfectness_oracle(scheme, s, values) for s in subsets]
+
+
+def test_perfectness_batch_on_a_coalition_wider_than_int64_keys():
+    # a binary [70, 2] code: secret column (1, 1), 65 participants on
+    # (1, 0), then four on (0, 1) and (1, 1) by turns; the whole coalition
+    # has 2^69 possible patterns, and the dealings (a, 0) and (a, 1) differ
+    # only past the first 64 of its columns
+    gen = np.array([[1] + [1] * 65 + [0, 1, 0, 1],
+                    [1] + [0] * 65 + [1, 1, 1, 1]])
+    scheme = SssScheme(LinearCode(GFMatrix(build_field(2), gen)))
+    parts = scheme.participants
+    assert 2 ** len(parts) >= 2**63
+    subsets = [parts, parts[::-1], parts[:63], parts[1:], parts[60:], ()]
+    values = all_values(scheme.code)
+    assert perfectness_batch(scheme, subsets) == [
+        perfectness_oracle(scheme, s, values) for s in subsets]
+    # thinned dealings: the wide patterns must stay apart for the verdicts
+    # and pattern counts to agree
+    values = values[[0, 1, 3]]
+    with mock.patch.object(sss, "codeword_blocks",
+                           lambda code, budget: iter([(None, values)])):
+        got = perfectness_batch(scheme, subsets)
+    assert got == [perfectness_oracle(scheme, s, values) for s in subsets]

@@ -1,6 +1,7 @@
 """Tests for the Massey-style secret sharing layer."""
 
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,10 +20,13 @@ from mincodes.matrix import GFMatrix
 from mincodes.sss import (
     SssScheme,
     deal,
+    deal_batch,
     is_authorized,
     minimal_authorized_sets,
+    perfectness_batch,
     perfectness_check,
     reconstruct,
+    reconstruct_batch,
 )
 
 
@@ -97,6 +101,28 @@ def test_deal_bad_secret(f22):
         deal(f22, 2, seed=0)
 
 
+def test_deal_batch_rejects_mismatched_seeds(f22):
+    with pytest.raises(BadParams, match="2 secrets but 1 seeds"):
+        deal_batch(f22, [0, 1], [3])
+
+
+def test_unseeded_deal_never_uses_random_random(f33):
+    with mock.patch("random.Random",
+                    side_effect=AssertionError("seeded generator used")):
+        with pytest.raises(AssertionError):
+            deal(f33, 1, seed=3)  # the patch reaches seeded dealings
+        dealt = [deal(f33, 1, keep_coeffs=True) for _ in range(30)]
+        dealt += deal_batch(f33, [0, 1, 2] * 10, keep_coeffs=True)
+    for sv in dealt:
+        assert sv.seed is None
+        word = f33.code.codeword(sv.dealer_coeffs)
+        assert word.values[0] == sv.secret
+        assert sv.shares == {i: word.values[i - 1] for i in f33.participants}
+    # 30 dealings of one secret with 2 free draws each: all equal with
+    # probability 9**-29
+    assert len({tuple(sv.dealer_coeffs) for sv in dealt[:30]}) > 1
+
+
 # -- authorization and reconstruction ---------------------------------------
 
 
@@ -131,6 +157,28 @@ def test_reconstruct_inconsistent_shares(f33):
     assert reconstruct(f33, [4, 5, 2], [2, 0, 1]) == 1
     with pytest.raises(InconsistentShares):
         reconstruct(f33, [4, 5, 2], [1, 1, 1])
+
+
+def test_reconstruct_batch_names_first_inconsistent_row(f33):
+    ids = [4, 5, 2]
+    assert reconstruct_batch(f33, ids, [[2, 0, 1], [0, 0, 0]]).tolist() \
+        == [1, 0]
+    with pytest.raises(InconsistentShares) as info:
+        reconstruct_batch(f33, ids, [[2, 0, 1], [1, 1, 1], [0, 1, 0]])
+    assert str(info.value) == "shares [1, 1, 1] match no codeword on [2, 4, 5]"
+    assert reconstruct_batch(f33, ids, []).tolist() == []
+
+
+def test_reconstruct_batch_checks_in_order(f33):
+    # unknown participants, then row length, then range, then authorization
+    with pytest.raises(BadParams, match="unknown participants"):
+        reconstruct_batch(f33, [2, 10], [[0]])
+    with pytest.raises(BadParams, match="1 participants but 2 shares"):
+        reconstruct_batch(f33, [2], [[0], [0, 5]])
+    with pytest.raises(BadParams, match=r"out of range: \[0, 3\]"):
+        reconstruct_batch(f33, [2, 3], [[0, 0], [0, 3]])
+    with pytest.raises(Unauthorized):
+        reconstruct_batch(f33, [2], [[0], [1]])
 
 
 def test_reconstruct_validates_input(f22):
@@ -248,6 +296,16 @@ def test_perfectness_frozen(f22):
 
     rep = perfectness_check(f22, set())
     assert not rep.authorized and rep.ok and rep.patterns == 1
+
+
+def test_perfectness_batch_keeps_input_order(f22):
+    subsets = [{2, 3}, set(), (3,), [3, 2]]
+    assert perfectness_batch(f22, subsets) == [
+        perfectness_check(f22, s) for s in subsets]
+    assert [r.subset for r in perfectness_batch(f22, subsets)] == [
+        (2, 3), (), (3,), (2, 3)]
+    with pytest.raises(BudgetExceeded):
+        perfectness_batch(f22, subsets, budget=3)
 
 
 def test_perfectness_all_subsets():
