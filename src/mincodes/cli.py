@@ -273,6 +273,9 @@ def _cmd_sss_access(args) -> int:
 
 def _cmd_sweep(args) -> int:
     config = load_config(args.config)
+    for entry in config["criteria"]:
+        for instance in entry["instances"] or ():
+            _check_q(instance[-1])  # q comes last in every instance
     report = run_sweep(config, budget=args.budget, strict=args.strict)
     if args.out_dir:
         out = Path(args.out_dir)

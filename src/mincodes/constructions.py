@@ -41,7 +41,7 @@ from .analysis import has_full_value_property, is_minimal_code
 from .codes import DEFAULT_BUDGET, LinearCode, from_generator
 from .errors import BadParams, BudgetExceeded, PreconditionFailed
 from .field import build_field
-from .matrix import GFMatrix, kronecker, rref
+from .matrix import GFMatrix, _rref_array, kronecker
 
 log = logging.getLogger(__name__)
 
@@ -163,16 +163,9 @@ def _points(q: int, n: int, budget: int) -> np.ndarray:
 
 
 def _independent_rows(field, rows: np.ndarray) -> np.ndarray:
-    """Greedy top-down selection of a row basis (deterministic)."""
-    keep: list[int] = []
-    current = 0
-    for i in range(rows.shape[0]):
-        cand = rows[keep + [i]]
-        _, rk = rref(GFMatrix(field, cand))
-        if rk > current:
-            keep.append(i)
-            current = rk
-    return rows[keep]
+    """Greedy top-down row basis: row i is kept unless the rows above it
+    span it, so the kept rows are the pivot columns of rows.T."""
+    return rows[_rref_array(field, rows.T)[1]]
 
 
 def _evaluation_code(field, frow: np.ndarray, points: np.ndarray) -> LinearCode:

@@ -13,7 +13,21 @@ the smallest encoding that generates the multiplicative group.
 
 Arithmetic is table-driven: for desk-scale fields (q <= 64 is the intended
 range) the q x q tables are tiny, and indexing them with numpy arrays gives
-vectorized arithmetic for free.
+vectorized arithmetic for free.  Prime and extension fields build their
+tables the same way, as GF(p)[x]/(f) with f = x for m = 1: addition and
+negation act digit by digit, and multiplication by x is a linear map on the
+digits (shift up one place, fold the top digit back in as -f), so the
+digits of x^i * b are computed for every b at once and a * b is the sum of
+a's digits times them, mod p.
+
+The canonical modulus is found with the same tables.  The monic degree-m
+polynomials are tried in ascending encoding, and the first f whose quotient
+ring has no zero divisors is kept.  A finite commutative ring is a field
+exactly when it has no zero divisors, and GF(p)[x]/(f) is a field exactly
+when f is irreducible, so this is the smallest irreducible f.  A reducible f
+has a monic factor g of degree at most m/2, and g times the cofactor is 0;
+since g's encoding is below p^(m//2+1), only those rows of the candidate's
+multiplication table need to be checked.
 """
 
 from __future__ import annotations
@@ -48,82 +62,39 @@ def _prime_power(q: int) -> tuple[int, int] | None:
     return p, m
 
 
-def _enc_digits(enc: int, p: int, width: int) -> list[int]:
-    """Base-p digits of enc, little-endian, padded to width."""
-    out = []
-    for _ in range(width):
-        enc, r = divmod(enc, p)
-        out.append(r)
-    return out
+def _digits(p: int, m: int) -> np.ndarray:
+    """Base-p digits, little-endian, of every encoding below p**m: (p**m, m)."""
+    return np.arange(p**m, dtype=np.int64)[:, None] // p ** np.arange(m) % p
 
 
-def _digits_enc(digits: list[int], p: int) -> int:
-    enc = 0
-    for c in reversed(digits):
-        enc = enc * p + c
-    return enc
+def _mul_table(p: int, modulus, digits: np.ndarray, rows: int) -> np.ndarray:
+    """mul[a, b] in GF(p)[x]/(modulus) for the encodings a < rows, every b.
 
-
-def _poly_trim(cs: list[int]) -> list[int]:
-    while cs and cs[-1] == 0:
-        cs.pop()
-    return cs
-
-
-def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num mod den over GF(p); den must be monic-normalizable."""
-    num = list(num)
-    dd = len(den) - 1
-    inv_lead = pow(den[-1], p - 2, p)
-    while len(num) - 1 >= dd and any(num):
-        if num[-1] == 0:
-            num.pop()
-            continue
-        factor = num[-1] * inv_lead % p
-        shift = len(num) - 1 - dd
-        for i, c in enumerate(den):
-            num[shift + i] = (num[shift + i] - factor * c) % p
-        num.pop()
-    return _poly_trim(num)
-
-
-def _poly_mul_mod(a: list[int], b: list[int], mod: list[int], p: int) -> list[int]:
-    prod = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            prod[i + j] = (prod[i + j] + ca * cb) % p
-    return _poly_rem(prod, mod, p)
-
-
-def _monic_polys(p: int, degree: int):
-    """All monic polynomials of the given degree, ascending encoding."""
-    for j in range(p**degree):
-        yield _enc_digits(j, p, degree) + [1]
-
-
-def _is_irreducible(poly: list[int], p: int) -> bool:
-    """Trial division by all monic polynomials of degree 1..deg//2."""
-    deg = len(poly) - 1
-    if deg < 1:
-        return False
-    if poly[0] == 0:  # divisible by x
-        return deg == 1
-    for d in range(1, deg // 2 + 1):
-        for g in _monic_polys(p, d):
-            if not _poly_rem(poly, g, p):
-                return False
-    return True
+    Multiplying by x shifts an element's digits up one place and folds the
+    digit that leaves the top back in as -modulus (which is monic); as a
+    matrix on digit rows that is ``times_x``.  Applying it i times gives the
+    digits of x^i * b for all b at once, and a * b is the sum over i of a's
+    digit i times x^i * b, mod p.
+    """
+    m = digits.shape[1]
+    times_x = np.eye(m, k=1, dtype=np.int64)
+    times_x[-1] -= np.asarray(modulus[:m], dtype=np.int64)
+    shifted = [digits]
+    for _ in range(m - 1):
+        shifted.append(shifted[-1] @ times_x % p)
+    prod = np.einsum("ai,ibj->abj", digits[:rows], np.stack(shifted)) % p
+    return prod @ p ** np.arange(m)
 
 
 def _smallest_modulus(p: int, m: int) -> tuple[int, ...]:
-    if m == 1:
-        return (0, 1)  # x itself: GF(p)[x]/(x) = GF(p)
-    for j in range(p**m):
-        cand = _enc_digits(j, p, m) + [1]
-        if _is_irreducible(cand, p):
-            return tuple(cand)
+    """The first monic degree-m polynomial, by ascending encoding, whose
+    quotient ring has no zero divisors (see the module docstring)."""
+    digits = _digits(p, m)
+    rows = p ** (m // 2 + 1)
+    for low in digits:
+        cand = (*low.tolist(), 1)
+        if _mul_table(p, cand, digits, rows)[1:, 1:].all():
+            return cand
     raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
@@ -149,36 +120,24 @@ class GF:
         self.m = m
         self.q = q = p**m
         self.modulus = tuple(modulus)
+        if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
+            raise BadParams(f"modulus {modulus} is not monic of degree {m}")
         dtype = np.min_scalar_type(q - 1)
 
-        if m == 1:
-            vals = np.arange(q, dtype=np.int64)
-            add = (vals[:, None] + vals[None, :]) % p
-            mul = (vals[:, None] * vals[None, :]) % p
-            neg = (-vals) % p
-        else:
-            digits = np.array(
-                [_enc_digits(e, p, m) for e in range(q)], dtype=np.int64
-            )
-            weights = p ** np.arange(m, dtype=np.int64)
-            add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
-            neg = ((-digits) % p) @ weights
-            mod = list(self.modulus)
-            mul = np.zeros((q, q), dtype=np.int64)
-            polys = [_poly_trim(_enc_digits(e, p, m)) for e in range(q)]
-            for a in range(1, q):
-                for b in range(a, q):
-                    r = _poly_mul_mod(polys[a], polys[b], mod, p)
-                    mul[a, b] = mul[b, a] = _digits_enc(r, p)
+        digits = _digits(p, m)
+        weights = p ** np.arange(m)
+        add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
+        neg = (-digits % p) @ weights
+        mul = _mul_table(p, self.modulus, digits, q)
+        if not mul[1:, 1:].all():
+            raise BadParams(f"modulus {modulus} is reducible over GF({p})")
 
         self.add_table = add.astype(dtype)
         self.mul_table = mul.astype(dtype)
         self.neg_table = neg.astype(dtype)
         self.sub_table = self.add_table[:, self.neg_table]
-        inv = np.zeros(q, dtype=np.int64)
-        for a in range(1, q):
-            inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
-        self.inv_table = inv.astype(dtype)
+        # row 0 holds no 1, so argmax leaves inv_table[0] = 0
+        self.inv_table = np.argmax(mul == 1, axis=1).astype(dtype)
         for t in (self.add_table, self.mul_table, self.neg_table,
                   self.sub_table, self.inv_table):
             t.setflags(write=False)

@@ -326,6 +326,20 @@ def test_sweep_malformed_instances_exit_1(tmp_path, capsys):
     assert "error: BadParams" in err
 
 
+@pytest.mark.parametrize("number, instance", [
+    (1, [2, 67]), (2, [2, 67]), (3, [2, 67]),
+    (4, [4, 3, 67]), (5, [3, 2, 67]), (6, [3, 67]),
+])
+def test_sweep_config_keeps_the_q_cap(tmp_path, capsys, number, instance):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"criteria": [
+        {"id": number, "instances": [instance[:-1] + [3], instance]}]}))
+    status, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert status == 1
+    assert out == ""
+    assert "caps q at 64" in err
+
+
 def test_sweep_unknown_entry_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "typo.json"
     cfg.write_text('{"criteria": [{"id": 1, "instance": [[2, 2]]}]}')

@@ -5,6 +5,7 @@ import pytest
 
 from mincodes import (BadParams, DimensionMismatch, DivisionByZero,
                       NotPrimePower, build_field)
+from mincodes.field import GF
 
 # Hand-computed multiplication table for GF(4) = GF(2)[x]/(x^2+x+1),
 # encodings 2 = x, 3 = x+1:
@@ -38,6 +39,56 @@ def test_canonical_moduli():
     assert build_field(16).modulus == (1, 1, 0, 0, 1)  # x^4+x+1
     assert build_field(32).modulus == (1, 0, 1, 0, 0, 1)  # x^5+x^2+1
     assert build_field(64).modulus == (1, 1, 0, 0, 0, 0, 1)  # x^6+x+1
+    assert build_field(25).modulus == (2, 0, 1)        # x^2+2
+    assert build_field(27).modulus == (1, 2, 0, 1)     # x^3+2x+1
+    assert build_field(49).modulus == (1, 0, 1)        # x^2+1
+
+
+PRIME_POWERS_TO_64 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
+                      29, 31, 32, 37, 41, 43, 47, 49, 53, 59, 61, 64]
+
+
+def schoolbook_mul(a, b, p, modulus):
+    """a*b of two encodings: multiply the digit polynomials term by term,
+    then cancel each coefficient above the top with the monic modulus."""
+    m = len(modulus) - 1
+    da = [a // p**i % p for i in range(m)]
+    db = [b // p**i % p for i in range(m)]
+    prod = [0] * (2 * m - 1)
+    for i in range(m):
+        for j in range(m):
+            prod[i + j] += da[i] * db[j]
+    for top in range(2 * m - 2, m - 1, -1):
+        c = prod[top]
+        for i, f_i in enumerate(modulus):
+            prod[top - m + i] -= c * f_i
+    return sum(c % p * p**i for i, c in enumerate(prod[:m]))
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_64)
+def test_tables_match_schoolbook_arithmetic(q):
+    f = build_field(q)
+    p, m = f.p, f.m
+    assert p**m == q and f.modulus[-1] == 1 and len(f.modulus) == m + 1
+    digits = [[a // p**i % p for i in range(m)] for a in range(q)]
+
+    def encode(ds):
+        return sum(c % p * p**i for i, c in enumerate(ds))
+
+    mul = [[schoolbook_mul(a, b, p, f.modulus) for b in range(q)]
+           for a in range(q)]
+    assert f.mul_table.tolist() == mul
+    assert f.add_table.tolist() == [
+        [encode(x + y for x, y in zip(digits[a], digits[b])) for b in range(q)]
+        for a in range(q)]
+    assert f.sub_table.tolist() == [
+        [encode(x - y for x, y in zip(digits[a], digits[b])) for b in range(q)]
+        for a in range(q)]
+    assert f.neg_table.tolist() == [encode(-x for x in digits[a])
+                                    for a in range(q)]
+    for a in range(1, q):
+        assert mul[a].count(1) == 1
+        assert int(f.inv_table[a]) == mul[a].index(1)
 
 
 def test_gf4_table_matches_hand_oracle():
@@ -160,6 +211,17 @@ def test_bad_encodings_rejected():
         f.add(1, 4)
     with pytest.raises(BadParams):
         f.neg(-1)
+
+
+@pytest.mark.parametrize("p, m, modulus", [
+    (2, 2, (0, 0, 1)),     # x^2 = x * x
+    (3, 2, (1, 0, 1, 0)),  # wrong length
+    (3, 2, (1, 0, 2)),     # not monic
+    (5, 2, (1, 0, 1)),     # x^2 + 1 = (x + 2)(x + 3) over GF(5)
+])
+def test_direct_construction_rejects_bad_moduli(p, m, modulus):
+    with pytest.raises(BadParams):
+        GF(p, m, modulus)
 
 
 def test_bad_matmul_shapes_rejected():

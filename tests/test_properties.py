@@ -13,13 +13,14 @@ distribution of every dual code is checked against the MacWilliams
 transform.  The batched coalition search is checked against a
 per-coalition ``in_span`` loop and the dual-code path with every column as
 the secret column (n <= 8 here), and its span kernel against ``in_span``
-one matrix at a time.  The batched Massey operations are checked against
-their single calls: ``deal_batch`` also against the scalar dealing it
-replaced, ``reconstruct_batch`` also against a rank test of consistency,
-and ``perfectness_batch`` against the per-coalition check it replaced
-(``np.unique(axis=0)`` and ``in_span``), on dealings thinned at random so
-that both verdicts can fail, and on a coalition too wide for any int64
-pattern key.
+one matrix at a time, and the row basis of the evaluation codes against
+the greedy rank-raising selection it replaced.  The batched Massey
+operations are checked against their single calls: ``deal_batch`` also
+against the scalar dealing it replaced, ``reconstruct_batch`` also against
+a rank test of consistency, and ``perfectness_batch`` against the
+per-coalition check it replaced (``np.unique(axis=0)`` and ``in_span``),
+on dealings thinned at random so that both verdicts can fail, and on a
+coalition too wide for any int64 pattern key.
 """
 
 import functools
@@ -49,6 +50,7 @@ from mincodes.codes import (
     projective_blocks,
     weight_distribution,
 )
+from mincodes.constructions import _independent_rows
 from mincodes.errors import InconsistentShares, Unauthorized
 from mincodes.field import build_field
 from mincodes.matrix import GFMatrix, in_span, in_span_batch, rank
@@ -456,6 +458,43 @@ def test_in_span_batch_matches_in_span(q, data):
     stack = data.draw(span_stacks(f))
     want = [in_span(f, a[:, -1], a[:, :-1].T) is not None for a in stack]
     assert in_span_batch(f, stack).tolist() == want
+
+
+@st.composite
+def row_stacks(draw, f, max_rows=8, max_cols=6):
+    """Rows over f, each fresh, zero, a repeat or a combination of the rows
+    above it, so that kept and dropped rows both occur."""
+    cols = draw(st.integers(1, max_cols))
+    entries = st.integers(0, f.q - 1)
+    rows = []
+    for _ in range(draw(st.integers(1, max_rows))):
+        kind = draw(st.sampled_from(("fresh", "zero", "repeat", "combination")
+                                    if rows else ("fresh", "zero")))
+        if kind == "fresh":
+            rows.append(draw(st.lists(entries, min_size=cols, max_size=cols)))
+        elif kind == "zero":
+            rows.append([0] * cols)
+        elif kind == "repeat":
+            rows.append(rows[draw(st.integers(0, len(rows) - 1))])
+        else:
+            x = draw(st.lists(entries, min_size=len(rows),
+                              max_size=len(rows)))
+            rows.append(f.matmul(np.array([x]), np.array(rows))[0].tolist())
+    return np.array(rows, dtype=np.int64)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_independent_rows_match_greedy_basis(q, data):
+    f = build_field(q)
+    rows = data.draw(row_stacks(f))
+    keep = []  # the greedy definition: keep a row that raises the rank
+    for i in range(len(rows)):
+        if rank(GFMatrix(f, rows[keep + [i]])) > len(keep):
+            keep.append(i)
+    assert _independent_rows(f, rows).tolist() == rows[keep].tolist()
+
 
 
 # -- batched Massey operations --------------------------------------------------
