@@ -7,6 +7,19 @@ distribution, and report derived from enumeration is deterministic.  Every
 walk goes through ``codeword_blocks`` (all q^k words) or, for checks that
 scaling cannot change, ``projective_blocks`` (one word per scalar class).
 
+Both build words by outer sums instead of multiplying coefficient rows by
+G.  The span T of the tail (the last t rows of G, with q^t <= _CHUNK) is
+built once, from the zero word up: each row's q multiples are added to
+every word built so far, the multiple as the more significant index, so
+row i of T is the word of coefficient vector i and T is in canonical
+order.  A head word plus all of T is then q^t consecutive words.  A lead-1
+representative whose lead j lies in the tail is e_j.G plus the span of
+rows j+1..k-1, that is rows [q^i, 2q^i) of T with i = k-1-j; these come
+first, in one block, and then each lead-1 head (from the same construction
+on the head rows) plus all of T.  Sums are XOR in characteristic 2 and
+``add_table`` lookups otherwise; no block holds more than max(_CHUNK, q)
+words.
+
 Exhaustive operations refuse to run past a word budget (default 10**7
 codewords) instead of silently taking forever.
 """
@@ -107,10 +120,61 @@ def coeff_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET,
         yield (idx[:, None] // place[None, :]) % q
 
 
+def _tail_rows(q: int, k: int) -> int:
+    """t: how many trailing rows have a span of q^t <= _CHUNK words (>= 1)."""
+    t = 1
+    while t < k and q ** (t + 1) <= _CHUNK:
+        t += 1
+    return t
+
+
+def _add(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise field sum of broadcastable encoding arrays."""
+    return np.bitwise_xor(a, b) if field.p == 2 else field.add_table[a, b]
+
+
+def _span(field: GF, rows: np.ndarray) -> np.ndarray:
+    """All q^len(rows) combinations of rows, in canonical coefficient order:
+    each row's q multiples, outer-summed with the span of the rows below."""
+    n = rows.shape[1]
+    span = np.zeros((1, n), dtype=field.add_table.dtype)
+    for g in rows[::-1]:
+        mult = field.mul_table[:, g]
+        span = _add(field, mult[:, None, :], span[None, :, :]).reshape(-1, n)
+    return span
+
+
+def _lead_one_blocks(field: GF, gen: np.ndarray):
+    """(coeffs, values) of every lead-1 combination of gen's rows, in
+    canonical order.  Leads in the last t rows come first, as one block of
+    slices of their span T; then each lead-1 combination of the rows above
+    (in canonical order, from this same generator) plus every row of T."""
+    q, k = field.q, len(gen)
+    t = _tail_rows(q, k)
+    h = k - t
+    span = _span(field, gen[h:])
+    place = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    idx = np.concatenate([np.arange(q**j, 2 * q**j, dtype=np.int64)
+                          for j in range(t)])
+    yield idx[:, None] // place % q, span[idx]
+    if h == 0:
+        return
+    tail = np.arange(q**t, dtype=np.int64)[:, None] // place[h:] % q
+    for heads, values in _lead_one_blocks(field, gen[:h]):
+        for c, v in zip(heads, values):
+            coeffs = np.hstack([np.broadcast_to(c, (len(span), h)), tail])
+            yield coeffs, _add(field, v, span)
+
+
 def codeword_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
-    """All q^k codewords in canonical order, as (coeff block, value block)."""
-    for block in coeff_blocks(code, budget):
-        yield block, code.field.matmul(block, code.gen.data)
+    """All q^k codewords in canonical order, as (coeff block, value block):
+    one block per head prefix, its head word plus the tail span T."""
+    _check_budget(code, budget)
+    f, gen = code.field, code.gen.data
+    h = code.k - _tail_rows(code.q, code.k)
+    span = _span(f, gen[h:])
+    for block in coeff_blocks(code, budget, chunk=len(span)):
+        yield block, _add(f, f.matmul(block[:1, :h], gen[:h])[0], span)
 
 
 def projective_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
@@ -119,13 +183,8 @@ def projective_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
     Representatives have first nonzero coefficient 1, which makes each the
     first word of its class in canonical coefficient order.
     """
-    for block in coeff_blocks(code, budget):
-        lead = block[np.arange(len(block)), (block != 0).argmax(axis=1)]
-        keep = lead == 1  # the zero word has lead 0
-        if not keep.any():
-            continue
-        u = block[keep]
-        yield u, code.field.matmul(u, code.gen.data)
+    _check_budget(code, budget)
+    yield from _lead_one_blocks(code.field, code.gen.data)
 
 
 def enumerate_codewords(code: LinearCode,

@@ -1,10 +1,12 @@
 """Property tests: the block generators and the scans built on them agree
 with direct per-word oracles on random small codes.
 
-Codes are drawn over q in {2, 3, 4, 5, 8, 9} with k <= 4 and n <= 7, and
-every enumeration runs with a small block size drawn per example, so
-block boundaries (and blocks with no scalar-class representative) fall
-anywhere in the canonical order.  The rank test of minimality is checked
+Codes are drawn over q in {2, 3, 4, 5, 8, 9} with k <= 4 (5 for the
+generator checks) and n <= 7, and every enumeration runs with a small
+``codes._CHUNK`` drawn per example, so block boundaries fall anywhere in
+the canonical order.  Both generators are checked byte for byte against
+the filter-then-``GF.matmul`` enumeration they replaced, and for their
+block sizes and budget check.  The rank test of minimality is checked
 against the pairwise cover scan it replaced (kept here as the oracle, and
 itself checked on random support matrices up to 300 columns wide) on codes
 with k = 1, with zero columns and with a class that has no zero coordinate,
@@ -23,7 +25,6 @@ on dealings thinned at random so that both verdicts can fail, and on a
 coalition too wide for any int64 pattern key.
 """
 
-import functools
 import itertools
 import math
 import random
@@ -51,7 +52,7 @@ from mincodes.codes import (
     weight_distribution,
 )
 from mincodes.constructions import _independent_rows
-from mincodes.errors import InconsistentShares, Unauthorized
+from mincodes.errors import BudgetExceeded, InconsistentShares, Unauthorized
 from mincodes.field import build_field
 from mincodes.matrix import GFMatrix, in_span, in_span_batch, rank
 from mincodes.sss import (
@@ -88,10 +89,8 @@ chunks = st.integers(1, 64)
 
 
 def small_chunks(chunk):
-    """Make every enumeration walk coefficient vectors chunk at a time."""
-    return mock.patch.object(
-        codes, "coeff_blocks",
-        functools.partial(codes.coeff_blocks, chunk=chunk))
+    """Make every enumeration walk blocks of at most max(chunk, q) rows."""
+    return mock.patch.object(codes, "_CHUNK", chunk)
 
 
 def lead(u) -> int:
@@ -112,6 +111,22 @@ def flatten(blocks):
             for ublock, vblock in blocks for u, v in zip(ublock, vblock)]
 
 
+def filtered_blocks(code, lead_one: bool):
+    """The enumeration the outer sums replaced: every coefficient row from
+    coeff_blocks times G by GF.matmul, keeping only the lead-1 rows when
+    lead_one is set."""
+    for block in codes.coeff_blocks(code):
+        if lead_one:
+            block = block[block[np.arange(len(block)),
+                                (block != 0).argmax(axis=1)] == 1]
+        yield block, code.field.matmul(block, code.gen.data)
+
+
+def concatenated(blocks):
+    blocks = list(blocks)
+    return tuple(np.concatenate([b[i] for b in blocks]) for i in (0, 1))
+
+
 @SETTINGS
 @given(small_codes(), chunks)
 def test_codeword_blocks_match_codeword(code, chunk):
@@ -127,6 +142,38 @@ def test_projective_blocks_are_lead_one_rows(code, chunk):
         got = flatten(projective_blocks(code))
         stream = flatten(codeword_blocks(code))
     assert got == [(u, v) for u, v in stream if lead(u) == 1]
+
+
+@SETTINGS
+@given(small_codes(max_k=5), chunks)
+def test_generators_match_filter_then_matmul(code, chunk):
+    for gen, lead_one in ((codeword_blocks, False), (projective_blocks, True)):
+        with small_chunks(chunk):
+            got = concatenated(gen(code))
+        want = concatenated(filtered_blocks(code, lead_one))
+        for g, w in zip(got, want):
+            assert (g.dtype, g.shape) == (w.dtype, w.shape)
+            assert g.tobytes() == w.tobytes()
+
+
+@SETTINGS
+@given(small_codes(max_k=5), chunks)
+def test_blocks_fit_the_chunk_and_the_budget_comes_first(code, chunk):
+    limit = max(chunk, code.q)
+    with small_chunks(chunk):
+        for gen in (codeword_blocks, projective_blocks):
+            blocks = list(gen(code))
+            assert all(len(u) == len(v) for u, v in blocks)
+            sizes = [len(u) for u, _ in blocks]
+            assert max(sizes) <= limit
+            if gen is projective_blocks and code.size <= chunk:
+                assert len(sizes) == 1
+            with mock.patch.object(codes, "_span", side_effect=AssertionError):
+                with pytest.raises(BudgetExceeded) as err:
+                    next(gen(code, budget=code.size - 1))
+            assert str(err.value) == (f"enumeration needs {code.size} "
+                                      f"words, budget is {code.size - 1}")
+            assert err.value.unit == "words"
 
 
 @SETTINGS
