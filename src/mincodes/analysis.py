@@ -12,7 +12,8 @@ the hyperplane orthogonal to u.  This is the cutting blocking set
 characterization (Alfarano, Borello and Neri, "A geometric characterization
 of minimal codes and their asymptotic performance"; Tang, Qiu, Liao and
 Zhou, "Full characterization of minimal linear codes as cutting blocking
-sets").  The ranks are taken one block of classes at a time, so memory is
+sets").  The ranks come from the batched GF(p) kernel
+``matrix.column_ranks``, one block of classes at a time, so memory is
 linear: one block of zero columns, plus n bits of support per class kept
 for the witness.  A non-minimal code takes the full rank pass and then
 scans every class in canonical order against the non-minimal ones; a class
@@ -26,17 +27,15 @@ w_min / w_max > (q-1)/q.  The comparison is exact, by cross-multiplication.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .codes import DEFAULT_BUDGET, Codeword, LinearCode, WeightDistribution, \
-    projective_blocks, weight_distribution
+    _class_coeffs, projective_blocks, weight_distribution
 from .errors import BadParams, DimensionMismatch, NotInCode
-from .field import build_field
-from .matrix import GFMatrix, in_span, rank
+from .matrix import GFMatrix, column_ranks, in_span, rank
 
 _ROW_BLOCK = 1024
 
@@ -129,116 +128,25 @@ def _as_word(values_row, coeffs_row) -> Codeword:
     return Codeword(tuple(coeffs_row.tolist()), tuple(values_row.tolist()))
 
 
-def _prime_columns(field, gen: np.ndarray) -> np.ndarray:
-    """The columns of gen over the prime field, for the rank tests.
-
-    GF(p^m) is an m-dimensional GF(p)-space, so the GF(q)-span of some
-    columns is the GF(p)-span of their multiples by x^0..x^(m-1), with m
-    times the dimension.  Entry (c, i, j) is base-p digit c of x^i times
-    column j (x^i is encoded as p^i), over k*m digits; column n is the
-    zero column that pads the gathers.
-    """
-    k, n = gen.shape
-    p, m = field.p, field.m
-    place = p ** np.arange(m)
-    scaled = field.mul_table[place[:, None, None], gen]
-    digits = scaled[..., None] // place % p
-    out = np.zeros((k * m, m, n + 1), dtype=gen.dtype)
-    out[..., :n] = digits.transpose(1, 3, 0, 2).reshape(k * m, m, n)
-    return out
-
-
-def _xor_rank(a: np.ndarray, bits: int) -> np.ndarray:
-    """GF(2) rank of each column of a, a (V, M) stack of V bit-packed
-    vectors per matrix, eliminated in place, top bit first.
-
-    Once bit b is done no vector has a bit above b set, so at bit b the
-    largest vector holds it if any does and serves as the pivot, and
-    a >> b is 1 exactly on the vectors that hold it.
-    """
-    pivots = np.empty((bits, a.shape[1]), dtype=a.dtype)
-    step = np.empty_like(a)
-    for b in range(bits - 1, -1, -1):
-        pivots[b] = pv = a.max(axis=0)
-        if b:  # bit 0 is the last: nothing reads a after it
-            np.right_shift(a, b, out=step)
-            step *= pv
-            a ^= step
-    return (pivots >> np.arange(bits, dtype=a.dtype)[:, None]).sum(axis=0)
-
-
-def _mod_rank(a: np.ndarray, p: int) -> np.ndarray:
-    """GF(p) rank, p odd, of each matrix of a (K, V, M) stack of V vectors
-    of K digits per matrix, eliminated in place: at digit c every matrix
-    takes a vector with a nonzero digit c as the pivot and clears digit c
-    from all its vectors, the pivot included.
-
-    Entries stay nonnegative and are reduced mod p only where they are
-    read; a step adds at most (p-1)^2, so the dtype must hold
-    (p-1) * (1 + K*(p-1)).
-    """
-    dims, _, matrices = a.shape
-    batch = np.arange(matrices)
-    gf = build_field(p)
-    # scale[l, y] = -y / l: a pivot with lead l scaled to -1 at its lead,
-    # so adding col times it clears digit c
-    scale = gf.neg_table[gf.mul_table[gf.inv_table]].astype(a.dtype)
-    leads = np.empty((dims, matrices), dtype=a.dtype)
-    step = np.empty_like(a[1:])
-    for c in range(dims):
-        col = a[c] % p
-        leads[c] = lead = col.max(axis=0)
-        if c + 1 < dims:
-            pivot = scale[lead, a[c + 1:, col.argmax(axis=0), batch] % p]
-            a[c + 1:] += np.multiply(col, pivot[:, None, :], out=step[c:])
-    return (leads != 0).sum(axis=0)
-
-
 def _rank_blocks(code: LinearCode, budget: int):
     """Yield (coeffs, values, minimal) per block of projective_blocks.
 
     Class i is minimal iff the columns of G where values[i] vanishes have
     rank k-1 (they lie in the hyperplane orthogonal to coeffs[i], so the
-    rank is at most k-1).  Ranks are taken over GF(p) (see
-    _prime_columns): with XOR on bit-packed columns in characteristic 2
-    (q^k within any enumerable budget keeps k*m below 64), and mod p
-    otherwise.  Each block gathers every row's zero columns once,
-    left-aligned and padded with the zero column to the widest row.
+    rank is at most k-1).  Each block gathers every row's zero columns
+    once, left-aligned and padded with the zero column n to the widest
+    row, and ranks them all in one ``matrix.column_ranks`` call.
     """
-    f, n, k = code.field, code.n, code.k
-    cols = _prime_columns(f, code.gen.data)
-    dims = len(cols)
-    if f.p == 2:
-        dtype = np.min_scalar_type((1 << dims) - 1)
-        place = 1 << np.arange(dims, dtype=dtype)
-        cols = np.bitwise_or.reduce(cols * place[:, None, None], axis=0,
-                                    dtype=dtype)
-        rank = functools.partial(_xor_rank, bits=dims)
-    else:
-        p = f.p
-        cols = cols.astype(np.min_scalar_type((p - 1) * (1 + dims * (p - 1))))
-        rank = functools.partial(_mod_rank, p=p)
+    n, k = code.n, code.k
+    rank = column_ranks(code.field, code.gen.data)
     position, pad = np.arange(n, dtype=np.int32), np.int32(n)
     for u, v in projective_blocks(code, budget):
         supp = v != 0
         width = max(1, n - int(supp.sum(axis=1).min()))
-        # zero coordinates sort first; the others land past n, and the
-        # clipped take reads them as the zero column n
+        # zero coordinates sort first; the others land at n or past it,
+        # where the kernel reads the zero column
         idx = np.sort(position + supp * pad, axis=1)[:, :width]
-        a = np.take(cols, idx.T, axis=-1, mode="clip")
-        yield u, v, rank(a.reshape(a.shape[:-3] + (-1, len(v)))) \
-            == f.m * (k - 1)
-
-
-def _class_coeffs(q: int, k: int, index: int) -> list[int]:
-    """Coefficients of the index-th lead-1 vector in canonical order:
-    e_(k-1) first, then the q vectors with lead at k-2, and so on."""
-    tail, before = 0, 0
-    while before + q**tail <= index:
-        before += q**tail
-        tail += 1
-    value = q**tail + index - before
-    return [value // q**(k - 1 - s) % q for s in range(k)]
+        yield u, v, rank(idx) == k - 1
 
 
 def _first_cover(packed: np.ndarray, bad: np.ndarray, n: int):

@@ -166,6 +166,18 @@ def _lead_one_blocks(field: GF, gen: np.ndarray):
             yield coeffs, _add(field, v, span)
 
 
+def _class_coeffs(q: int, k: int, index: int) -> list[int]:
+    """Coefficients of the index-th lead-1 vector in canonical order, the
+    order ``_lead_one_blocks`` yields: e_(k-1) first, then the q vectors
+    with lead at k-2, and so on."""
+    tail, before = 0, 0
+    while before + q**tail <= index:
+        before += q**tail
+        tail += 1
+    value = q**tail + index - before
+    return [value // q**(k - 1 - s) % q for s in range(k)]
+
+
 def codeword_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
     """All q^k codewords in canonical order, as (coeff block, value block):
     one block per head prefix, its head word plus the tail span T."""

@@ -4,10 +4,20 @@ All entries are integer encodings (see :mod:`mincodes.field`).  Matrices are
 immutable; operations return new objects.  Row reduction uses the first
 nonzero entry in column order as the pivot, so every derived object
 (rref, rank, nullspace basis, span coefficients) is deterministic.
+
+Many column sets of one generator are ranked at once by ``column_ranks``,
+the package's one batched elimination kernel.  It works over the prime
+field GF(p): each column becomes its m multiples by x^0..x^(m-1), written
+as k*m base-p digits, and the GF(p) rank of those is m times the GF(q)
+rank.  In characteristic 2 with k*m <= 64 each multiple is packed into one
+unsigned integer and eliminated by XOR; every other case, p = 2 past 64
+digits included, is eliminated mod p in the smallest unsigned dtype that
+holds (p-1)(1+k*m(p-1)), a bound on every unreduced entry.
 """
 
 from __future__ import annotations
 
+import functools
 import io
 import os
 
@@ -137,35 +147,93 @@ def in_span(field: GF, target, vectors) -> np.ndarray | None:
     return x
 
 
-def in_span_batch(field: GF, stacks: np.ndarray) -> np.ndarray:
-    """For each matrix of an (M, k, s+1) stack, whether its last column
-    lies in the span of its first s columns.
+def _prime_columns(field: GF, gen: np.ndarray) -> np.ndarray:
+    """The columns of gen over the prime field, for the rank kernel.
 
-    The same decision as ``in_span``, made for all M matrices at once by
-    one elimination with the field tables: at each column every matrix
-    picks its own pivot among its rows not yet used as a pivot and clears
-    that column in its other unused rows.  The last column is in the span
-    exactly when it is zero in every unused row at the end.
+    Entry (c, i, j) is base-p digit c of x^i times column j (x^i is encoded
+    as p^i), over k*m digits; column n is the zero column that pads the
+    gathers.
     """
-    a = np.array(stacks, dtype=field.add_table.dtype)
-    if a.ndim != 3:
-        raise DimensionMismatch(f"expected (M, k, s+1) stacks, got {a.shape}")
-    mul, sub, inv = field.mul_table, field.sub_table, field.inv_table
-    batch = np.arange(a.shape[0])
-    used = np.zeros(a.shape[:2], dtype=bool)
-    for c in range(a.shape[2] - 1):
-        if c >= a.shape[1] and used.all():
-            break  # every matrix has rank k: each target is in the span
-        cand = (a[:, :, c] != 0) & ~used
-        p = cand.argmax(axis=1)
-        found = cand[batch, p]
-        used[batch[found], p[found]] = True
-        # without a pivot, every unused row is zero at c: nothing changes
-        row = mul[a[batch, p, c + 1:], inv[a[batch, p, c]][:, None]]
-        factor = np.where(used, 0, a[:, :, c])
-        a[:, :, c + 1:] = sub[a[:, :, c + 1:],
-                              mul[factor[:, :, None], row[:, None, :]]]
-    return ~((a[:, :, -1] != 0) & ~used).any(axis=1)
+    k, n = gen.shape
+    p, m = field.p, field.m
+    place = p ** np.arange(m)
+    scaled = field.mul_table[place[:, None, None], gen]
+    digits = scaled[..., None] // place % p
+    out = np.zeros((k * m, m, n + 1), dtype=gen.dtype)
+    out[..., :n] = digits.transpose(1, 3, 0, 2).reshape(k * m, m, n)
+    return out
+
+
+def _xor_rank(a: np.ndarray, bits: int) -> np.ndarray:
+    """GF(2) rank of each column of a, a (V, M) stack of V bit-packed
+    vectors per matrix, eliminated in place, top bit first.
+
+    Once bit b is done no vector has a bit above b set, so at bit b the
+    largest vector holds it if any does and serves as the pivot, and
+    a >> b is 1 exactly on the vectors that hold it.
+    """
+    pivots = np.empty((bits, a.shape[1]), dtype=a.dtype)
+    step = np.empty_like(a)
+    for b in range(bits - 1, -1, -1):
+        pivots[b] = pv = a.max(axis=0)
+        if b:  # bit 0 is the last: nothing reads a after it
+            np.right_shift(a, b, out=step)
+            step *= pv
+            a ^= step
+    return (pivots >> np.arange(bits, dtype=a.dtype)[:, None]).sum(axis=0)
+
+
+def _mod_rank(a: np.ndarray, scale: np.ndarray, p: int) -> np.ndarray:
+    """GF(p) rank of each matrix of a (K, V, M) stack of V vectors of K
+    digits per matrix, eliminated in place: at digit c every matrix takes a
+    vector with a nonzero digit c as the pivot and clears digit c from all
+    its vectors, the pivot included.
+
+    scale[l, y] is -y/l, so adding a digit times the scaled pivot clears
+    it.  Entries stay nonnegative and are reduced mod p only where they
+    are read; a step adds at most (p-1)^2.
+    """
+    dims, _, matrices = a.shape
+    batch = np.arange(matrices)
+    leads = np.empty((dims, matrices), dtype=a.dtype)
+    step = np.empty_like(a[1:])
+    for c in range(dims):
+        col = a[c] % p
+        leads[c] = lead = col.max(axis=0)
+        if c + 1 < dims:
+            pivot = scale[lead, a[c + 1:, col.argmax(axis=0), batch] % p]
+            a[c + 1:] += np.multiply(col, pivot[:, None, :], out=step[c:])
+    return (leads != 0).sum(axis=0)
+
+
+def column_ranks(field: GF, gen: np.ndarray):
+    """rank(idx): the GF(q) rank of each row's set of columns of gen.
+
+    idx is an (M, w) array of column indices, w >= 1.  An index n or above
+    (gen has n columns) reads the zero column, so sets of different sizes,
+    the empty set included, share one array padded with n.  All M sets are
+    eliminated together over GF(p), as the module docstring describes.
+    """
+    p, m = field.p, field.m
+    cols = _prime_columns(field, gen)
+    dims = len(cols)
+    if p == 2 and dims <= 64:
+        dtype = np.min_scalar_type((1 << dims) - 1)
+        place = 1 << np.arange(dims, dtype=dtype)
+        cols = np.bitwise_or.reduce(cols * place[:, None, None], axis=0,
+                                    dtype=dtype)
+        kernel = functools.partial(_xor_rank, bits=dims)
+    else:
+        cols = cols.astype(np.min_scalar_type((p - 1) * (1 + dims * (p - 1))))
+        gf = build_field(p)
+        scale = gf.neg_table[gf.mul_table[gf.inv_table]].astype(cols.dtype)
+        kernel = functools.partial(_mod_rank, scale=scale, p=p)
+
+    def rank(idx) -> np.ndarray:
+        a = np.take(cols, np.transpose(idx), axis=-1, mode="clip")
+        return kernel(a.reshape(a.shape[:-3] + (-1, len(idx)))) // m
+
+    return rank
 
 
 def nullspace(matrix: GFMatrix) -> GFMatrix:

@@ -8,8 +8,9 @@ coalition can reconstruct exactly when the secret column lies in the
 span of its columns, and the minimal such coalitions are read off the
 minimal codewords of the dual code that are nonzero on the secret
 column.  Where the dual is too big to enumerate they are found by
-search instead, which decides the coalitions of one size together, in
-batched row reductions (``matrix.in_span_batch``).
+search instead, which decides the coalitions of one size together:
+coalition A is authorized exactly when rank [G_A] = rank [G_A | secret
+column], and one ``matrix.column_ranks`` call takes both for a block.
 
 Each Massey operation has a batched form that the single call wraps:
 ``deal_batch`` makes many dealings with one matmul, ``reconstruct_batch``
@@ -44,7 +45,7 @@ from .errors import (
     Unauthorized,
     ZeroColumn,
 )
-from .matrix import _rref_array, in_span, in_span_batch
+from .matrix import _rref_array, column_ranks, in_span
 
 # the class ``secrets`` exports; importing it from ``random`` avoids loading
 # hmac and OpenSSL at import time
@@ -88,6 +89,7 @@ class SssScheme:
             f.sub_table[basis[free],
                         f.mul_table[ratio[:, None], basis[p][None, :]]],
         ])
+        self._rank = column_ranks(f, gen)
 
     def secret_col(self) -> np.ndarray:
         return self.code.gen.data[:, self.secret_column - 1]
@@ -236,12 +238,13 @@ def reconstruct(scheme: SssScheme, subset, shares) -> int:
 
 def _authorized(scheme: SssScheme, cols: np.ndarray) -> np.ndarray:
     """Whether each row of an (M, s) block of 0-based generator columns
-    spans the secret column, in one batched row reduction."""
-    gen = scheme.code.gen.data
-    secret = scheme.secret_col()[None, :, None]
-    return in_span_batch(scheme.field, np.concatenate(
-        [gen[:, cols].transpose(1, 0, 2),
-         np.broadcast_to(secret, (len(cols), gen.shape[0], 1))], axis=2))
+    spans the secret column: whether adding the secret column leaves its
+    rank unchanged.  Both ranks of all M rows come from one kernel call;
+    each row is padded with the zero column n, then with the secret
+    column, so the two sets have one width even for s = 0."""
+    pad = np.repeat([scheme.code.n, scheme.secret_column - 1], len(cols))
+    ranks = scheme._rank(np.column_stack([np.vstack([cols, cols]), pad]))
+    return ranks[:len(cols)] == ranks[len(cols):]
 
 
 def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
@@ -298,9 +301,10 @@ def minimal_authorized_sets(scheme: SssScheme, method: str = "auto",
 
     method "dual" enumerates the dual code and maps its minimal codewords
     that are nonzero on the secret column; "search" decides the
-    coalitions of each size 1..k together, in batched row reductions of
-    up to ``codes._CHUNK`` coalitions, keeps the authorized ones with no
-    authorized subset one smaller, and counts coalitions against the
+    coalitions of each size 1..k together, ranking up to ``codes._CHUNK``
+    of them with and without the secret column in one ``column_ranks``
+    call, keeps the authorized ones (the secret column adds no rank) with
+    no authorized subset one smaller, and counts coalitions against the
     budget; "auto" picks dual when the dual is small enough.
     """
     n, k, q = scheme.code.n, scheme.code.k, scheme.code.q
@@ -327,8 +331,9 @@ def perfectness_batch(scheme: SssScheme, subsets,
     coalition and then entry by entry (``np.lexsort``), and a new pattern
     number starts wherever the coalition or an entry changes.  No pattern
     is packed into a mixed-radix integer, so no coalition is too wide.
-    Authorization of all the coalitions of one size is one
-    ``in_span_batch`` call.  Reports come in the order of ``subsets``.
+    A coalition is authorized when the secret column adds no rank to its
+    columns; the coalitions of one size are ranked with and without it in
+    one ``column_ranks`` call.  Reports come in the order of ``subsets``.
     """
     subsets = [scheme._check(s) for s in subsets]
     values = np.concatenate(

@@ -6,16 +6,20 @@ generator checks) and n <= 7, and every enumeration runs with a small
 ``codes._CHUNK`` drawn per example, so block boundaries fall anywhere in
 the canonical order.  Both generators are checked byte for byte against
 the filter-then-``GF.matmul`` enumeration they replaced, and for their
-block sizes and budget check.  The rank test of minimality is checked
-against the pairwise cover scan it replaced (kept here as the oracle, and
-itself checked on random support matrices up to 300 columns wide) on codes
-with k = 1, with zero columns and with a class that has no zero coordinate,
-and ``is_minimal_codeword`` against a walk over every class.  The weight
-distribution of every dual code is checked against the MacWilliams
+block sizes and budget check, and the canonical class order decoded by
+``codes._class_coeffs`` against ``projective_blocks``.  The rank test of
+minimality is checked against the pairwise cover scan it replaced (kept
+here as the oracle, and itself checked on random support matrices up to
+300 columns wide) on codes with k = 1, with zero columns and with a class
+that has no zero coordinate, and on every code of the default sweep
+corpus, and ``is_minimal_codeword`` against a walk over every class.  The
+weight distribution of every dual code is checked against the MacWilliams
 transform.  The batched coalition search is checked against a
 per-coalition ``in_span`` loop and the dual-code path with every column as
-the secret column (n <= 8 here), and its span kernel against ``in_span``
-one matrix at a time, and the row basis of the evaluation codes against
+the secret column (n <= 8 here) and on a GF(256) code too wide for the XOR
+packing, and the batched rank kernel ``matrix.column_ranks`` against
+``rank`` and ``in_span`` one matrix at a time and against ``rank`` at the
+limits of its dtypes, and the row basis of the evaluation codes against
 the greedy rank-raising selection it replaced.  The batched Massey
 operations are checked against their single calls: ``deal_batch`` also
 against the scalar dealing it replaced, ``reconstruct_batch`` also against
@@ -36,7 +40,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mincodes import analysis, codes, sss
+from mincodes import analysis, codes, sss, sweep
 from mincodes.analysis import (
     has_full_value_property,
     is_minimal_code,
@@ -54,7 +58,7 @@ from mincodes.codes import (
 from mincodes.constructions import _independent_rows
 from mincodes.errors import BudgetExceeded, InconsistentShares, Unauthorized
 from mincodes.field import build_field
-from mincodes.matrix import GFMatrix, in_span, in_span_batch, rank
+from mincodes.matrix import GFMatrix, column_ranks, in_span, rank
 from mincodes.sss import (
     AccessSet,
     PerfectnessReport,
@@ -336,6 +340,28 @@ def test_rank_mask_matches_pairwise_oracle(q, data, chunk, row_block):
             [r for r, ok in zip(reps, want) if ok]
 
 
+def test_rank_mask_matches_pairwise_oracle_on_sweep_corpus():
+    """The structured codes of the default sweep (lifts, extensions and
+    tensor products repeat columns in ways random codes rarely do): the
+    per-class rank mask equals the pairwise cover scan on every one."""
+    registry = sweep.CodeRegistry()
+    sweep.run_criterion(11, registry=registry)
+    assert len(registry) == 38
+    for label, code in registry.items():
+        got = np.concatenate([ok for _, _, ok in analysis._rank_blocks(
+            code, codes.DEFAULT_BUDGET)])
+        assert np.array_equal(got, pairwise_minimality(code, 1024)[0]), label
+
+
+@SETTINGS
+@given(small_codes(max_k=5), chunks)
+def test_class_coeffs_index_projective_blocks(code, chunk):
+    with small_chunks(chunk):
+        u = np.vstack([b for b, _ in projective_blocks(code)])
+    assert [codes._class_coeffs(code.q, code.k, i) for i in range(len(u))] \
+        == u.tolist()
+
+
 def class_walk_minimal(code, values) -> bool:
     """Minimality of one codeword by walking every scalar class: no class
     other than the word's own may have its support inside the word's."""
@@ -469,13 +495,19 @@ def test_search_path_matches_oracle_and_dual(q, data, chunk):
         assert dual == want
 
 
+SPAN_SHAPES = ("random", "s = 0", "zero columns", "s > k")
+
+
 @st.composite
-def span_stacks(draw, f):
+def span_stacks(draw, f, shape="random"):
     """(M, k, s+1) stacks whose columns are zero, random, repeats of an
     earlier column or combinations of earlier columns; the last column
-    plays the target, and s runs past k."""
+    plays the target, and s runs past k.  "s = 0" leaves the target alone,
+    "zero columns" makes every even column zero and "s > k" draws s > k."""
     k = draw(st.integers(1, 4))
-    s = draw(st.integers(0, 6))
+    s = {"s = 0": st.just(0), "s > k": st.integers(k + 1, 6)}.get(
+        shape, st.integers(0, 6))
+    s = draw(s)
     m = draw(st.integers(1, 6))
     entries = st.integers(0, f.q - 1)
     stack = np.zeros((m, k, s + 1), dtype=np.int64)
@@ -483,7 +515,7 @@ def span_stacks(draw, f):
         for j in range(s + 1):
             kind = draw(st.sampled_from(
                 ("zero", "random", "repeat", "combination")))
-            if kind == "zero":
+            if kind == "zero" or (shape == "zero columns" and j % 2 == 0):
                 continue
             if kind == "random" or j == 0:
                 stack[i, :, j] = draw(st.lists(entries, min_size=k,
@@ -500,11 +532,61 @@ def span_stacks(draw, f):
 @pytest.mark.parametrize("q", FIELDS)
 @SETTINGS
 @given(data=st.data())
-def test_in_span_batch_matches_in_span(q, data):
+def test_column_ranks_match_in_span(q, data):
+    """One matrix at a time: the kernel's ranks of the first s columns
+    (padded with the zero column n = s+1, and past it) and of all s+1
+    columns agree with ``rank``, and they are equal exactly when
+    ``in_span`` finds the target in the span of the others."""
     f = build_field(q)
-    stack = data.draw(span_stacks(f))
-    want = [in_span(f, a[:, -1], a[:, :-1].T) is not None for a in stack]
-    assert in_span_batch(f, stack).tolist() == want
+    for shape in SPAN_SHAPES:
+        for a in data.draw(span_stacks(f, shape), label=shape):
+            s = a.shape[1] - 1
+            ranks = column_ranks(f, a)(
+                [list(range(s)) + [s + 1], list(range(s)) + [s + 5],
+                 list(range(s + 1))])
+            want = rank(GFMatrix(f, a[:, :s])) if s else 0
+            assert ranks.tolist() == [want, want, rank(GFMatrix(f, a))]
+            assert (ranks[0] == ranks[2]) == \
+                (in_span(f, a[:, -1], a[:, :-1].T) is not None)
+
+
+@pytest.mark.parametrize("q, k", [(2, 64), (2, 65), (16, 16), (32, 13),
+                                  (7, 40)])
+def test_column_ranks_at_the_dtype_limits(q, k):
+    """k*m = 64 is the widest XOR packing, and 65 takes the mod-2
+    elimination, so neither falls back to Python-object arithmetic; over
+    GF(7) with k = 40, unreduced entries pass 255, past uint8.  Random
+    column sets of a generator with repeated columns, ranked in one call,
+    against ``rank`` one set at a time."""
+    f = build_field(q)
+    rng = np.random.default_rng(k)
+    gen = rng.integers(0, q, size=(k, k + 6))
+    gen[:, -2:] = gen[:, :2]
+    sets = [rng.choice(k + 6, size=w, replace=False)
+            for w in (1, 2, k // 2, k - 1, k, k + 1, k + 6)]
+    width = max(len(c) for c in sets)
+    idx = np.array([np.pad(c, (0, width - len(c)), constant_values=k + 6)
+                    for c in sets])
+    ranks = column_ranks(f, gen)(idx)
+    assert ranks.dtype.kind in "iu"
+    assert ranks.tolist() == [rank(GFMatrix(f, gen[:, c])) for c in sets]
+
+
+def test_search_path_past_64_prime_digits():
+    """GF(256) with k = 9 needs 72 digits per column, past the XOR packing.
+    Column 5 is a multiple of column 2, so each can give the other away
+    alone, and the search walks all 511 coalitions for the other secret
+    columns; each is checked against the per-coalition ``in_span`` oracle."""
+    f = build_field(256)
+    gen = np.random.default_rng(9).integers(0, 256, size=(9, 10))
+    gen[:, 4] = f.mul_table[7, gen[:, 1]]
+    code = LinearCode(GFMatrix(f, gen))
+    for secret_column in (1, 2, 5, 10):
+        scheme = SssScheme(code, secret_column)
+        want = search_oracle(scheme)
+        assert sss._search_path(scheme, codes.DEFAULT_BUDGET) == want
+        pair = {2: [(5,)], 5: [(2,)]}.get(secret_column, [])
+        assert [a.indices for a in want] == pair
 
 
 @st.composite
