@@ -15,11 +15,18 @@ Zhou, "Full characterization of minimal linear codes as cutting blocking
 sets").  The ranks come from the batched GF(p) kernel
 ``matrix.column_ranks``, one block of classes at a time, so memory is
 linear: one block of zero columns, plus n bits of support per class kept
-for the witness.  A non-minimal code takes the full rank pass and then
-scans every class in canonical order against the non-minimal ones; a class
-that covers another is non-minimal, so this finds the same first covered
-pair as a scan of all pairs.  That scan is a float32 GEMM (BLAS sgemm); its
-zero test is exact because every term is nonnegative.
+for the witness.  Each block is ranked first on a slice, the first
+k-1+_SLICE zero columns of every class.  Any set of a class's zero
+columns has rank at most k-1, so rank k-1 on the slice proves the class
+minimal, and a class whose zero set fits in the slice is decided
+exactly.  Only the remaining classes, of rank below k-1 on the slice and
+with more zero columns than it, are ranked again on all of them.
+
+A non-minimal code takes the full rank pass and then scans every class in
+canonical order against the non-minimal ones; a class that covers another
+is non-minimal, so this finds the same first covered pair as a scan of
+all pairs.  That scan is a float32 GEMM (BLAS sgemm); its zero test is
+exact because every term is nonnegative.
 
 The sufficient (not necessary) weight-ratio test: a code is minimal whenever
 w_min / w_max > (q-1)/q.  The comparison is exact, by cross-multiplication.
@@ -38,6 +45,7 @@ from .errors import BadParams, DimensionMismatch, NotInCode
 from .matrix import GFMatrix, column_ranks, in_span, rank
 
 _ROW_BLOCK = 1024
+_SLICE = 2  # zero columns past k-1 in the first rank call; by measurement
 
 
 @dataclass(frozen=True)
@@ -134,19 +142,30 @@ def _rank_blocks(code: LinearCode, budget: int):
     Class i is minimal iff the columns of G where values[i] vanishes have
     rank k-1 (they lie in the hyperplane orthogonal to coeffs[i], so the
     rank is at most k-1).  Each block gathers every row's zero columns
-    once, left-aligned and padded with the zero column n to the widest
-    row, and ranks them all in one ``matrix.column_ranks`` call.
+    once, left-aligned and padded with the zero column n, and ranks the
+    first k-1+_SLICE of them for every row in one ``matrix.column_ranks``
+    call.  Rank k-1 on that slice proves the class minimal, since no
+    superset can exceed k-1.  A class whose zero set fits in the slice is
+    then decided exactly; only the others of rank below k-1 are ranked
+    again on all their zero columns, in a second call as wide as the
+    widest of them.
     """
     n, k = code.n, code.k
     rank = column_ranks(code.field, code.gen.data)
     position, pad = np.arange(n, dtype=np.int32), np.int32(n)
     for u, v in projective_blocks(code, budget):
         supp = v != 0
-        width = max(1, n - int(supp.sum(axis=1).min()))
+        zeros = n - supp.sum(axis=1)
         # zero coordinates sort first; the others land at n or past it,
         # where the kernel reads the zero column
-        idx = np.sort(position + supp * pad, axis=1)[:, :width]
-        yield u, v, rank(idx) == k - 1
+        idx = np.sort(position + supp * pad, axis=1)
+        width = max(1, min(k - 1 + _SLICE, int(zeros.max())))
+        minimal = rank(idx[:, :width]) == k - 1
+        again = ~minimal & (zeros > width)
+        if again.any():
+            minimal[again] = rank(
+                idx[again, :zeros[again].max()]) == k - 1
+        yield u, v, minimal
 
 
 def _first_cover(packed: np.ndarray, bad: np.ndarray, n: int):

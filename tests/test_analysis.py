@@ -3,9 +3,12 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from mincodes import analysis
 from mincodes import BadParams, BudgetExceeded, DimensionMismatch, NotInCode, \
     build_field
 from mincodes.analysis import (
@@ -17,7 +20,8 @@ from mincodes.analysis import (
     minimal_codewords,
     scalar_class,
 )
-from mincodes.codes import Codeword, from_generator, random_code
+from mincodes.codes import DEFAULT_BUDGET, Codeword, from_generator, \
+    random_code
 from mincodes.matrix import GFMatrix
 
 
@@ -235,3 +239,50 @@ def test_is_minimal_code_peak_memory(n, k, minimal):
         tracemalloc.stop()
     assert report.is_minimal is minimal
     assert peak <= 32 * 2**20
+
+
+def kernel_calls(code):
+    """(mask, blocks): the rank mask and, per block, the (rows, width) of
+    every call to the closure ``column_ranks`` returned."""
+    calls, blocks, masks = [], [], []
+    real = analysis.column_ranks
+
+    def spy(field, gen):
+        rank = real(field, gen)
+
+        def counted(idx):
+            calls.append(np.shape(idx))
+            return rank(idx)
+        return counted
+
+    with mock.patch.object(analysis, "column_ranks", spy):
+        for _, _, ok in analysis._rank_blocks(code, DEFAULT_BUDGET):
+            masks.append(ok)
+            blocks.append(calls[:])
+            calls.clear()
+    return np.concatenate(masks), blocks
+
+
+def test_slice_decides_every_class_of_first_3_64():
+    # each class's first k+1 = 4 zero columns already have rank k-1
+    from mincodes.constructions import first
+
+    mask, calls = kernel_calls(first(3, 64))
+    assert mask.all()
+    assert calls == [[(65, 4)], [(4096, 4)]]
+
+
+def test_second_pass_ranks_only_the_undecided_classes():
+    # columns e1 (five times), e2, e3 over GF(2); classes in canonical
+    # order u = 001, 010, 011, 100, 101, 110, 111.  The first three vanish
+    # on more than k+1 = 4 columns whose first four are all e1, so they
+    # are ranked again at full width: 001 and 010 reach rank 2 there,
+    # 011 (zero on e1 only) stays non-minimal.  100, 101, 110 and 111
+    # vanish on at most two columns, so the slice already decides them.
+    code = make_code(2, [[1, 1, 1, 1, 1, 0, 0],
+                         [0, 0, 0, 0, 0, 1, 0],
+                         [0, 0, 0, 0, 0, 0, 1]])
+    mask, calls = kernel_calls(code)
+    assert mask.tolist() == [True, True, False, True, False, False, False]
+    assert calls == [[(7, 4), (3, 6)]]
+    assert not is_minimal_code(code).is_minimal

@@ -1,6 +1,11 @@
-"""End-to-end tests of the command line, run in process."""
+"""End-to-end tests of the command line, run in process, and once as
+``python -m mincodes`` in a subprocess."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -117,6 +122,17 @@ def test_analyze_missing_file_exits_1(capsys):
     status, _, err = run_cli(capsys, "analyze", "--in", "/nonexistent.txt")
     assert status == 1
     assert "error" in err
+
+
+def test_python_m_mincodes_runs_from_the_source_tree(first33, capsys):
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    args = ["analyze", "--in", str(first33), "--json"]
+    child = subprocess.run([sys.executable, "-m", "mincodes", *args],
+                           capture_output=True, text=True, env=env,
+                           timeout=120)
+    status, out, _ = run_cli(capsys, *args)
+    assert (child.returncode, child.stdout) == (status, out)
 
 
 def test_analyze_reports_are_byte_identical(first33, capsys):

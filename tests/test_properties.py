@@ -13,6 +13,9 @@ here as the oracle, and itself checked on random support matrices up to
 300 columns wide) on codes with k = 1, with zero columns and with a class
 that has no zero coordinate, and on every code of the default sweep
 corpus, and ``is_minimal_codeword`` against a walk over every class.  The
+slice-first rank pass is checked against the full-width pass it replaced
+(kept here as ``full_width_mask``) on codes up to 3k+2 columns long with
+repeated, proportional and zero columns, at every slice width.  The
 weight distribution of every dual code is checked against the MacWilliams
 transform.  The batched coalition search is checked against a
 per-coalition ``in_span`` loop and the dual-code path with every column as
@@ -351,6 +354,65 @@ def test_rank_mask_matches_pairwise_oracle_on_sweep_corpus():
         got = np.concatenate([ok for _, _, ok in analysis._rank_blocks(
             code, codes.DEFAULT_BUDGET)])
         assert np.array_equal(got, pairwise_minimality(code, 1024)[0]), label
+
+
+def full_width_mask(code):
+    """The rank pass before the slice: every row of a block ranked on all
+    its zero columns, padded with the zero column n to the widest row."""
+    n, k = code.n, code.k
+    rank = column_ranks(code.field, code.gen.data)
+    position, pad = np.arange(n, dtype=np.int32), np.int32(n)
+    masks = []
+    for _, v in projective_blocks(code):
+        supp = v != 0
+        width = max(1, n - int(supp.sum(axis=1).min()))
+        idx = np.sort(position + supp * pad, axis=1)[:, :width]
+        masks.append(rank(idx) == k - 1)
+    return np.concatenate(masks)
+
+
+@st.composite
+def repeated_column_codes(draw, q, max_k=5, max_words=729):
+    """Random codes of length k..3k+2 whose columns are random, zero, or a
+    repeat or nonzero multiple of an earlier column, so that zero sets run
+    past k+1 columns while their rank stays low."""
+    f = build_field(q)
+    k = draw(st.integers(1, min(max_k, int(math.log(max_words + 0.5, q)))))
+    n = draw(st.integers(k, 3 * k + 2))
+    cols = []
+    for j in range(n):
+        kind = draw(st.sampled_from(("random", "zero", "repeat", "multiple"))
+                    if cols else st.just("random"))
+        if kind == "random":
+            col = draw(st.lists(st.integers(0, q - 1), min_size=k,
+                                max_size=k))
+        elif kind == "zero":
+            col = [0] * k
+        else:
+            col = cols[draw(st.integers(0, j - 1))]
+            if kind == "multiple":
+                col = f.mul_table[draw(st.integers(1, q - 1)), col].tolist()
+        cols.append(col)
+    gen = GFMatrix(f, np.array(cols).T)
+    assume(rank(gen) == k)
+    return LinearCode(gen)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data(), chunk=st.integers(1, 8))
+def test_slice_rank_mask_matches_full_width(q, data, chunk):
+    """The slice-first rank pass gives the full-width mask (itself checked
+    against the pairwise scan) with the slice patched to every width from
+    k to 2k+1 columns, on blocks of a few rows."""
+    code = data.draw(repeated_column_codes(q))
+    want = full_width_mask(code)
+    assert np.array_equal(want, pairwise_minimality(code, 1024)[0])
+    for extra in range(1, code.k + 3):
+        with small_chunks(chunk), mock.patch.object(analysis, "_SLICE", extra):
+            got = np.concatenate([ok for _, _, ok in analysis._rank_blocks(
+                code, codes.DEFAULT_BUDGET)])
+        assert np.array_equal(got, want), extra
 
 
 @SETTINGS
