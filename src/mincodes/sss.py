@@ -14,18 +14,23 @@ column], and one ``matrix.column_ranks`` call takes both for a block.
 
 Each Massey operation has a batched form that the single call wraps:
 ``deal_batch`` makes many dealings with one matmul, ``reconstruct_batch``
-decides a block of share rows for one coalition with one row reduction
-and one matmul, and ``perfectness_batch`` enumerates the q^k dealings
-once for all the coalitions it checks.  Dealings draw from
-``secrets.SystemRandom`` unless a seed is given; a seed replays the same
-shares from ``random.Random(seed)``.
+decides a block of share rows for one coalition with one matmul against
+the coalition's row reduction, and ``perfectness_batch`` enumerates the
+q^k dealings once for all the coalitions it checks.  A scheme row-reduces
+each coalition once and keeps the result for ``reconstruct_batch`` and
+``is_authorized``, for up to ``_SOLVER_CAP`` coalitions, dropping the
+oldest first; generator data is read-only, so a kept reduction cannot go
+stale.  Dealings draw from ``secrets.SystemRandom`` unless a seed is
+given; a seed replays the same shares from ``random.Random(seed)``.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,11 +50,15 @@ from .errors import (
     Unauthorized,
     ZeroColumn,
 )
-from .matrix import _rref_array, column_ranks, in_span
+from .matrix import _rref_array, column_ranks
 
 # the class ``secrets`` exports; importing it from ``random`` avoids loading
 # hmac and OpenSSL at import time
 _SYSTEM_RANDOM = random.SystemRandom()
+
+# most coalitions a scheme keeps a row reduction for; first(4,4) has 828
+# minimal coalitions and random [24,12]_2 (seed 1) 906
+_SOLVER_CAP = 4096
 
 
 class SssScheme:
@@ -90,6 +99,10 @@ class SssScheme:
                         f.mul_table[ratio[:, None], basis[p][None, :]]],
         ])
         self._rank = column_ranks(f, gen)
+        # coalition ids -> row reduction, see ``_solver``; the lock guards
+        # inserts and evictions, lookups need none
+        self._solvers: dict[tuple[int, ...], tuple | None] = {}
+        self._solvers_lock = threading.Lock()
 
     def secret_col(self) -> np.ndarray:
         return self.code.gen.data[:, self.secret_column - 1]
@@ -98,7 +111,7 @@ class SssScheme:
         return [self.code.gen.data[:, i - 1] for i in self._check(subset)]
 
     def _check(self, subset) -> tuple[int, ...]:
-        ids = tuple(int(i) for i in subset)
+        ids = tuple(_ints(subset, "participants"))
         if len(set(ids)) != len(ids):
             raise BadParams(f"duplicate participants in {ids}")
         bad = [i for i in ids if i not in self.participants]
@@ -109,6 +122,16 @@ class SssScheme:
     def __repr__(self) -> str:
         return (f"SssScheme({self.code!r}, "
                 f"secret_column={self.secret_column})")
+
+
+def _ints(values, what: str) -> list[int]:
+    """values as Python ints; numpy integers pass, anything else (floats,
+    strings, a bare number where a sequence belongs) raises BadParams."""
+    try:
+        return [operator.index(v) for v in values]
+    except TypeError:
+        raise BadParams(
+            f"{what} must be a sequence of integers, got {values!r}") from None
 
 
 @dataclass(frozen=True)
@@ -159,7 +182,7 @@ def deal_batch(scheme: SssScheme, secrets, seeds=None,
     out of one matmul with the scheme's dealing map.
     """
     q, k = scheme.field.q, scheme.code.k
-    secrets = list(secrets)
+    secrets = _ints(secrets, "secrets")
     seeds = [None] * len(secrets) if seeds is None else list(seeds)
     if len(seeds) != len(secrets):
         raise BadParams(f"{len(secrets)} secrets but {len(seeds)} seeds")
@@ -188,40 +211,64 @@ def deal(scheme: SssScheme, secret: int, seed: int | None = None,
     return deal_batch(scheme, [secret], [seed], keep_coeffs)[0]
 
 
+def _solver(scheme: SssScheme, ids: tuple[int, ...]):
+    """The row reduction of [coalition columns | secret column] for ids
+    as ``_check`` returns them, made once per scheme and coalition: None
+    when the coalition is unauthorized, else (pivot columns, the nonzero
+    reduced rows) in the field's dtype.  The key keeps the caller's order,
+    which the reduced rows' columns follow.  The oldest entry goes when
+    the scheme already keeps ``_SOLVER_CAP``."""
+    cache = scheme._solvers
+    try:
+        return cache[ids]
+    except KeyError:
+        pass
+    cols = [i - 1 for i in ids] + [scheme.secret_column - 1]
+    gen = scheme.code.gen.data
+    red, pivots = _rref_array(scheme.field, gen[:, cols])
+    # the secret column is nonzero, so it has a pivot unless it is spanned
+    entry = None if pivots[-1] == len(ids) else (
+        np.array(pivots, dtype=np.intp), red[:len(pivots)].astype(gen.dtype))
+    with scheme._solvers_lock:
+        if len(cache) >= _SOLVER_CAP:
+            del cache[next(iter(cache))]
+        cache[ids] = entry
+    return entry
+
+
 def is_authorized(scheme: SssScheme, subset) -> bool:
     """Whether the coalition's columns span the secret column."""
-    cols = scheme.participant_cols(subset)
-    return in_span(scheme.field, scheme.secret_col(), cols) is not None
+    return _solver(scheme, scheme._check(subset)) is not None
 
 
 def reconstruct_batch(scheme: SssScheme, subset, share_rows) -> np.ndarray:
     """Recover the secret of each row of shares held by one coalition.
 
-    One row reduction of [coalition columns | secret column] decides
-    authorization, and one matmul of the share rows with the reduced rows
-    checks that each row matches some codeword and gives its secret,
-    which is the same for every codeword the row matches.  The first row
-    that matches none is named in the InconsistentShares raised.
+    The row reduction of [coalition columns | secret column], made once
+    per scheme and coalition (see ``_solver``), decides authorization,
+    and one matmul of the share rows with the reduced rows checks that
+    each row matches some codeword and gives its secret, which is the
+    same for every codeword the row matches.  The first row that matches
+    none is named in the InconsistentShares raised.
     """
     ids = scheme._check(subset)
     m, q = len(ids), scheme.field.q
     rows = []
     for shares in share_rows:
-        vals = [int(v) for v in shares]
+        vals = _ints(shares, "shares")
         if len(vals) != m:
             raise BadParams(f"{m} participants but {len(vals)} shares")
         if any(not 0 <= v < q for v in vals):
             raise BadParams(f"share values out of range: {vals}")
         rows.append(vals)
-    f = scheme.field
-    cols = [i - 1 for i in ids] + [scheme.secret_column - 1]
-    red, pivots = _rref_array(f, scheme.code.gen.data[:, cols])
-    if pivots[-1] == m:  # secret column nonzero, so there is a pivot
+    solver = _solver(scheme, ids)
+    if solver is None:
         raise Unauthorized(f"coalition {sorted(ids)} cannot reconstruct")
+    pivots, red = solver
     # a row is in the row space of the coalition columns iff it is the
     # pivot-weighted sum of the reduced rows, whose last entry is the secret
     want = np.array(rows, dtype=np.int64).reshape(len(rows), m)
-    got = f.matmul(want[:, pivots], red[:len(pivots)])
+    got = scheme.field.matmul(want[:, pivots], red)
     bad = (got[:, :m] != want).any(axis=1)
     if bad.any():
         raise InconsistentShares(

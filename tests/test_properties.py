@@ -784,6 +784,52 @@ def test_reconstruct_batch_matches_single_calls(q, data):
     assert str(batch.value) == str(single.value)
 
 
+def outcome(call):
+    """A call's result as a list, or its error's type and message."""
+    try:
+        return call().tolist()
+    except (InconsistentShares, Unauthorized) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_cached_row_reductions_match_fresh_schemes(q, data):
+    """Every coalition, in a drawn order, decided twice on one scheme
+    (the second time from its cache) and once with an empty cache: the
+    same secrets for dealt shares, the same InconsistentShares once a
+    perturbed row joins them and the same Unauthorized, and
+    ``is_authorized`` as ``in_span``."""
+    warm = data.draw(sss_schemes(q, max_n=7))
+    cold = SssScheme(warm.code, warm.secret_column)
+    f, parts = warm.field, warm.participants
+    secrets = data.draw(st.lists(st.integers(0, q - 1), min_size=1,
+                                 max_size=3))
+    dealt = deal_batch(warm, secrets, range(len(secrets)))
+    rng = random.Random(data.draw(st.integers(0, 99)))
+    coalitions = [tuple(rng.sample(ids, len(ids)))
+                  for size in range(len(parts) + 1)
+                  for ids in itertools.combinations(parts, size)]
+    for ids in coalitions:
+        rows = [[sv.shares[i] for i in ids] for sv in dealt]
+        perturbed = [list(r) for r in rows]
+        if ids:
+            pos = rng.randrange(len(ids))
+            perturbed[-1][pos] = f.add(perturbed[-1][pos],
+                                       rng.randrange(1, q))
+        for share_rows in (rows, perturbed):
+            cold._solvers.clear()
+            want = outcome(lambda: reconstruct_batch(cold, ids, share_rows))
+            for _ in range(2):
+                assert outcome(lambda: reconstruct_batch(
+                    warm, ids, share_rows)) == want
+        spans = in_span(f, warm.secret_col(), warm.participant_cols(ids))
+        assert is_authorized(warm, ids) == (spans is not None)
+        assert (warm._solvers[ids] is None) == (spans is None)
+    assert len(warm._solvers) == len(coalitions)
+
+
 def perfectness_oracle(scheme, subset, values):
     """The per-coalition check that ``perfectness_batch`` replaced, on the
     given (dealings, n) value rows: patterns grouped by

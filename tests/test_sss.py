@@ -1,11 +1,14 @@
 """Tests for the Massey-style secret sharing layer."""
 
 import itertools
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
 import pytest
 
+from mincodes import sss
 from mincodes.codes import from_generator, random_code
 from mincodes.constructions import first
 from mincodes.errors import (
@@ -329,3 +332,127 @@ def test_secret_column_permutation():
         sv = deal(scheme, secret, seed=0)
         shares = [sv.shares[i] for i in (1, 2)]
         assert reconstruct(scheme, (1, 2), shares) == secret
+
+
+# -- integer inputs -------------------------------------------------------------
+
+
+def test_is_authorized_rejects_float_ids(f33):
+    with pytest.raises(BadParams, match="participants must be a sequence"):
+        is_authorized(f33, [2.9])
+
+
+def test_reconstruct_rejects_float_shares(f33):
+    with pytest.raises(BadParams, match="shares must be a sequence"):
+        reconstruct(f33, [4, 5, 2], [1.7, 0, 0])
+
+
+def test_deal_rejects_float_secret(f33):
+    with pytest.raises(BadParams, match="secrets must be a sequence"):
+        deal(f33, 1.5, 3)
+
+
+def test_reconstruct_rejects_string_ids(f33):
+    with pytest.raises(BadParams, match="participants must be a sequence"):
+        reconstruct(f33, ("a",), [1])
+
+
+def test_reconstruct_batch_rejects_a_bare_row(f33):
+    with pytest.raises(BadParams, match="shares must be a sequence"):
+        reconstruct_batch(f33, [4, 5, 2], [1, 2, 0])
+
+
+def test_numpy_integers_still_pass(f33):
+    ids = np.array([4, 5, 2])
+    assert is_authorized(f33, ids)
+    assert reconstruct(f33, ids, np.array([2, 0, 1])) == 1
+    assert deal(f33, np.int64(2), 5) == deal(f33, 2, 5)
+
+
+# -- the per-scheme row reductions ----------------------------------------------
+
+
+def test_second_call_reuses_the_row_reduction(f33):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return rref_array(*args)
+
+    rref_array = sss._rref_array
+    with mock.patch.object(sss, "_rref_array", counted):
+        assert reconstruct(f33, [4, 5, 2], [2, 0, 1]) == 1
+        assert reconstruct(f33, [4, 5, 2], [0, 0, 0]) == 0
+        assert is_authorized(f33, [4, 5, 2])
+        assert len(calls) == 1
+        # the key keeps the caller's order, which the reduced rows follow
+        assert reconstruct(f33, [2, 4, 5], [1, 2, 0]) == 1
+        assert len(calls) == 2
+        assert not is_authorized(f33, [2])
+        with pytest.raises(Unauthorized):
+            reconstruct(f33, [2], [0])
+        assert len(calls) == 3
+
+
+def test_row_reductions_are_bounded(f33):
+    coalitions = [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]
+    fresh = SssScheme(f33.code)
+    with mock.patch.object(sss, "_SOLVER_CAP", 3):
+        for ids in coalitions * 2:
+            dealt = deal(f33, 1, seed=sum(ids))
+            shares = [dealt.shares[i] for i in ids]
+            if is_authorized(fresh, ids):
+                assert reconstruct(f33, ids, shares) == 1
+            else:
+                with pytest.raises(Unauthorized):
+                    reconstruct(f33, ids, shares)
+            assert len(f33._solvers) <= 3
+    # the oldest entries went first
+    assert list(f33._solvers) == coalitions[2:]
+
+
+def test_cached_unauthorized_coalition_still_checks_shares(f33):
+    assert not is_authorized(f33, [2])
+    assert (2,) in f33._solvers
+    with pytest.raises(BadParams, match=r"out of range: \[3\]"):
+        reconstruct(f33, [2], [3])
+    with pytest.raises(Unauthorized):
+        reconstruct(f33, [2], [0])
+
+
+def test_threads_sharing_a_scheme_agree(f33):
+    # more threads than coalitions fit in the cache, switching often, so
+    # lookups, inserts and evictions interleave
+    coalitions = list(itertools.combinations(f33.participants, 3))
+    dealt = deal(f33, 2, seed=1)
+    fresh = SssScheme(f33.code)
+    want = {ids: is_authorized(fresh, ids) for ids in coalitions}
+    errors = []
+
+    def work(offset):
+        try:
+            for _ in range(10):
+                for ids in coalitions[offset:] + coalitions[:offset]:
+                    if want[ids]:
+                        shares = [dealt.shares[i] for i in ids]
+                        assert reconstruct(f33, ids, shares) == 2
+                    else:
+                        assert not is_authorized(f33, ids)
+        except Exception as err:  # reported below, in the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.object(sss, "_SOLVER_CAP", 2):
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(f33._solvers) <= 2
