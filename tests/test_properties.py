@@ -29,7 +29,10 @@ against the scalar dealing it replaced, ``reconstruct_batch`` also against
 a rank test of consistency, and ``perfectness_batch`` against the
 per-coalition check it replaced (``np.unique(axis=0)`` and ``in_span``),
 on dealings thinned at random so that both verdicts can fail, and on a
-coalition too wide for any int64 pattern key.
+coalition too wide for any int64 pattern key.  ``reconstruct_batch`` on a
+scheme that already keeps a coalition's row reduction is checked against
+the same call with none kept, for every coalition, and ``is_authorized``
+against ``in_span``.
 """
 
 import itertools
