@@ -39,7 +39,9 @@ from .codes import (DEFAULT_BUDGET, LinearCode, from_generator,
 from .constructions import (cf_code, cg_code, extended, first, lift, second,
                             tensor_product, weight_s)
 from .errors import BadParams, MinCodesError
-from .matrix import dumps_matrix, read_matrix, write_matrix
+from .field import build_field
+from .matrix import (GFMatrix, _parse_matrix, _read_text, dumps_matrix,
+                     write_matrix)
 from .sss import SssScheme, deal, minimal_authorized_sets, reconstruct
 from .sweep import load_config, run_sweep, write_distribution_csvs
 
@@ -64,9 +66,10 @@ def _check_q(q: int) -> None:
 
 
 def _load_code(path) -> LinearCode:
-    gen = read_matrix(path)
-    _check_q(gen.field.q)
-    return from_generator(gen)
+    # the cap applies before the field, whose tables grow as q^2, is built
+    q, entries = _parse_matrix(_read_text(path))
+    _check_q(q)
+    return from_generator(GFMatrix(build_field(q), entries))
 
 
 def _ints(text: str, flag: str) -> tuple[int, ...]:

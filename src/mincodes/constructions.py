@@ -58,41 +58,34 @@ def first(t: int, q: int) -> LinearCode:
     """(I_t | e_i + lam*e_j for i<j, lam nonzero) over GF(q); t >= 2."""
     if t < 2:
         raise BadParams(f"first family needs t >= 2, got {t}")
-    f = build_field(q)
-    cols = [_unit(t, i) for i in range(t)]
-    for i, j in itertools.combinations(range(t), 2):
-        for lam in range(1, q):
-            c = _unit(t, i)
-            c[j] = lam
-            cols.append(c)
-    return from_generator(GFMatrix(f, np.array(cols).T))
+    return _systematic(t, q, 2, lead_one=True)
 
 
 def second(t: int, k: int, q: int) -> LinearCode:
     """(I_t | e_{i1} + sum lam_j e_{ij}) over k-subsets; 2 <= k <= t-1."""
     if not 2 <= k <= t - 1:
         raise BadParams(f"second family needs 2 <= k <= t-1, got k={k}, t={t}")
-    f = build_field(q)
-    cols = [_unit(t, i) for i in range(t)]
-    for subset in itertools.combinations(range(t), k):
-        for lams in itertools.product(range(1, q), repeat=k - 1):
-            c = _unit(t, subset[0])
-            for idx, lam in zip(subset[1:], lams):
-                c[idx] = lam
-            cols.append(c)
-    return from_generator(GFMatrix(f, np.array(cols).T))
+    return _systematic(t, q, k, lead_one=True)
 
 
 def weight_s(s: int, t: int, q: int) -> LinearCode:
     """(I_t | all weight-s vectors of GF(q)^t); 1 <= s <= t."""
     if not 1 <= s <= t:
         raise BadParams(f"weight_s needs 1 <= s <= t, got s={s}, t={t}")
+    return _systematic(t, q, s, lead_one=False)
+
+
+def _systematic(t: int, q: int, size: int, lead_one: bool) -> LinearCode:
+    """(I_t | one column per size-subset of the t rows and per tuple of
+    nonzero values on it), subsets lexicographic, then value tuples in
+    ascending order; with lead_one the first value is always 1."""
     f = build_field(q)
-    cols = [_unit(t, i) for i in range(t)]
-    for supp in itertools.combinations(range(t), s):
-        for vals in itertools.product(range(1, q), repeat=s):
+    lead = (1,) if lead_one else ()
+    cols = np.eye(t, dtype=np.int64).tolist()
+    for supp in itertools.combinations(range(t), size):
+        for vals in itertools.product(range(1, q), repeat=size - len(lead)):
             c = [0] * t
-            for idx, val in zip(supp, vals):
+            for idx, val in zip(supp, lead + vals):
                 c[idx] = val
             cols.append(c)
     return from_generator(GFMatrix(f, np.array(cols).T))
@@ -141,12 +134,6 @@ def lift(code: LinearCode, s: int, budget: int = DEFAULT_BUDGET) -> LinearCode:
 def tensor_product(c1: LinearCode, c2: LinearCode) -> LinearCode:
     """Code generated by the Kronecker product of the two generators."""
     return from_generator(kronecker(c1.gen, c2.gen))
-
-
-def _unit(t: int, i: int) -> list[int]:
-    c = [0] * t
-    c[i] = 1
-    return c
 
 
 # -- evaluation codes ---------------------------------------------------------

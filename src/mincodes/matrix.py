@@ -287,7 +287,9 @@ def dumps_matrix(matrix: GFMatrix, comment: str | None = None) -> str:
     return out.getvalue()
 
 
-def loads_matrix(text: str) -> GFMatrix:
+def _parse_matrix(text: str) -> tuple[int, np.ndarray]:
+    """q and the rows x cols entries of matrix text, before any field is
+    built, so that a caller can refuse q first."""
     tokens: list[str] = []
     for line in text.splitlines():
         line = line.split("#", 1)[0]
@@ -296,18 +298,23 @@ def loads_matrix(text: str) -> GFMatrix:
         raise BadParams("matrix text needs a 'q rows cols' header")
     try:
         q, nrows, ncols = (int(t) for t in tokens[:3])
-        entries = [int(t) for t in tokens[3:]]
+        entries = np.array([int(t) for t in tokens[3:]], dtype=np.int64)
     except ValueError as e:
         raise BadParams(f"matrix text has a non-integer token: {e}") from None
+    except OverflowError:
+        raise BadParams("matrix has an entry outside the 64-bit range") from None
     if nrows < 1 or ncols < 1:
         raise BadParams(f"bad shape {nrows}x{ncols}")
     if len(entries) != nrows * ncols:
         raise BadParams(
             f"expected {nrows * ncols} entries, found {len(entries)}"
         )
-    field = build_field(q)  # NotPrimePower propagates
-    arr = np.array(entries, dtype=np.int64).reshape(nrows, ncols)
-    return GFMatrix(field, arr)
+    return q, entries.reshape(nrows, ncols)
+
+
+def loads_matrix(text: str) -> GFMatrix:
+    q, arr = _parse_matrix(text)
+    return GFMatrix(build_field(q), arr)  # NotPrimePower propagates
 
 
 def write_matrix(matrix: GFMatrix, path: str | os.PathLike,
@@ -316,6 +323,14 @@ def write_matrix(matrix: GFMatrix, path: str | os.PathLike,
         fh.write(dumps_matrix(matrix, comment))
 
 
+def _read_text(path: str | os.PathLike) -> str:
+    """A matrix file's text; a file that is not ASCII is a BadParams."""
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise BadParams(f"matrix file {path} is not ASCII text: {e}") from None
+
+
 def read_matrix(path: str | os.PathLike) -> GFMatrix:
-    with open(path, "r", encoding="ascii") as fh:
-        return loads_matrix(fh.read())
+    return loads_matrix(_read_text(path))

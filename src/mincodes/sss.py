@@ -19,18 +19,19 @@ the coalition's row reduction, and ``perfectness_batch`` enumerates the
 q^k dealings once for all the coalitions it checks.  A scheme row-reduces
 each coalition once and keeps the result for ``reconstruct_batch`` and
 ``is_authorized``, for up to ``_SOLVER_CAP`` coalitions, dropping the
-oldest first; generator data is read-only, so a kept reduction cannot go
-stale.  Dealings draw from ``secrets.SystemRandom`` unless a seed is
-given; a seed replays the same shares from ``random.Random(seed)``.
+least recently used first; generator data is read-only, so a kept
+reduction cannot go stale.  Dealings draw from ``secrets.SystemRandom``
+unless a seed is given; a seed replays the same shares from
+``random.Random(seed)``.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import random
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +74,11 @@ class SssScheme:
             raise ZeroColumn(
                 f"generator has zero columns at {code.zero_columns}"
             )
+        try:
+            secret_column = operator.index(secret_column)
+        except TypeError:
+            raise BadParams(f"secret column must be an integer, got "
+                            f"{secret_column!r}") from None
         if not 1 <= secret_column <= code.n:
             raise BadParams(
                 f"secret column must be in 1..{code.n}, got {secret_column}"
@@ -99,10 +105,10 @@ class SssScheme:
                         f.mul_table[ratio[:, None], basis[p][None, :]]],
         ])
         self._rank = column_ranks(f, gen)
-        # coalition ids -> row reduction, see ``_solver``; the lock guards
-        # inserts and evictions, lookups need none
-        self._solvers: dict[tuple[int, ...], tuple | None] = {}
-        self._solvers_lock = threading.Lock()
+        # coalition ids -> row reduction; the partial holds no reference to
+        # the scheme, so the cache makes no cycle through it
+        self._reductions = functools.lru_cache(maxsize=_SOLVER_CAP)(
+            functools.partial(_reduce, f, gen, secret_column - 1))
 
     def secret_col(self) -> np.ndarray:
         return self.code.gen.data[:, self.secret_column - 1]
@@ -211,41 +217,29 @@ def deal(scheme: SssScheme, secret: int, seed: int | None = None,
     return deal_batch(scheme, [secret], [seed], keep_coeffs)[0]
 
 
-def _solver(scheme: SssScheme, ids: tuple[int, ...]):
-    """The row reduction of [coalition columns | secret column] for ids
-    as ``_check`` returns them, made once per scheme and coalition: None
-    when the coalition is unauthorized, else (pivot columns, the nonzero
-    reduced rows) in the field's dtype.  The key keeps the caller's order,
-    which the reduced rows' columns follow.  The oldest entry goes when
-    the scheme already keeps ``_SOLVER_CAP``."""
-    cache = scheme._solvers
-    try:
-        return cache[ids]
-    except KeyError:
-        pass
-    cols = [i - 1 for i in ids] + [scheme.secret_column - 1]
-    gen = scheme.code.gen.data
-    red, pivots = _rref_array(scheme.field, gen[:, cols])
+def _reduce(field, gen: np.ndarray, secret_index: int,
+            ids: tuple[int, ...]):
+    """The row reduction of [gen's 1-based columns ids | the secret column]:
+    None when the coalition is unauthorized, else (pivot columns, the
+    nonzero reduced rows) in gen's dtype, their columns in ids' order."""
+    red, pivots = _rref_array(field, gen[:, [i - 1 for i in ids]
+                                       + [secret_index]])
     # the secret column is nonzero, so it has a pivot unless it is spanned
-    entry = None if pivots[-1] == len(ids) else (
-        np.array(pivots, dtype=np.intp), red[:len(pivots)].astype(gen.dtype))
-    with scheme._solvers_lock:
-        if len(cache) >= _SOLVER_CAP:
-            del cache[next(iter(cache))]
-        cache[ids] = entry
-    return entry
+    if pivots[-1] == len(ids):
+        return None
+    return np.array(pivots, dtype=np.intp), red[:len(pivots)].astype(gen.dtype)
 
 
 def is_authorized(scheme: SssScheme, subset) -> bool:
     """Whether the coalition's columns span the secret column."""
-    return _solver(scheme, scheme._check(subset)) is not None
+    return scheme._reductions(scheme._check(subset)) is not None
 
 
 def reconstruct_batch(scheme: SssScheme, subset, share_rows) -> np.ndarray:
     """Recover the secret of each row of shares held by one coalition.
 
     The row reduction of [coalition columns | secret column], made once
-    per scheme and coalition (see ``_solver``), decides authorization,
+    per scheme and coalition (see ``_reduce``), decides authorization,
     and one matmul of the share rows with the reduced rows checks that
     each row matches some codeword and gives its secret, which is the
     same for every codeword the row matches.  The first row that matches
@@ -261,7 +255,7 @@ def reconstruct_batch(scheme: SssScheme, subset, share_rows) -> np.ndarray:
         if any(not 0 <= v < q for v in vals):
             raise BadParams(f"share values out of range: {vals}")
         rows.append(vals)
-    solver = _solver(scheme, ids)
+    solver = scheme._reductions(ids)
     if solver is None:
         raise Unauthorized(f"coalition {sorted(ids)} cannot reconstruct")
     pivots, red = solver

@@ -664,15 +664,13 @@ class SweepReport:
 
 def load_config(path=None) -> dict:
     """Read a sweep configuration, the packaged default when path is None."""
-    if path is None:
-        text = (resources.files("mincodes") / "data" /
-                "sweep_default.json").read_text(encoding="utf-8")
-    else:
-        text = Path(path).read_text(encoding="utf-8")
+    file = (resources.files("mincodes") / "data" / "sweep_default.json"
+            if path is None else Path(path))
     try:
-        cfg = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise BadParams(f"sweep config is not valid JSON: {exc}") from None
+        cfg = json.loads(file.read_bytes().decode("utf-8"))
+    # bad UTF-8 or JSON (both ValueErrors), or nesting too deep to decode
+    except (ValueError, RecursionError) as exc:
+        raise BadParams(f"sweep config is not UTF-8 JSON: {exc}") from None
     return validate_config(cfg)
 
 

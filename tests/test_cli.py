@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from mincodes.cli import main
+from mincodes.field import build_field
 
 
 def run_cli(capsys, *args):
@@ -122,6 +123,32 @@ def test_analyze_missing_file_exits_1(capsys):
     status, _, err = run_cli(capsys, "analyze", "--in", "/nonexistent.txt")
     assert status == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["distribution"], ["sss", "deal", "--secret", "0"],
+])
+def test_q_cap_applies_before_any_field_is_built(tmp_path, capsys, command):
+    big = tmp_path / "big.txt"
+    big.write_text("1031 1 1\n1\n")
+    before = build_field.cache_info()
+    status, out, err = run_cli(capsys, *command, "--in", str(big))
+    assert status == 1 and out == ""
+    assert "caps q at 64" in err
+    after = build_field.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@pytest.mark.parametrize("content", [
+    b"2 1 1\n1180591620717411303424\n",  # 2^70
+    b"\xff\xfe2 1 1\n1\n",
+], ids=["entry-2^70", "utf16-bom"])
+def test_analyze_malformed_matrix_file_exits_1(tmp_path, capsys, content):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(content)
+    status, out, err = run_cli(capsys, "analyze", "--in", str(bad))
+    assert status == 1 and out == ""
+    assert "error: BadParams" in err
 
 
 def test_python_m_mincodes_runs_from_the_source_tree(first33, capsys):
@@ -332,6 +359,19 @@ def test_sweep_bad_config_exits_1(tmp_path, capsys):
     status, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
     assert status == 1
     assert "unknown criterion" in err
+
+
+@pytest.mark.parametrize("content", [
+    '{"criteria": [1], "note": "\xe9"}'.encode("latin-1"),
+    b'{"criteria": [' + b"[" * 100_000 + b"]" * 100_000 + b"]}",
+], ids=["latin-1", "deep-nesting"])
+def test_sweep_config_that_does_not_decode_exits_1(tmp_path, capsys,
+                                                   content):
+    cfg = tmp_path / "bad.json"
+    cfg.write_bytes(content)
+    status, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert status == 1 and out == ""
+    assert "error: BadParams: sweep config is not UTF-8 JSON" in err
 
 
 def test_sweep_malformed_instances_exit_1(tmp_path, capsys):

@@ -180,7 +180,7 @@ def test_first_ab_condition():
 
 
 def test_second_k2_equals_first():
-    for t, q in [(3, 2), (3, 3), (4, 2), (4, 3)]:
+    for t, q in [(3, 2), (3, 3), (4, 2), (4, 3), (5, 4)]:
         a, b = second(t, 2, q), first(t, q)
         assert a.field == b.field
         assert np.array_equal(a.gen.data, b.gen.data), (t, q)

@@ -822,15 +822,18 @@ def test_cached_row_reductions_match_fresh_schemes(q, data):
             perturbed[-1][pos] = f.add(perturbed[-1][pos],
                                        rng.randrange(1, q))
         for share_rows in (rows, perturbed):
-            cold._solvers.clear()
+            cold._reductions.cache_clear()
             want = outcome(lambda: reconstruct_batch(cold, ids, share_rows))
             for _ in range(2):
                 assert outcome(lambda: reconstruct_batch(
                     warm, ids, share_rows)) == want
         spans = in_span(f, warm.secret_col(), warm.participant_cols(ids))
         assert is_authorized(warm, ids) == (spans is not None)
-        assert (warm._solvers[ids] is None) == (spans is None)
-    assert len(warm._solvers) == len(coalitions)
+        misses = warm._reductions.cache_info().misses
+        assert (warm._reductions(ids) is None) == (spans is None)
+        assert warm._reductions.cache_info().misses == misses
+    info = warm._reductions.cache_info()
+    assert info.currsize == info.misses == len(coalitions)
 
 
 def perfectness_oracle(scheme, subset, values):

@@ -1,8 +1,10 @@
 """Tests for the Massey-style secret sharing layer."""
 
+import gc
 import itertools
 import sys
 import threading
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -61,6 +63,13 @@ def test_scheme_rejects_zero_columns():
 def test_scheme_bad_secret_column(f22):
     with pytest.raises(BadParams):
         SssScheme(f22.code, secret_column=4)
+
+
+@pytest.mark.parametrize("column", [1.5, 2.0, "1", None],
+                         ids=["float", "integral-float", "str", "none"])
+def test_scheme_rejects_a_non_integer_secret_column(f22, column):
+    with pytest.raises(BadParams, match="must be an integer"):
+        SssScheme(f22.code, secret_column=column)
 
 
 # -- dealing ---------------------------------------------------------------
@@ -372,15 +381,21 @@ def test_numpy_integers_still_pass(f33):
 # -- the per-scheme row reductions ----------------------------------------------
 
 
-def test_second_call_reuses_the_row_reduction(f33):
+def counting_rref():
+    """A patch of ``sss._rref_array`` and the list its calls go to."""
     calls = []
+    rref_array = sss._rref_array
 
     def counted(*args):
         calls.append(args)
         return rref_array(*args)
 
-    rref_array = sss._rref_array
-    with mock.patch.object(sss, "_rref_array", counted):
+    return mock.patch.object(sss, "_rref_array", counted), calls
+
+
+def test_second_call_reuses_the_row_reduction(f33):
+    patch, calls = counting_rref()
+    with patch:
         assert reconstruct(f33, [4, 5, 2], [2, 0, 1]) == 1
         assert reconstruct(f33, [4, 5, 2], [0, 0, 0]) == 0
         assert is_authorized(f33, [4, 5, 2])
@@ -394,39 +409,66 @@ def test_second_call_reuses_the_row_reduction(f33):
         assert len(calls) == 3
 
 
+def test_row_reductions_hold_no_reference_to_the_scheme(f33):
+    scheme = SssScheme(f33.code)
+    assert is_authorized(scheme, [2, 3, 4])
+    ref = weakref.ref(scheme)
+    gc.disable()
+    try:
+        del scheme
+        assert ref() is None  # freed by reference counts: no cycle
+    finally:
+        gc.enable()
+
+
 def test_row_reductions_are_bounded(f33):
     coalitions = [(2, 3), (2, 4), (2, 5), (3, 4), (3, 5)]
-    fresh = SssScheme(f33.code)
+    # the bound is read when the scheme is built
     with mock.patch.object(sss, "_SOLVER_CAP", 3):
-        for ids in coalitions * 2:
-            dealt = deal(f33, 1, seed=sum(ids))
-            shares = [dealt.shares[i] for i in ids]
-            if is_authorized(fresh, ids):
-                assert reconstruct(f33, ids, shares) == 1
-            else:
-                with pytest.raises(Unauthorized):
-                    reconstruct(f33, ids, shares)
-            assert len(f33._solvers) <= 3
-    # the oldest entries went first
-    assert list(f33._solvers) == coalitions[2:]
+        scheme = SssScheme(f33.code)
+    assert scheme._reductions.cache_info().maxsize == 3
+    for ids in coalitions * 2:
+        dealt = deal(scheme, 1, seed=sum(ids))
+        shares = [dealt.shares[i] for i in ids]
+        if is_authorized(f33, ids):
+            assert reconstruct(scheme, ids, shares) == 1
+        else:
+            with pytest.raises(Unauthorized):
+                reconstruct(scheme, ids, shares)
+        assert scheme._reductions.cache_info().currsize <= 3
+    # kept, least recently used first: (2, 5), (3, 4), (3, 5); using
+    # (2, 5) again makes (3, 4) the one that goes for (2, 3)
+    patch, calls = counting_rref()
+    with patch:
+        is_authorized(scheme, (2, 5))
+        assert calls == []
+        is_authorized(scheme, (2, 3))
+        assert len(calls) == 1
+        for ids in [(3, 5), (2, 5), (2, 3)]:
+            is_authorized(scheme, ids)
+        assert len(calls) == 1
+        is_authorized(scheme, (3, 4))
+        assert len(calls) == 2
 
 
 def test_cached_unauthorized_coalition_still_checks_shares(f33):
     assert not is_authorized(f33, [2])
-    assert (2,) in f33._solvers
     with pytest.raises(BadParams, match=r"out of range: \[3\]"):
         reconstruct(f33, [2], [3])
     with pytest.raises(Unauthorized):
         reconstruct(f33, [2], [0])
+    info = f33._reductions.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
 
 
 def test_threads_sharing_a_scheme_agree(f33):
     # more threads than coalitions fit in the cache, switching often, so
     # lookups, inserts and evictions interleave
     coalitions = list(itertools.combinations(f33.participants, 3))
-    dealt = deal(f33, 2, seed=1)
-    fresh = SssScheme(f33.code)
-    want = {ids: is_authorized(fresh, ids) for ids in coalitions}
+    with mock.patch.object(sss, "_SOLVER_CAP", 2):
+        scheme = SssScheme(f33.code)
+    dealt = deal(scheme, 2, seed=1)
+    want = {ids: is_authorized(f33, ids) for ids in coalitions}
     errors = []
 
     def work(offset):
@@ -435,24 +477,25 @@ def test_threads_sharing_a_scheme_agree(f33):
                 for ids in coalitions[offset:] + coalitions[:offset]:
                     if want[ids]:
                         shares = [dealt.shares[i] for i in ids]
-                        assert reconstruct(f33, ids, shares) == 2
+                        assert reconstruct(scheme, ids, shares) == 2
                     else:
-                        assert not is_authorized(f33, ids)
+                        assert not is_authorized(scheme, ids)
         except Exception as err:  # reported below, in the main thread
             errors.append(err)
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with mock.patch.object(sss, "_SOLVER_CAP", 2):
-            threads = [threading.Thread(target=work, args=(i,))
-                       for i in range(8)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert errors == []
-    assert len(f33._solvers) <= 2
+    info = scheme._reductions.cache_info()
+    assert info.maxsize == 2 and info.currsize <= 2
+    assert info.misses > len(coalitions)  # entries were evicted
