@@ -384,8 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="run the scripted verification "
                                      "criteria")
-    p.add_argument("--config", help="sweep config JSON "
-                                    "(default: packaged file)")
+    p.add_argument("--config", help="sweep config JSON (default: every "
+                                    "criterion on its default instances)")
     p.add_argument("--strict", action="store_true",
                    help="stop at the first failing criterion")
     p.add_argument("--json", action="store_true")

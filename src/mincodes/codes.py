@@ -26,6 +26,7 @@ codewords) instead of silently taking forever.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import random
 from dataclasses import dataclass
@@ -33,13 +34,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BudgetExceeded, RankDeficient, TrivialDual
+from .errors import BadParams, BudgetExceeded, RankDeficient, TrivialDual
 from .field import GF, build_field
 from .matrix import GFMatrix, nullspace, rref
 
 DEFAULT_BUDGET = 10**7
 
 _CHUNK = 1 << 14
+
+_MAX_TRIES = 1000  # draws random_code makes for one seed
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,8 @@ class LinearCode:
     """An [n, k] linear code over GF(q), presented by a generator matrix."""
 
     def __init__(self, gen: GFMatrix):
+        if not gen.rows:
+            raise BadParams("a code needs at least one generator row")
         _, rk = rref(gen)
         if rk < gen.rows:
             raise RankDeficient(
@@ -268,26 +273,25 @@ def dual_code(code: LinearCode) -> LinearCode:
     return LinearCode(nullspace(code.gen))
 
 
-def random_code(n: int, k: int, q: int, seed: int,
-                max_tries: int = 1000) -> LinearCode:
-    """A reproducible random [n, k]_q code with no zero columns.
+def random_code(n: int, k: int, q: int, seed: int) -> LinearCode:
+    """A reproducible random [n, k]_q code with no zero columns, 1 <= k <= n.
 
     Entries are drawn from random.Random(seed); draws are repeated until
     the matrix has full row rank and every column is nonzero, so the same
     (n, k, q, seed) always yields the same code.
     """
+    if not 1 <= k <= n:
+        raise BadParams(f"random_code needs 1 <= k <= n, got n={n}, k={k}")
     f = build_field(q)
     rng = random.Random(seed)
-    for _ in range(max_tries):
+    for _ in range(_MAX_TRIES):
         data = np.array([[rng.randrange(q) for _ in range(n)]
                          for _ in range(k)])
         if np.count_nonzero(data, axis=0).min() == 0:
             continue
-        gen = GFMatrix(f, data)
-        _, rank = rref(gen)
-        if rank == k:
-            return LinearCode(gen)
+        with contextlib.suppress(RankDeficient):
+            return LinearCode(GFMatrix(f, data))
     raise RankDeficient(
         f"no full-rank zero-column-free [{n},{k}]_{q} matrix "
-        f"in {max_tries} draws from seed {seed}"
+        f"in {_MAX_TRIES} draws from seed {seed}"
     )

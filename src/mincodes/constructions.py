@@ -39,7 +39,7 @@ import numpy as np
 
 from .analysis import has_full_value_property, is_minimal_code
 from .codes import DEFAULT_BUDGET, LinearCode, from_generator
-from .errors import BadParams, BudgetExceeded, PreconditionFailed
+from .errors import BadParams, BudgetExceeded, PreconditionFailed, _ints
 from .field import build_field
 from .matrix import GFMatrix, _rref_array, kronecker
 
@@ -174,7 +174,7 @@ def cf_code(n: int, k: int, q: int, alphas,
         raise BadParams(f"cf_code needs n > 3, got {n}")
     if not 2 <= k <= n - 2:
         raise BadParams(f"cf_code needs 2 <= k <= n-2, got k={k}, n={n}")
-    alphas = tuple(int(a) for a in alphas)
+    alphas = tuple(_ints(alphas, "alphas"))
     if len(alphas) != k or any(not 0 < a < q for a in alphas):
         raise BadParams(
             f"cf_code needs {k} alpha values in [1, {q}), got {alphas}"

@@ -1,5 +1,7 @@
 """Exception types raised across the package."""
 
+import operator
+
 
 class MinCodesError(Exception):
     """Base class for all errors raised by this package."""
@@ -51,6 +53,17 @@ class BudgetExceeded(MinCodesError):
 
 class BadParams(MinCodesError):
     """Construction or operation parameters are out of range."""
+
+
+def _ints(values, what: str, optional: bool = False) -> list:
+    """values as Python ints (None stays None when optional); numpy integers
+    pass, floats, strings or a bare number for a sequence are BadParams."""
+    try:
+        return [None if optional and v is None else operator.index(v)
+                for v in values]
+    except TypeError:
+        raise BadParams(
+            f"{what} must be a sequence of integers, got {values!r}") from None
 
 
 class PreconditionFailed(MinCodesError):

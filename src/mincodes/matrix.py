@@ -31,9 +31,11 @@ class GFMatrix:
     """An immutable rows x cols matrix of field-element encodings."""
 
     def __init__(self, field: GF, data):
-        arr = np.asarray(data, dtype=np.int64)
+        arr = np.asarray(data)
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected 2-D data, got shape {arr.shape}")
+        if arr.dtype.kind not in "biu":
+            raise BadParams(f"entries must be integers, got {arr.dtype}")
         if arr.size and (arr.min() < 0 or arr.max() >= field.q):
             raise BadParams(f"entries outside [0, {field.q})")
         self.field = field

@@ -50,6 +50,7 @@ from .errors import (
     InconsistentShares,
     Unauthorized,
     ZeroColumn,
+    _ints,
 )
 from .matrix import _rref_array, column_ranks
 
@@ -89,13 +90,13 @@ class SssScheme:
         self.participants = tuple(
             i for i in range(1, code.n + 1) if i != secret_column
         )
-        # [secret | free draws] @ _deal_map = [dealer coeffs | codeword]: row
-        # 0 is e_p/col_p and row 1+i is e_j - (col_j/col_p)*e_p for the i-th
-        # row j other than the pivot p, each followed by its image under G
+        # [secret | free draws] @ _deal_map = the participants' shares: rows
+        # e_p/col_p and, for each row j != pivot p, e_j - (col_j/col_p)*e_p,
+        # each times G on the participants' columns
         f, gen = self.field, code.gen.data
         col = self.secret_col()
         p = int(np.flatnonzero(col)[0])
-        basis = np.hstack([np.eye(code.k, dtype=gen.dtype), gen])
+        basis = gen[:, [i - 1 for i in self.participants]]
         scale = f.inv_table[col[p]]
         free = np.array([j for j in range(code.k) if j != p], dtype=np.int64)
         ratio = f.mul_table[col[free], scale]
@@ -130,35 +131,22 @@ class SssScheme:
                 f"secret_column={self.secret_column})")
 
 
-def _ints(values, what: str) -> list[int]:
-    """values as Python ints; numpy integers pass, anything else (floats,
-    strings, a bare number where a sequence belongs) raises BadParams."""
-    try:
-        return [operator.index(v) for v in values]
-    except TypeError:
-        raise BadParams(
-            f"{what} must be a sequence of integers, got {values!r}") from None
-
-
 @dataclass(frozen=True)
 class ShareVector:
     """One dealing: the secret, the per-participant shares, and the seed.
 
-    seed is None for a dealing drawn from the system's randomness.
-    dealer_coeffs is kept only when the dealing was made with
-    keep_coeffs=True; production dealings drop it.
+    seed is None for a dealing drawn from the system's randomness.  The
+    dealer's coefficients are ``matrix.in_span`` of the dealt word over G.
     """
 
     secret: int
     shares: dict[int, int]
     seed: int | None
-    dealer_coeffs: tuple[int, ...] | None = None
 
 
 @dataclass(frozen=True)
 class AccessSet:
     indices: tuple[int, ...]
-    minimal: bool
 
 
 @dataclass(frozen=True)
@@ -176,8 +164,7 @@ class PerfectnessReport:
     patterns: int
 
 
-def deal_batch(scheme: SssScheme, secrets, seeds=None,
-               keep_coeffs: bool = False) -> list[ShareVector]:
+def deal_batch(scheme: SssScheme, secrets, seeds=None) -> list[ShareVector]:
     """One dealing per secret: u uniform with u.G_secret = secret.
 
     The coefficients at the rows other than the first nonzero row of the
@@ -189,7 +176,8 @@ def deal_batch(scheme: SssScheme, secrets, seeds=None,
     """
     q, k = scheme.field.q, scheme.code.k
     secrets = _ints(secrets, "secrets")
-    seeds = [None] * len(secrets) if seeds is None else list(seeds)
+    seeds = ([None] * len(secrets) if seeds is None
+             else _ints(seeds, "seeds", optional=True))
     if len(seeds) != len(secrets):
         raise BadParams(f"{len(secrets)} secrets but {len(seeds)} seeds")
     draws = []
@@ -198,23 +186,18 @@ def deal_batch(scheme: SssScheme, secrets, seeds=None,
             raise BadParams(f"secret must be in 0..{q - 1}, got {secret}")
         rng = _SYSTEM_RANDOM if seed is None else random.Random(seed)
         draws.append([secret] + [rng.randrange(q) for _ in range(k - 1)])
-    out = scheme.field.matmul(np.array(draws, dtype=np.int64).reshape(-1, k),
-                              scheme._deal_map)
-    shares = out[:, [k + i - 1 for i in scheme.participants]].tolist()
-    coeffs = out[:, :k].tolist()
-    return [ShareVector(
-        secret=secret,
-        shares=dict(zip(scheme.participants, row)),
-        seed=seed,
-        dealer_coeffs=tuple(u) if keep_coeffs else None,
-    ) for secret, seed, row, u in zip(secrets, seeds, shares, coeffs)]
+    shares = scheme.field.matmul(
+        np.array(draws, dtype=np.int64).reshape(-1, k),
+        scheme._deal_map).tolist()
+    return [ShareVector(secret, dict(zip(scheme.participants, row)), seed)
+            for secret, seed, row in zip(secrets, seeds, shares)]
 
 
-def deal(scheme: SssScheme, secret: int, seed: int | None = None,
-         keep_coeffs: bool = False) -> ShareVector:
+def deal(scheme: SssScheme, secret: int, seed: int | None = None
+         ) -> ShareVector:
     """One dealing of secret; see ``deal_batch``.  Without a seed the
     coefficients come from the system's randomness."""
-    return deal_batch(scheme, [secret], [seed], keep_coeffs)[0]
+    return deal_batch(scheme, [secret], [seed])[0]
 
 
 def _reduce(field, gen: np.ndarray, secret_index: int,
@@ -322,7 +305,7 @@ def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
             found.extend(tuple(int(i) for i in ids[row])
                          for row in block[minimal])
         prev = auth
-    return [AccessSet(indices=m, minimal=True) for m in found]
+    return [AccessSet(m) for m in found]
 
 
 def _dual_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
@@ -332,8 +315,7 @@ def _dual_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
     for word in minimal_codewords(dual, budget):
         if word.values[c0]:
             sets.add(tuple(i + 1 for i in word.support if i != c0))
-    return [AccessSet(indices=s, minimal=True)
-            for s in sorted(sets, key=lambda s: (len(s), s))]
+    return [AccessSet(s) for s in sorted(sets, key=lambda s: (len(s), s))]
 
 
 def minimal_authorized_sets(scheme: SssScheme, method: str = "auto",

@@ -34,7 +34,6 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from importlib import resources
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -663,11 +662,12 @@ class SweepReport:
 
 
 def load_config(path=None) -> dict:
-    """Read a sweep configuration, the packaged default when path is None."""
-    file = (resources.files("mincodes") / "data" / "sweep_default.json"
-            if path is None else Path(path))
+    """Read a sweep configuration; with no path, every criterion on its
+    default instances."""
+    if path is None:
+        return validate_config({"criteria": list(_CRITERIA)})
     try:
-        cfg = json.loads(file.read_bytes().decode("utf-8"))
+        cfg = json.loads(Path(path).read_bytes().decode("utf-8"))
     # bad UTF-8 or JSON (both ValueErrors), or nesting too deep to decode
     except (ValueError, RecursionError) as exc:
         raise BadParams(f"sweep config is not UTF-8 JSON: {exc}") from None
@@ -698,17 +698,14 @@ def validate_config(cfg) -> dict:
 
 def run_sweep(config: Optional[dict] = None, budget: int = DEFAULT_BUDGET,
               strict: bool = False) -> SweepReport:
-    """Run the configured criteria; the packaged default runs all eleven.
+    """Run the configured criteria; by default all eleven.
 
     Criteria share one code registry, so the consistency criterion audits
     exactly the codes the earlier criteria touched. An empty 'criteria'
     list yields an empty passing report. With strict=True the sweep stops
     after the first criterion that has a failing check.
     """
-    if config is None:
-        config = load_config()
-    else:
-        config = validate_config(config)
+    config = load_config() if config is None else validate_config(config)
     registry = CodeRegistry()
     results = []
     for entry in config["criteria"]:

@@ -5,12 +5,17 @@ import itertools
 import numpy as np
 import pytest
 
-from mincodes import BudgetExceeded, RankDeficient, TrivialDual, build_field
+from unittest import mock
+
+from mincodes import (BadParams, BudgetExceeded, RankDeficient, TrivialDual,
+                      build_field, codes)
 from mincodes.codes import (
+    LinearCode,
     dual_code,
     enumerate_codewords,
     from_generator,
     min_max_weight,
+    random_code,
     weight_distribution,
 )
 from mincodes.matrix import GFMatrix
@@ -95,6 +100,35 @@ def test_rank_deficient_rejected():
         make_code(2, [[1, 1], [1, 1]])
     with pytest.raises(RankDeficient):
         make_code(3, [[0, 0, 0]])
+
+
+def test_empty_generator_rejected():
+    with pytest.raises(BadParams, match="at least one generator row"):
+        LinearCode(GFMatrix(build_field(2), np.zeros((0, 3), dtype=np.int64)))
+
+
+@pytest.mark.parametrize("n, k", [(0, 1), (2, 3), (3, 0)],
+                         ids=["empty", "k-above-n", "k-zero"])
+def test_random_code_rejects_bad_shape(n, k):
+    # rejected before any draw is made
+    with mock.patch("random.Random", side_effect=AssertionError("drew")):
+        with pytest.raises(BadParams, match="1 <= k <= n"):
+            random_code(n, k, 2, seed=1)
+
+
+def test_random_code_row_reduces_each_draw_once():
+    with mock.patch.object(codes, "rref", wraps=codes.rref) as spy:
+        code = random_code(24, 12, 2, seed=1)
+    assert (code.n, code.k, code.q) == (24, 12, 2)
+    assert spy.call_count == 1
+
+
+def test_random_code_retries_a_rank_deficient_draw():
+    # over GF(2) with n = k = 3, most draws are singular or have a zero
+    # column; every seed still ends in a full-rank code
+    for seed in range(20):
+        code = random_code(3, 3, 2, seed=seed)
+        assert not code.zero_columns
 
 
 def test_zero_columns_recorded_not_rejected():

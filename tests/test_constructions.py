@@ -491,6 +491,13 @@ def test_cf_code_bad_params():
         cf_code(4, 2, 3, (1, 2), budget=10)
 
 
+@pytest.mark.parametrize("alphas", [(1.5, 2), "12", 12],
+                         ids=["float", "str", "bare-int"])
+def test_cf_code_rejects_non_integer_alphas(alphas):
+    with pytest.raises(BadParams, match="alphas must be a sequence"):
+        cf_code(4, 2, 3, alphas)
+
+
 def test_cg_code_2_2_2():
     code = cg_code(2, 2, 2)
     assert (code.n, code.k, code.q) == (15, 5, 2)

@@ -146,6 +146,19 @@ def test_matrix_validation():
         gfm(3, [[1, 2]]).hstack(gfm(3, [[1], [2]]))
 
 
+@pytest.mark.parametrize("q, rows", [
+    (2, [[0.5, 1]]),
+    (3, [[2.9, 0]]),
+    (3, [[-0.5, 0]]),
+    (3, [["1", "0"]]),
+    (3, [[float("nan"), 0]]),
+    (3, [[2**70, 0]]),
+], ids=["half", "truncated", "negative-half", "str", "nan", "huge"])
+def test_matrix_rejects_non_integer_entries(q, rows):
+    with pytest.raises(BadParams, match="entries must be integers"):
+        gfm(q, rows)
+
+
 def test_matrix_immutable():
     m = gfm(3, [[1, 2]])
     with pytest.raises(ValueError):

@@ -524,7 +524,7 @@ def search_oracle(scheme):
             cols = scheme.participant_cols(cand)
             if in_span(scheme.field, scheme.secret_col(), cols) is not None:
                 found.append(cand)
-    return [AccessSet(indices=m, minimal=True) for m in found]
+    return [AccessSet(indices=m) for m in found]
 
 
 # largest n - k that keeps every dual at most 1024 words
@@ -697,7 +697,7 @@ def test_independent_rows_match_greedy_basis(q, data):
 def scalar_deal(scheme, secret, seed):
     """The per-coefficient dealing that ``deal_batch`` replaced: free
     coefficients drawn in row order, the pivot one solved with scalar field
-    operations, then one codeword."""
+    operations, then the participants' entries of one codeword."""
     f, k = scheme.field, scheme.code.k
     col = scheme.secret_col()
     pivot = next(i for i, x in enumerate(col) if x)
@@ -712,7 +712,7 @@ def scalar_deal(scheme, secret, seed):
             acc = f.sub(acc, f.mul(u[j], int(col[j])))
     u[pivot] = f.div(acc, int(col[pivot]))
     word = scheme.code.codeword(u)
-    return {i: word.values[i - 1] for i in scheme.participants}, word.coeffs
+    return {i: word.values[i - 1] for i in scheme.participants}
 
 
 @st.composite
@@ -729,21 +729,21 @@ def test_deal_batch_matches_single_and_scalar_deals(q, data):
     secrets = data.draw(st.lists(st.integers(0, q - 1), max_size=6))
     seeds = data.draw(st.lists(st.integers(0, 10**6), min_size=len(secrets),
                                max_size=len(secrets)))
-    dealt = deal_batch(scheme, secrets, seeds, keep_coeffs=True)
+    dealt = deal_batch(scheme, secrets, seeds)
     assert len(dealt) == len(secrets)
     for sv, secret, seed in zip(dealt, secrets, seeds):
-        assert sv == deal(scheme, secret, seed, keep_coeffs=True)
-        assert (sv.shares, sv.dealer_coeffs) == scalar_deal(scheme, secret,
-                                                            seed)
+        assert sv == deal(scheme, secret, seed)
+        # G is injective, so equal shares and secret mean equal coefficients
+        assert sv.shares == scalar_deal(scheme, secret, seed)
         assert (sv.secret, sv.seed) == (secret, seed)
     assert [sv.shares for sv in deal_batch(scheme, secrets, seeds)] == [
         sv.shares for sv in dealt]
-    for sv, secret in zip(deal_batch(scheme, secrets, keep_coeffs=True),
-                          secrets):
-        word = scheme.code.codeword(sv.dealer_coeffs)
-        assert word.values[scheme.secret_column - 1] == secret
-        assert sv.shares == {i: word.values[i - 1]
-                             for i in scheme.participants}
+    for sv, secret in zip(deal_batch(scheme, secrets), secrets):
+        # the secret at the secret column and the shares elsewhere make a
+        # codeword: in_span finds its coefficients
+        word = [sv.shares.get(i, secret)
+                for i in range(1, scheme.code.n + 1)]
+        assert in_span(scheme.field, word, scheme.code.gen.data) is not None
         assert sv.seed is None
 
 

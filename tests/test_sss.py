@@ -1,5 +1,6 @@
 """Tests for the Massey-style secret sharing layer."""
 
+import dataclasses
 import gc
 import itertools
 import sys
@@ -21,7 +22,7 @@ from mincodes.errors import (
     ZeroColumn,
 )
 from mincodes.field import build_field
-from mincodes.matrix import GFMatrix
+from mincodes.matrix import GFMatrix, in_span
 from mincodes.sss import (
     SssScheme,
     deal,
@@ -37,6 +38,15 @@ from mincodes.sss import (
 
 def make_code(q, rows):
     return from_generator(GFMatrix(build_field(q), np.array(rows)))
+
+
+def dealer_coeffs(scheme, sv):
+    """The dealing's coefficient vector u, the one solution of u.G = the
+    secret at the secret column and the shares elsewhere; None when that
+    word is no codeword."""
+    word = [sv.shares.get(i, sv.secret) for i in range(1, scheme.code.n + 1)]
+    u = in_span(scheme.field, word, scheme.code.gen.data)
+    return None if u is None else tuple(int(x) for x in u)
 
 
 @pytest.fixture
@@ -76,15 +86,15 @@ def test_scheme_rejects_a_non_integer_secret_column(f22, column):
 
 
 def test_deal_frozen_example(f22):
-    sv = deal(f22, 1, seed=1, keep_coeffs=True)
-    assert sv.dealer_coeffs == (1, 0)
+    sv = deal(f22, 1, seed=1)
+    assert dealer_coeffs(f22, sv) == (1, 0)
     assert sv.shares == {2: 0, 3: 1}
     assert sv.secret == 1 and sv.seed == 1
 
 
 def test_deal_zero_dealer_gives_zero_shares(f22):
-    sv = deal(f22, 0, seed=1, keep_coeffs=True)
-    assert sv.dealer_coeffs == (0, 0)
+    sv = deal(f22, 0, seed=1)
+    assert dealer_coeffs(f22, sv) == (0, 0)
     assert sv.shares == {2: 0, 3: 0}
 
 
@@ -93,8 +103,8 @@ def test_deal_respects_secret_constraint(f22, f33):
         q = scheme.code.q
         for secret in range(q):
             for seed in range(10):
-                sv = deal(scheme, secret, seed, keep_coeffs=True)
-                word = scheme.code.codeword(sv.dealer_coeffs)
+                sv = deal(scheme, secret, seed)
+                word = scheme.code.codeword(dealer_coeffs(scheme, sv))
                 assert word.values[0] == secret
                 assert sv.shares == {
                     i: word.values[i - 1] for i in scheme.participants
@@ -105,7 +115,9 @@ def test_deal_is_replayable(f33):
     a = deal(f33, 2, seed=5)
     b = deal(f33, 2, seed=5)
     assert a == b
-    assert a.dealer_coeffs is None
+    # nothing beyond the secret, the shares and the seed is kept
+    assert [f.name for f in dataclasses.fields(a)] == [
+        "secret", "shares", "seed"]
 
 
 def test_deal_bad_secret(f22):
@@ -123,16 +135,17 @@ def test_unseeded_deal_never_uses_random_random(f33):
                     side_effect=AssertionError("seeded generator used")):
         with pytest.raises(AssertionError):
             deal(f33, 1, seed=3)  # the patch reaches seeded dealings
-        dealt = [deal(f33, 1, keep_coeffs=True) for _ in range(30)]
-        dealt += deal_batch(f33, [0, 1, 2] * 10, keep_coeffs=True)
+        dealt = [deal(f33, 1) for _ in range(30)]
+        dealt += deal_batch(f33, [0, 1, 2] * 10)
     for sv in dealt:
         assert sv.seed is None
-        word = f33.code.codeword(sv.dealer_coeffs)
+        word = f33.code.codeword(dealer_coeffs(f33, sv))
         assert word.values[0] == sv.secret
         assert sv.shares == {i: word.values[i - 1] for i in f33.participants}
     # 30 dealings of one secret with 2 free draws each: all equal with
-    # probability 9**-29
-    assert len({tuple(sv.dealer_coeffs) for sv in dealt[:30]}) > 1
+    # probability 9**-29; G is injective, so distinct coefficient vectors
+    # are distinct share tuples
+    assert len({tuple(sv.shares.values()) for sv in dealt[:30]}) > 1
 
 
 # -- authorization and reconstruction ---------------------------------------
@@ -247,7 +260,9 @@ def test_minimal_sets_frozen(f22):
     for method in ("dual", "search", "auto"):
         sets = minimal_authorized_sets(f22, method=method)
         assert [a.indices for a in sets] == [(2, 3)]
-        assert all(a.minimal for a in sets)
+        assert not any(is_authorized(f22, sub) for a in sets
+                       for sub in itertools.combinations(
+                           a.indices, len(a.indices) - 1))
 
 
 def test_minimal_sets_empty_for_identity():
@@ -361,6 +376,18 @@ def test_deal_rejects_float_secret(f33):
         deal(f33, 1.5, 3)
 
 
+@pytest.mark.parametrize("call", [
+    lambda s: deal(s, 1, [1]),
+    lambda s: deal(s, 1, 1.5),
+    lambda s: deal(s, 1, "abc"),
+    lambda s: deal_batch(s, [1, 2], seeds=5),
+    lambda s: deal_batch(s, [1, 2], seeds=[None, 2.0]),
+], ids=["list", "float", "str", "bare-int", "float-in-list"])
+def test_deal_rejects_non_integer_seeds(f33, call):
+    with pytest.raises(BadParams, match="seeds must be a sequence"):
+        call(f33)
+
+
 def test_reconstruct_rejects_string_ids(f33):
     with pytest.raises(BadParams, match="participants must be a sequence"):
         reconstruct(f33, ("a",), [1])
@@ -376,6 +403,7 @@ def test_numpy_integers_still_pass(f33):
     assert is_authorized(f33, ids)
     assert reconstruct(f33, ids, np.array([2, 0, 1])) == 1
     assert deal(f33, np.int64(2), 5) == deal(f33, 2, 5)
+    assert deal(f33, 2, np.int64(5)) == deal(f33, 2, 5)
 
 
 # -- the per-scheme row reductions ----------------------------------------------

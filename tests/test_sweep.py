@@ -218,8 +218,10 @@ def test_default_instances():
 
 def test_default_config_lists_all_criteria():
     cfg = load_config()
+    assert cfg == validate_config({"criteria": list(range(1, 12))})
     assert [entry["id"] for entry in cfg["criteria"]] == list(range(1, 12))
-    assert cfg["criteria"][0]["instances"] == default_instances(1)
+    # no instances listed: each criterion runs on default_instances
+    assert all(entry["instances"] is None for entry in cfg["criteria"])
 
 
 def test_config_validation():
