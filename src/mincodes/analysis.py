@@ -22,11 +22,18 @@ minimal, and a class whose zero set fits in the slice is decided
 exactly.  Only the remaining classes, of rank below k-1 on the slice and
 with more zero columns than it, are ranked again on all of them.
 
-A non-minimal code takes the full rank pass and then scans every class in
-canonical order against the non-minimal ones; a class that covers another
-is non-minimal, so this finds the same first covered pair as a scan of
-all pairs.  That scan is a float32 GEMM (BLAS sgemm); its zero test is
-exact because every term is nonnegative.
+A non-minimal code takes the full rank pass and then scans the classes in
+canonical order against the non-minimal ones, in blocks of 1, 2, 4, ... up
+to _ROW_BLOCK classes, up to the first block that holds a covered class;
+a class that covers another is non-minimal, so this finds the same first
+covered pair as a scan of all pairs.  That scan is a float32 GEMM (BLAS
+sgemm); its zero test is exact because every term is nonnegative.
+
+The walk of ``is_minimal_code`` also counts the class weights and finds
+the first class that misses a field value.  The generator is read-only,
+so the three results are kept in the code's memo (aggregates only, no
+per-class arrays) and every whole-code check returns them, after its
+budget check, without walking again.
 
 The sufficient (not necessary) weight-ratio test: a code is minimal whenever
 w_min / w_max > (q-1)/q.  The comparison is exact, by cross-multiplication.
@@ -40,7 +47,7 @@ from fractions import Fraction
 import numpy as np
 
 from .codes import DEFAULT_BUDGET, Codeword, LinearCode, WeightDistribution, \
-    _class_coeffs, projective_blocks, weight_distribution
+    _check_budget, _class_coeffs, projective_blocks, weight_distribution
 from .errors import BadParams, DimensionMismatch, NotInCode
 from .matrix import GFMatrix, column_ranks, in_span, rank
 
@@ -136,36 +143,62 @@ def _as_word(values_row, coeffs_row) -> Codeword:
     return Codeword(tuple(coeffs_row.tolist()), tuple(values_row.tolist()))
 
 
+def _sorted_zeros(supp: np.ndarray) -> np.ndarray:
+    """Each row's zero columns first, ascending, by sorting keys: the
+    other coordinates land at n or past it, where ``column_ranks`` reads
+    the zero column."""
+    n = supp.shape[1]
+    return np.sort(np.arange(n, dtype=np.int32) + supp * np.int32(n), axis=1)
+
+
+def _first_zeros(supp: np.ndarray, width: int) -> np.ndarray:
+    """Each row's first width zero columns, ascending, by width rounds of
+    argmin on a copy of the support mask; a row with fewer zeros is padded
+    with the zero column n."""
+    supp = supp.copy()
+    rows = np.arange(len(supp))
+    out = np.empty((len(supp), width), dtype=np.int32)
+    for r in range(width):
+        j = supp.argmin(axis=1)
+        out[:, r] = np.where(supp[rows, j], supp.shape[1], j)
+        supp[rows, j] = True
+    return out
+
+
 def _rank_blocks(code: LinearCode, budget: int):
-    """Yield (coeffs, values, minimal) per block of projective_blocks.
+    """Yield (coeffs, values, weights, minimal) per block of
+    projective_blocks.
 
     Class i is minimal iff the columns of G where values[i] vanishes have
     rank k-1 (they lie in the hyperplane orthogonal to coeffs[i], so the
-    rank is at most k-1).  Each block gathers every row's zero columns
-    once, left-aligned and padded with the zero column n, and ranks the
-    first k-1+_SLICE of them for every row in one ``matrix.column_ranks``
-    call.  Rank k-1 on that slice proves the class minimal, since no
-    superset can exceed k-1.  A class whose zero set fits in the slice is
-    then decided exactly; only the others of rank below k-1 are ranked
-    again on all their zero columns, in a second call as wide as the
-    widest of them.
+    rank is at most k-1).  Each block ranks the first k-1+_SLICE zero
+    columns of every row, padded with the zero column n, in one
+    ``matrix.column_ranks`` call.  Rank k-1 on that slice proves the class
+    minimal, since no superset can exceed k-1.  A class whose zero set
+    fits in the slice is then decided exactly; only the others of rank
+    below k-1 are ranked again on all their zero columns, in a second call
+    as wide as the widest of them.
+
+    The slice is gathered by width rounds of argmin when 2**width <= n,
+    that is when those passes over each row are fewer than the log2(n) of
+    a sort; otherwise by sorting every row's keys, zero columns first.
+    After argmin rounds only the rows ranked again are sorted.
     """
     n, k = code.n, code.k
     rank = column_ranks(code.field, code.gen.data)
-    position, pad = np.arange(n, dtype=np.int32), np.int32(n)
     for u, v in projective_blocks(code, budget):
         supp = v != 0
-        zeros = n - supp.sum(axis=1)
-        # zero coordinates sort first; the others land at n or past it,
-        # where the kernel reads the zero column
-        idx = np.sort(position + supp * pad, axis=1)
+        weights = supp.sum(axis=1)
+        zeros = n - weights
         width = max(1, min(k - 1 + _SLICE, int(zeros.max())))
+        by_sort = 2**width > n
+        idx = _sorted_zeros(supp) if by_sort else _first_zeros(supp, width)
         minimal = rank(idx[:, :width]) == k - 1
         again = ~minimal & (zeros > width)
         if again.any():
-            minimal[again] = rank(
-                idx[again, :zeros[again].max()]) == k - 1
-        yield u, v, minimal
+            rest = idx[again] if by_sort else _sorted_zeros(supp[again])
+            minimal[again] = rank(rest[:, :zeros[again].max()]) == k - 1
+        yield u, v, weights, minimal
 
 
 def _first_cover(packed: np.ndarray, bad: np.ndarray, n: int):
@@ -173,13 +206,17 @@ def _first_cover(packed: np.ndarray, bad: np.ndarray, n: int):
     inside the support of a non-minimal class j != i, and the first such j.
 
     packed holds every class's support as packed bits; bad lists the
-    non-minimal classes, ascending.  Both sides go _ROW_BLOCK at a time.
+    non-minimal classes, ascending.  Covered rows go in blocks of 1, 2,
+    4, ... up to _ROW_BLOCK, so a cover among the first classes is found
+    without testing the rest; the non-minimal side goes _ROW_BLOCK at a
+    time.
     """
     def block(rows):
         return np.unpackbits(rows, axis=1, count=n).astype(np.float32)
 
-    for start in range(0, len(packed), _ROW_BLOCK):
-        rows = block(packed[start:start + _ROW_BLOCK])
+    start, size = 0, 1
+    while start < len(packed):
+        rows = block(packed[start:start + size])
         first = None
         for cstart in range(0, len(bad), _ROW_BLOCK):
             cols = bad[cstart:cstart + _ROW_BLOCK]
@@ -195,7 +232,21 @@ def _first_cover(packed: np.ndarray, bad: np.ndarray, n: int):
                 first = (int(hits[0, 0]), int(cols[hits[0, 1]]))
         if first is not None:
             return start + first[0], first[1]
+        start, size = start + size, min(2 * size, _ROW_BLOCK)
     raise AssertionError("a non-minimal class covers another")  # unreachable
+
+
+def _full_value_failure(u: np.ndarray, v: np.ndarray, q: int):
+    """The report for the block's first class that misses a field value,
+    or None when every class takes all q values."""
+    ok = np.ones(len(v), dtype=bool)
+    for val in range(q):
+        ok &= (v == val).any(axis=1)
+    if ok.all():
+        return None
+    i = int(np.nonzero(~ok)[0][0])
+    word = _as_word(v[i], u[i])
+    return FullValueReport(False, word, tuple(sorted(set(word.values))))
 
 
 def is_minimal_code(code: LinearCode,
@@ -203,27 +254,45 @@ def is_minimal_code(code: LinearCode,
     """Exhaustively decide minimality of the whole code.
 
     Decides every scalar class by the rank of its zero columns; a
-    non-minimal code then gets its canonical witness from a scan of every
-    class against the non-minimal ones.
+    non-minimal code then gets its canonical witness from a scan of the
+    classes against the non-minimal ones.  The same walk gives the weight
+    counts and the full-value verdict, and all three are kept in the
+    code's memo, so a later call, or ``weight_distribution`` and
+    ``has_full_value_property``, walks nothing.
     """
+    _check_budget(code, budget)
+    memo = code._memo
+    if "minimality" in memo:
+        return memo["minimality"]
+    n = code.n
     supports, minimal = [], []
-    for _, v, ok in _rank_blocks(code, budget):
+    weights = np.zeros(n + 1, dtype=np.int64)
+    full_value = FullValueReport(True, None, None)
+    for u, v, w, ok in _rank_blocks(code, budget):
         supports.append(np.packbits(v != 0, axis=1))
         minimal.append(ok)
+        weights += np.bincount(w, minlength=n + 1)
+        if full_value.holds:
+            full_value = _full_value_failure(u, v, code.q) or full_value
+    memo.setdefault("weights", weights)
+    memo.setdefault("full_value", full_value)
     minimal = np.concatenate(minimal)
     classes = len(minimal)
     if minimal.all():
-        return MinimalityReport(True, None, classes, classes * (classes - 1))
-    i, j = _first_cover(np.vstack(supports), np.nonzero(~minimal)[0], code.n)
-    u = np.array([_class_coeffs(code.q, code.k, x) for x in (i, j)])
-    v = code.field.matmul(u, code.gen.data)
-    stop = min(i - i % _ROW_BLOCK + _ROW_BLOCK, classes)
-    return MinimalityReport(
-        is_minimal=False,
-        witness=(_as_word(v[0], u[0]), _as_word(v[1], u[1])),
-        classes=classes,
-        pairs_checked=stop * (classes - 1),
-    )
+        report = MinimalityReport(True, None, classes, classes * (classes - 1))
+    else:
+        i, j = _first_cover(np.vstack(supports), np.nonzero(~minimal)[0], n)
+        u = np.array([_class_coeffs(code.q, code.k, x) for x in (i, j)])
+        v = code.field.matmul(u, code.gen.data)
+        stop = min(i - i % _ROW_BLOCK + _ROW_BLOCK, classes)
+        report = MinimalityReport(
+            is_minimal=False,
+            witness=(_as_word(v[0], u[0]), _as_word(v[1], u[1])),
+            classes=classes,
+            pairs_checked=stop * (classes - 1),
+        )
+    memo["minimality"] = report
+    return report
 
 
 def minimal_codewords(code: LinearCode,
@@ -235,7 +304,7 @@ def minimal_codewords(code: LinearCode,
     exactly their nonzero scalar multiples (see scalar_class).
     """
     return [Codeword(tuple(c), tuple(x))
-            for u, v, ok in _rank_blocks(code, budget)
+            for u, v, _, ok in _rank_blocks(code, budget)
             for c, x in zip(u[ok].tolist(), v[ok].tolist())]
 
 
@@ -294,17 +363,19 @@ def ab_condition(code: LinearCode, budget: int = DEFAULT_BUDGET) -> AbReport:
 
 def has_full_value_property(code: LinearCode,
                             budget: int = DEFAULT_BUDGET) -> FullValueReport:
-    """Check that every nonzero codeword realizes all q field values."""
-    q = code.q
-    # scaling permutes the field values, so one word per class decides
-    for ublock, vblock in projective_blocks(code, budget):
-        ok = np.ones(len(vblock), dtype=bool)
-        for val in range(q):
-            ok &= (vblock == val).any(axis=1)
-        if not ok.all():
-            i = int(np.nonzero(~ok)[0][0])
-            word = _as_word(vblock[i], ublock[i])
-            present = tuple(sorted(set(word.values)))
-            return FullValueReport(False, word, present)
-    return FullValueReport(True, None, None)
+    """Check that every nonzero codeword realizes all q field values.
 
+    Returns the verdict kept in the code's memo if there is one, else
+    walks the classes up to the first failure and keeps the verdict.
+    """
+    _check_budget(code, budget)
+    memo = code._memo
+    if "full_value" not in memo:
+        report = FullValueReport(True, None, None)
+        # scaling permutes the field values, so one word per class decides
+        for u, v in projective_blocks(code, budget):
+            report = _full_value_failure(u, v, code.q) or report
+            if not report.holds:
+                break
+        memo["full_value"] = report
+    return memo["full_value"]

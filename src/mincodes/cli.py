@@ -134,8 +134,10 @@ def _cmd_construct(args) -> int:
 
 def _cmd_analyze(args) -> int:
     code = _load_code(args.infile)
-    dist = weight_distribution(code, args.budget)
+    # one walk: the minimality check keeps the weights and the full-value
+    # verdict on the code for the two calls after it
     minimal = is_minimal_code(code, args.budget)
+    dist = weight_distribution(code, args.budget)
     ab = ab_report(dist)
     fv = has_full_value_property(code, args.budget)
     counts = {str(w): dist.counts[w] for w in sorted(dist.counts)}

@@ -21,7 +21,9 @@ on the head rows) plus all of T.  Sums are XOR in characteristic 2 and
 words.
 
 Exhaustive operations refuse to run past a word budget (default 10**7
-codewords) instead of silently taking forever.
+codewords) instead of silently taking forever.  The generator is
+read-only, so a whole-code result, once computed, is kept on the code
+(``LinearCode._memo``) and returned again after the budget check.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BadParams, BudgetExceeded, RankDeficient, TrivialDual
+from .errors import BadParams, BudgetExceeded, RankDeficient, TrivialDual, \
+    _ints
 from .field import GF, build_field
 from .matrix import GFMatrix, nullspace, rref
 
@@ -82,6 +85,8 @@ class LinearCode:
         self.k: int = gen.rows
         zero_cols = np.nonzero(~gen.data.any(axis=0))[0]
         self.zero_columns: tuple[int, ...] = tuple(int(j) for j in zero_cols)
+        # whole-code aggregates, filled by the first walk that computes them
+        self._memo: dict = {}
 
     @property
     def q(self) -> int:
@@ -110,6 +115,7 @@ def from_generator(gen: GFMatrix) -> LinearCode:
 
 
 def _check_budget(code: LinearCode, budget: int) -> None:
+    (budget,) = _ints([budget], "budget")
     if code.size > budget:
         raise BudgetExceeded(code.size, budget)
 
@@ -246,12 +252,21 @@ class WeightDistribution:
 
 def weight_distribution(code: LinearCode,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
-    """Exhaustive weight distribution of the code."""
-    counts = np.zeros(code.n + 1, dtype=np.int64)
-    for _, values in projective_blocks(code, budget):
-        weights = np.count_nonzero(values, axis=1)
-        counts += np.bincount(weights, minlength=code.n + 1)
-    counts *= code.q - 1  # the q-1 words of a class share its weight
+    """Exhaustive weight distribution of the code.
+
+    The per-class weight counts are kept in the code's memo, where
+    ``analysis.is_minimal_code`` also puts them; without them this walks
+    the scalar classes once.
+    """
+    _check_budget(code, budget)
+    per_class = code._memo.get("weights")
+    if per_class is None:
+        per_class = np.zeros(code.n + 1, dtype=np.int64)
+        for _, values in projective_blocks(code, budget):
+            weights = np.count_nonzero(values, axis=1)
+            per_class += np.bincount(weights, minlength=code.n + 1)
+        code._memo["weights"] = per_class
+    counts = per_class * (code.q - 1)  # a class's q-1 words share its weight
     counts[0] = 1  # the zero word
     return WeightDistribution(
         q=code.q, n=code.n, k=code.k,

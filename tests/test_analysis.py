@@ -1,14 +1,16 @@
 """Minimality and value-coverage checks against a plain-python oracle."""
 
+import contextlib
 import itertools
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
 
-from mincodes import analysis
+from mincodes import analysis, cli, codes
 from mincodes import BadParams, BudgetExceeded, DimensionMismatch, NotInCode, \
     build_field
 from mincodes.analysis import (
@@ -21,8 +23,9 @@ from mincodes.analysis import (
     scalar_class,
 )
 from mincodes.codes import DEFAULT_BUDGET, Codeword, from_generator, \
-    random_code
-from mincodes.matrix import GFMatrix
+    min_max_weight, random_code, weight_distribution
+from mincodes.constructions import first, second
+from mincodes.matrix import GFMatrix, write_matrix
 
 
 def make_code(q, rows):
@@ -209,6 +212,81 @@ def test_budget_propagates():
         is_minimal_code(code, budget=3)
 
 
+@pytest.mark.parametrize("check, budget, error", [
+    (is_minimal_code, "x", BadParams),
+    (min_max_weight, None, BadParams),
+    (weight_distribution, 2.5, BadParams),
+    # a bool is an int to operator.index, as everywhere in the package, so
+    # True is a budget of one word
+    (has_full_value_property, True, BudgetExceeded),
+])
+def test_budget_is_checked_as_an_integer(check, budget, error):
+    code = first(3, 3)
+    for memoised in (False, True):
+        if memoised:
+            is_minimal_code(code)
+        with mock.patch.object(codes, "_span", side_effect=AssertionError):
+            with pytest.raises(error):
+                check(code, budget=budget)
+
+
+@contextlib.contextmanager
+def counted_walks():
+    """Count the calls of projective_blocks, wherever the whole-code
+    checks bind it, and of column_ranks."""
+    counts = Counter()
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    with mock.patch.object(codes, "projective_blocks",
+                           spy("walks", codes.projective_blocks)), \
+            mock.patch.object(analysis, "projective_blocks",
+                              spy("walks", analysis.projective_blocks)), \
+            mock.patch.object(analysis, "column_ranks",
+                              spy("column_ranks", analysis.column_ranks)):
+        yield counts
+
+
+@pytest.mark.parametrize("build", [lambda: first(3, 3),
+                                   lambda: second(4, 3, 2)],
+                         ids=["first(3,3)", "second(4,3,2)"])
+def test_analyze_walks_the_classes_once(build, tmp_path, capsys):
+    path = tmp_path / "code.txt"
+    write_matrix(build().gen, path)
+    for extra in ([], ["--json"]):
+        with counted_walks() as counts:
+            cli.main(["analyze", "--in", str(path)] + extra)
+        assert counts == {"walks": 1, "column_ranks": 1}
+    capsys.readouterr()
+
+
+def test_memoised_checks_walk_nothing():
+    code = second(4, 3, 2)
+    report = is_minimal_code(code)
+    with counted_walks() as counts:
+        assert is_minimal_code(code) is report
+        weight_distribution(code)
+        has_full_value_property(code)
+        ab_condition(code)
+        min_max_weight(code)
+    assert counts == {}
+    with pytest.raises(BudgetExceeded):
+        is_minimal_code(code, budget=code.size - 1)
+
+
+def test_weight_distribution_never_ranks():
+    code = first(3, 3)
+    with counted_walks() as counts:
+        weight_distribution(code)
+        min_max_weight(code)
+        ab_condition(code)
+    assert counts == {"walks": 1}
+
+
 def test_minimality_survives_appended_columns():
     # supermatrix closure: adjoining arbitrary columns to the generator of
     # a verified-minimal code can only grow supports, never break coverage
@@ -256,7 +334,7 @@ def kernel_calls(code):
         return counted
 
     with mock.patch.object(analysis, "column_ranks", spy):
-        for _, _, ok in analysis._rank_blocks(code, DEFAULT_BUDGET):
+        for *_, ok in analysis._rank_blocks(code, DEFAULT_BUDGET):
             masks.append(ok)
             blocks.append(calls[:])
             calls.clear()

@@ -13,9 +13,15 @@ here as the oracle, and itself checked on random support matrices up to
 300 columns wide) on codes with k = 1, with zero columns and with a class
 that has no zero coordinate, and on every code of the default sweep
 corpus, and ``is_minimal_codeword`` against a walk over every class.  The
+witness scan, in growing blocks, is checked against the fixed-block scan
+it replaced on random supports and on random codes whose first covered
+class lies past several blocks, with floating-point errors raised.  The
+whole-code results kept on a code are checked, called in any order,
+against fresh walks of a copy.  The
 slice-first rank pass is checked against the full-width pass it replaced
-(kept here as ``full_width_mask``) on codes up to 3k+2 columns long with
-repeated, proportional and zero columns, at every slice width.  The
+(kept here as ``full_width_mask``) on codes up to max(3k+2, 2^(k+1))
+columns long with repeated, proportional and zero columns, at every slice
+width, with the slice gathered both by argmin rounds and by sorting.  The
 weight distribution of every dual code is checked against the MacWilliams
 transform.  The batched coalition search is checked against a
 per-coalition ``in_span`` loop and the dual-code path with every column as
@@ -35,6 +41,7 @@ the same call with none kept, for every coalition, and ``is_authorized``
 against ``in_span``.
 """
 
+import contextlib
 import itertools
 import math
 import random
@@ -48,6 +55,10 @@ from hypothesis import strategies as st
 
 from mincodes import analysis, codes, sss, sweep
 from mincodes.analysis import (
+    FullValueReport,
+    MinimalityReport,
+    ab_condition,
+    ab_report,
     has_full_value_property,
     is_minimal_code,
     is_minimal_codeword,
@@ -55,10 +66,13 @@ from mincodes.analysis import (
 )
 from mincodes.codes import (
     LinearCode,
+    WeightDistribution,
     codeword_blocks,
     dual_code,
     enumerate_codewords,
+    min_max_weight,
     projective_blocks,
+    random_code,
     weight_distribution,
 )
 from mincodes.constructions import _independent_rows
@@ -220,7 +234,8 @@ def test_cover_scan_matches_pairwise_oracle(code, chunk, row_block):
     minimal = [w for j, w in enumerate(reps)
                if not any(i != j and masks[i] & ~masks[j] == 0
                           for i in range(len(reps)))]
-    with small_chunks(chunk), \
+    # a NaN in the float32 zero test would read as "not covered"
+    with small_chunks(chunk), np.errstate(invalid="raise"), \
             mock.patch.object(analysis, "_ROW_BLOCK", row_block):
         report = is_minimal_code(code)
         got = minimal_codewords(code)
@@ -301,6 +316,67 @@ def pairwise_minimality(code, row_block):
     return minimal, witness, pairs
 
 
+def fixed_block_first_cover(packed, bad, n, row_block):
+    """The witness scan before it grew its blocks: every block of
+    row_block covered rows against all non-minimal classes, stopping
+    after the first block with a hit."""
+    def block(rows):
+        return np.unpackbits(rows, axis=1, count=n).astype(np.float32)
+
+    for start in range(0, len(packed), row_block):
+        rows = block(packed[start:start + row_block])
+        first = None
+        for cstart in range(0, len(bad), row_block):
+            cols = bad[cstart:cstart + row_block]
+            covered = (rows @ (1 - block(packed[cols])).T) == 0
+            own = (cols >= start) & (cols < start + len(rows))
+            covered[cols[own] - start, np.nonzero(own)[0]] = False
+            hits = np.argwhere(covered)
+            if hits.size and (first is None or hits[0, 0] < first[0]):
+                first = (int(hits[0, 0]), int(cols[hits[0, 1]]))
+        if first is not None:
+            return start + first[0], first[1]
+    return None
+
+
+@pytest.mark.parametrize("n, k, q, seed, covered", [
+    *[(24, 9, 3, seed, 0) for seed in range(1, 6)],
+    (40, 14, 2, 1, 10),
+    (60, 16, 2, 1, 933),  # past the blocks of 1, 2, ..., 512 rows
+])
+def test_growing_cover_scan_matches_fixed_blocks(n, k, q, seed, covered):
+    code = random_code(n, k, q, seed=seed)
+    supports, minimal = [], []
+    for _, v, _, ok in analysis._rank_blocks(code, codes.DEFAULT_BUDGET):
+        supports.append(np.packbits(v != 0, axis=1))
+        minimal.append(ok)
+    packed, bad = np.vstack(supports), np.nonzero(~np.concatenate(minimal))[0]
+    with np.errstate(invalid="raise"):
+        got = analysis._first_cover(packed, bad, n)
+        want = fixed_block_first_cover(packed, bad, n, analysis._ROW_BLOCK)
+    assert got == want
+    assert got[0] == covered
+
+
+@SETTINGS
+@given(support_masks(), st.integers(1, 8))
+def test_growing_cover_scan_matches_fixed_blocks_on_masks(drawn, row_block):
+    """On random supports, with every class that contains another one
+    taken as non-minimal, and blocks capped at row_block rows."""
+    n, masks = drawn
+    bad = np.array([j for j, b in enumerate(masks)
+                    if any(i != j and a & ~b == 0
+                           for i, a in enumerate(masks))], dtype=np.intp)
+    assume(len(bad))
+    supp = np.array([[(m >> c) & 1 for c in range(n)] for m in masks],
+                    dtype=bool)
+    packed = np.packbits(supp, axis=1)
+    with np.errstate(invalid="raise"), \
+            mock.patch.object(analysis, "_ROW_BLOCK", row_block):
+        got = analysis._first_cover(packed, bad, n)
+    assert got == fixed_block_first_cover(packed, bad, n, row_block)
+
+
 SHAPES = ("random", "k = 1", "zero column", "class without zeros")
 
 
@@ -332,7 +408,7 @@ def test_rank_mask_matches_pairwise_oracle(q, data, chunk, row_block):
         want, witness, pairs = pairwise_minimality(code, row_block)
         with small_chunks(chunk), \
                 mock.patch.object(analysis, "_ROW_BLOCK", row_block):
-            got = np.concatenate([ok for _, _, ok in analysis._rank_blocks(
+            got = np.concatenate([ok for *_, ok in analysis._rank_blocks(
                 code, codes.DEFAULT_BUDGET)])
             report = is_minimal_code(code)
             words = minimal_codewords(code)
@@ -354,9 +430,74 @@ def test_rank_mask_matches_pairwise_oracle_on_sweep_corpus():
     sweep.run_criterion(11, registry=registry)
     assert len(registry) == 38
     for label, code in registry.items():
-        got = np.concatenate([ok for _, _, ok in analysis._rank_blocks(
+        got = np.concatenate([ok for *_, ok in analysis._rank_blocks(
             code, codes.DEFAULT_BUDGET)])
         assert np.array_equal(got, pairwise_minimality(code, 1024)[0]), label
+
+
+def walk_weight_distribution(code):
+    """The weight distribution by its own walk over the scalar classes."""
+    counts = np.zeros(code.n + 1, dtype=np.int64)
+    for _, values in projective_blocks(code):
+        counts += np.bincount(np.count_nonzero(values, axis=1),
+                              minlength=code.n + 1)
+    counts *= code.q - 1
+    counts[0] = 1
+    return WeightDistribution(
+        q=code.q, n=code.n, k=code.k,
+        counts={int(w): int(c) for w, c in enumerate(counts) if c})
+
+
+def walk_full_value(code):
+    """The full-value verdict by a walk that stops at the first class
+    missing a field value."""
+    for ublock, vblock in projective_blocks(code):
+        ok = np.ones(len(vblock), dtype=bool)
+        for val in range(code.q):
+            ok &= (vblock == val).any(axis=1)
+        if not ok.all():
+            i = int(np.nonzero(~ok)[0][0])
+            word = analysis._as_word(vblock[i], ublock[i])
+            return FullValueReport(False, word,
+                                   tuple(sorted(set(word.values))))
+    return FullValueReport(True, None, None)
+
+
+def whole_code_oracles(code):
+    """Each whole-code function's result on a fresh copy of code, by the
+    walks above and the pairwise cover scan."""
+    fresh = LinearCode(code.gen)
+    dist = walk_weight_distribution(fresh)
+    mask, witness, pairs = pairwise_minimality(fresh, analysis._ROW_BLOCK)
+    return {
+        is_minimal_code: MinimalityReport(witness is None, witness,
+                                          len(mask), pairs),
+        weight_distribution: dist,
+        ab_condition: ab_report(dist),
+        min_max_weight: (dist.min_nonzero(), dist.max_weight()),
+        has_full_value_property: walk_full_value(fresh),
+    }
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data(), chunk=chunks)
+def test_memoised_results_match_fresh_walks(q, data, chunk):
+    """The five whole-code functions, called twice each in a drawn order
+    on one code, so that most calls read what an earlier one kept, give
+    what fresh walks give, and a budget below q^k still raises."""
+    shape = data.draw(st.sampled_from(SHAPES), label="shape")
+    code = data.draw(shaped_codes(q, shape), label="code")
+    want = whole_code_oracles(code)
+    order = data.draw(st.permutations(list(want)), label="order")
+    with small_chunks(chunk), np.errstate(invalid="raise"):
+        for check in order + order:
+            assert check(code) == want[check], check.__name__
+            with pytest.raises(BudgetExceeded):
+                check(code, budget=code.size - 1)
+    assert set(code._memo) == {"minimality", "weights", "full_value"}
+    with pytest.raises(BudgetExceeded):
+        weight_distribution(code, budget=1)
 
 
 def full_width_mask(code):
@@ -376,12 +517,13 @@ def full_width_mask(code):
 
 @st.composite
 def repeated_column_codes(draw, q, max_k=5, max_words=729):
-    """Random codes of length k..3k+2 whose columns are random, zero, or a
-    repeat or nonzero multiple of an earlier column, so that zero sets run
-    past k+1 columns while their rank stays low."""
+    """Random codes of length k..max(3k+2, 2^(k+1)) whose columns are
+    random, zero, or a repeat or nonzero multiple of an earlier column, so
+    that zero sets run past k+1 columns while their rank stays low, and
+    the long ones take the argmin gather of the slice."""
     f = build_field(q)
     k = draw(st.integers(1, min(max_k, int(math.log(max_words + 0.5, q)))))
-    n = draw(st.integers(k, 3 * k + 2))
+    n = draw(st.integers(k, max(3 * k + 2, 2 ** (k + 1))))
     cols = []
     for j in range(n):
         kind = draw(st.sampled_from(("random", "zero", "repeat", "multiple"))
@@ -401,21 +543,49 @@ def repeated_column_codes(draw, q, max_k=5, max_words=729):
     return LinearCode(gen)
 
 
+@contextlib.contextmanager
+def counted_gathers(counts):
+    """Count the blocks that _rank_blocks gathers by argmin rounds and
+    all the blocks it walks; the rest are gathered by the sort."""
+    real_walk, real_argmin = analysis.projective_blocks, analysis._first_zeros
+
+    def walk(*args, **kwargs):
+        for block in real_walk(*args, **kwargs):
+            counts["blocks"] += 1
+            yield block
+
+    def argmin(*args, **kwargs):
+        counts["argmin"] += 1
+        return real_argmin(*args, **kwargs)
+
+    with mock.patch.object(analysis, "projective_blocks", walk), \
+            mock.patch.object(analysis, "_first_zeros", argmin):
+        yield
+
+
 @pytest.mark.parametrize("q", FIELDS)
-@SETTINGS
-@given(data=st.data(), chunk=st.integers(1, 8))
-def test_slice_rank_mask_matches_full_width(q, data, chunk):
+def test_slice_rank_mask_matches_full_width(q):
     """The slice-first rank pass gives the full-width mask (itself checked
     against the pairwise scan) with the slice patched to every width from
-    k to 2k+1 columns, on blocks of a few rows."""
-    code = data.draw(repeated_column_codes(q))
-    want = full_width_mask(code)
-    assert np.array_equal(want, pairwise_minimality(code, 1024)[0])
-    for extra in range(1, code.k + 3):
-        with small_chunks(chunk), mock.patch.object(analysis, "_SLICE", extra):
-            got = np.concatenate([ok for _, _, ok in analysis._rank_blocks(
-                code, codes.DEFAULT_BUDGET)])
-        assert np.array_equal(got, want), extra
+    k to 2k+1 columns, on blocks of a few rows, through both gathers of
+    the slice: argmin rounds and the sort."""
+    counts = Counter()
+
+    @SETTINGS
+    @given(data=st.data(), chunk=st.integers(1, 8))
+    def check(data, chunk):
+        code = data.draw(repeated_column_codes(q))
+        want = full_width_mask(code)
+        assert np.array_equal(want, pairwise_minimality(code, 1024)[0])
+        for extra in range(1, code.k + 3):
+            with small_chunks(chunk), counted_gathers(counts), \
+                    mock.patch.object(analysis, "_SLICE", extra):
+                got = np.concatenate([ok for *_, ok in analysis._rank_blocks(
+                    code, codes.DEFAULT_BUDGET)])
+            assert np.array_equal(got, want), extra
+
+    check()
+    assert 0 < counts["argmin"] < counts["blocks"], counts
 
 
 @SETTINGS
