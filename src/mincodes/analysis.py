@@ -130,15 +130,6 @@ class FullValueReport:
         }
 
 
-def covers(c1: Codeword, c2: Codeword) -> bool:
-    """True iff Supp(c1) is contained in Supp(c2)."""
-    if len(c1.values) != len(c2.values):
-        raise DimensionMismatch("codewords have different lengths")
-    a = np.asarray(c1.values, dtype=np.int64) != 0
-    b = np.asarray(c2.values, dtype=np.int64) != 0
-    return bool(np.all(b[a]))
-
-
 def _as_word(values_row, coeffs_row) -> Codeword:
     return Codeword(tuple(coeffs_row.tolist()), tuple(values_row.tolist()))
 
@@ -301,22 +292,11 @@ def minimal_codewords(code: LinearCode,
 
     Representatives are normalized to first nonzero coefficient 1 and listed
     in canonical coefficient order; the complete set of minimal codewords is
-    exactly their nonzero scalar multiples (see scalar_class).
+    exactly their nonzero scalar multiples.
     """
     return [Codeword(tuple(c), tuple(x))
             for u, v, _, ok in _rank_blocks(code, budget)
             for c, x in zip(u[ok].tolist(), v[ok].tolist())]
-
-
-def scalar_class(code: LinearCode, word: Codeword) -> list[Codeword]:
-    """The q-1 nonzero scalar multiples of word, in ascending scalar order."""
-    f = code.field
-    u = np.asarray(word.coeffs, dtype=np.int64)
-    v = np.asarray(word.values, dtype=np.int64)
-    return [
-        _as_word(f.mul_table[lam, v], f.mul_table[lam, u])
-        for lam in range(1, f.q)
-    ]
 
 
 def _coeffs_for(code: LinearCode, values) -> np.ndarray:

@@ -34,8 +34,7 @@ import time
 from pathlib import Path
 
 from .analysis import ab_report, has_full_value_property, is_minimal_code
-from .codes import (DEFAULT_BUDGET, LinearCode, from_generator,
-                    weight_distribution)
+from .codes import DEFAULT_BUDGET, LinearCode, weight_distribution
 from .constructions import (cf_code, cg_code, extended, first, lift, second,
                             tensor_product, weight_s)
 from .errors import BadParams, MinCodesError
@@ -69,7 +68,7 @@ def _load_code(path) -> LinearCode:
     # the cap applies before the field, whose tables grow as q^2, is built
     q, entries = _parse_matrix(_read_text(path))
     _check_q(q)
-    return from_generator(GFMatrix(build_field(q), entries))
+    return LinearCode(GFMatrix(build_field(q), entries))
 
 
 def _ints(text: str, flag: str) -> tuple[int, ...]:

@@ -64,12 +64,14 @@ class Codeword:
         """0-based indices of the nonzero coordinates."""
         return tuple(i for i, v in enumerate(self.values) if v)
 
-    def is_zero(self) -> bool:
-        return not any(self.values)
-
 
 class LinearCode:
-    """An [n, k] linear code over GF(q), presented by a generator matrix."""
+    """An [n, k] linear code over GF(q), presented by a generator matrix.
+
+    Raises RankDeficient unless the generator's rows are independent.  Zero
+    columns are legal: they are recorded in ``zero_columns``, so callers
+    that cannot tolerate them, like secret sharing, can refuse.
+    """
 
     def __init__(self, gen: GFMatrix):
         if not gen.rows:
@@ -103,15 +105,6 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}]_{self.q})"
-
-
-def from_generator(gen: GFMatrix) -> LinearCode:
-    """Wrap a generator matrix; raises RankDeficient unless rows independent.
-
-    Zero columns are legal (they are recorded in ``code.zero_columns`` so
-    callers that cannot tolerate them, like secret sharing, can refuse).
-    """
-    return LinearCode(gen)
 
 
 def _check_budget(code: LinearCode, budget: int) -> None:
@@ -210,14 +203,6 @@ def projective_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
     yield from _lead_one_blocks(code.field, code.gen.data)
 
 
-def enumerate_codewords(code: LinearCode,
-                        budget: int = DEFAULT_BUDGET) -> Iterator[Codeword]:
-    """Yield all q^k codewords in canonical coefficient order."""
-    for ublock, vblock in codeword_blocks(code, budget):
-        for u, v in zip(ublock, vblock):
-            yield Codeword(tuple(int(c) for c in u), tuple(int(x) for x in v))
-
-
 @dataclass(frozen=True)
 class WeightDistribution:
     """Codeword count per Hamming weight (the zero word included at 0)."""
@@ -232,9 +217,6 @@ class WeightDistribution:
 
     def max_weight(self) -> int:
         return max(w for w in self.counts if w > 0)
-
-    def total(self) -> int:
-        return sum(self.counts.values())
 
     def to_json(self) -> str:
         return json.dumps({
@@ -291,10 +273,13 @@ def dual_code(code: LinearCode) -> LinearCode:
 def random_code(n: int, k: int, q: int, seed: int) -> LinearCode:
     """A reproducible random [n, k]_q code with no zero columns, 1 <= k <= n.
 
+    n, k, q and seed must be integers (numpy integers pass).
+
     Entries are drawn from random.Random(seed); draws are repeated until
     the matrix has full row rank and every column is nonzero, so the same
     (n, k, q, seed) always yields the same code.
     """
+    n, k, q, seed = _ints([n, k, q, seed], "n, k, q and seed")
     if not 1 <= k <= n:
         raise BadParams(f"random_code needs 1 <= k <= n, got n={n}, k={k}")
     f = build_field(q)

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analysis import has_full_value_property, is_minimal_code
-from .codes import DEFAULT_BUDGET, LinearCode, from_generator
+from .codes import DEFAULT_BUDGET, LinearCode
 from .errors import BadParams, BudgetExceeded, PreconditionFailed, _ints
 from .field import build_field
 from .matrix import GFMatrix, _rref_array, kronecker
@@ -88,7 +88,7 @@ def _systematic(t: int, q: int, size: int, lead_one: bool) -> LinearCode:
             for idx, val in zip(supp, lead + vals):
                 c[idx] = val
             cols.append(c)
-    return from_generator(GFMatrix(f, np.array(cols).T))
+    return LinearCode(GFMatrix(f, np.array(cols).T))
 
 
 def extended(t: int, q: int) -> LinearCode:
@@ -103,7 +103,7 @@ def extended(t: int, q: int) -> LinearCode:
         return base
     extra = np.zeros((t, q - 2), dtype=np.int64)
     extra[0] = f.powers_of_xi()
-    return from_generator(base.gen.hstack(GFMatrix(f, extra)))
+    return LinearCode(base.gen.hstack(GFMatrix(f, extra)))
 
 
 def lift(code: LinearCode, s: int, budget: int = DEFAULT_BUDGET) -> LinearCode:
@@ -128,12 +128,12 @@ def lift(code: LinearCode, s: int, budget: int = DEFAULT_BUDGET) -> LinearCode:
         out[s:, block] = code.gen.data
         if j >= 1:
             out[j - 1, block] = 1
-    return from_generator(GFMatrix(code.field, out))
+    return LinearCode(GFMatrix(code.field, out))
 
 
 def tensor_product(c1: LinearCode, c2: LinearCode) -> LinearCode:
     """Code generated by the Kronecker product of the two generators."""
-    return from_generator(kronecker(c1.gen, c2.gen))
+    return LinearCode(kronecker(c1.gen, c2.gen))
 
 
 # -- evaluation codes ---------------------------------------------------------
@@ -158,7 +158,7 @@ def _independent_rows(field, rows: np.ndarray) -> np.ndarray:
 def _evaluation_code(field, frow: np.ndarray, points: np.ndarray) -> LinearCode:
     rows = np.vstack([frow[None, :], points.T])
     basis = _independent_rows(field, rows)
-    return from_generator(GFMatrix(field, basis))
+    return LinearCode(GFMatrix(field, basis))
 
 
 def cf_code(n: int, k: int, q: int, alphas,

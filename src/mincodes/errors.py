@@ -11,10 +11,6 @@ class NotPrimePower(MinCodesError):
     """The requested field order is not a prime power >= 2."""
 
 
-class DivisionByZero(MinCodesError):
-    """Multiplicative inverse of zero (or division by zero) was requested."""
-
-
 class FieldMismatch(MinCodesError):
     """Operands live over different fields."""
 

@@ -36,7 +36,7 @@ import functools
 
 import numpy as np
 
-from .errors import BadParams, DimensionMismatch, DivisionByZero, NotPrimePower
+from .errors import BadParams, DimensionMismatch, NotPrimePower, _ints
 
 
 def _prime_power(q: int) -> tuple[int, int] | None:
@@ -102,10 +102,9 @@ class GF:
     """Finite field GF(p**m) with integer-encoded elements.
 
     Use :func:`build_field` instead of constructing directly; it caches one
-    canonical instance per order.  Scalar operations (``add``, ``mul``, ...)
-    take and return plain ints.  The ``*_table`` arrays can be fancy-indexed
-    with numpy integer arrays for vectorized arithmetic, and :meth:`matmul`
-    multiplies matrices of encodings.
+    canonical instance per order.  The ``*_table`` arrays can be
+    fancy-indexed with ints or numpy integer arrays for scalar or vectorized
+    arithmetic, and :meth:`matmul` multiplies matrices of encodings.
 
     Attributes:
         p: field characteristic.
@@ -143,60 +142,6 @@ class GF:
             t.setflags(write=False)
 
         self.xi = self._find_generator()
-
-    # -- scalar arithmetic ------------------------------------------------
-
-    def _check(self, *elems: int) -> None:
-        for a in elems:
-            if not 0 <= a < self.q:
-                raise BadParams(f"{a} is not an element encoding of {self}")
-
-    def add(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.add_table[a, b])
-
-    def sub(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.sub_table[a, b])
-
-    def neg(self, a: int) -> int:
-        self._check(a)
-        return int(self.neg_table[a])
-
-    def mul(self, a: int, b: int) -> int:
-        self._check(a, b)
-        return int(self.mul_table[a, b])
-
-    def inv(self, a: int) -> int:
-        self._check(a)
-        if a == 0:
-            raise DivisionByZero("inverse of 0")
-        return int(self.inv_table[a])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        """a**e; negative e inverts first (a must be nonzero then)."""
-        self._check(a)
-        if e < 0:
-            a, e = self.inv(a), -e
-        result, base = 1, a
-        while e:
-            if e & 1:
-                result = int(self.mul_table[result, base])
-            base = int(self.mul_table[base, base])
-            e >>= 1
-        return result
-
-    # -- element listings --------------------------------------------------
-
-    def elements(self) -> list[int]:
-        """All q encodings: 0 first, then ascending."""
-        return list(range(self.q))
-
-    def units(self) -> list[int]:
-        return list(range(1, self.q))
 
     def powers_of_xi(self) -> list[int]:
         """[xi^1, ..., xi^(q-2)]: the units other than 1, in power order.
@@ -258,13 +203,22 @@ class GF:
         return f"GF({self.q})"
 
 
-@functools.lru_cache(maxsize=None)
 def build_field(q: int) -> GF:
     """Build (and cache) the canonical field of order q.
 
+    q is checked to be an integer before the cache is consulted, since the
+    cache would take 4.0 for 4.
+
     Raises:
+        BadParams: if q is not an integer (numpy integers pass).
         NotPrimePower: if q is not a prime power >= 2.
     """
+    (q,) = _ints([q], "field order")
+    return _canonical_field(q)
+
+
+@functools.lru_cache(maxsize=None)
+def _canonical_field(q: int) -> GF:
     pm = _prime_power(q)
     if pm is None:
         raise NotPrimePower(f"{q} is not a prime power")

@@ -42,10 +42,6 @@ class GFMatrix:
         self.data = arr.astype(field.add_table.dtype)
         self.data.setflags(write=False)
 
-    @classmethod
-    def identity(cls, field: GF, n: int) -> "GFMatrix":
-        return cls(field, np.eye(n, dtype=np.int64))
-
     @property
     def rows(self) -> int:
         return self.data.shape[0]
@@ -53,12 +49,6 @@ class GFMatrix:
     @property
     def cols(self) -> int:
         return self.data.shape[1]
-
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i]
-
-    def col(self, j: int) -> np.ndarray:
-        return self.data[:, j]
 
     def hstack(self, other: "GFMatrix") -> "GFMatrix":
         if self.field != other.field:
@@ -332,7 +322,3 @@ def _read_text(path: str | os.PathLike) -> str:
             return fh.read()
     except UnicodeDecodeError as e:
         raise BadParams(f"matrix file {path} is not ASCII text: {e}") from None
-
-
-def read_matrix(path: str | os.PathLike) -> GFMatrix:
-    return loads_matrix(_read_text(path))

@@ -114,9 +114,6 @@ class SssScheme:
     def secret_col(self) -> np.ndarray:
         return self.code.gen.data[:, self.secret_column - 1]
 
-    def participant_cols(self, subset) -> list[np.ndarray]:
-        return [self.code.gen.data[:, i - 1] for i in self._check(subset)]
-
     def _check(self, subset) -> tuple[int, ...]:
         ids = tuple(_ints(subset, "participants"))
         if len(set(ids)) != len(ids):

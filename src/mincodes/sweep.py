@@ -41,9 +41,8 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from .analysis import ab_condition, has_full_value_property, is_minimal_code
-from .codes import (DEFAULT_BUDGET, LinearCode, dual_code, from_generator,
-                    min_max_weight, projective_blocks, random_code,
-                    weight_distribution)
+from .codes import (DEFAULT_BUDGET, LinearCode, dual_code, min_max_weight,
+                    projective_blocks, random_code, weight_distribution)
 from .constructions import (cf_code, cg_code, comb0, extended, first, lift,
                             predicted_dprime_weights, predicted_first_params,
                             predicted_second_bound, predicted_ws, second,
@@ -359,7 +358,7 @@ def _run_extended(instances, budget, registry):
 
 _LIFT_BASES = (
     ("gen(1,0)",
-     lambda: from_generator(GFMatrix(build_field(2), np.array([[1, 0]])))),
+     lambda: LinearCode(GFMatrix(build_field(2), np.array([[1, 0]])))),
     ("extended(3,3)", lambda: extended(3, 3)),
     ("extended(3,4)", lambda: extended(3, 4)),
 )
@@ -591,11 +590,6 @@ def _collect(number: int, instances: Optional[tuple], budget: int,
     return checks
 
 
-def default_instances(number: int) -> Optional[tuple]:
-    """The default instance list of a criterion, None when fixed."""
-    return _spec(number)[1]
-
-
 def run_criterion(number: int, instances: Optional[Sequence] = None,
                   budget: int = DEFAULT_BUDGET,
                   registry: Optional[CodeRegistry] = None) -> CriterionResult:
@@ -626,9 +620,6 @@ class SweepReport:
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for r in self.results for c in r.checks if not c.passed]
 
     def as_dict(self) -> dict:
         checks = [c for r in self.results for c in r.checks]

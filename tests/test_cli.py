@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from mincodes.cli import main
-from mincodes.field import build_field
+from mincodes.field import _canonical_field
 
 
 def run_cli(capsys, *args):
@@ -131,11 +131,12 @@ def test_analyze_missing_file_exits_1(capsys):
 def test_q_cap_applies_before_any_field_is_built(tmp_path, capsys, command):
     big = tmp_path / "big.txt"
     big.write_text("1031 1 1\n1\n")
-    before = build_field.cache_info()
+    # every build_field call with an integer q goes through this cache
+    before = _canonical_field.cache_info()
     status, out, err = run_cli(capsys, *command, "--in", str(big))
     assert status == 1 and out == ""
     assert "caps q at 64" in err
-    after = build_field.cache_info()
+    after = _canonical_field.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
 

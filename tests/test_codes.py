@@ -10,10 +10,10 @@ from unittest import mock
 from mincodes import (BadParams, BudgetExceeded, RankDeficient, TrivialDual,
                       build_field, codes)
 from mincodes.codes import (
+    Codeword,
     LinearCode,
+    codeword_blocks,
     dual_code,
-    enumerate_codewords,
-    from_generator,
     min_max_weight,
     random_code,
     weight_distribution,
@@ -22,7 +22,14 @@ from mincodes.matrix import GFMatrix
 
 
 def make_code(q, rows):
-    return from_generator(GFMatrix(build_field(q), rows))
+    return LinearCode(GFMatrix(build_field(q), rows))
+
+
+def all_words(code):
+    """Every codeword, in canonical order, from the block generator."""
+    for coeffs, values in codeword_blocks(code):
+        for u, v in zip(coeffs.tolist(), values.tolist()):
+            yield Codeword(tuple(u), tuple(v))
 
 
 def brute_distribution(q, rows):
@@ -35,7 +42,7 @@ def brute_distribution(q, rows):
         word = [0] * n
         for ui, row in zip(u, rows):
             for j, g in enumerate(row):
-                word[j] = f.add(word[j], f.mul(ui, g))
+                word[j] = int(f.add_table[word[j], f.mul_table[ui, g]])
         w = sum(1 for x in word if x)
         counts[w] = counts.get(w, 0) + 1
     return counts
@@ -51,14 +58,14 @@ HAMMING73 = [
 
 def test_simplex_32():
     c = make_code(2, [[1, 0, 1], [0, 1, 1]])
-    words = [w.values for w in enumerate_codewords(c)]
+    words = [w.values for w in all_words(c)]
     assert words == [(0, 0, 0), (0, 1, 1), (1, 0, 1), (1, 1, 0)]
     assert min_max_weight(c) == (2, 2)
 
 
 def test_enumeration_order_is_base_q_counter():
     c = make_code(3, [[1, 0], [0, 1]])
-    coeffs = [w.coeffs for w in enumerate_codewords(c)]
+    coeffs = [w.coeffs for w in all_words(c)]
     assert coeffs == [
         (0, 0), (0, 1), (0, 2),
         (1, 0), (1, 1), (1, 2),
@@ -72,8 +79,6 @@ def test_codeword_properties():
     assert w.values == (2, 1, 0, 2)
     assert w.weight == 3
     assert w.support == (0, 1, 3)
-    assert not w.is_zero()
-    assert c.codeword([0]).is_zero()
 
 
 def test_hamming_7_4_distribution():
@@ -82,7 +87,7 @@ def test_hamming_7_4_distribution():
     assert dist.counts == {0: 1, 3: 7, 4: 7, 7: 1}
     assert dist.counts == brute_distribution(2, HAMMING73)
     assert min_max_weight(c) == (3, 7)
-    assert dist.total() == 16
+    assert sum(dist.counts.values()) == 16
 
 
 @pytest.mark.parametrize("q,rows", [
@@ -116,6 +121,20 @@ def test_random_code_rejects_bad_shape(n, k):
             random_code(n, k, 2, seed=1)
 
 
+@pytest.mark.parametrize("n, k, q, seed", [
+    (5.0, 3, 3, 1), (5, 3.0, 3, 1), (5, 3, "3", 1),
+    (5, 3, 3, "abc"), (5, 3, 3, 1.5), (5, 3, 3, None),
+], ids=["float-n", "float-k", "str-q", "str-seed", "float-seed", "no-seed"])
+def test_random_code_takes_only_integers(n, k, q, seed):
+    with pytest.raises(BadParams, match="n, k, q and seed"):
+        random_code(n, k, q, seed=seed)
+
+
+def test_random_code_takes_numpy_integers():
+    code = random_code(np.int64(5), np.int8(3), np.uint8(3), seed=np.int64(1))
+    assert code.gen == random_code(5, 3, 3, seed=1).gen
+
+
 def test_random_code_row_reduces_each_draw_once():
     with mock.patch.object(codes, "rref", wraps=codes.rref) as spy:
         code = random_code(24, 12, 2, seed=1)
@@ -144,7 +163,7 @@ def test_budget_guard():
     assert err.value.needed == 16
     assert err.value.budget == 15
     # generator is lazy: creating it is fine, consuming it raises
-    it = enumerate_codewords(c, budget=15)
+    it = codeword_blocks(c, budget=15)
     with pytest.raises(BudgetExceeded):
         next(it)
 
@@ -163,8 +182,8 @@ def test_dual_code():
 def test_dual_of_dual_is_original_row_space():
     c = make_code(3, [[1, 2, 0, 1], [0, 1, 1, 2]])
     dd = dual_code(dual_code(c))
-    words = {w.values for w in enumerate_codewords(c)}
-    words_dd = {w.values for w in enumerate_codewords(dd)}
+    words = {w.values for w in all_words(c)}
+    words_dd = {w.values for w in all_words(dd)}
     assert words == words_dd
 
 

@@ -13,7 +13,8 @@ from mincodes.analysis import (
     has_full_value_property,
     is_minimal_code,
 )
-from mincodes.codes import coeff_blocks, min_max_weight, weight_distribution
+from mincodes.codes import LinearCode, coeff_blocks, min_max_weight, \
+    weight_distribution
 from mincodes.constructions import (
     cf_code,
     cg_code,
@@ -38,11 +39,10 @@ from mincodes.errors import (
 )
 from mincodes.field import build_field
 from mincodes.matrix import GFMatrix
-from mincodes.codes import from_generator
 
 
 def make_code(q, rows):
-    return from_generator(GFMatrix(build_field(q), np.array(rows)))
+    return LinearCode(GFMatrix(build_field(q), np.array(rows)))
 
 
 def weights_by_coeff_weight(code):
@@ -77,7 +77,7 @@ def test_first_3_3_generator():
     ]
     assert np.array_equal(code.gen.data, expected)
     # fourth column pairs the first two rows with scalar 1
-    assert tuple(code.gen.col(3).ravel()) == (1, 1, 0)
+    assert tuple(code.gen.data[:, 3]) == (1, 1, 0)
 
 
 def test_first_bad_params():
@@ -469,9 +469,9 @@ def test_cf_code_4_2_3():
     code = cf_code(4, 2, 3, (1, 2))
     assert (code.n, code.k, code.q) == (80, 5, 3)
     # first point x = (0,0,0,1): f = alpha_1 = 1, then the coordinates
-    assert tuple(code.gen.col(0).ravel()) == (1, 0, 0, 0, 1)
+    assert tuple(code.gen.data[:, 0]) == (1, 0, 0, 0, 1)
     # x = (0,0,1,1) has weight 2: f = alpha_2 = 2
-    assert tuple(code.gen.col(3).ravel()) == (2, 0, 0, 1, 1)
+    assert tuple(code.gen.data[:, 3]) == (2, 0, 0, 1, 1)
     assert is_minimal_code(code).is_minimal
 
 

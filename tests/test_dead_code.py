@@ -1,17 +1,37 @@
-"""Every private module-level name in the package has a caller.
+"""Every name the package defines has a caller.
 
-A function, class or constant whose name starts with ``_`` is private to
-the package, so any use of it sits in ``src/mincodes``.  One whose name
-is read nowhere there outside its own definition (loaded, taken as an
-attribute or imported) is dead code.  The check goes by name only, so a
-use of another module's namesake counts too.
+A name is read when it is loaded, taken as an attribute or imported.  The
+check goes by name only, so a use of another module's namesake counts
+too, and dunders are exempt.
+
+A private module-level function, class or constant (its name starts with
+``_``) can only be used inside the package, so it must be read somewhere
+in ``src/mincodes`` outside its own definition.
+
+A public module-level function, class or constant, and a public method of
+any module-level class, must be read in ``src/mincodes`` outside its own
+definition or in a demo, be named in a code span or block of the README,
+or sit on ``ALLOWED`` with a reason.  The re-exports in ``__init__.py`` and
+its ``__all__`` are not uses, and a method counts only reads as an
+attribute, since a bare name never reaches it.
 """
 
 import ast
+import re
 from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "mincodes"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "mincodes"
+
+# public names kept without a caller in the package, the README or a demo
+ALLOWED = {
+    "cli._Parser.error": "argparse calls it: it overrides "
+                         "ArgumentParser.error",
+    "matrix.loads_matrix": "it reads what dumps_matrix writes; the CLI "
+                           "parses files itself, to cap q before it "
+                           "builds a field",
+}
 
 
 def definitions(tree):
@@ -28,6 +48,16 @@ def definitions(tree):
                     yield target.id, node
 
 
+def methods(tree):
+    """(Class.name, node) for each function defined in a module-level
+    class."""
+    for cls, node in definitions(tree):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{cls}.{item.name}", item
+
+
 def uses(tree):
     """How often each name is read in tree: loaded, taken as an
     attribute or imported."""
@@ -40,6 +70,12 @@ def uses(tree):
         elif isinstance(node, ast.ImportFrom):
             found.update(alias.name for alias in node.names)
     return found
+
+
+def attribute_uses(tree):
+    """How often each name is taken as an attribute in tree."""
+    return Counter(node.attr for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute))
 
 
 def unused_private_names(sources: dict[str, str]) -> list[str]:
@@ -57,10 +93,57 @@ def unused_private_names(sources: dict[str, str]) -> list[str]:
     return unused
 
 
+def unused_public_names(sources: dict[str, str], outside=(),
+                        named=frozenset()) -> list[str]:
+    """module.name or module.Class.method for each public module-level name
+    or method that is not in named and that neither a module but
+    ``__init__``, outside its own definition, nor a tree in outside
+    reads."""
+    trees = {module: ast.parse(text) for module, text in sources.items()}
+    readers = [tree for module, tree in trees.items() if module != "__init__"]
+    readers += outside
+    totals = {reads: sum((reads(tree) for tree in readers), Counter())
+              for reads in (uses, attribute_uses)}
+    unused = []
+    for module, tree in trees.items():
+        found = [(name, node, uses) for name, node in definitions(tree)]
+        found += [(name, node, attribute_uses) for name, node in methods(tree)]
+        for qualname, node, reads in found:
+            name = qualname.rpartition(".")[2]
+            if name.startswith("_") or name in named:
+                continue
+            if totals[reads][name] == reads(node)[name]:
+                unused.append(f"{module}.{qualname}")
+    return unused
+
+
+def package_sources() -> dict[str, str]:
+    return {path.stem: path.read_text(encoding="utf-8")
+            for path in sorted(SRC.glob("*.py"))}
+
+
+def demo_trees() -> list[ast.Module]:
+    return [ast.parse(path.read_text(encoding="utf-8"))
+            for path in sorted((ROOT / "demos").glob("*.py"))]
+
+
+def readme_names() -> set[str]:
+    """Each identifier in a code span or block of the README."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    code = re.findall(r"```.*?```|`[^`\n]*`", text, re.S)
+    return set(re.findall(r"\w+", "\n".join(code)))
+
+
 def test_every_private_name_has_a_use():
-    sources = {path.stem: path.read_text(encoding="utf-8")
-               for path in sorted(SRC.glob("*.py"))}
-    assert unused_private_names(sources) == []
+    assert unused_private_names(package_sources()) == []
+
+
+def test_every_public_name_has_a_use_or_a_reason():
+    unused = unused_public_names(package_sources(), demo_trees(),
+                                 readme_names())
+    assert sorted(set(unused) - set(ALLOWED)) == []
+    # an allowed name that gains a caller leaves the list
+    assert sorted(set(ALLOWED) - set(unused)) == []
 
 
 def test_a_private_name_used_only_by_itself_is_found():
@@ -72,3 +155,27 @@ def test_a_private_name_used_only_by_itself_is_found():
         "b": "from .a import _used\n__all__ = []\n",
     }
     assert unused_private_names(sources) == ["a._loop", "a._Gone"]
+
+
+def test_an_unused_public_method_is_found():
+    sources = {
+        "a": "class Box:\n"
+             "    def __len__(self):\n        return 0\n"
+             "    def get(self):\n        return self.get()\n"
+             "    def put(self):\n        pass\n"
+             "    def size(self):\n        pass\n"
+             "    def shown(self):\n        pass\n"
+             "    def demoed(self):\n        pass\n"
+             "def make():\n    return Box()\n"
+             "def exported():\n    pass\n",
+        "b": "from .a import make\n"
+             "size = 3\n"
+             "make().put(size)\n",
+        "__init__": "from .a import Box, exported\n"
+                    "__all__ = ['Box', 'exported']\n",
+    }
+    demo = ast.parse("from mincodes import make\nmake().demoed()\n")
+    # get is read only by itself, size only as a bare name, and exported
+    # only by __init__; shown is named in the README
+    assert unused_public_names(sources, [demo], {"shown"}) == [
+        "a.exported", "a.Box.get", "a.Box.size"]

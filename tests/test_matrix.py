@@ -18,7 +18,6 @@ from mincodes.matrix import (
     loads_matrix,
     nullspace,
     rank,
-    read_matrix,
     rref,
     write_matrix,
 )
@@ -29,7 +28,7 @@ def gfm(q, rows):
 
 
 def test_identity_rref_fixed_point():
-    m = GFMatrix.identity(build_field(3), 3)
+    m = gfm(3, np.eye(3, dtype=np.int64))
     red, rk = rref(m)
     assert rk == 3
     assert red == m
@@ -113,7 +112,7 @@ def test_nullspace_orthogonality_and_rank():
 
 
 def test_nullspace_full_rank_empty():
-    ns = nullspace(GFMatrix.identity(build_field(3), 2))
+    ns = nullspace(gfm(3, np.eye(2, dtype=np.int64)))
     assert ns.rows == 0 and ns.cols == 2
 
 
@@ -169,9 +168,8 @@ def test_text_roundtrip(tmp_path):
     m = gfm(4, [[0, 1, 2], [3, 2, 1]])
     path = tmp_path / "m.txt"
     write_matrix(m, path, comment="demo matrix")
-    back = read_matrix(path)
-    assert back == m
     text = path.read_text()
+    assert loads_matrix(text) == m
     assert text.startswith("# demo matrix\n4 2 3\n")
 
 

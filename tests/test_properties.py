@@ -65,11 +65,11 @@ from mincodes.analysis import (
     minimal_codewords,
 )
 from mincodes.codes import (
+    Codeword,
     LinearCode,
     WeightDistribution,
     codeword_blocks,
     dual_code,
-    enumerate_codewords,
     min_max_weight,
     projective_blocks,
     random_code,
@@ -133,6 +133,16 @@ def all_words(code):
 def flatten(blocks):
     return [(tuple(int(c) for c in u), tuple(int(x) for x in v))
             for ublock, vblock in blocks for u, v in zip(ublock, vblock)]
+
+
+def codewords(code):
+    """Every codeword in canonical order, from ``codeword_blocks``."""
+    return [Codeword(u, v) for u, v in flatten(codeword_blocks(code))]
+
+
+def participant_cols(scheme, ids):
+    """The generator columns of the participants ids, in order."""
+    return [scheme.code.gen.data[:, i - 1] for i in ids]
 
 
 def filtered_blocks(code, lead_one: bool):
@@ -205,7 +215,7 @@ def test_blocks_fit_the_chunk_and_the_budget_comes_first(code, chunk):
 def test_weight_distribution_counts_every_word(code, chunk):
     with small_chunks(chunk):
         got = weight_distribution(code).counts
-    want = Counter(w.weight for w in enumerate_codewords(code))
+    want = Counter(w.weight for w in codewords(code))
     assert got == dict(want)
 
 
@@ -214,8 +224,8 @@ def test_weight_distribution_counts_every_word(code, chunk):
 def test_full_value_matches_scan_of_all_nonzero_words(code, chunk):
     with small_chunks(chunk):
         report = has_full_value_property(code)
-    witness = next((w for w in enumerate_codewords(code)
-                    if not w.is_zero() and len(set(w.values)) < code.q),
+    witness = next((w for w in codewords(code)
+                    if any(w.values) and len(set(w.values)) < code.q),
                    None)
     assert report.holds == (witness is None)
     assert report.witness == witness
@@ -226,7 +236,7 @@ def test_full_value_matches_scan_of_all_nonzero_words(code, chunk):
 @SETTINGS
 @given(small_codes(max_k=3), chunks, st.integers(1, 5))
 def test_cover_scan_matches_pairwise_oracle(code, chunk, row_block):
-    reps = [w for w in enumerate_codewords(code) if lead(w.coeffs) == 1]
+    reps = [w for w in codewords(code) if lead(w.coeffs) == 1]
     masks = [sum(1 << i for i in w.support) for w in reps]
     witness = next(((reps[i], reps[j])
                     for i, j in itertools.product(range(len(reps)), repeat=2)
@@ -654,7 +664,7 @@ def test_reconstruct_matches_span_oracles(code, data):
     dealt = deal(scheme, secret, seed=data.draw(st.integers(0, 99)))
     for size in range(len(scheme.participants) + 1):
         for ids in itertools.combinations(scheme.participants, size):
-            cols = scheme.participant_cols(ids)
+            cols = participant_cols(scheme, ids)
             x = in_span(f, scheme.secret_col(), cols)
             vals = [dealt.shares[i] for i in ids]
             if x is None:
@@ -664,7 +674,7 @@ def test_reconstruct_matches_span_oracles(code, data):
             assert reconstruct(scheme, ids, vals) == secret
             pos = data.draw(st.integers(0, size - 1))
             delta = data.draw(st.integers(1, f.q - 1))
-            vals[pos] = f.add(vals[pos], delta)
+            vals[pos] = int(f.add_table[vals[pos], delta])
             sub = np.column_stack(cols)
             consistent = (rank(GFMatrix(f, np.vstack([sub, [vals]])))
                           == rank(GFMatrix(f, sub)))
@@ -676,7 +686,7 @@ def test_reconstruct_matches_span_oracles(code, data):
             assert consistent
             want = 0
             for xi, v in zip(x, vals):
-                want = f.add(want, f.mul(int(xi), v))
+                want = int(f.add_table[want, f.mul_table[xi, v]])
             assert got == want
 
 
@@ -691,7 +701,7 @@ def search_oracle(scheme):
         for cand in itertools.combinations(scheme.participants, size):
             if any(set(m) <= set(cand) for m in found):
                 continue
-            cols = scheme.participant_cols(cand)
+            cols = participant_cols(scheme, cand)
             if in_span(scheme.field, scheme.secret_col(), cols) is not None:
                 found.append(cand)
     return [AccessSet(indices=m) for m in found]
@@ -866,8 +876,8 @@ def test_independent_rows_match_greedy_basis(q, data):
 
 def scalar_deal(scheme, secret, seed):
     """The per-coefficient dealing that ``deal_batch`` replaced: free
-    coefficients drawn in row order, the pivot one solved with scalar field
-    operations, then the participants' entries of one codeword."""
+    coefficients drawn in row order, the pivot one solved one table entry
+    at a time, then the participants' entries of one codeword."""
     f, k = scheme.field, scheme.code.k
     col = scheme.secret_col()
     pivot = next(i for i, x in enumerate(col) if x)
@@ -879,8 +889,8 @@ def scalar_deal(scheme, secret, seed):
     acc = secret
     for j in range(k):
         if j != pivot:
-            acc = f.sub(acc, f.mul(u[j], int(col[j])))
-    u[pivot] = f.div(acc, int(col[pivot]))
+            acc = int(f.sub_table[acc, f.mul_table[u[j], col[j]]])
+    u[pivot] = int(f.mul_table[acc, f.inv_table[col[pivot]]])
     word = scheme.code.codeword(u)
     return {i: word.values[i - 1] for i in scheme.participants}
 
@@ -942,8 +952,9 @@ def test_reconstruct_batch_matches_single_calls(q, data):
     assert got.tolist() == secrets
     bad = data.draw(st.integers(0, len(rows) - 1))
     pos = data.draw(st.integers(0, len(ids) - 1))
-    rows[bad][pos] = f.add(rows[bad][pos], data.draw(st.integers(1, q - 1)))
-    sub = np.column_stack(scheme.participant_cols(ids))
+    rows[bad][pos] = int(f.add_table[rows[bad][pos],
+                                     data.draw(st.integers(1, q - 1))])
+    sub = np.column_stack(participant_cols(scheme, ids))
     consistent = (rank(GFMatrix(f, np.vstack([sub, [rows[bad]]])))
                   == rank(GFMatrix(f, sub)))
     if consistent:
@@ -989,15 +1000,15 @@ def test_cached_row_reductions_match_fresh_schemes(q, data):
         perturbed = [list(r) for r in rows]
         if ids:
             pos = rng.randrange(len(ids))
-            perturbed[-1][pos] = f.add(perturbed[-1][pos],
-                                       rng.randrange(1, q))
+            perturbed[-1][pos] = int(f.add_table[perturbed[-1][pos],
+                                                 rng.randrange(1, q)])
         for share_rows in (rows, perturbed):
             cold._reductions.cache_clear()
             want = outcome(lambda: reconstruct_batch(cold, ids, share_rows))
             for _ in range(2):
                 assert outcome(lambda: reconstruct_batch(
                     warm, ids, share_rows)) == want
-        spans = in_span(f, warm.secret_col(), warm.participant_cols(ids))
+        spans = in_span(f, warm.secret_col(), participant_cols(warm, ids))
         assert is_authorized(warm, ids) == (spans is not None)
         misses = warm._reductions.cache_info().misses
         assert (warm._reductions(ids) is None) == (spans is None)
@@ -1022,7 +1033,7 @@ def perfectness_oracle(scheme, subset, values):
         n_groups = len(uniq)
     table = np.zeros((n_groups, q), dtype=np.int64)
     np.add.at(table, (groups, secrets), 1)
-    cols = scheme.participant_cols(ids)
+    cols = participant_cols(scheme, ids)
     authorized = in_span(scheme.field, scheme.secret_col(), cols) is not None
     if authorized:
         ok = bool(np.all((table > 0).sum(axis=1) == 1))

@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 
 from mincodes.errors import BadParams
-from mincodes.sweep import (CodeRegistry, default_instances, load_config,
-                            run_criterion, run_sweep, validate_config,
+from mincodes.sweep import (CodeRegistry, load_config, run_criterion,
+                            run_sweep, validate_config,
                             write_distribution_csvs)
 
 
@@ -209,18 +209,11 @@ def test_consistency_budget_overrun_is_a_failed_check():
     assert {c.instance for c in overruns} == {"first(5,4)", "first(5,5)"}
 
 
-def test_default_instances():
-    assert default_instances(1)[0] == (2, 2)
-    assert default_instances(7) is None
-    with pytest.raises(BadParams):
-        default_instances(0)
-
-
 def test_default_config_lists_all_criteria():
     cfg = load_config()
     assert cfg == validate_config({"criteria": list(range(1, 12))})
     assert [entry["id"] for entry in cfg["criteria"]] == list(range(1, 12))
-    # no instances listed: each criterion runs on default_instances
+    # no instances listed: each criterion runs on its default instances
     assert all(entry["instances"] is None for entry in cfg["criteria"])
 
 
@@ -265,7 +258,8 @@ def test_failed_criterion_marks_report():
     report = run_sweep({"criteria": [{"id": 4, "instances": [[4, 3, 2]]}]})
     assert not report.passed
     assert "FAIL" in report.table()
-    assert len(report.failures()) == 1
+    failed = [c for r in report.results for c in r.checks if not c.passed]
+    assert len(failed) == 1
     assert report.as_dict()["summary"]["flagged"] >= 1
 
 
