@@ -8,30 +8,15 @@ a published count without it undercounts whenever C(t,s) > 1, and at
 their counts add.
 """
 
-import numpy as np
-
-from mincodes import first, weight_distribution
-from mincodes.codes import codeword_blocks
+from mincodes import first, weight_distribution, weight_strata
 from mincodes.constructions import comb0, predicted_ws
-
-
-def stratified(code):
-    """Codeword weights grouped by coefficient weight."""
-    out = {}
-    for block, values in codeword_blocks(code):
-        cw = np.count_nonzero(block, axis=1)
-        w = np.count_nonzero(values, axis=1)
-        for s in np.unique(cw):
-            out.setdefault(int(s), set()).update(
-                int(x) for x in w[cw == s])
-    return out
 
 
 def main():
     for t, q in ((3, 3), (4, 4), (5, 4)):
         code = first(t, q)
         print(f"first({t},{q}) = [{code.n},{code.k}]_{q}")
-        strata = stratified(code)
+        strata = weight_strata(code)
         for s in range(1, t + 1):
             got = sorted(strata[s])
             ws = predicted_ws(s, t, q)

@@ -29,11 +29,11 @@ a class that covers another is non-minimal, so this finds the same first
 covered pair as a scan of all pairs.  That scan is a float32 GEMM (BLAS
 sgemm); its zero test is exact because every term is nonnegative.
 
-The walk of ``is_minimal_code`` also counts the class weights and finds
-the first class that misses a field value.  The generator is read-only,
-so the three results are kept in the code's memo (aggregates only, no
-per-class arrays) and every whole-code check returns them, after its
-budget check, without walking again.
+Every whole-code fact comes from the walk of that rank pass, ``_walk``,
+which also counts the classes by coefficient and codeword weight and finds the
+first class that misses a field value.  The generator is read-only, so
+the three results are kept in the code's memo, and every whole-code
+check reads them after its budget check, whichever check comes first.
 
 The sufficient (not necessary) weight-ratio test: a code is minimal whenever
 w_min / w_max > (q-1)/q.  The comparison is exact, by cross-multiplication.
@@ -240,40 +240,34 @@ def _full_value_failure(u: np.ndarray, v: np.ndarray, q: int):
     return FullValueReport(False, word, tuple(sorted(set(word.values))))
 
 
-def is_minimal_code(code: LinearCode,
-                    budget: int = DEFAULT_BUDGET) -> MinimalityReport:
-    """Exhaustively decide minimality of the whole code.
-
-    Decides every scalar class by the rank of its zero columns; a
-    non-minimal code then gets its canonical witness from a scan of the
-    classes against the non-minimal ones.  The same walk gives the weight
-    counts and the full-value verdict, and all three are kept in the
-    code's memo, so a later call, or ``weight_distribution`` and
-    ``has_full_value_property``, walks nothing.
-    """
+def _walk(code: LinearCode, budget: int) -> dict:
+    """The code's memo, after the budget check; nothing else reads or
+    writes it.  The first call walks the classes and keeps
+    ``minimality``, ``full_value`` (scaling permutes the field values, so
+    one word per class decides it) and ``strata``, a (k+1, n+1) array of
+    class counts by coefficient weight s and codeword weight."""
     _check_budget(code, budget)
     memo = code._memo
-    if "minimality" in memo:
-        return memo["minimality"]
-    n = code.n
+    if memo:
+        return memo
+    n, k = code.n, code.k
     supports, minimal = [], []
-    weights = np.zeros(n + 1, dtype=np.int64)
+    strata = np.zeros((k + 1) * (n + 1), dtype=np.int64)
     full_value = FullValueReport(True, None, None)
     for u, v, w, ok in _rank_blocks(code, budget):
         supports.append(np.packbits(v != 0, axis=1))
         minimal.append(ok)
-        weights += np.bincount(w, minlength=n + 1)
+        s = np.count_nonzero(u, axis=1)
+        strata += np.bincount(s * (n + 1) + w, minlength=strata.size)
         if full_value.holds:
             full_value = _full_value_failure(u, v, code.q) or full_value
-    memo.setdefault("weights", weights)
-    memo.setdefault("full_value", full_value)
     minimal = np.concatenate(minimal)
     classes = len(minimal)
     if minimal.all():
         report = MinimalityReport(True, None, classes, classes * (classes - 1))
     else:
         i, j = _first_cover(np.vstack(supports), np.nonzero(~minimal)[0], n)
-        u = np.array([_class_coeffs(code.q, code.k, x) for x in (i, j)])
+        u = np.array([_class_coeffs(code.q, k, x) for x in (i, j)])
         v = code.field.matmul(u, code.gen.data)
         stop = min(i - i % _ROW_BLOCK + _ROW_BLOCK, classes)
         report = MinimalityReport(
@@ -282,8 +276,31 @@ def is_minimal_code(code: LinearCode,
             classes=classes,
             pairs_checked=stop * (classes - 1),
         )
-    memo["minimality"] = report
-    return report
+    memo.update(minimality=report, full_value=full_value,
+                strata=strata.reshape(k + 1, n + 1))
+    return memo
+
+
+def is_minimal_code(code: LinearCode,
+                    budget: int = DEFAULT_BUDGET) -> MinimalityReport:
+    """Exhaustively decide minimality of the whole code.
+
+    Decides every scalar class by the rank of its zero columns; a
+    non-minimal code then gets its canonical witness from a scan of the
+    classes against the non-minimal ones.
+    """
+    return _walk(code, budget)["minimality"]
+
+
+def weight_strata(code: LinearCode,
+                  budget: int = DEFAULT_BUDGET) -> dict[int, dict[int, int]]:
+    """Codeword counts by weight for each coefficient weight s = 0..k:
+    {s: {weight: count}} over the words that combine exactly s generator
+    rows, so s = 0 holds only the zero word, {0: 1}."""
+    strata = _walk(code, budget)["strata"] * (code.q - 1)
+    strata[0, 0] = 1  # the zero word
+    return {s: {int(w): int(c) for w, c in enumerate(row) if c}
+            for s, row in enumerate(strata)}
 
 
 def minimal_codewords(code: LinearCode,
@@ -343,19 +360,5 @@ def ab_condition(code: LinearCode, budget: int = DEFAULT_BUDGET) -> AbReport:
 
 def has_full_value_property(code: LinearCode,
                             budget: int = DEFAULT_BUDGET) -> FullValueReport:
-    """Check that every nonzero codeword realizes all q field values.
-
-    Returns the verdict kept in the code's memo if there is one, else
-    walks the classes up to the first failure and keeps the verdict.
-    """
-    _check_budget(code, budget)
-    memo = code._memo
-    if "full_value" not in memo:
-        report = FullValueReport(True, None, None)
-        # scaling permutes the field values, so one word per class decides
-        for u, v in projective_blocks(code, budget):
-            report = _full_value_failure(u, v, code.q) or report
-            if not report.holds:
-                break
-        memo["full_value"] = report
-    return memo["full_value"]
+    """Check that every nonzero codeword realizes all q field values."""
+    return _walk(code, budget)["full_value"]

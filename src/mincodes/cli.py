@@ -133,8 +133,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_analyze(args) -> int:
     code = _load_code(args.infile)
-    # one walk: the minimality check keeps the weights and the full-value
-    # verdict on the code for the two calls after it
+    # one walk of the classes, whichever call comes first: the others read
+    # the results it keeps on the code
     minimal = is_minimal_code(code, args.budget)
     dist = weight_distribution(code, args.budget)
     ab = ab_report(dist)

@@ -22,8 +22,9 @@ words.
 
 Exhaustive operations refuse to run past a word budget (default 10**7
 codewords) instead of silently taking forever.  The generator is
-read-only, so a whole-code result, once computed, is kept on the code
-(``LinearCode._memo``) and returned again after the budget check.
+read-only, so ``analysis._walk`` keeps the whole-code results of one
+walk of the scalar classes on the code (``LinearCode._memo``); the weight
+functions here read its counts.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import BadParams, BudgetExceeded, RankDeficient, TrivialDual, \
-    _ints
+    _int
 from .field import GF, build_field
 from .matrix import GFMatrix, nullspace, rref
 
@@ -87,7 +88,7 @@ class LinearCode:
         self.k: int = gen.rows
         zero_cols = np.nonzero(~gen.data.any(axis=0))[0]
         self.zero_columns: tuple[int, ...] = tuple(int(j) for j in zero_cols)
-        # whole-code aggregates, filled by the first walk that computes them
+        # whole-code results, filled and read only by analysis._walk
         self._memo: dict = {}
 
     @property
@@ -108,7 +109,7 @@ class LinearCode:
 
 
 def _check_budget(code: LinearCode, budget: int) -> None:
-    (budget,) = _ints([budget], "budget")
+    budget = _int(budget, "budget")
     if code.size > budget:
         raise BudgetExceeded(code.size, budget)
 
@@ -234,20 +235,11 @@ class WeightDistribution:
 
 def weight_distribution(code: LinearCode,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
-    """Exhaustive weight distribution of the code.
-
-    The per-class weight counts are kept in the code's memo, where
-    ``analysis.is_minimal_code`` also puts them; without them this walks
-    the scalar classes once.
-    """
-    _check_budget(code, budget)
-    per_class = code._memo.get("weights")
-    if per_class is None:
-        per_class = np.zeros(code.n + 1, dtype=np.int64)
-        for _, values in projective_blocks(code, budget):
-            weights = np.count_nonzero(values, axis=1)
-            per_class += np.bincount(weights, minlength=code.n + 1)
-        code._memo["weights"] = per_class
+    """Exhaustive weight distribution of the code, from the class counts
+    of the one walk in ``analysis``."""
+    # analysis imports this module, so its walk is imported at call time
+    from .analysis import _walk
+    per_class = _walk(code, budget)["strata"].sum(axis=0)
     counts = per_class * (code.q - 1)  # a class's q-1 words share its weight
     counts[0] = 1  # the zero word
     return WeightDistribution(
@@ -279,7 +271,7 @@ def random_code(n: int, k: int, q: int, seed: int) -> LinearCode:
     the matrix has full row rank and every column is nonzero, so the same
     (n, k, q, seed) always yields the same code.
     """
-    n, k, q, seed = _ints([n, k, q, seed], "n, k, q and seed")
+    n, k, q, seed = map(_int, (n, k, q, seed), ("n", "k", "q", "seed"))
     if not 1 <= k <= n:
         raise BadParams(f"random_code needs 1 <= k <= n, got n={n}, k={k}")
     f = build_field(q)

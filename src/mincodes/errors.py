@@ -51,6 +51,15 @@ class BadParams(MinCodesError):
     """Construction or operation parameters are out of range."""
 
 
+def _int(value, what: str) -> int:
+    """value as a Python int; a numpy integer passes, a float, a string or
+    anything else is BadParams."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise BadParams(f"{what} must be an integer, got {value!r}") from None
+
+
 def _ints(values, what: str, optional: bool = False) -> list:
     """values as Python ints (None stays None when optional); numpy integers
     pass, floats, strings or a bare number for a sequence are BadParams."""

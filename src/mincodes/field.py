@@ -36,7 +36,7 @@ import functools
 
 import numpy as np
 
-from .errors import BadParams, DimensionMismatch, NotPrimePower, _ints
+from .errors import BadParams, DimensionMismatch, NotPrimePower, _int
 
 
 def _prime_power(q: int) -> tuple[int, int] | None:
@@ -213,7 +213,7 @@ def build_field(q: int) -> GF:
         BadParams: if q is not an integer (numpy integers pass).
         NotPrimePower: if q is not a prime power >= 2.
     """
-    (q,) = _ints([q], "field order")
+    q = _int(q, "field order")
     return _canonical_field(q)
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import random
 from dataclasses import dataclass
 
@@ -50,6 +49,7 @@ from .errors import (
     InconsistentShares,
     Unauthorized,
     ZeroColumn,
+    _int,
     _ints,
 )
 from .matrix import _rref_array, column_ranks
@@ -75,11 +75,7 @@ class SssScheme:
             raise ZeroColumn(
                 f"generator has zero columns at {code.zero_columns}"
             )
-        try:
-            secret_column = operator.index(secret_column)
-        except TypeError:
-            raise BadParams(f"secret column must be an integer, got "
-                            f"{secret_column!r}") from None
+        secret_column = _int(secret_column, "secret column")
         if not 1 <= secret_column <= code.n:
             raise BadParams(
                 f"secret column must be in 1..{code.n}, got {secret_column}"

@@ -13,9 +13,7 @@ checks as plain ``(check, passed, detail[, paper_discrepancy])`` tuples.
 One driver, ``_collect``, attaches the label to each tuple. A
 ``BudgetExceeded`` raised in a body ends that instance only: the checks
 it already yielded are kept, a failed ``budget`` check follows them, and
-the driver goes on to the next instance. A body may also yield a ready
-``CheckResult`` for a check that belongs to another instance but is run
-only when this one completes (the repeated-alpha variant of criterion 8).
+the driver goes on to the next instance.
 
 Checks whose outcome is known to contradict a published closed-form claim
 carry ``paper_discrepancy=True``. The sweep never patches an expectation
@@ -40,7 +38,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .analysis import ab_condition, has_full_value_property, is_minimal_code
+from .analysis import (ab_condition, has_full_value_property,
+                       is_minimal_code, weight_strata)
 from .codes import (DEFAULT_BUDGET, LinearCode, dual_code, min_max_weight,
                     projective_blocks, random_code, weight_distribution)
 from .constructions import (cf_code, cg_code, comb0, extended, first, lift,
@@ -137,18 +136,6 @@ class CodeRegistry:
         return len(self._codes)
 
 
-def _stratified_weights(code: LinearCode, budget: int) -> dict[int, set[int]]:
-    """Map each coefficient weight s to the codeword weights it attains."""
-    out: dict[int, set[int]] = {0: {0}}
-    for block, values in projective_blocks(code, budget):
-        cw = np.count_nonzero(block, axis=1)
-        w = np.count_nonzero(values, axis=1)
-        for s in np.unique(cw):
-            out.setdefault(int(s), set()).update(
-                int(x) for x in np.unique(w[cw == s]))
-    return out
-
-
 def _fmt_counts(counts: dict[int, int]) -> str:
     return "{" + ", ".join(f"{w}: {counts[w]}" for w in sorted(counts)) + "}"
 
@@ -190,7 +177,8 @@ def _run_first_params(instances, budget, registry):
             want = (pred.n, pred.k, pred.d)
             yield ("params", got == want,
                    f"[n,k,d] = {list(got)}, predicted {list(want)}")
-            strata = _stratified_weights(code, budget)
+            strata = {s: set(counts) for s, counts
+                      in weight_strata(code, budget).items()}
             want_strata: dict[int, set[int]] = {0: {0}}
             for s in range(1, t + 1):
                 want_strata[s] = {predicted_ws(s, t, q)}
@@ -296,7 +284,8 @@ def _run_weight_family(instances, budget, registry):
         def body():
             code = registry.obtain(label, lambda: weight_s(s, t, q))
             pred = dict(predicted_dprime_weights(t, s, q))
-            strata = _stratified_weights(code, budget)
+            strata = {r: set(counts) for r, counts
+                      in weight_strata(code, budget).items()}
             want = {r: {pred[r]} for r in range(t + 1)}
             ok = strata == want
             yield ("stratified-weights", ok,
@@ -419,19 +408,19 @@ def _run_function_codes(instances, budget, registry):
                f"holds = {fv.holds} with alphas (1, 2) covering every nonzero "
                "field value; the published sufficiency condition needs k >= q "
                "and does not apply at k = 2, q = 3")
-        # the variant is reported only when the (1, 2) instance completes
-        label = "cf(4,2,3;1,1)"
-        variant = registry.obtain(label,
-                                  lambda: cf_code(4, 2, 3, (1, 1), budget))
-        fv2 = has_full_value_property(variant, budget)
-        yield CheckResult(
-            label, "full-value-report", True,
-            f"holds = {fv2.holds} with repeated alphas (1, 1)" +
-            ("" if fv2.holds else
-             f"; witness values {sorted(fv2.witness_values)}"))
+
+    def cf_repeated():
+        code = registry.obtain("cf(4,2,3;1,1)",
+                               lambda: cf_code(4, 2, 3, (1, 1), budget))
+        fv = has_full_value_property(code, budget)
+        yield ("full-value-report", True,
+               f"holds = {fv.holds} with repeated alphas (1, 1)" +
+               ("" if fv.holds else
+                f"; witness values {sorted(fv.witness_values)}"))
 
     yield "cg(2,2,2)", cg
     yield "cf(4,2,3;1,2)", cf
+    yield "cf(4,2,3;1,1)", cf_repeated
 
 
 def _run_tensor(instances, budget, registry):
@@ -583,8 +572,7 @@ def _collect(number: int, instances: Optional[tuple], budget: int,
     for label, body in runner(use, budget, registry):
         try:
             for c in body():
-                checks.append(c if isinstance(c, CheckResult)
-                              else CheckResult(label, *c))
+                checks.append(CheckResult(label, *c))
         except BudgetExceeded as exc:
             checks.append(CheckResult(label, "budget", False, str(exc)))
     return checks

@@ -19,6 +19,7 @@ from mincodes.analysis import (
     is_minimal_code,
     is_minimal_codeword,
     minimal_codewords,
+    weight_strata,
 )
 from mincodes.codes import DEFAULT_BUDGET, Codeword, LinearCode, \
     min_max_weight, random_code, weight_distribution
@@ -260,6 +261,7 @@ def test_memoised_checks_walk_nothing():
     with counted_walks() as counts:
         assert is_minimal_code(code) is report
         weight_distribution(code)
+        weight_strata(code)
         has_full_value_property(code)
         ab_condition(code)
         min_max_weight(code)
@@ -268,13 +270,21 @@ def test_memoised_checks_walk_nothing():
         is_minimal_code(code, budget=code.size - 1)
 
 
-def test_weight_distribution_never_ranks():
-    code = first(3, 3)
+WHOLE_CODE_CALLS = (is_minimal_code, weight_strata, weight_distribution,
+                    has_full_value_property, min_max_weight, ab_condition)
+
+
+@pytest.mark.parametrize("first_call", WHOLE_CODE_CALLS,
+                         ids=lambda f: f.__name__)
+def test_any_first_call_walks_the_classes_once(first_call):
+    # whichever whole-code call comes first, it pays the one rank pass and
+    # the other five read its results
+    code = second(4, 3, 2)
+    rest = [f for f in WHOLE_CODE_CALLS if f is not first_call]
     with counted_walks() as counts:
-        weight_distribution(code)
-        min_max_weight(code)
-        ab_condition(code)
-    assert counts == {"walks": 1}
+        for check in [first_call] + rest[::-1] + rest:
+            check(code)
+    assert counts == {"walks": 1, "column_ranks": 1}
 
 
 def test_minimality_survives_appended_columns():

@@ -7,8 +7,8 @@ import pytest
 
 from unittest import mock
 
-from mincodes import (BadParams, BudgetExceeded, RankDeficient, TrivialDual,
-                      build_field, codes)
+from mincodes import (BadParams, BudgetExceeded, RankDeficient, SssScheme,
+                      TrivialDual, build_field, codes)
 from mincodes.codes import (
     Codeword,
     LinearCode,
@@ -121,13 +121,29 @@ def test_random_code_rejects_bad_shape(n, k):
             random_code(n, k, 2, seed=1)
 
 
-@pytest.mark.parametrize("n, k, q, seed", [
-    (5.0, 3, 3, 1), (5, 3.0, 3, 1), (5, 3, "3", 1),
-    (5, 3, 3, "abc"), (5, 3, 3, 1.5), (5, 3, 3, None),
+@pytest.mark.parametrize("n, k, q, seed, bad", [
+    (5.0, 3, 3, 1, "n"), (5, 3.0, 3, 1, "k"), (5, 3, "3", 1, "q"),
+    (5, 3, 3, "abc", "seed"), (5, 3, 3, 1.5, "seed"), (5, 3, 3, None, "seed"),
 ], ids=["float-n", "float-k", "str-q", "str-seed", "float-seed", "no-seed"])
-def test_random_code_takes_only_integers(n, k, q, seed):
-    with pytest.raises(BadParams, match="n, k, q and seed"):
+def test_random_code_takes_only_integers(n, k, q, seed, bad):
+    with pytest.raises(BadParams, match=f"^{bad} must be an integer, got "):
         random_code(n, k, q, seed=seed)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: build_field(4.0), "field order must be an integer, got 4.0"),
+    (lambda: random_code(5, 3, 3, seed=1.5),
+     "seed must be an integer, got 1.5"),
+    (lambda: weight_distribution(make_code(2, [[1, 1]]), budget=2.5),
+     "budget must be an integer, got 2.5"),
+    (lambda: SssScheme(make_code(2, [[1, 1]]), secret_column="1"),
+     "secret column must be an integer, got '1'"),
+], ids=["field-order", "random-code", "budget", "secret-column"])
+def test_a_scalar_check_asks_for_one_integer(call, message):
+    # one value, so not worded as a sequence
+    with pytest.raises(BadParams) as err:
+        call()
+    assert str(err.value) == message
 
 
 def test_random_code_takes_numpy_integers():

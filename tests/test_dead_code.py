@@ -14,6 +14,10 @@ definition or in a demo, be named in a code span or block of the README,
 or sit on ``ALLOWED`` with a reason.  The re-exports in ``__init__.py`` and
 its ``__all__`` are not uses, and a method counts only reads as an
 attribute, since a bare name never reaches it.
+
+Both checks run to a fixpoint: they run again with each flagged
+definition dropped until they flag nothing new, so a name that only dead
+code reads is flagged too.
 """
 
 import ast
@@ -78,8 +82,48 @@ def attribute_uses(tree):
                    if isinstance(node, ast.Attribute))
 
 
+def dropped(sources: dict[str, str], names) -> dict[str, str]:
+    """sources without the definitions of names (module.name or
+    module.Class.method); an assignment goes when all its targets do."""
+    out = {}
+    for module, text in sources.items():
+        tree = ast.parse(text)
+        gone = {name.partition(".")[2] for name in names
+                if name.partition(".")[0] == module}
+        targets: dict[int, set] = {}
+        for name, node in definitions(tree):
+            targets.setdefault(id(node), set()).add(name)
+        tree.body = [node for node in tree.body
+                     if id(node) not in targets
+                     or not targets[id(node)] <= gone]
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                cls.body = [item for item in cls.body
+                            if f"{cls.name}.{getattr(item, 'name', '')}"
+                            not in gone] or [ast.Pass()]
+        out[module] = ast.unparse(tree)
+    return out
+
+
+def to_fixpoint(find, sources, *args):
+    """Every name find(sources, *args) flags, with each flagged name
+    dropped and find run again until it flags nothing new."""
+    flagged = []
+    while True:
+        new = [name for name in find(sources, *args) if name not in flagged]
+        if not new:
+            return flagged
+        flagged += new
+        sources = dropped(sources, new)
+
+
 def unused_private_names(sources: dict[str, str]) -> list[str]:
-    """module.name for each private module-level name with no use."""
+    """module.name for each private module-level name with no use, to a
+    fixpoint."""
+    return to_fixpoint(_unused_private_names, sources)
+
+
+def _unused_private_names(sources):
     trees = {module: ast.parse(text) for module, text in sources.items()}
     counts = {module: uses(tree) for module, tree in trees.items()}
     unused = []
@@ -98,7 +142,11 @@ def unused_public_names(sources: dict[str, str], outside=(),
     """module.name or module.Class.method for each public module-level name
     or method that is not in named and that neither a module but
     ``__init__``, outside its own definition, nor a tree in outside
-    reads."""
+    reads, to a fixpoint."""
+    return to_fixpoint(_unused_public_names, sources, outside, named)
+
+
+def _unused_public_names(sources, outside, named):
     trees = {module: ast.parse(text) for module, text in sources.items()}
     readers = [tree for module, tree in trees.items() if module != "__init__"]
     readers += outside
@@ -155,6 +203,17 @@ def test_a_private_name_used_only_by_itself_is_found():
         "b": "from .a import _used\n__all__ = []\n",
     }
     assert unused_private_names(sources) == ["a._loop", "a._Gone"]
+
+
+def test_a_private_name_read_only_by_dead_code_is_found():
+    sources = {
+        "a": "def _b():\n    return 1\n"
+             "def _a():\n    return _b()\n"
+             "class _C:\n    def run(self):\n        return _d\n"
+             "_d = 2\n",
+    }
+    # one pass flags _a and _C; without them nothing reads _b or _d
+    assert unused_private_names(sources) == ["a._a", "a._C", "a._b", "a._d"]
 
 
 def test_an_unused_public_method_is_found():

@@ -17,7 +17,8 @@ witness scan, in growing blocks, is checked against the fixed-block scan
 it replaced on random supports and on random codes whose first covered
 class lies past several blocks, with floating-point errors raised.  The
 whole-code results kept on a code are checked, called in any order,
-against fresh walks of a copy.  The
+against fresh walks of a copy, and the weight strata against a
+stratification of all q^k words.  The
 slice-first rank pass is checked against the full-width pass it replaced
 (kept here as ``full_width_mask``) on codes up to max(3k+2, 2^(k+1))
 columns long with repeated, proportional and zero columns, at every slice
@@ -63,6 +64,7 @@ from mincodes.analysis import (
     is_minimal_code,
     is_minimal_codeword,
     minimal_codewords,
+    weight_strata,
 )
 from mincodes.codes import (
     Codeword,
@@ -473,6 +475,33 @@ def walk_full_value(code):
     return FullValueReport(True, None, None)
 
 
+def stratified(code):
+    """Codeword counts by weight for each coefficient weight s = 0..k, by
+    a walk over all q^k words."""
+    out = {s: Counter() for s in range(code.k + 1)}
+    for block, values in codeword_blocks(code):
+        cw = np.count_nonzero(block, axis=1)
+        w = np.count_nonzero(values, axis=1)
+        for s, x in zip(cw.tolist(), w.tolist()):
+            out[s][x] += 1
+    return {s: dict(counts) for s, counts in out.items()}
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data(), chunk=chunks)
+def test_weight_strata_match_stratification_of_every_word(q, data, chunk):
+    """weight_strata equals the stratification of all q^k words, and its
+    counts summed over s are the weight distribution."""
+    shape = data.draw(st.sampled_from(SHAPES), label="shape")
+    code = data.draw(shaped_codes(q, shape), label="code")
+    with small_chunks(chunk):
+        strata = weight_strata(code)
+        dist = weight_distribution(code)
+    assert strata == stratified(code)
+    assert sum(map(Counter, strata.values()), Counter()) == dist.counts
+
+
 def whole_code_oracles(code):
     """Each whole-code function's result on a fresh copy of code, by the
     walks above and the pairwise cover scan."""
@@ -483,6 +512,7 @@ def whole_code_oracles(code):
         is_minimal_code: MinimalityReport(witness is None, witness,
                                           len(mask), pairs),
         weight_distribution: dist,
+        weight_strata: stratified(fresh),
         ab_condition: ab_report(dist),
         min_max_weight: (dist.min_nonzero(), dist.max_weight()),
         has_full_value_property: walk_full_value(fresh),
@@ -493,7 +523,7 @@ def whole_code_oracles(code):
 @SETTINGS
 @given(data=st.data(), chunk=chunks)
 def test_memoised_results_match_fresh_walks(q, data, chunk):
-    """The five whole-code functions, called twice each in a drawn order
+    """The six whole-code functions, called twice each in a drawn order
     on one code, so that most calls read what an earlier one kept, give
     what fresh walks give, and a budget below q^k still raises."""
     shape = data.draw(st.sampled_from(SHAPES), label="shape")
@@ -505,7 +535,7 @@ def test_memoised_results_match_fresh_walks(q, data, chunk):
             assert check(code) == want[check], check.__name__
             with pytest.raises(BudgetExceeded):
                 check(code, budget=code.size - 1)
-    assert set(code._memo) == {"minimality", "weights", "full_value"}
+    assert set(code._memo) == {"minimality", "strata", "full_value"}
     with pytest.raises(BudgetExceeded):
         weight_distribution(code, budget=1)
 

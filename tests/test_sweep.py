@@ -125,6 +125,19 @@ def test_budget_overrun_ends_only_its_instance():
     ]
 
 
+def test_each_function_code_records_its_own_budget_overrun():
+    # 100 points build both cf codes, whose 3^5 words are past the budget;
+    # the repeated-alpha variant is an instance of its own, not skipped
+    res = run_criterion(8, budget=100)
+    got = [(c.instance, c.check, c.passed) for c in res.checks]
+    assert got[-3:] == [
+        ("cf(4,2,3;1,2)", "params", True),
+        ("cf(4,2,3;1,2)", "budget", False),
+        ("cf(4,2,3;1,1)", "budget", False),
+    ]
+    assert "243 words" in res.checks[-1].detail
+
+
 def test_criterion_11_alone_rebuilds_the_default_corpus(default_report):
     alone = run_criterion(11)
     assert alone == default_report.results[10]
