@@ -30,7 +30,6 @@ functions here read its counts.
 from __future__ import annotations
 
 import contextlib
-import json
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -218,14 +217,6 @@ class WeightDistribution:
 
     def max_weight(self) -> int:
         return max(w for w in self.counts if w > 0)
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "q": self.q,
-            "n": self.n,
-            "k": self.k,
-            "counts": {str(w): self.counts[w] for w in sorted(self.counts)},
-        })
 
     def to_csv(self) -> str:
         lines = ["weight,count"]

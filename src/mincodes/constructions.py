@@ -23,9 +23,11 @@ Families:
   f(x) (resp. a sum of disjoint degree-r monomials) together with the n
   coordinate rows, over all nonzero points x of GF(q)^n.
 
-The ``predicted_*`` helpers return the closed-form parameters and weight
-formulas that the exhaustive checks in :mod:`mincodes.analysis` and the
-sweep verify against enumeration.
+Each closed form is stated once, in a ``predicted_*`` helper, and the
+sweep checks it against enumeration: ``predicted_ws`` gives the first
+family's weight strata, from which the sweep also takes its distance and
+weight ratio; ``predicted_dprime_weights`` the weight-s family's weights;
+``predicted_second_bound`` the second family's length and distance bound.
 """
 
 from __future__ import annotations
@@ -39,7 +41,8 @@ import numpy as np
 
 from .analysis import has_full_value_property, is_minimal_code
 from .codes import DEFAULT_BUDGET, LinearCode
-from .errors import BadParams, BudgetExceeded, PreconditionFailed, _ints
+from .errors import (BadParams, BudgetExceeded, PreconditionFailed, _int,
+                     _ints)
 from .field import build_field
 from .matrix import GFMatrix, _rref_array, kronecker
 
@@ -56,6 +59,7 @@ def comb0(n: int, k: int) -> int:
 
 def first(t: int, q: int) -> LinearCode:
     """(I_t | e_i + lam*e_j for i<j, lam nonzero) over GF(q); t >= 2."""
+    t = _int(t, "t")
     if t < 2:
         raise BadParams(f"first family needs t >= 2, got {t}")
     return _systematic(t, q, 2, lead_one=True)
@@ -63,6 +67,7 @@ def first(t: int, q: int) -> LinearCode:
 
 def second(t: int, k: int, q: int) -> LinearCode:
     """(I_t | e_{i1} + sum lam_j e_{ij}) over k-subsets; 2 <= k <= t-1."""
+    t, k = _int(t, "t"), _int(k, "k")
     if not 2 <= k <= t - 1:
         raise BadParams(f"second family needs 2 <= k <= t-1, got k={k}, t={t}")
     return _systematic(t, q, k, lead_one=True)
@@ -70,6 +75,7 @@ def second(t: int, k: int, q: int) -> LinearCode:
 
 def weight_s(s: int, t: int, q: int) -> LinearCode:
     """(I_t | all weight-s vectors of GF(q)^t); 1 <= s <= t."""
+    s, t = _int(s, "s"), _int(t, "t")
     if not 1 <= s <= t:
         raise BadParams(f"weight_s needs 1 <= s <= t, got s={s}, t={t}")
     return _systematic(t, q, s, lead_one=False)
@@ -113,6 +119,7 @@ def lift(code: LinearCode, s: int, budget: int = DEFAULT_BUDGET) -> LinearCode:
     realizes all q field values; both preconditions are checked and the call
     is refused otherwise.  Output is [(s+1)n, s+k] over the same field.
     """
+    s = _int(s, "s")
     if s < 1:
         raise BadParams(f"lift needs s >= 1, got {s}")
     if not is_minimal_code(code, budget).is_minimal:
@@ -141,6 +148,7 @@ def tensor_product(c1: LinearCode, c2: LinearCode) -> LinearCode:
 
 def _points(q: int, n: int, budget: int) -> np.ndarray:
     """All nonzero x in GF(q)^n as rows, ascending base-q encoding."""
+    budget = _int(budget, "budget")
     total = q**n - 1
     if total > budget:
         raise BudgetExceeded(total, budget, unit="points")
@@ -168,6 +176,7 @@ def cf_code(n: int, k: int, q: int, alphas,
     f(x) = alphas[w-1] when w = wt(x) <= k, else 0.  Needs q odd, n > 3,
     2 <= k <= n-2, and k nonzero alpha values.
     """
+    n, k, q = _int(n, "n"), _int(k, "k"), _int(q, "q")
     if q % 2 == 0:
         raise BadParams(f"cf_code needs odd q, got {q}")
     if n <= 3:
@@ -192,6 +201,7 @@ def cg_code(r: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> LinearCode:
 
     n = r*k coordinates; needs r, k >= 2.
     """
+    r, k = _int(r, "r"), _int(k, "k")
     if r < 2 or k < 2:
         raise BadParams(f"cg_code needs r, k >= 2, got r={r}, k={k}")
     f = build_field(q)
@@ -214,47 +224,6 @@ def predicted_ws(s: int, t: int, q: int) -> int:
     if not 1 <= s <= t:
         raise BadParams(f"need 1 <= s <= t, got s={s}, t={t}")
     return s + comb0(s, 2) * (q - 2) + s * (t - s) * (q - 1)
-
-
-@dataclass(frozen=True)
-class FirstParams:
-    """Predicted parameters of first(t, q)."""
-
-    t: int
-    q: int
-    n: int
-    k: int
-    d: int
-    w_min: int
-    w_max: int
-    weights: tuple[int, ...]  # w_s for s = 1..t
-    # rows (s, w_s - w_{s-1}, -t + (t-s)q + 2) for s = 1..t, with w_0 = 0
-    step_table: tuple[tuple[int, int, int], ...]
-    # the extremes w_min = w_1, w_max = w_{t-1} are derived under q >= t-2;
-    # outside that range the values are still reported but unverified
-    extremes_verified: bool
-
-
-def predicted_first_params(t: int, q: int) -> FirstParams:
-    if t < 2:
-        raise BadParams(f"need t >= 2, got {t}")
-    ws = tuple(predicted_ws(s, t, q) for s in range(1, t + 1))
-    steps = tuple(
-        (s, ws[s - 1] - (ws[s - 2] if s >= 2 else 0), -t + (t - s) * q + 2)
-        for s in range(1, t + 1)
-    )
-    return FirstParams(
-        t=t,
-        q=q,
-        n=comb0(t, 2) * (q - 1) + t,
-        k=t,
-        d=1 + (t - 1) * (q - 1),
-        w_min=ws[0],
-        w_max=ws[t - 2] if t >= 2 else ws[0],
-        weights=ws,
-        step_table=steps,
-        extremes_verified=q >= t - 2,
-    )
 
 
 def psi(r: int, t: int, s: int, q: int) -> int:
@@ -291,9 +260,6 @@ def predicted_dprime_weights(t: int, s: int, q: int) -> list[tuple[int, int]]:
 class SecondBound:
     """Predicted parameters and distance bound of second(t, k, q)."""
 
-    t: int
-    k: int
-    q: int
     n: int
     dim: int
     d_upper: int  # attained by the first generator row
@@ -303,9 +269,6 @@ def predicted_second_bound(t: int, k: int, q: int) -> SecondBound:
     if not 2 <= k <= t - 1:
         raise BadParams(f"need 2 <= k <= t-1, got k={k}, t={t}")
     return SecondBound(
-        t=t,
-        k=k,
-        q=q,
         n=comb0(t, k) * (q - 1) ** (k - 1) + t,
         dim=t,
         d_upper=1 + comb0(t - 1, k - 1) * (q - 1) ** (k - 1),

@@ -329,12 +329,10 @@ def minimal_authorized_sets(scheme: SssScheme, method: str = "auto",
     if method == "dual":
         if n == k:
             return []  # full-space code: zero dual, nothing is authorized
-        out = _dual_path(scheme, budget)
-    elif method == "search":
-        out = _search_path(scheme, budget)
-    else:
-        raise BadParams(f"unknown method {method!r}")
-    return sorted(out, key=lambda a: (len(a.indices), a.indices))
+        return _dual_path(scheme, budget)
+    if method == "search":
+        return _search_path(scheme, budget)
+    raise BadParams(f"unknown method {method!r}")
 
 
 def perfectness_batch(scheme: SssScheme, subsets,

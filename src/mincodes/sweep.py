@@ -43,9 +43,8 @@ from .analysis import (ab_condition, has_full_value_property,
 from .codes import (DEFAULT_BUDGET, LinearCode, dual_code, min_max_weight,
                     projective_blocks, random_code, weight_distribution)
 from .constructions import (cf_code, cg_code, comb0, extended, first, lift,
-                            predicted_dprime_weights, predicted_first_params,
-                            predicted_second_bound, predicted_ws, second,
-                            tensor_product, weight_s)
+                            predicted_dprime_weights, predicted_second_bound,
+                            predicted_ws, second, tensor_product, weight_s)
 from .errors import BadParams, BudgetExceeded, PreconditionFailed
 from .field import build_field
 from .matrix import GFMatrix
@@ -171,10 +170,9 @@ def _run_first_params(instances, budget, registry):
 
         def body():
             code = registry.obtain(label, lambda: first(t, q))
-            pred = predicted_first_params(t, q)
             d, _ = min_max_weight(code, budget)
             got = (code.n, code.k, d)
-            want = (pred.n, pred.k, pred.d)
+            want = (comb0(t, 2) * (q - 1) + t, t, predicted_ws(1, t, q))
             yield ("params", got == want,
                    f"[n,k,d] = {list(got)}, predicted {list(want)}")
             strata = {s: set(counts) for s, counts
@@ -208,9 +206,9 @@ def _run_first_minimality(instances, budget, registry):
             code = registry.obtain(label, lambda: first(t, q))
             yield _minimal_check(code, budget)
             ab = ab_condition(code, budget)
-            want = Fraction(
-                1 + (t - 1) * (q - 1),
-                (t - 1) + comb0(t - 1, 2) * (q - 2) + (t - 1) * (q - 1))
+            # the extremes of the strata; w_1 and w_(t-1) only if q >= t-2
+            ws = [predicted_ws(s, t, q) for s in range(1, t + 1)]
+            want = Fraction(min(ws), max(ws))
             yield ("ratio-formula", ab.ratio == want,
                    f"w_min/w_max = {ab.ratio}" if ab.ratio == want
                    else f"w_min/w_max = {ab.ratio}, predicted {want}")

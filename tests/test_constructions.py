@@ -23,7 +23,6 @@ from mincodes.constructions import (
     first,
     lift,
     predicted_dprime_weights,
-    predicted_first_params,
     predicted_second_bound,
     predicted_ws,
     psi,
@@ -104,44 +103,48 @@ def test_predicted_ws_frozen():
         predicted_ws(4, 3, 3)
 
 
+def first_ws(t, q):
+    """[w_1, ..., w_t] of first(t, q) by the closed form."""
+    return [predicted_ws(s, t, q) for s in range(1, t + 1)]
+
+
 def test_first_params_predictor():
-    p = predicted_first_params(3, 3)
-    assert (p.n, p.k, p.d) == (9, 3, 5)
-    assert (p.w_min, p.w_max) == (5, 7)
-    assert p.weights == (5, 7, 6)
-    assert p.extremes_verified
+    code = first(3, 3)
+    ws = first_ws(3, 3)
+    assert ws == [5, 7, 6]
+    assert (code.n, code.k) == (9, 3)
+    # d and the extremes are the strata's, here w_1 and w_(t-1)
+    assert min_max_weight(code) == (min(ws), max(ws)) == (5, 7)
+    assert (min(ws), max(ws)) == (ws[0], ws[-2])
 
 
 def test_first_params_outside_verified_range():
     # at q < t-2 the closed forms for the individual w_s still hold, but
-    # the extremes are no longer w_1 / w_{t-1}: here the true maximum is
-    # w_3 = 9, not w_4 = 8.
-    p = predicted_first_params(5, 2)
-    assert not p.extremes_verified
-    assert p.weights == (5, 8, 9, 8, 5)
-    assert p.w_max == 8
-    assert min_max_weight(first(5, 2)) == (5, 9)
+    # the maximum is no longer w_(t-1): here it is w_3 = 9, not w_4 = 8.
+    ws = first_ws(5, 2)
+    assert ws == [5, 8, 9, 8, 5]
+    assert max(ws) == ws[2] == 9 != ws[-2]
+    assert min_max_weight(first(5, 2)) == (min(ws), max(ws)) == (5, 9)
 
 
 def test_first_stratified_weights():
     for t, q in [(2, 2), (2, 3), (2, 5), (3, 2), (3, 3), (3, 4), (4, 2),
-                 (4, 3)]:
+                 (4, 3), (5, 2), (6, 2)]:
         code = first(t, q)
-        p = predicted_first_params(t, q)
-        assert (code.n, code.k) == (p.n, p.k)
+        assert (code.n, code.k) == (comb0(t, 2) * (q - 1) + t, t)
         strata = weights_by_coeff_weight(code)
         assert strata[0] == {0}
+        ws = first_ws(t, q)
         for s in range(1, t + 1):
-            assert strata[s] == {predicted_ws(s, t, q)}, (t, q, s)
-        if p.extremes_verified:
-            assert min_max_weight(code) == (p.w_min, p.w_max)
+            assert strata[s] == {ws[s - 1]}, (t, q, s)
+        assert min_max_weight(code) == (min(ws), max(ws)), (t, q)
 
 
 def test_first_step_identity():
     for t, q in [(2, 2), (3, 3), (4, 3), (5, 2), (5, 4)]:
-        p = predicted_first_params(t, q)
-        for s, step, closed in p.step_table:
-            assert step == closed == -t + (t - s) * q + 2, (t, q, s)
+        ws = [0] + first_ws(t, q)  # w_0 = 0
+        for s in range(1, t + 1):
+            assert ws[s] - ws[s - 1] == -t + (t - s) * q + 2, (t, q, s)
 
 
 def test_first_distribution_counts():
@@ -523,12 +526,26 @@ def test_cg_code_bad_params():
         cg_code(2, 2, 3, budget=10)
 
 
+@pytest.mark.parametrize("build, what, value", [
+    (lambda: first(3.0, 3), "t", 3.0),
+    (lambda: second(4, 3.0, 2), "k", 3.0),
+    (lambda: weight_s(2.0, 3, 2), "s", 2.0),
+    (lambda: lift(first(2, 2), 1.5), "s", 1.5),
+    (lambda: cf_code(4.0, 2, 3, (1, 2)), "n", 4.0),
+    (lambda: cf_code(4, 2, 3, (1, 2), budget=80.0), "budget", 80.0),
+    (lambda: cg_code(2.0, 2, 3), "r", 2.0),
+], ids=["first", "second", "weight_s", "lift", "cf_code", "cf_code-budget",
+        "cg_code"])
+def test_a_construction_size_must_be_an_integer(build, what, value):
+    with pytest.raises(BadParams,
+                       match=f"^{what} must be an integer, got {value}$"):
+        build()
+
+
 # -- predictor validation ----------------------------------------------------------
 
 
 def test_predictor_bad_params():
-    with pytest.raises(BadParams):
-        predicted_first_params(1, 3)
     with pytest.raises(BadParams):
         predicted_second_bound(3, 3, 2)
     with pytest.raises(BadParams):

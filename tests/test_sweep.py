@@ -46,6 +46,15 @@ def test_criterion_2_strict_instance():
     assert "7/12" in strict.detail
 
 
+@pytest.mark.parametrize("number", [1, 2, 3])
+def test_first_family_criteria_pass_below_q_at_least_t_minus_2(number):
+    # at q < t-2 the largest stratum is no longer w_(t-1); criterion 2 must
+    # take its expected ratio from the same strata that criterion 1 checks
+    res = run_criterion(number, instances=[(5, 2), (6, 2), (6, 3), (7, 2),
+                                           (7, 3)])
+    assert res.passed, [c.detail for c in res.checks if not c.passed]
+
+
 def test_criterion_3_includes_count_note():
     res = run_criterion(3, instances=[(3, 3)])
     assert res.passed
