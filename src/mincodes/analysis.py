@@ -48,8 +48,8 @@ import numpy as np
 
 from .codes import DEFAULT_BUDGET, Codeword, LinearCode, WeightDistribution, \
     _check_budget, _class_coeffs, projective_blocks, weight_distribution
-from .errors import BadParams, DimensionMismatch, NotInCode
-from .matrix import GFMatrix, column_ranks, in_span, rank
+from .errors import BadParams, NotInCode
+from .matrix import GFMatrix, _vector, column_ranks, in_span, rank
 
 _ROW_BLOCK = 1024
 _SLICE = 2  # zero columns past k-1 in the first rank call; by measurement
@@ -326,11 +326,9 @@ def _coeffs_for(code: LinearCode, values) -> np.ndarray:
 def is_minimal_codeword(code: LinearCode, word) -> bool:
     """Decide minimality of one codeword (a Codeword or a value vector):
     the columns of G where it vanishes must have rank k-1."""
-    values = np.asarray(
-        word.values if isinstance(word, Codeword) else word, dtype=np.int64
-    )
-    if values.shape != (code.n,):
-        raise DimensionMismatch(f"expected a length-{code.n} vector")
+    values = _vector(code.field,
+                     word.values if isinstance(word, Codeword) else word,
+                     code.n)
     if not values.any():
         raise BadParams("the zero codeword is excluded from minimality")
     _coeffs_for(code, values)  # raises NotInCode

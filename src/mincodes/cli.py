@@ -20,9 +20,8 @@ byte-identical across identical invocations (except ``sss deal`` without
 ``--seed``, which draws fresh randomness); wall-clock timing goes to
 stderr only.
 
-The command line caps q at 64. The library itself has no such limit,
-but beyond desk scale the exhaustive checks this tool fronts stop being
-meaningful interactive operations.
+Field orders above 256 are refused where fields are built
+(:func:`mincodes.field.build_field`), before any table exists.
 """
 
 from __future__ import annotations
@@ -38,13 +37,9 @@ from .codes import DEFAULT_BUDGET, LinearCode, weight_distribution
 from .constructions import (cf_code, cg_code, extended, first, lift, second,
                             tensor_product, weight_s)
 from .errors import BadParams, MinCodesError
-from .field import build_field
-from .matrix import (GFMatrix, _parse_matrix, _read_text, dumps_matrix,
-                     write_matrix)
+from .matrix import _read_text, dumps_matrix, loads_matrix, write_matrix
 from .sss import SssScheme, deal, minimal_authorized_sets, reconstruct
 from .sweep import load_config, run_sweep, write_distribution_csvs
-
-MAX_CLI_Q = 64
 
 
 class _Parser(argparse.ArgumentParser):
@@ -57,18 +52,8 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _check_q(q: int) -> None:
-    if q > MAX_CLI_Q:
-        raise BadParams(
-            f"q = {q} is beyond desk scale; the command line caps q at "
-            f"{MAX_CLI_Q}")
-
-
 def _load_code(path) -> LinearCode:
-    # the cap applies before the field, whose tables grow as q^2, is built
-    q, entries = _parse_matrix(_read_text(path))
-    _check_q(q)
-    return LinearCode(GFMatrix(build_field(q), entries))
+    return LinearCode(loads_matrix(_read_text(path)))
 
 
 def _ints(text: str, flag: str) -> tuple[int, ...]:
@@ -116,7 +101,6 @@ def _cmd_construct(args) -> int:
             + " ".join(f"--{p}" for p in wanted)
             + (f"; missing {' '.join(missing)}" if missing else "")
             + (f"; unexpected {' '.join(extra)}" if extra else ""))
-    _check_q(args.q)
     code = build(args, args.budget)
     label = args.family + "(" + ",".join(
         str(getattr(args, p)) for p in wanted) + ")"
@@ -276,11 +260,8 @@ def _cmd_sss_access(args) -> int:
 # -- sweep --------------------------------------------------------------------
 
 def _cmd_sweep(args) -> int:
-    config = load_config(args.config)
-    for entry in config["criteria"]:
-        for instance in entry["instances"] or ():
-            _check_q(instance[-1])  # q comes last in every instance
-    report = run_sweep(config, budget=args.budget, strict=args.strict)
+    report = run_sweep(load_config(args.config), budget=args.budget,
+                       strict=args.strict)
     if args.out_dir:
         out = Path(args.out_dir)
         out.mkdir(parents=True, exist_ok=True)

@@ -39,7 +39,7 @@ import numpy as np
 from .errors import BadParams, BudgetExceeded, RankDeficient, TrivialDual, \
     _int
 from .field import GF, build_field
-from .matrix import GFMatrix, nullspace, rref
+from .matrix import GFMatrix, _vector, nullspace, rref
 
 DEFAULT_BUDGET = 10**7
 
@@ -99,9 +99,9 @@ class LinearCode:
         return self.q**self.k
 
     def codeword(self, coeffs) -> Codeword:
-        u = np.asarray(coeffs, dtype=np.int64).reshape(1, self.k)
-        v = self.field.matmul(u, self.gen.data)[0]
-        return Codeword(tuple(int(c) for c in u[0]), tuple(int(x) for x in v))
+        u = _vector(self.field, coeffs, self.k)
+        v = self.field.matmul(u[None], self.gen.data)[0]
+        return Codeword(tuple(int(c) for c in u), tuple(int(x) for x in v))
 
     def __repr__(self) -> str:
         return f"LinearCode([{self.n},{self.k}]_{self.q})"

@@ -11,14 +11,15 @@ irreducible polynomial of degree m over GF(p) whose coefficient vector has the
 smallest base-p integer encoding.  The reported primitive element ``xi`` is
 the smallest encoding that generates the multiplicative group.
 
-Arithmetic is table-driven: for desk-scale fields (q <= 64 is the intended
-range) the q x q tables are tiny, and indexing them with numpy arrays gives
-vectorized arithmetic for free.  Prime and extension fields build their
-tables the same way, as GF(p)[x]/(f) with f = x for m = 1: addition and
-negation act digit by digit, and multiplication by x is a linear map on the
-digits (shift up one place, fold the top digit back in as -f), so the
-digits of x^i * b are computed for every b at once and a * b is the sum of
-a's digits times them, mod p.
+Arithmetic is table-driven: :func:`build_field` refuses q > 256, the
+largest order whose encodings fit in one byte, so the q x q tables stay
+small, and indexing them with numpy arrays gives vectorized arithmetic for
+free.  Prime and extension fields build their tables the same way, as
+GF(p)[x]/(f) with f = x for m = 1: addition and negation act digit by
+digit, and multiplication by x is a linear map on the digits (shift up one
+place, fold the top digit back in as -f), so the digits of x^i * b are
+computed for every b at once and a * b is the sum of a's digits times
+them, mod p.
 
 The canonical modulus is found with the same tables.  The monic degree-m
 polynomials are tried in ascending encoding, and the first f whose quotient
@@ -206,14 +207,17 @@ class GF:
 def build_field(q: int) -> GF:
     """Build (and cache) the canonical field of order q.
 
-    q is checked to be an integer before the cache is consulted, since the
-    cache would take 4.0 for 4.
+    q is checked to be an integer at most 256 before the cache is consulted
+    (it would take 4.0 for 4) and before any factoring or table: the tables
+    grow as q^2, and every check in this package enumerates over the field.
 
     Raises:
-        BadParams: if q is not an integer (numpy integers pass).
+        BadParams: if q is not an integer (numpy integers pass) or q > 256.
         NotPrimePower: if q is not a prime power >= 2.
     """
     q = _int(q, "field order")
+    if q > 256:
+        raise BadParams(f"field order must be at most 256, got {q}")
     return _canonical_field(q)
 
 

@@ -72,6 +72,17 @@ class GFMatrix:
         return f"GFMatrix(q={self.field.q}, {self.rows}x{self.cols})"
 
 
+def _vector(field: GF, values, length: int | None = None) -> np.ndarray:
+    """values as a 1-D array of encodings, its entries checked as GFMatrix
+    checks them; a shape other than (length,) is a DimensionMismatch."""
+    arr = np.asarray(values)
+    if arr.ndim != 1 or (length is not None and len(arr) != length):
+        want = "1-D" if length is None else f"of length {length}"
+        raise DimensionMismatch(f"expected a vector {want}, got shape "
+                                f"{arr.shape}")
+    return GFMatrix(field, arr[None]).data[0]
+
+
 def _rref_array(field: GF, data: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Row-reduce a copy of data; return (rref, pivot column list)."""
     m = data.astype(np.int64).copy()
@@ -119,14 +130,10 @@ def in_span(field: GF, target, vectors) -> np.ndarray | None:
     coefficient vector is the deterministic solution with every free
     variable set to zero.
     """
-    vecs = [np.asarray(v, dtype=np.int64) for v in vectors]
-    t = np.asarray(target, dtype=np.int64)
-    if t.ndim != 1:
-        raise DimensionMismatch(f"target must be 1-D, got shape {t.shape}")
+    t = _vector(field, target)
+    vecs = [_vector(field, v, len(t)) for v in vectors]
     if not vecs:
         return np.zeros(0, dtype=np.int64) if not t.any() else None
-    if any(v.shape != t.shape for v in vecs):
-        raise DimensionMismatch("span vectors must match the target length")
     a = np.column_stack(vecs)
     aug = np.hstack([a, t[:, None]])
     red, pivots = _rref_array(field, aug)
@@ -279,9 +286,7 @@ def dumps_matrix(matrix: GFMatrix, comment: str | None = None) -> str:
     return out.getvalue()
 
 
-def _parse_matrix(text: str) -> tuple[int, np.ndarray]:
-    """q and the rows x cols entries of matrix text, before any field is
-    built, so that a caller can refuse q first."""
+def loads_matrix(text: str) -> GFMatrix:
     tokens: list[str] = []
     for line in text.splitlines():
         line = line.split("#", 1)[0]
@@ -301,12 +306,8 @@ def _parse_matrix(text: str) -> tuple[int, np.ndarray]:
         raise BadParams(
             f"expected {nrows * ncols} entries, found {len(entries)}"
         )
-    return q, entries.reshape(nrows, ncols)
-
-
-def loads_matrix(text: str) -> GFMatrix:
-    q, arr = _parse_matrix(text)
-    return GFMatrix(build_field(q), arr)  # NotPrimePower propagates
+    # NotPrimePower and the field-order limit propagate
+    return GFMatrix(build_field(q), entries.reshape(nrows, ncols))
 
 
 def write_matrix(matrix: GFMatrix, path: str | os.PathLike,

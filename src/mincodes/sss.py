@@ -323,6 +323,7 @@ def minimal_authorized_sets(scheme: SssScheme, method: str = "auto",
     no authorized subset one smaller, and counts coalitions against the
     budget; "auto" picks dual when the dual is small enough.
     """
+    budget = _int(budget, "budget")
     n, k, q = scheme.code.n, scheme.code.k, scheme.code.q
     if method == "auto":
         method = "dual" if n > k and q ** (n - k) <= budget else "search"

@@ -155,6 +155,20 @@ def test_not_in_code_and_bad_word():
         is_minimal_codeword(code, [1, 0])
 
 
+def test_is_minimal_codeword_rejects_a_float_word():
+    code = first(3, 3)
+    word = np.array(code.codeword([1, 0, 0]).values) + 0.7
+    with pytest.raises(BadParams, match="entries must be integers"):
+        is_minimal_codeword(code, word)
+
+
+def test_is_minimal_codeword_rejects_an_entry_outside_the_field():
+    code = first(3, 3)
+    word = [5] + list(code.codeword([1, 0, 0]).values[1:])
+    with pytest.raises(BadParams, match=r"entries outside \[0, 3\)"):
+        is_minimal_codeword(code, word)
+
+
 def test_ab_condition_exact():
     simplex = make_code(2, [[1, 0, 1], [0, 1, 1]])
     r = ab_condition(simplex)

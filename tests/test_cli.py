@@ -61,9 +61,18 @@ def test_construct_missing_and_extra_params(capsys):
 
 def test_construct_rejects_large_q(capsys):
     status, _, err = run_cli(capsys, "construct", "--family", "first",
-                             "--t", "2", "--q", "67")
+                             "--t", "2", "--q", "257")
     assert status == 1
-    assert "caps q at 64" in err
+    assert "field order must be at most 256, got 257" in err
+
+
+def test_construct_and_analyze_past_q_64(tmp_path, capsys):
+    path = tmp_path / "f2128.txt"
+    assert run_cli(capsys, "construct", "--family", "first", "--t", "2",
+                   "--q", "128", "--out", str(path))[0] == 0
+    status, out, _ = run_cli(capsys, "analyze", "--in", str(path))
+    assert status == 0
+    assert out.startswith("[129,2]_128 code, d = 128\nminimal: yes")
 
 
 def test_construct_all_families(tmp_path, capsys):
@@ -135,7 +144,7 @@ def test_q_cap_applies_before_any_field_is_built(tmp_path, capsys, command):
     before = _canonical_field.cache_info()
     status, out, err = run_cli(capsys, *command, "--in", str(big))
     assert status == 1 and out == ""
-    assert "caps q at 64" in err
+    assert "field order must be at most 256, got 1031" in err
     after = _canonical_field.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
 
@@ -384,17 +393,20 @@ def test_sweep_malformed_instances_exit_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("number, instance", [
-    (1, [2, 67]), (2, [2, 67]), (3, [2, 67]),
-    (4, [4, 3, 67]), (5, [3, 2, 67]), (6, [3, 67]),
+    (1, [2, 257]), (2, [2, 257]), (3, [2, 257]),
+    (4, [4, 3, 257]), (5, [3, 2, 257]), (6, [3, 257]),
 ])
 def test_sweep_config_keeps_the_q_cap(tmp_path, capsys, number, instance):
     cfg = tmp_path / "big.json"
     cfg.write_text(json.dumps({"criteria": [
         {"id": number, "instances": [instance[:-1] + [3], instance]}]}))
-    status, out, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    out_dir = tmp_path / "out"
+    status, out, err = run_cli(capsys, "sweep", "--config", str(cfg),
+                               "--out-dir", str(out_dir))
     assert status == 1
     assert out == ""
-    assert "caps q at 64" in err
+    assert "field order must be at most 256, got 257" in err
+    assert not out_dir.exists()
 
 
 def test_sweep_unknown_entry_key_exits_1(tmp_path, capsys):

@@ -7,8 +7,9 @@ import pytest
 
 from unittest import mock
 
-from mincodes import (BadParams, BudgetExceeded, RankDeficient, SssScheme,
-                      TrivialDual, build_field, codes)
+from mincodes import (BadParams, BudgetExceeded, DimensionMismatch,
+                      RankDeficient, SssScheme, TrivialDual, build_field,
+                      codes)
 from mincodes.codes import (
     Codeword,
     LinearCode,
@@ -18,6 +19,7 @@ from mincodes.codes import (
     random_code,
     weight_distribution,
 )
+from mincodes.constructions import first
 from mincodes.matrix import GFMatrix
 
 
@@ -79,6 +81,26 @@ def test_codeword_properties():
     assert w.values == (2, 1, 0, 2)
     assert w.weight == 3
     assert w.support == (0, 1, 3)
+
+
+def test_codeword_rejects_a_float_coefficient():
+    with pytest.raises(BadParams, match="entries must be integers"):
+        first(3, 3).codeword([1.9, 0, 0])
+
+
+def test_codeword_rejects_a_prime_field_coefficient_outside_the_field():
+    with pytest.raises(BadParams, match=r"entries outside \[0, 3\)"):
+        first(3, 3).codeword([4, 0, 0])
+
+
+def test_codeword_rejects_an_extension_field_coefficient_outside_the_field():
+    with pytest.raises(BadParams, match=r"entries outside \[0, 4\)"):
+        first(3, 4).codeword([9, 0, 0])
+
+
+def test_codeword_rejects_the_wrong_number_of_coefficients():
+    with pytest.raises(DimensionMismatch, match="of length 3, got shape"):
+        first(3, 4).codeword([1, 0])
 
 
 def test_hamming_7_4_distribution():

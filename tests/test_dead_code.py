@@ -32,9 +32,6 @@ SRC = ROOT / "src" / "mincodes"
 ALLOWED = {
     "cli._Parser.error": "argparse calls it: it overrides "
                          "ArgumentParser.error",
-    "matrix.loads_matrix": "it reads what dumps_matrix writes; the CLI "
-                           "parses files itself, to cap q before it "
-                           "builds a field",
 }
 
 

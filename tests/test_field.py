@@ -1,9 +1,14 @@
 """Field arithmetic: canonical moduli, tables, axioms."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mincodes import BadParams, DimensionMismatch, NotPrimePower, build_field
+from mincodes import (BadParams, DimensionMismatch, MinCodesError,
+                      NotPrimePower, build_field, first)
 from mincodes import field
 from mincodes.field import GF
 
@@ -37,8 +42,53 @@ def test_field_order_must_be_an_integer(bad):
     assert build_field(np.int64(4)) is build_field(4)
 
 
+_prime_power = field._prime_power
+
+
+def _factor_only_to_256(q):
+    # factoring a large q alone takes minutes, so a guard that came too
+    # late fails here at once instead of hanging
+    if q > 256:
+        raise AssertionError(f"q = {q} reached _prime_power past the limit")
+    return _prime_power(q)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: build_field(257),
+    lambda: build_field(2**61 - 1),
+    lambda: build_field(10**30),
+    lambda: first(2, 1031),
+], ids=["257", "2^61-1", "10^30", "first(2,1031)"])
+def test_field_order_above_256_is_refused_first(monkeypatch, build):
+    monkeypatch.setattr(field, "_prime_power", _factor_only_to_256)
+    before = field._canonical_field.cache_info()
+    with pytest.raises(BadParams, match="field order must be at most 256"):
+        build()
+    after = field._canonical_field.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(st.one_of(
+    st.integers(),
+    st.floats(),
+    st.integers(-300, 300).map(float),
+    st.text(max_size=4),
+    st.none(),
+    st.booleans(),
+    st.integers(-2**63, 2**63 - 1).map(np.int64),
+))
+def test_build_field_raises_only_package_errors(q):
+    try:
+        with mock.patch.object(field, "_prime_power", _factor_only_to_256):
+            f = build_field(q)
+    except MinCodesError:
+        return
+    assert 2 <= f.q == q <= 256
+
+
 def test_prime_power_orders_accepted():
-    for q in [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64]:
+    for q in [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 32, 49, 64, 251, 256]:
         f = build_field(q)
         assert f.q == q
         assert f.p ** f.m == q
@@ -52,6 +102,8 @@ def test_canonical_moduli():
     assert build_field(16).modulus == (1, 1, 0, 0, 1)  # x^4+x+1
     assert build_field(32).modulus == (1, 0, 1, 0, 0, 1)  # x^5+x^2+1
     assert build_field(64).modulus == (1, 1, 0, 0, 0, 0, 1)  # x^6+x+1
+    # the largest order build_field takes
+    assert build_field(256).modulus == (1, 1, 0, 1, 1, 0, 0, 0, 1)
     assert build_field(25).modulus == (2, 0, 1)        # x^2+2
     assert build_field(27).modulus == (1, 2, 0, 1)     # x^3+2x+1
     assert build_field(49).modulus == (1, 0, 1)        # x^2+1

@@ -91,6 +91,22 @@ def test_in_span_empty_family():
     assert in_span(f, [1, 0], []) is None
 
 
+def test_in_span_rejects_a_target_outside_the_field():
+    f = build_field(3)
+    with pytest.raises(BadParams, match=r"entries outside \[0, 3\)"):
+        in_span(f, [7] * 9, [[1] * 9, [0, 1] * 4 + [0]])
+
+
+@pytest.mark.parametrize("vectors, error", [
+    ([[1.5, 0]], BadParams),
+    ([[1, 0], [3, 0]], BadParams),
+    ([[1, 0, 0]], DimensionMismatch),
+], ids=["float", "outside", "length"])
+def test_in_span_checks_each_vector(vectors, error):
+    with pytest.raises(error):
+        in_span(build_field(3), [1, 0], vectors)
+
+
 def test_nullspace_hand_case():
     m = gfm(2, [[1, 1, 1]])
     ns = nullspace(m)

@@ -311,6 +311,14 @@ def test_search_budget_counts_coalitions(f33):
     assert str(info.value) == "enumeration needs 92 coalitions, budget is 10"
 
 
+@pytest.mark.parametrize("method", ["auto", "dual", "search"])
+@pytest.mark.parametrize("budget", ["x", None, 1e9],
+                         ids=["str", "none", "float"])
+def test_access_budget_must_be_an_integer(f33, method, budget):
+    with pytest.raises(BadParams, match="^budget must be an integer"):
+        minimal_authorized_sets(f33, method=method, budget=budget)
+
+
 # -- perfectness ----------------------------------------------------------------
 
 
