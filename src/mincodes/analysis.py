@@ -14,8 +14,8 @@ of minimal codes and their asymptotic performance"; Tang, Qiu, Liao and
 Zhou, "Full characterization of minimal linear codes as cutting blocking
 sets").  The ranks come from the batched GF(p) kernel
 ``matrix.column_ranks``, one block of classes at a time, so memory is
-linear: one block of zero columns, plus n bits of support per class kept
-for the witness.  Each block is ranked first on a slice, the first
+linear: one block of zero columns, plus n bits of support and one byte
+of verdict per class.  Each block is ranked first on a slice, the first
 k-1+_SLICE zero columns of every class.  Any set of a class's zero
 columns has rank at most k-1, so rank k-1 on the slice proves the class
 minimal, and a class whose zero set fits in the slice is decided
@@ -29,11 +29,12 @@ a class that covers another is non-minimal, so this finds the same first
 covered pair as a scan of all pairs.  That scan is a float32 GEMM (BLAS
 sgemm); its zero test is exact because every term is nonnegative.
 
-Every whole-code fact comes from the walk of that rank pass, ``_walk``,
-which also counts the classes by coefficient and codeword weight and finds the
-first class that misses a field value.  The generator is read-only, so
-the three results are kept in the code's memo, and every whole-code
-check reads them after its budget check, whichever check comes first.
+Every whole-code fact comes from that rank pass, run only by ``_walk``,
+which also counts the classes by coefficient and codeword weight and
+finds the first class that misses a field value.  The generator is
+read-only, so the results, each class's verdict among them, are kept in
+the code's memo and read by every whole-code check after its budget
+check; ``minimal_codewords`` and the ``sss`` dual path read the verdict.
 
 The sufficient (not necessary) weight-ratio test: a code is minimal whenever
 w_min / w_max > (q-1)/q.  The comparison is exact, by cross-multiplication.
@@ -156,42 +157,6 @@ def _first_zeros(supp: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _rank_blocks(code: LinearCode, budget: int):
-    """Yield (coeffs, values, weights, minimal) per block of
-    projective_blocks.
-
-    Class i is minimal iff the columns of G where values[i] vanishes have
-    rank k-1 (they lie in the hyperplane orthogonal to coeffs[i], so the
-    rank is at most k-1).  Each block ranks the first k-1+_SLICE zero
-    columns of every row, padded with the zero column n, in one
-    ``matrix.column_ranks`` call.  Rank k-1 on that slice proves the class
-    minimal, since no superset can exceed k-1.  A class whose zero set
-    fits in the slice is then decided exactly; only the others of rank
-    below k-1 are ranked again on all their zero columns, in a second call
-    as wide as the widest of them.
-
-    The slice is gathered by width rounds of argmin when 2**width <= n,
-    that is when those passes over each row are fewer than the log2(n) of
-    a sort; otherwise by sorting every row's keys, zero columns first.
-    After argmin rounds only the rows ranked again are sorted.
-    """
-    n, k = code.n, code.k
-    rank = column_ranks(code.field, code.gen.data)
-    for u, v in projective_blocks(code, budget):
-        supp = v != 0
-        weights = supp.sum(axis=1)
-        zeros = n - weights
-        width = max(1, min(k - 1 + _SLICE, int(zeros.max())))
-        by_sort = 2**width > n
-        idx = _sorted_zeros(supp) if by_sort else _first_zeros(supp, width)
-        minimal = rank(idx[:, :width]) == k - 1
-        again = ~minimal & (zeros > width)
-        if again.any():
-            rest = idx[again] if by_sort else _sorted_zeros(supp[again])
-            minimal[again] = rank(rest[:, :zeros[again].max()]) == k - 1
-        yield u, v, weights, minimal
-
-
 def _first_cover(packed: np.ndarray, bad: np.ndarray, n: int):
     """(i, j): the first class i in canonical order whose support lies
     inside the support of a non-minimal class j != i, and the first such j.
@@ -242,32 +207,51 @@ def _full_value_failure(u: np.ndarray, v: np.ndarray, q: int):
 
 def _walk(code: LinearCode, budget: int) -> dict:
     """The code's memo, after the budget check; nothing else reads or
-    writes it.  The first call walks the classes and keeps
-    ``minimality``, ``full_value`` (scaling permutes the field values, so
-    one word per class decides it) and ``strata``, a (k+1, n+1) array of
-    class counts by coefficient weight s and codeword weight."""
+    writes it.  The first call walks the classes and keeps ``minimality``,
+    ``minimal`` (the rank test's verdict, one bool per class in canonical
+    order), ``full_value`` (scaling permutes the field values, so one word
+    per class decides it) and ``strata``, a (k+1, n+1) array of class
+    counts by coefficient weight s and codeword weight.
+
+    Each block's slice (see the module docstring), padded with the zero
+    column n, is gathered by width rounds of argmin when 2**width <= n,
+    that is when those passes over each row are fewer than the log2(n)
+    of a sort; otherwise by sorting every row's keys, zero columns first,
+    and after argmin rounds only the rows ranked again are sorted."""
     _check_budget(code, budget)
     memo = code._memo
     if memo:
         return memo
     n, k = code.n, code.k
-    supports, minimal = [], []
+    rank = column_ranks(code.field, code.gen.data)
+    supports, masks = [], []
     strata = np.zeros((k + 1) * (n + 1), dtype=np.int64)
     full_value = FullValueReport(True, None, None)
-    for u, v, w, ok in _rank_blocks(code, budget):
-        supports.append(np.packbits(v != 0, axis=1))
-        minimal.append(ok)
+    for u, v in projective_blocks(code, budget):
+        supp = v != 0
+        w = supp.sum(axis=1)
+        zeros = n - w
+        width = max(1, min(k - 1 + _SLICE, int(zeros.max())))
+        by_sort = 2**width > n
+        idx = _sorted_zeros(supp) if by_sort else _first_zeros(supp, width)
+        ok = rank(idx[:, :width]) == k - 1
+        again = ~ok & (zeros > width)
+        if again.any():
+            rest = idx[again] if by_sort else _sorted_zeros(supp[again])
+            ok[again] = rank(rest[:, :zeros[again].max()]) == k - 1
+        masks.append(ok)
+        supports.append(np.packbits(supp, axis=1))
         s = np.count_nonzero(u, axis=1)
         strata += np.bincount(s * (n + 1) + w, minlength=strata.size)
         if full_value.holds:
             full_value = _full_value_failure(u, v, code.q) or full_value
-    minimal = np.concatenate(minimal)
+    minimal = np.concatenate(masks)
     classes = len(minimal)
     if minimal.all():
         report = MinimalityReport(True, None, classes, classes * (classes - 1))
     else:
         i, j = _first_cover(np.vstack(supports), np.nonzero(~minimal)[0], n)
-        u = np.array([_class_coeffs(code.q, k, x) for x in (i, j)])
+        u = _class_coeffs(code.q, k, np.array([i, j]))
         v = code.field.matmul(u, code.gen.data)
         stop = min(i - i % _ROW_BLOCK + _ROW_BLOCK, classes)
         report = MinimalityReport(
@@ -276,9 +260,17 @@ def _walk(code: LinearCode, budget: int) -> dict:
             classes=classes,
             pairs_checked=stop * (classes - 1),
         )
-    memo.update(minimality=report, full_value=full_value,
+    memo.update(minimality=report, minimal=minimal, full_value=full_value,
                 strata=strata.reshape(k + 1, n + 1))
     return memo
+
+
+def _minimal_rows(code: LinearCode, budget: int):
+    """(coeffs, values) arrays of the minimal classes in canonical order:
+    the walk's mask decoded by ``_class_coeffs``, times G in one matmul."""
+    u = _class_coeffs(code.q, code.k,
+                      np.flatnonzero(_walk(code, budget)["minimal"]))
+    return u, code.field.matmul(u, code.gen.data)
 
 
 def is_minimal_code(code: LinearCode,
@@ -311,16 +303,9 @@ def minimal_codewords(code: LinearCode,
     in canonical coefficient order; the complete set of minimal codewords is
     exactly their nonzero scalar multiples.
     """
+    u, v = _minimal_rows(code, budget)
     return [Codeword(tuple(c), tuple(x))
-            for u, v, _, ok in _rank_blocks(code, budget)
-            for c, x in zip(u[ok].tolist(), v[ok].tolist())]
-
-
-def _coeffs_for(code: LinearCode, values) -> np.ndarray:
-    x = in_span(code.field, values, code.gen.data)
-    if x is None:
-        raise NotInCode(f"vector is not a codeword of {code}")
-    return x
+            for c, x in zip(u.tolist(), v.tolist())]
 
 
 def is_minimal_codeword(code: LinearCode, word) -> bool:
@@ -331,7 +316,8 @@ def is_minimal_codeword(code: LinearCode, word) -> bool:
                      code.n)
     if not values.any():
         raise BadParams("the zero codeword is excluded from minimality")
-    _coeffs_for(code, values)  # raises NotInCode
+    if in_span(code.field, values, code.gen.data) is None:
+        raise NotInCode(f"vector is not a codeword of {code}")
     zero_cols = GFMatrix(code.field, code.gen.data[:, values == 0])
     return rank(zero_cols) == code.k - 1
 

@@ -170,16 +170,16 @@ def _lead_one_blocks(field: GF, gen: np.ndarray):
             yield coeffs, _add(field, v, span)
 
 
-def _class_coeffs(q: int, k: int, index: int) -> list[int]:
-    """Coefficients of the index-th lead-1 vector in canonical order, the
-    order ``_lead_one_blocks`` yields: e_(k-1) first, then the q vectors
-    with lead at k-2, and so on."""
-    tail, before = 0, 0
-    while before + q**tail <= index:
-        before += q**tail
-        tail += 1
-    value = q**tail + index - before
-    return [value // q**(k - 1 - s) % q for s in range(k)]
+def _class_coeffs(q: int, k: int, index: np.ndarray) -> np.ndarray:
+    """Coefficient rows of the lead-1 vectors at an integer array of
+    indices into the order ``_lead_one_blocks`` yields: e_(k-1) first,
+    then the q vectors with lead at k-2, and so on; the q^t vectors with
+    t entries after the lead start at index (q^t - 1)/(q - 1)."""
+    size = q ** np.arange(k, dtype=np.int64)
+    before = np.cumsum(size) - size
+    tail = np.searchsorted(before, index, side="right") - 1
+    value = size[tail] + index - before[tail]
+    return value[:, None] // size[::-1] % q
 
 
 def codeword_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):

@@ -41,26 +41,15 @@ from .errors import BadParams, DimensionMismatch, NotPrimePower, _int
 
 
 def _prime_power(q: int) -> tuple[int, int] | None:
-    """Return (p, m) with q == p**m and p prime, or None."""
+    """Return (p, m) with q == p**m and p prime, or None; p is q's least
+    factor above 1, found by trial division (q <= 256 here)."""
     if q < 2:
         return None
-    n = q
-    p = None
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            p = f
-            break
-        f += 1
-    if p is None:
-        return q, 1
+    p = next(f for f in range(2, q + 1) if q % f == 0)
     m = 0
-    while n % p == 0:
-        n //= p
-        m += 1
-    if n != 1:
-        return None
-    return p, m
+    while q % p == 0:
+        q, m = q // p, m + 1
+    return (p, m) if q == 1 else None
 
 
 def _digits(p: int, m: int) -> np.ndarray:

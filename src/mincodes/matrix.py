@@ -31,7 +31,7 @@ class GFMatrix:
     """An immutable rows x cols matrix of field-element encodings."""
 
     def __init__(self, field: GF, data):
-        arr = np.asarray(data)
+        arr = _asarray(data)
         if arr.ndim != 2:
             raise DimensionMismatch(f"expected 2-D data, got shape {arr.shape}")
         if arr.dtype.kind not in "biu":
@@ -72,10 +72,18 @@ class GFMatrix:
         return f"GFMatrix(q={self.field.q}, {self.rows}x{self.cols})"
 
 
+def _asarray(data) -> np.ndarray:
+    """np.asarray(data); ragged nested input is a DimensionMismatch."""
+    try:
+        return np.asarray(data)
+    except ValueError as e:
+        raise DimensionMismatch(f"ragged input: {e}") from None
+
+
 def _vector(field: GF, values, length: int | None = None) -> np.ndarray:
     """values as a 1-D array of encodings, its entries checked as GFMatrix
     checks them; a shape other than (length,) is a DimensionMismatch."""
-    arr = np.asarray(values)
+    arr = _asarray(values)
     if arr.ndim != 1 or (length is not None and len(arr) != length):
         want = "1-D" if length is None else f"of length {length}"
         raise DimensionMismatch(f"expected a vector {want}, got shape "
@@ -310,16 +318,24 @@ def loads_matrix(text: str) -> GFMatrix:
     return GFMatrix(build_field(q), entries.reshape(nrows, ncols))
 
 
+def _path(path: str | os.PathLike) -> str | os.PathLike:
+    """path, if a str or os.PathLike: open() takes an int or a bool as a
+    file descriptor, which it would write to and close."""
+    if isinstance(path, (str, os.PathLike)):
+        return path
+    raise BadParams(f"a file path must be a str or os.PathLike, got {path!r}")
+
+
 def write_matrix(matrix: GFMatrix, path: str | os.PathLike,
                  comment: str | None = None) -> None:
-    with open(path, "w", encoding="ascii") as fh:
+    with open(_path(path), "w", encoding="ascii") as fh:
         fh.write(dumps_matrix(matrix, comment))
 
 
 def _read_text(path: str | os.PathLike) -> str:
     """A matrix file's text; a file that is not ASCII is a BadParams."""
     try:
-        with open(path, "r", encoding="ascii") as fh:
+        with open(_path(path), "r", encoding="ascii") as fh:
             return fh.read()
     except UnicodeDecodeError as e:
         raise BadParams(f"matrix file {path} is not ASCII text: {e}") from None

@@ -7,10 +7,12 @@ secret and hands participant i the coordinate of u.G at its column.  A
 coalition can reconstruct exactly when the secret column lies in the
 span of its columns, and the minimal such coalitions are read off the
 minimal codewords of the dual code that are nonzero on the secret
-column.  Where the dual is too big to enumerate they are found by
-search instead, which decides the coalitions of one size together:
-coalition A is authorized exactly when rank [G_A] = rank [G_A | secret
-column], and one ``matrix.column_ranks`` call takes both for a block.
+column: the supports, less the secret column, of the minimal rows that
+the dual's one walk marks (``analysis._minimal_rows``).  Where the dual
+is too big to enumerate they are found by search instead, which decides
+the coalitions of one size together: coalition A is authorized exactly
+when rank [G_A] = rank [G_A | secret column], and one
+``matrix.column_ranks`` call takes both for a block.
 
 Each Massey operation has a batched form that the single call wraps:
 ``deal_batch`` makes many dealings with one matmul, ``reconstruct_batch``
@@ -35,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import minimal_codewords
+from .analysis import _minimal_rows
 from .codes import (
     _CHUNK,
     DEFAULT_BUDGET,
@@ -302,12 +304,15 @@ def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
 
 
 def _dual_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
-    dual = dual_code(scheme.code)
+    # minimal words with one support are proportional: no coalition twice
     c0 = scheme.secret_column - 1
-    sets = set()
-    for word in minimal_codewords(dual, budget):
-        if word.values[c0]:
-            sets.add(tuple(i + 1 for i in word.support if i != c0))
+    values = _minimal_rows(dual_code(scheme.code), budget)[1]
+    supp = values[values[:, c0] != 0] != 0
+    supp[:, c0] = False
+    # row i's participants, ascending, are cols[ends[i-1]:ends[i]]
+    cols = (np.nonzero(supp)[1] + 1).tolist()
+    ends = np.cumsum(supp.sum(axis=1)).tolist()
+    sets = [tuple(cols[s:e]) for s, e in zip([0] + ends, ends)]
     return [AccessSet(s) for s in sorted(sets, key=lambda s: (len(s), s))]
 
 
@@ -350,7 +355,11 @@ def perfectness_batch(scheme: SssScheme, subsets,
     columns; the coalitions of one size are ranked with and without it in
     one ``column_ranks`` call.  Reports come in the order of ``subsets``.
     """
-    subsets = [scheme._check(s) for s in subsets]
+    try:
+        subsets = [scheme._check(s) for s in subsets]
+    except TypeError:
+        raise BadParams("subsets must be an iterable of coalitions, "
+                        f"got {subsets!r}") from None
     values = np.concatenate(
         [v for _, v in codeword_blocks(scheme.code, budget)])
     secret = values[:, scheme.secret_column - 1].astype(np.int64)

@@ -153,6 +153,8 @@ def test_not_in_code_and_bad_word():
         is_minimal_codeword(code, [0, 0, 0])
     with pytest.raises(DimensionMismatch):
         is_minimal_codeword(code, [1, 0])
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        is_minimal_codeword(code, [[1, 0], [1]])
 
 
 def test_is_minimal_codeword_rejects_a_float_word():
@@ -279,20 +281,22 @@ def test_memoised_checks_walk_nothing():
         has_full_value_property(code)
         ab_condition(code)
         min_max_weight(code)
+        minimal_codewords(code)
     assert counts == {}
     with pytest.raises(BudgetExceeded):
         is_minimal_code(code, budget=code.size - 1)
 
 
 WHOLE_CODE_CALLS = (is_minimal_code, weight_strata, weight_distribution,
-                    has_full_value_property, min_max_weight, ab_condition)
+                    has_full_value_property, min_max_weight, ab_condition,
+                    minimal_codewords)
 
 
 @pytest.mark.parametrize("first_call", WHOLE_CODE_CALLS,
                          ids=lambda f: f.__name__)
 def test_any_first_call_walks_the_classes_once(first_call):
     # whichever whole-code call comes first, it pays the one rank pass and
-    # the other five read its results
+    # the other six read its results
     code = second(4, 3, 2)
     rest = [f for f in WHOLE_CODE_CALLS if f is not first_call]
     with counted_walks() as counts:
@@ -334,25 +338,29 @@ def test_is_minimal_code_peak_memory(n, k, minimal):
 
 
 def kernel_calls(code):
-    """(mask, blocks): the rank mask and, per block, the (rows, width) of
-    every call to the closure ``column_ranks`` returned."""
-    calls, blocks, masks = [], [], []
-    real = analysis.column_ranks
+    """(mask, blocks): the walk's rank mask and, per block of
+    projective_blocks, the (rows, width) of every call to the closure
+    ``column_ranks`` returned."""
+    blocks = []
+    real_ranks, real_walk = analysis.column_ranks, analysis.projective_blocks
 
     def spy(field, gen):
-        rank = real(field, gen)
+        rank = real_ranks(field, gen)
 
         def counted(idx):
-            calls.append(np.shape(idx))
+            blocks[-1].append(np.shape(idx))
             return rank(idx)
         return counted
 
-    with mock.patch.object(analysis, "column_ranks", spy):
-        for *_, ok in analysis._rank_blocks(code, DEFAULT_BUDGET):
-            masks.append(ok)
-            blocks.append(calls[:])
-            calls.clear()
-    return np.concatenate(masks), blocks
+    def walk(*args, **kwargs):
+        for block in real_walk(*args, **kwargs):
+            blocks.append([])
+            yield block
+
+    with mock.patch.object(analysis, "column_ranks", spy), \
+            mock.patch.object(analysis, "projective_blocks", walk):
+        mask = analysis._walk(code, DEFAULT_BUDGET)["minimal"]
+    return mask, blocks
 
 
 def test_slice_decides_every_class_of_first_3_64():

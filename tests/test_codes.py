@@ -101,6 +101,8 @@ def test_codeword_rejects_an_extension_field_coefficient_outside_the_field():
 def test_codeword_rejects_the_wrong_number_of_coefficients():
     with pytest.raises(DimensionMismatch, match="of length 3, got shape"):
         first(3, 4).codeword([1, 0])
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        first(3, 3).codeword([[1, 0], [0]])
 
 
 def test_hamming_7_4_distribution():

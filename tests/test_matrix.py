@@ -1,5 +1,7 @@
 """Linear algebra over GF(q): rref, spans, nullspaces, Kronecker, text I/O."""
 
+import os
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from mincodes import (
 )
 from mincodes.matrix import (
     GFMatrix,
+    _read_text,
     dumps_matrix,
     in_span,
     kronecker,
@@ -91,6 +94,11 @@ def test_in_span_empty_family():
     assert in_span(f, [1, 0], []) is None
 
 
+def test_in_span_rejects_a_ragged_target():
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        in_span(build_field(2), [[1, 0], [1]], [[1, 0], [0, 1]])
+
+
 def test_in_span_rejects_a_target_outside_the_field():
     f = build_field(3)
     with pytest.raises(BadParams, match=r"entries outside \[0, 3\)"):
@@ -101,7 +109,8 @@ def test_in_span_rejects_a_target_outside_the_field():
     ([[1.5, 0]], BadParams),
     ([[1, 0], [3, 0]], BadParams),
     ([[1, 0, 0]], DimensionMismatch),
-], ids=["float", "outside", "length"])
+    ([[1, 0], [1]], DimensionMismatch),
+], ids=["float", "outside", "length", "ragged"])
 def test_in_span_checks_each_vector(vectors, error):
     with pytest.raises(error):
         in_span(build_field(3), [1, 0], vectors)
@@ -157,6 +166,8 @@ def test_matrix_validation():
         gfm(3, [[0, 3]])
     with pytest.raises(DimensionMismatch):
         gfm(3, [1, 2])
+    with pytest.raises(DimensionMismatch, match="ragged"):
+        gfm(2, [[1, 0], [1]])
     with pytest.raises(DimensionMismatch):
         gfm(3, [[1, 2]]).hstack(gfm(3, [[1], [2]]))
 
@@ -178,6 +189,28 @@ def test_matrix_immutable():
     m = gfm(3, [[1, 2]])
     with pytest.raises(ValueError):
         m.data[0, 0] = 0
+
+
+@pytest.mark.parametrize("path", [3.5, None, b"m.txt"],
+                         ids=["float", "none", "bytes"])
+def test_matrix_files_take_only_str_or_pathlike(path):
+    with pytest.raises(BadParams, match="str or os.PathLike"):
+        write_matrix(gfm(2, [[1]]), path)
+    with pytest.raises(BadParams, match="str or os.PathLike"):
+        _read_text(path)
+
+
+def test_an_int_path_is_not_taken_as_a_file_descriptor(tmp_path):
+    # the fd of a file opened here, never one of 0-2 or True: open() would
+    # write to it and close it
+    with open(tmp_path / "held.txt", "w") as held:
+        fd = held.fileno()
+        with pytest.raises(BadParams, match="str or os.PathLike"):
+            write_matrix(gfm(2, [[1]]), fd)
+        with pytest.raises(BadParams, match="str or os.PathLike"):
+            _read_text(fd)
+        os.fstat(fd)  # still open
+    assert (tmp_path / "held.txt").read_text() == ""
 
 
 def test_text_roundtrip(tmp_path):

@@ -7,7 +7,8 @@ generator checks) and n <= 7, and every enumeration runs with a small
 the canonical order.  Both generators are checked byte for byte against
 the filter-then-``GF.matmul`` enumeration they replaced, and for their
 block sizes and budget check, and the canonical class order decoded by
-``codes._class_coeffs`` against ``projective_blocks``.  The rank test of
+``codes._class_coeffs``, on arrays of indices, against
+``projective_blocks``.  The rank test of
 minimality is checked against the pairwise cover scan it replaced (kept
 here as the oracle, and itself checked on random support matrices up to
 300 columns wide) on codes with k = 1, with zero columns and with a class
@@ -27,7 +28,9 @@ weight distribution of every dual code is checked against the MacWilliams
 transform.  The batched coalition search is checked against a
 per-coalition ``in_span`` loop and the dual-code path with every column as
 the secret column (n <= 8 here) and on a GF(256) code too wide for the XOR
-packing, and the batched rank kernel ``matrix.column_ranks`` against
+packing, the two methods of ``minimal_authorized_sets`` against each
+other, the empty structure of a secret column outside the others' span
+included, and the batched rank kernel ``matrix.column_ranks`` against
 ``rank`` and ``in_span`` one matrix at a time and against ``rank`` at the
 limits of its dtypes, and the row basis of the evaluation codes against
 the greedy rank-raising selection it replaced.  The batched Massey
@@ -358,11 +361,9 @@ def fixed_block_first_cover(packed, bad, n, row_block):
 ])
 def test_growing_cover_scan_matches_fixed_blocks(n, k, q, seed, covered):
     code = random_code(n, k, q, seed=seed)
-    supports, minimal = [], []
-    for _, v, _, ok in analysis._rank_blocks(code, codes.DEFAULT_BUDGET):
-        supports.append(np.packbits(v != 0, axis=1))
-        minimal.append(ok)
-    packed, bad = np.vstack(supports), np.nonzero(~np.concatenate(minimal))[0]
+    packed = np.vstack([np.packbits(v != 0, axis=1)
+                        for _, v in projective_blocks(code)])
+    bad = np.nonzero(~analysis._walk(code, codes.DEFAULT_BUDGET)["minimal"])[0]
     with np.errstate(invalid="raise"):
         got = analysis._first_cover(packed, bad, n)
         want = fixed_block_first_cover(packed, bad, n, analysis._ROW_BLOCK)
@@ -420,8 +421,7 @@ def test_rank_mask_matches_pairwise_oracle(q, data, chunk, row_block):
         want, witness, pairs = pairwise_minimality(code, row_block)
         with small_chunks(chunk), \
                 mock.patch.object(analysis, "_ROW_BLOCK", row_block):
-            got = np.concatenate([ok for *_, ok in analysis._rank_blocks(
-                code, codes.DEFAULT_BUDGET)])
+            got = analysis._walk(code, codes.DEFAULT_BUDGET)["minimal"]
             report = is_minimal_code(code)
             words = minimal_codewords(code)
         assert np.array_equal(got, want)
@@ -442,8 +442,7 @@ def test_rank_mask_matches_pairwise_oracle_on_sweep_corpus():
     sweep.run_criterion(11, registry=registry)
     assert len(registry) == 38
     for label, code in registry.items():
-        got = np.concatenate([ok for *_, ok in analysis._rank_blocks(
-            code, codes.DEFAULT_BUDGET)])
+        got = analysis._walk(code, codes.DEFAULT_BUDGET)["minimal"]
         assert np.array_equal(got, pairwise_minimality(code, 1024)[0]), label
 
 
@@ -516,6 +515,8 @@ def whole_code_oracles(code):
         ab_condition: ab_report(dist),
         min_max_weight: (dist.min_nonzero(), dist.max_weight()),
         has_full_value_property: walk_full_value(fresh),
+        minimal_codewords: [Codeword(*r) for r, ok in zip(
+            flatten(projective_blocks(fresh)), mask) if ok],
     }
 
 
@@ -523,7 +524,7 @@ def whole_code_oracles(code):
 @SETTINGS
 @given(data=st.data(), chunk=chunks)
 def test_memoised_results_match_fresh_walks(q, data, chunk):
-    """The six whole-code functions, called twice each in a drawn order
+    """The seven whole-code functions, called twice each in a drawn order
     on one code, so that most calls read what an earlier one kept, give
     what fresh walks give, and a budget below q^k still raises."""
     shape = data.draw(st.sampled_from(SHAPES), label="shape")
@@ -535,7 +536,8 @@ def test_memoised_results_match_fresh_walks(q, data, chunk):
             assert check(code) == want[check], check.__name__
             with pytest.raises(BudgetExceeded):
                 check(code, budget=code.size - 1)
-    assert set(code._memo) == {"minimality", "strata", "full_value"}
+    assert set(code._memo) == {"minimality", "minimal", "strata",
+                               "full_value"}
     with pytest.raises(BudgetExceeded):
         weight_distribution(code, budget=1)
 
@@ -585,7 +587,7 @@ def repeated_column_codes(draw, q, max_k=5, max_words=729):
 
 @contextlib.contextmanager
 def counted_gathers(counts):
-    """Count the blocks that _rank_blocks gathers by argmin rounds and
+    """Count the blocks that _walk gathers by argmin rounds and
     all the blocks it walks; the rest are gathered by the sort."""
     real_walk, real_argmin = analysis.projective_blocks, analysis._first_zeros
 
@@ -620,8 +622,9 @@ def test_slice_rank_mask_matches_full_width(q):
         for extra in range(1, code.k + 3):
             with small_chunks(chunk), counted_gathers(counts), \
                     mock.patch.object(analysis, "_SLICE", extra):
-                got = np.concatenate([ok for *_, ok in analysis._rank_blocks(
-                    code, codes.DEFAULT_BUDGET)])
+                # a fresh copy each time: the walk keeps its mask on the code
+                got = analysis._walk(LinearCode(code.gen),
+                                     codes.DEFAULT_BUDGET)["minimal"]
             assert np.array_equal(got, want), extra
 
     check()
@@ -629,12 +632,21 @@ def test_slice_rank_mask_matches_full_width(q):
 
 
 @SETTINGS
-@given(small_codes(max_k=5), chunks)
-def test_class_coeffs_index_projective_blocks(code, chunk):
+@given(small_codes(max_k=5), chunks, st.data())
+def test_class_coeffs_index_projective_blocks(code, chunk, data):
+    """Decoded all at once, one at a time and at a random subset of
+    indices, in any order, across block boundaries."""
     with small_chunks(chunk):
         u = np.vstack([b for b, _ in projective_blocks(code)])
-    assert [codes._class_coeffs(code.q, code.k, i) for i in range(len(u))] \
-        == u.tolist()
+    q, k = code.q, code.k
+    assert np.array_equal(codes._class_coeffs(q, k, np.arange(len(u))), u)
+    for i in range(len(u)):
+        assert codes._class_coeffs(q, k, np.array([i])).tolist() == \
+            [u[i].tolist()]
+    some = data.draw(st.lists(st.integers(0, len(u) - 1), max_size=20))
+    assert np.array_equal(
+        codes._class_coeffs(q, k, np.array(some, dtype=np.int64)),
+        u[some].reshape(len(some), k))
 
 
 def class_walk_minimal(code, values) -> bool:
@@ -768,6 +780,28 @@ def test_search_path_matches_oracle_and_dual(q, data, chunk):
         dual = (sss._dual_path(scheme, codes.DEFAULT_BUDGET)
                 if code.n > code.k else [])
         assert dual == want
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_dual_and_search_access_structures_agree(q, data):
+    """minimal_authorized_sets gives the same sets by the dual code and by
+    search, on drawn codes and on codes whose secret column lies outside
+    the span of the others (a unit row on it, zero elsewhere), where both
+    give the empty structure."""
+    code = data.draw(sss_codes(q))
+    independent = data.draw(st.booleans(), label="independent secret")
+    if independent:
+        gen = np.zeros((code.k + 1, code.n + 1), dtype=np.int64)
+        gen[0, 0] = 1
+        gen[1:, 1:] = code.gen.data
+        code = LinearCode(GFMatrix(code.field, gen))
+    scheme = SssScheme(code)
+    dual = sss.minimal_authorized_sets(scheme, "dual")
+    assert dual == sss.minimal_authorized_sets(scheme, "search")
+    if independent:
+        assert dual == []
 
 
 SPAN_SHAPES = ("random", "s = 0", "zero columns", "s > k")

@@ -343,6 +343,13 @@ def test_perfectness_batch_keeps_input_order(f22):
         perfectness_batch(f22, subsets, budget=3)
 
 
+@pytest.mark.parametrize("subsets", [3, None, 2.5],
+                         ids=["int", "none", "float"])
+def test_perfectness_batch_rejects_non_iterable_subsets(f22, subsets):
+    with pytest.raises(BadParams, match="iterable of coalitions"):
+        perfectness_batch(f22, subsets)
+
+
 def test_perfectness_all_subsets():
     for scheme in (SssScheme(first(2, 2)), SssScheme(first(3, 3))):
         parts = scheme.participants
