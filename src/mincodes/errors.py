@@ -71,6 +71,15 @@ def _ints(values, what: str, optional: bool = False) -> list:
             f"{what} must be a sequence of integers, got {values!r}") from None
 
 
+def _list(values, what: str, items: str) -> list:
+    """values as a list; anything that is not iterable is BadParams."""
+    try:
+        return list(values)
+    except TypeError:
+        raise BadParams(f"{what} must be an iterable of {items}, "
+                        f"got {values!r}") from None
+
+
 class PreconditionFailed(MinCodesError):
     """An operation's verified precondition does not hold for its input."""
 

@@ -5,11 +5,12 @@ as the integer c_0 + c_1*p + ... + c_{m-1}*p^{m-1}.  Encodings 0 and 1 are the
 additive and multiplicative identities, and for prime fields the encoding is
 the residue itself.
 
-Fields are built with :func:`build_field`, which picks a canonical modulus so
-that two runs (or two machines) always agree on the arithmetic: the monic
-irreducible polynomial of degree m over GF(p) whose coefficient vector has the
-smallest base-p integer encoding.  The reported primitive element ``xi`` is
-the smallest encoding that generates the multiplicative group.
+Fields come only from :func:`build_field` (the package does not export
+:class:`GF`), which picks a canonical modulus so that two runs (or two
+machines) agree on the arithmetic: the monic irreducible polynomial of
+degree m over GF(p) whose coefficient vector has the smallest base-p
+encoding.  The primitive element ``xi`` is the smallest encoding that
+generates the multiplicative group.
 
 Arithmetic is table-driven: :func:`build_field` refuses q > 256, the
 largest order whose encodings fit in one byte, so the q x q tables stay
@@ -91,10 +92,12 @@ def _smallest_modulus(p: int, m: int) -> tuple[int, ...]:
 class GF:
     """Finite field GF(p**m) with integer-encoded elements.
 
-    Use :func:`build_field` instead of constructing directly; it caches one
-    canonical instance per order.  The ``*_table`` arrays can be
-    fancy-indexed with ints or numpy integer arrays for scalar or vectorized
-    arithmetic, and :meth:`matmul` multiplies matrices of encodings.
+    The type :func:`build_field` returns, made only there from the
+    canonical modulus (monic and irreducible), so no argument is checked;
+    equality and hashing go by (p, m, modulus).  The ``*_table`` arrays
+    can be fancy-indexed with ints or numpy integer arrays for scalar or
+    vectorized arithmetic, and :meth:`matmul` multiplies matrices of
+    encodings.
 
     Attributes:
         p: field characteristic.
@@ -108,18 +111,14 @@ class GF:
         self.p = p
         self.m = m
         self.q = q = p**m
-        self.modulus = tuple(modulus)
-        if len(self.modulus) != m + 1 or self.modulus[-1] != 1:
-            raise BadParams(f"modulus {modulus} is not monic of degree {m}")
+        self.modulus = modulus
         dtype = np.min_scalar_type(q - 1)
 
         digits = _digits(p, m)
         weights = p ** np.arange(m)
         add = ((digits[:, None, :] + digits[None, :, :]) % p) @ weights
         neg = (-digits % p) @ weights
-        mul = _mul_table(p, self.modulus, digits, q)
-        if not mul[1:, 1:].all():
-            raise BadParams(f"modulus {modulus} is reducible over GF({p})")
+        mul = _mul_table(p, modulus, digits, q)
 
         self.add_table = add.astype(dtype)
         self.mul_table = mul.astype(dtype)

@@ -23,7 +23,7 @@ import os
 
 import numpy as np
 
-from .errors import BadParams, DimensionMismatch, FieldMismatch
+from .errors import BadParams, DimensionMismatch, FieldMismatch, _list
 from .field import GF, build_field
 
 
@@ -139,7 +139,8 @@ def in_span(field: GF, target, vectors) -> np.ndarray | None:
     variable set to zero.
     """
     t = _vector(field, target)
-    vecs = [_vector(field, v, len(t)) for v in vectors]
+    vecs = [_vector(field, v, len(t))
+            for v in _list(vectors, "vectors", "vectors")]
     if not vecs:
         return np.zeros(0, dtype=np.int64) if not t.any() else None
     a = np.column_stack(vecs)
@@ -283,6 +284,8 @@ def kronecker(a: GFMatrix, b: GFMatrix) -> GFMatrix:
 
 
 def dumps_matrix(matrix: GFMatrix, comment: str | None = None) -> str:
+    if not isinstance(comment, (str, type(None))):
+        raise BadParams(f"a comment must be a str or None, got {comment!r}")
     out = io.StringIO()
     if comment:
         for line in comment.splitlines():
@@ -295,6 +298,8 @@ def dumps_matrix(matrix: GFMatrix, comment: str | None = None) -> str:
 
 
 def loads_matrix(text: str) -> GFMatrix:
+    if not isinstance(text, str):
+        raise BadParams(f"matrix text must be a str, got {text!r}")
     tokens: list[str] = []
     for line in text.splitlines():
         line = line.split("#", 1)[0]
@@ -328,8 +333,12 @@ def _path(path: str | os.PathLike) -> str | os.PathLike:
 
 def write_matrix(matrix: GFMatrix, path: str | os.PathLike,
                  comment: str | None = None) -> None:
+    # the text is built and checked first: opening the file truncates it
+    text = dumps_matrix(matrix, comment)
+    if not text.isascii():
+        raise BadParams(f"matrix files are ASCII; comment {comment!r} is not")
     with open(_path(path), "w", encoding="ascii") as fh:
-        fh.write(dumps_matrix(matrix, comment))
+        fh.write(text)
 
 
 def _read_text(path: str | os.PathLike) -> str:

@@ -8,10 +8,12 @@ coalition can reconstruct exactly when the secret column lies in the
 span of its columns, and the minimal such coalitions are read off the
 minimal codewords of the dual code that are nonzero on the secret
 column: the supports, less the secret column, of the minimal rows that
-the dual's one walk marks (``analysis._minimal_rows``).  Where the dual
-is too big to enumerate they are found by search instead, which decides
-the coalitions of one size together: coalition A is authorized exactly
-when rank [G_A] = rank [G_A | secret column], and one
+the dual's one walk marks (``analysis._minimal_rows``).  A scheme builds
+its dual (``SssScheme.dual``) on first use and keeps it, so the walk is
+taken once per scheme; the budget is still checked on every call.  Where
+the dual is too big to enumerate they are found by search instead, which
+decides the coalitions of one size together: coalition A is authorized
+exactly when rank [G_A] = rank [G_A | secret column], and one
 ``matrix.column_ranks`` call takes both for a block.
 
 Each Massey operation has a batched form that the single call wraps:
@@ -53,6 +55,7 @@ from .errors import (
     ZeroColumn,
     _int,
     _ints,
+    _list,
 )
 from .matrix import _rref_array, column_ranks
 
@@ -108,6 +111,12 @@ class SssScheme:
         # the scheme, so the cache makes no cycle through it
         self._reductions = functools.lru_cache(maxsize=_SOLVER_CAP)(
             functools.partial(_reduce, f, gen, secret_column - 1))
+
+    @functools.cached_property
+    def dual(self) -> LinearCode:
+        """The dual code, built on first use and kept, so that its one walk
+        serves every dual access on the scheme."""
+        return dual_code(self.code)
 
     def secret_col(self) -> np.ndarray:
         return self.code.gen.data[:, self.secret_column - 1]
@@ -226,7 +235,7 @@ def reconstruct_batch(scheme: SssScheme, subset, share_rows) -> np.ndarray:
     ids = scheme._check(subset)
     m, q = len(ids), scheme.field.q
     rows = []
-    for shares in share_rows:
+    for shares in _list(share_rows, "share_rows", "share sequences"):
         vals = _ints(shares, "shares")
         if len(vals) != m:
             raise BadParams(f"{m} participants but {len(vals)} shares")
@@ -306,7 +315,7 @@ def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
 def _dual_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
     # minimal words with one support are proportional: no coalition twice
     c0 = scheme.secret_column - 1
-    values = _minimal_rows(dual_code(scheme.code), budget)[1]
+    values = _minimal_rows(scheme.dual, budget)[1]
     supp = values[values[:, c0] != 0] != 0
     supp[:, c0] = False
     # row i's participants, ascending, are cols[ends[i-1]:ends[i]]
@@ -355,11 +364,8 @@ def perfectness_batch(scheme: SssScheme, subsets,
     columns; the coalitions of one size are ranked with and without it in
     one ``column_ranks`` call.  Reports come in the order of ``subsets``.
     """
-    try:
-        subsets = [scheme._check(s) for s in subsets]
-    except TypeError:
-        raise BadParams("subsets must be an iterable of coalitions, "
-                        f"got {subsets!r}") from None
+    subsets = [scheme._check(s)
+               for s in _list(subsets, "subsets", "coalitions")]
     values = np.concatenate(
         [v for _, v in codeword_blocks(scheme.code, budget)])
     secret = values[:, scheme.secret_column - 1].astype(np.int64)

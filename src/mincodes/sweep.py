@@ -450,8 +450,9 @@ def _run_sss(instances, budget, registry):
 
         def body():
             code = registry.obtain(label, build)
-            registry.obtain(f"dual({label})", lambda: dual_code(code))
             scheme = SssScheme(code)
+            # the scheme's own dual, so the dual scan walks it once
+            registry.obtain(f"dual({label})", lambda: scheme.dual)
             dual_sets = minimal_authorized_sets(scheme, method="dual",
                                                 budget=budget)
             search_sets = minimal_authorized_sets(scheme, method="search",

@@ -1,18 +1,22 @@
-"""Every script under ``demos/`` runs from a checkout and prints something.
+"""Every script under ``demos/`` runs from a checkout and prints its golden.
 
 Each demo runs in its own interpreter with ``src`` on ``PYTHONPATH``, as
-the README says to run them, and must exit 0 with non-empty stdout.
+the README says to run them, and must exit 0 with the stdout recorded in
+``tests/golden/demo_<stem>.out`` by ``tests/record_goldens.py``.
 """
 
-import os
-import subprocess
-import sys
+import importlib.util
 from pathlib import Path
 
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-DEMOS = sorted((ROOT / "demos").glob("*.py"))
+HERE = Path(__file__).resolve().parent
+spec = importlib.util.spec_from_file_location(
+    "record_goldens", HERE / "record_goldens.py")
+record_goldens = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(record_goldens)
+
+DEMOS = record_goldens.DEMOS
 
 
 def test_demos_exist():
@@ -21,10 +25,8 @@ def test_demos_exist():
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
 def test_demo_runs(demo):
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + ([path] if path else [])))
-    child = subprocess.run([sys.executable, str(demo)], capture_output=True,
-                           text=True, env=env, cwd=ROOT, timeout=300)
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.strip()
+    want = (record_goldens.GOLDEN / f"demo_{demo.stem}.out").read_text(
+        encoding="utf-8")
+    got = record_goldens.run_demo(demo)
+    assert got.startswith("exit 0\n") and got != "exit 0\n"
+    assert got == want

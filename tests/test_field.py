@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from mincodes import (BadParams, DimensionMismatch, MinCodesError,
                       NotPrimePower, build_field, first)
 from mincodes import field
-from mincodes.field import GF
 
 # Hand-computed multiplication table for GF(4) = GF(2)[x]/(x^2+x+1),
 # encodings 2 = x, 3 = x+1:
@@ -262,17 +261,25 @@ def test_field_identity_and_cache():
     assert build_field(4) == build_field(4)
     assert build_field(4) != build_field(5)
     assert len({build_field(4), build_field(4), build_field(8)}) == 2
+    # a cleared cache makes a second instance of one order; it is the
+    # same field by value
+    old = build_field(4)
+    field._canonical_field.cache_clear()
+    new = build_field(4)
+    assert new is not old and new == old and hash(new) == hash(old)
+    assert new != build_field(8)
 
 
-@pytest.mark.parametrize("p, m, modulus", [
-    (2, 2, (0, 0, 1)),     # x^2 = x * x
-    (3, 2, (1, 0, 1, 0)),  # wrong length
-    (3, 2, (1, 0, 2)),     # not monic
-    (5, 2, (1, 0, 1)),     # x^2 + 1 = (x + 2)(x + 3) over GF(5)
-])
-def test_direct_construction_rejects_bad_moduli(p, m, modulus):
-    with pytest.raises(BadParams):
-        GF(p, m, modulus)
+def test_every_canonical_modulus_is_monic_and_irreducible():
+    # GF trusts its one caller's modulus; this holds it to that for every
+    # order build_field takes: monic of degree m, and no zero divisors in
+    # the full multiplication table
+    for q in range(2, 257):
+        if field._prime_power(q) is None:
+            continue
+        f = build_field(q)
+        assert len(f.modulus) == f.m + 1 and f.modulus[-1] == 1
+        assert f.mul_table[1:, 1:].all()
 
 
 def test_bad_matmul_shapes_rejected():

@@ -110,7 +110,9 @@ def test_in_span_rejects_a_target_outside_the_field():
     ([[1, 0], [3, 0]], BadParams),
     ([[1, 0, 0]], DimensionMismatch),
     ([[1, 0], [1]], DimensionMismatch),
-], ids=["float", "outside", "length", "ragged"])
+    (3, BadParams),
+    (None, BadParams),
+], ids=["float", "outside", "length", "ragged", "int", "none"])
 def test_in_span_checks_each_vector(vectors, error):
     with pytest.raises(error):
         in_span(build_field(3), [1, 0], vectors)
@@ -239,6 +241,23 @@ def test_text_errors():
         loads_matrix("6 1 1\n1\n")
     with pytest.raises(BadParams):
         loads_matrix("")
+    for text in (3, None, b"3 1 1\n1\n"):
+        with pytest.raises(BadParams, match="matrix text must be a str"):
+            loads_matrix(text)
+    for comment in (3, b"c", ["c"]):
+        with pytest.raises(BadParams, match="comment must be a str or None"):
+            dumps_matrix(gfm(2, [[1]]), comment=comment)
+
+
+def test_a_refused_write_leaves_the_file_as_it_was(tmp_path):
+    path = tmp_path / "m.txt"
+    write_matrix(gfm(3, [[1, 2]]), path, comment="kept")
+    before = path.read_bytes()
+    for comment, match in ((3, "comment must be a str or None"),
+                           ("\u00e9", "matrix files are ASCII")):
+        with pytest.raises(BadParams, match=match):
+            write_matrix(gfm(3, [[2, 1]]), path, comment=comment)
+        assert path.read_bytes() == before
 
 
 def test_dumps_deterministic():

@@ -11,7 +11,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mincodes import sss
+from mincodes import analysis, sss
 from mincodes.codes import LinearCode, random_code
 from mincodes.constructions import first
 from mincodes.errors import (
@@ -301,6 +301,31 @@ def test_minimal_sets_bad_method(f22):
 def test_minimal_sets_budget(f33):
     with pytest.raises(BudgetExceeded):
         minimal_authorized_sets(f33, method="search", budget=10)
+
+
+def test_dual_access_builds_and_walks_the_dual_once(f33):
+    duals, walks = [], []
+    real_dual, real_blocks = sss.dual_code, analysis.projective_blocks
+
+    def dual(code):
+        duals.append(code)
+        return real_dual(code)
+
+    def blocks(code, *args, **kwargs):
+        walks.append(code)
+        return real_blocks(code, *args, **kwargs)
+
+    with mock.patch.object(sss, "dual_code", dual), \
+            mock.patch.object(analysis, "projective_blocks", blocks):
+        sets = minimal_authorized_sets(f33, method="dual")
+        assert minimal_authorized_sets(f33, method="dual") == sets
+        # the budget is still checked on every call, kept walk or not
+        with pytest.raises(BudgetExceeded) as info:
+            minimal_authorized_sets(f33, method="dual",
+                                    budget=f33.dual.size - 1)
+    assert info.value.needed == f33.dual.size == 3 ** 6
+    assert duals == [f33.code]
+    assert walks == [f33.dual]
 
 
 def test_search_budget_counts_coalitions(f33):

@@ -1,9 +1,12 @@
 """Tests for the sweep engine on small, fast configurations."""
 
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
+from mincodes import analysis
+from mincodes.codes import weight_distribution
 from mincodes.errors import BadParams
 from mincodes.sweep import (CodeRegistry, load_config, run_criterion,
                             run_sweep, validate_config,
@@ -300,3 +303,24 @@ def test_json_shape():
     check = d["criteria"][0]["checks"][0]
     assert set(check) == {"instance", "check", "passed",
                           "paper_discrepancy", "detail"}
+
+
+def test_criterion_10_builds_and_walks_each_dual_once():
+    # the registry keeps the scheme's own dual, so the dual scan and every
+    # later whole-code read of that dual share one walk
+    walked = []
+    real = analysis.projective_blocks
+
+    def spy(code, *args, **kwargs):
+        walked.append(code)
+        return real(code, *args, **kwargs)
+
+    registry = CodeRegistry()
+    with mock.patch.object(analysis, "projective_blocks", spy):
+        assert run_criterion(10, registry=registry).passed
+        duals = [code for label, code in registry.items()
+                 if label.startswith("dual(")]
+        for code in duals:
+            weight_distribution(code)
+    assert len(duals) == 3
+    assert [id(code) for code in walked] == [id(code) for code in duals]
