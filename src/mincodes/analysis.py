@@ -14,20 +14,13 @@ of minimal codes and their asymptotic performance"; Tang, Qiu, Liao and
 Zhou, "Full characterization of minimal linear codes as cutting blocking
 sets").  The ranks come from the batched GF(p) kernel
 ``matrix.column_ranks``, one block of classes at a time, so memory is
-linear: one block of zero columns, plus n bits of support and one byte
-of verdict per class.  Each block is ranked first on a slice, the first
-k-1+_SLICE zero columns of every class.  Any set of a class's zero
-columns has rank at most k-1, so rank k-1 on the slice proves the class
-minimal, and a class whose zero set fits in the slice is decided
-exactly.  Only the remaining classes, of rank below k-1 on the slice and
-with more zero columns than it, are ranked again on all of them.
-
-A non-minimal code takes the full rank pass and then scans the classes in
-canonical order against the non-minimal ones, in blocks of 1, 2, 4, ... up
-to _ROW_BLOCK classes, up to the first block that holds a covered class;
-a class that covers another is non-minimal, so this finds the same first
-covered pair as a scan of all pairs.  That scan is a float32 GEMM (BLAS
-sgemm); its zero test is exact because every term is nonnegative.
+linear: one block of zero columns, plus one byte of verdict per class.
+Each block is ranked first on a slice, the first k-1+_SLICE zero columns
+of every class.  Any set of a class's zero columns has rank at most k-1,
+so rank k-1 on the slice proves the class minimal, and a class whose zero
+set fits in the slice is decided exactly.  Only the remaining classes, of
+rank below k-1 on the slice and with more zero columns than it, are
+ranked again on all of them.
 
 Every whole-code fact comes from that rank pass, run only by ``_walk``,
 which also counts the classes by coefficient and codeword weight and
@@ -35,6 +28,13 @@ finds the first class that misses a field value.  The generator is
 read-only, so the results, each class's verdict among them, are kept in
 the code's memo and read by every whole-code check after its budget
 check; ``minimal_codewords`` and the ``sss`` dual path read the verdict.
+
+A non-minimal code's witness is found when ``is_minimal_code`` is first
+asked, and kept: classes in canonical order, in blocks of 1, 2, 4, ... up
+to _ROW_BLOCK, are tested against the non-minimal ones (a class that
+covers another is one) up to the first block with a covered class.  Each
+block's words are decoded from class indices (``_class_rows``), and the
+test is a float32 GEMM, exact because every term is nonnegative.
 
 The sufficient (not necessary) weight-ratio test: a code is minimal whenever
 w_min / w_max > (q-1)/q.  The comparison is exact, by cross-multiplication.
@@ -157,31 +157,33 @@ def _first_zeros(supp: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _first_cover(packed: np.ndarray, bad: np.ndarray, n: int):
+def _class_rows(code: LinearCode, index: np.ndarray):
+    """(coeffs, values) of the classes at an integer array of canonical
+    indices: ``_class_coeffs``, then one matmul with G."""
+    u = _class_coeffs(code.q, code.k, index)
+    return u, code.field.matmul(u, code.gen.data)
+
+
+def _first_cover(rows, bad: np.ndarray, classes: int):
     """(i, j): the first class i in canonical order whose support lies
     inside the support of a non-minimal class j != i, and the first such j.
 
-    packed holds every class's support as packed bits; bad lists the
-    non-minimal classes, ascending.  Covered rows go in blocks of 1, 2,
-    4, ... up to _ROW_BLOCK, so a cover among the first classes is found
-    without testing the rest; the non-minimal side goes _ROW_BLOCK at a
-    time.
-    """
-    def block(rows):
-        return np.unpackbits(rows, axis=1, count=n).astype(np.float32)
-
+    rows(index) gives the supports of the classes at an index array as a
+    float32 0/1 block; bad lists the non-minimal classes, ascending.
+    Covered rows go in blocks of 1, 2, 4, ... up to _ROW_BLOCK, so a cover
+    among the first classes is found without testing the rest, and the
+    non-minimal side _ROW_BLOCK at a time."""
     start, size = 0, 1
-    while start < len(packed):
-        rows = block(packed[start:start + size])
+    while start < classes:
+        block = rows(np.arange(start, min(start + size, classes)))
         first = None
         for cstart in range(0, len(bad), _ROW_BLOCK):
             cols = bad[cstart:cstart + _ROW_BLOCK]
-            # counts coords nonzero in the row but zero in the column, as a
-            # float32 GEMM; every term is 0 or 1, and a float sum of
-            # nonnegative terms is 0 exactly when every term is, so the
-            # zero test is exact at any n and in any summation order.
-            covered = (rows @ (1 - block(packed[cols])).T) == 0
-            own = (cols >= start) & (cols < start + len(rows))
+            # coords nonzero in the row but zero in the column, as a float32
+            # GEMM of 0/1 terms: a float sum of nonnegative terms is 0
+            # exactly when every term is, at any n and in any order
+            covered = (block @ (1 - rows(cols)).T) == 0
+            own = (cols >= start) & (cols < start + len(block))
             covered[cols[own] - start, np.nonzero(own)[0]] = False
             hits = np.argwhere(covered)
             if hits.size and (first is None or hits[0, 0] < first[0]):
@@ -206,12 +208,12 @@ def _full_value_failure(u: np.ndarray, v: np.ndarray, q: int):
 
 
 def _walk(code: LinearCode, budget: int) -> dict:
-    """The code's memo, after the budget check; nothing else reads or
-    writes it.  The first call walks the classes and keeps ``minimality``,
-    ``minimal`` (the rank test's verdict, one bool per class in canonical
-    order), ``full_value`` (scaling permutes the field values, so one word
-    per class decides it) and ``strata``, a (k+1, n+1) array of class
-    counts by coefficient weight s and codeword weight.
+    """The code's memo, after the budget check.  The first call walks the
+    classes and keeps ``minimal`` (the rank test's verdict, one bool per
+    class in canonical order), ``full_value`` (scaling permutes the field
+    values, so one word per class decides it) and ``strata``, a (k+1, n+1)
+    array of class counts by coefficient weight s and codeword weight;
+    ``is_minimal_code`` adds ``minimality`` when it is first asked.
 
     Each block's slice (see the module docstring), padded with the zero
     column n, is gathered by width rounds of argmin when 2**width <= n,
@@ -224,7 +226,7 @@ def _walk(code: LinearCode, budget: int) -> dict:
         return memo
     n, k = code.n, code.k
     rank = column_ranks(code.field, code.gen.data)
-    supports, masks = [], []
+    masks = []
     strata = np.zeros((k + 1) * (n + 1), dtype=np.int64)
     full_value = FullValueReport(True, None, None)
     for u, v in projective_blocks(code, budget):
@@ -240,37 +242,18 @@ def _walk(code: LinearCode, budget: int) -> dict:
             rest = idx[again] if by_sort else _sorted_zeros(supp[again])
             ok[again] = rank(rest[:, :zeros[again].max()]) == k - 1
         masks.append(ok)
-        supports.append(np.packbits(supp, axis=1))
         s = np.count_nonzero(u, axis=1)
         strata += np.bincount(s * (n + 1) + w, minlength=strata.size)
         if full_value.holds:
             full_value = _full_value_failure(u, v, code.q) or full_value
-    minimal = np.concatenate(masks)
-    classes = len(minimal)
-    if minimal.all():
-        report = MinimalityReport(True, None, classes, classes * (classes - 1))
-    else:
-        i, j = _first_cover(np.vstack(supports), np.nonzero(~minimal)[0], n)
-        u = _class_coeffs(code.q, k, np.array([i, j]))
-        v = code.field.matmul(u, code.gen.data)
-        stop = min(i - i % _ROW_BLOCK + _ROW_BLOCK, classes)
-        report = MinimalityReport(
-            is_minimal=False,
-            witness=(_as_word(v[0], u[0]), _as_word(v[1], u[1])),
-            classes=classes,
-            pairs_checked=stop * (classes - 1),
-        )
-    memo.update(minimality=report, minimal=minimal, full_value=full_value,
+    memo.update(minimal=np.concatenate(masks), full_value=full_value,
                 strata=strata.reshape(k + 1, n + 1))
     return memo
 
 
 def _minimal_rows(code: LinearCode, budget: int):
-    """(coeffs, values) arrays of the minimal classes in canonical order:
-    the walk's mask decoded by ``_class_coeffs``, times G in one matmul."""
-    u = _class_coeffs(code.q, code.k,
-                      np.flatnonzero(_walk(code, budget)["minimal"]))
-    return u, code.field.matmul(u, code.gen.data)
+    """(coeffs, values) of the minimal classes, in canonical order."""
+    return _class_rows(code, np.flatnonzero(_walk(code, budget)["minimal"]))
 
 
 def is_minimal_code(code: LinearCode,
@@ -278,10 +261,25 @@ def is_minimal_code(code: LinearCode,
     """Exhaustively decide minimality of the whole code.
 
     Decides every scalar class by the rank of its zero columns; a
-    non-minimal code then gets its canonical witness from a scan of the
-    classes against the non-minimal ones.
+    non-minimal code's canonical witness comes from a scan of the classes
+    against the non-minimal ones, run on the first request and kept.
     """
-    return _walk(code, budget)["minimality"]
+    memo = _walk(code, budget)
+    if "minimality" in memo:
+        return memo["minimality"]
+    minimal = memo["minimal"]
+    classes = stop = len(minimal)
+    witness = None
+    if not minimal.all():
+        i, j = _first_cover(
+            lambda index: (_class_rows(code, index)[1] != 0).astype(np.float32),
+            np.flatnonzero(~minimal), classes)
+        u, v = _class_rows(code, np.array([i, j]))
+        witness = (_as_word(v[0], u[0]), _as_word(v[1], u[1]))
+        stop = min(i - i % _ROW_BLOCK + _ROW_BLOCK, classes)
+    memo["minimality"] = MinimalityReport(witness is None, witness, classes,
+                                          stop * (classes - 1))
+    return memo["minimality"]
 
 
 def weight_strata(code: LinearCode,

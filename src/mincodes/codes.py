@@ -6,6 +6,8 @@ base-q integers, first coefficient most significant), so every stream,
 distribution, and report derived from enumeration is deterministic.  Every
 walk goes through ``codeword_blocks`` (all q^k words) or, for checks that
 scaling cannot change, ``projective_blocks`` (one word per scalar class).
+Single classes, or any set of them, are decoded from their index in that
+canonical order by ``_class_coeffs``, with no walk.
 
 Both build words by outer sums instead of multiplying coefficient rows by
 G.  The span T of the tail (the last t rows of G, with q^t <= _CHUNK) is
@@ -23,8 +25,9 @@ words.
 Exhaustive operations refuse to run past a word budget (default 10**7
 codewords) instead of silently taking forever.  The generator is
 read-only, so ``analysis._walk`` keeps the whole-code results of one
-walk of the scalar classes on the code (``LinearCode._memo``); the weight
-functions here read its counts.
+walk of the scalar classes on the code (``LinearCode._memo``), and
+``analysis.is_minimal_code`` adds its report there; the weight functions
+here read the walk's counts.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ class LinearCode:
         self.k: int = gen.rows
         zero_cols = np.nonzero(~gen.data.any(axis=0))[0]
         self.zero_columns: tuple[int, ...] = tuple(int(j) for j in zero_cols)
-        # whole-code results, filled and read only by analysis._walk
+        # whole-code results, kept by analysis._walk and is_minimal_code
         self._memo: dict = {}
 
     @property

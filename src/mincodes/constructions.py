@@ -81,12 +81,21 @@ def weight_s(s: int, t: int, q: int) -> LinearCode:
     return _systematic(t, q, s, lead_one=False)
 
 
+def _check_entries(rows: int, cols: int) -> None:
+    """Refuse a generator of more than DEFAULT_BUDGET entries before any
+    of it is built."""
+    entries = rows * cols
+    if entries > DEFAULT_BUDGET:
+        raise BudgetExceeded(entries, DEFAULT_BUDGET, unit="generator entries")
+
+
 def _systematic(t: int, q: int, size: int, lead_one: bool) -> LinearCode:
     """(I_t | one column per size-subset of the t rows and per tuple of
     nonzero values on it), subsets lexicographic, then value tuples in
     ascending order; with lead_one the first value is always 1."""
     f = build_field(q)
     lead = (1,) if lead_one else ()
+    _check_entries(t, t + math.comb(t, size) * (f.q - 1)**(size - len(lead)))
     cols = np.eye(t, dtype=np.int64).tolist()
     for supp in itertools.combinations(range(t), size):
         for vals in itertools.product(range(1, q), repeat=size - len(lead)):
@@ -129,6 +138,7 @@ def lift(code: LinearCode, s: int, budget: int = DEFAULT_BUDGET) -> LinearCode:
             "lift base code has a codeword that misses some field value"
         )
     k, n = code.k, code.n
+    _check_entries(s + k, (s + 1) * n)
     out = np.zeros((s + k, (s + 1) * n), dtype=np.int64)
     for j in range(s + 1):
         block = slice(j * n, (j + 1) * n)
@@ -140,6 +150,7 @@ def lift(code: LinearCode, s: int, budget: int = DEFAULT_BUDGET) -> LinearCode:
 
 def tensor_product(c1: LinearCode, c2: LinearCode) -> LinearCode:
     """Code generated by the Kronecker product of the two generators."""
+    _check_entries(c1.k * c2.k, c1.n * c2.n)
     return LinearCode(kronecker(c1.gen, c2.gen))
 
 

@@ -31,7 +31,7 @@ sys.path.insert(0, str(ROOT / "src"))
 
 from mincodes import cli  # noqa: E402
 from mincodes.codes import LinearCode, random_code  # noqa: E402
-from mincodes.constructions import extended, first, second  # noqa: E402
+from mincodes.constructions import extended, first, lift, second  # noqa: E402
 from mincodes.field import build_field  # noqa: E402
 from mincodes.matrix import GFMatrix, write_matrix  # noqa: E402
 
@@ -46,6 +46,7 @@ INPUTS = {
         lambda: LinearCode(GFMatrix(build_field(2), [[1, 0, 0], [0, 1, 1]])),
     "second_4_3_2": lambda: second(4, 3, 2),
     "extended_3_4": lambda: extended(3, 4),
+    "lift_extended_3_4_2": lambda: lift(extended(3, 4), 2),
 }
 
 # (sss access input stem, methods)
@@ -92,6 +93,8 @@ def outputs():
     for stem in ("second_4_3_2", "extended_3_4"):
         yield (f"analyze_{stem}_json.out", stem,
                ["analyze", "--in", f"inputs/{stem}.txt", "--json"])
+    yield from _with_json("analyze_lift_extended_3_4_2", "lift_extended_3_4_2",
+                          ["analyze", "--in", "inputs/lift_extended_3_4_2.txt"])
     for name, flags in CONSTRUCT:
         yield f"construct_{name}.out", None, ["construct"] + flags.split()
 

@@ -25,6 +25,7 @@ from mincodes.codes import DEFAULT_BUDGET, Codeword, LinearCode, \
     min_max_weight, random_code, weight_distribution
 from mincodes.constructions import first, second
 from mincodes.matrix import GFMatrix, write_matrix
+from mincodes.sss import SssScheme, minimal_authorized_sets
 
 
 def make_code(q, rows):
@@ -285,6 +286,45 @@ def test_memoised_checks_walk_nothing():
     assert counts == {}
     with pytest.raises(BudgetExceeded):
         is_minimal_code(code, budget=code.size - 1)
+
+
+@contextlib.contextmanager
+def counted_scans():
+    """Count the calls of the witness scan, analysis._first_cover."""
+    counts = Counter()
+    real = analysis._first_cover
+
+    def scan(*args, **kwargs):
+        counts["scans"] += 1
+        return real(*args, **kwargs)
+
+    with mock.patch.object(analysis, "_first_cover", scan):
+        yield counts
+
+
+def dual_access(code):
+    scheme = SssScheme(code)
+    minimal_authorized_sets(scheme, method="dual")
+    return scheme.dual
+
+
+@pytest.mark.parametrize("call", [
+    minimal_codewords, weight_distribution, weight_strata, ab_condition,
+    has_full_value_property, min_max_weight, dual_access,
+], ids=lambda f: f.__name__)
+def test_only_is_minimal_code_scans_for_a_witness(call):
+    # the dual of first(3,3), which the dual access walks, is non-minimal
+    code = first(3, 3) if call is dual_access else second(4, 3, 2)
+    with counted_scans() as counts:
+        result = call(code)
+        call(code)
+    assert counts == {}
+    walked = result if call is dual_access else code
+    assert "minimality" not in walked._memo
+    with counted_scans() as counts:
+        reports = {is_minimal_code(walked) for _ in range(3)}
+    assert counts == {"scans": 1}
+    assert len(reports) == 1 and not reports.pop().is_minimal
 
 
 WHOLE_CODE_CALLS = (is_minimal_code, weight_strata, weight_distribution,

@@ -440,6 +440,16 @@ def test_budget_overrun_exits_1(first33, capsys):
     assert "BudgetExceeded" in err
 
 
+def test_construct_refuses_an_oversized_generator(capsys):
+    # second(5,4,256) has 82,906,880 columns of 5 rows
+    status, out, err = run_cli(capsys, "construct", "--family", "second",
+                               "--t", "5", "--k", "4", "--q", "256")
+    assert status == 1
+    assert out == ""
+    assert ("error: BudgetExceeded: enumeration needs 414534400 generator "
+            "entries, budget is 10000000") in err
+
+
 def test_access_search_budget_names_coalitions(first33, capsys):
     status, out, err = run_cli(capsys, "sss", "access", "--in", str(first33),
                                "--method", "search", "--budget", "10")

@@ -5,6 +5,8 @@ every individual weight against the closed forms, so weight collisions
 between strata cannot mask an error.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,10 @@ from mincodes.analysis import (
     has_full_value_property,
     is_minimal_code,
 )
-from mincodes.codes import LinearCode, coeff_blocks, min_max_weight, \
-    weight_distribution
+from mincodes.codes import DEFAULT_BUDGET, LinearCode, coeff_blocks, \
+    min_max_weight, weight_distribution
 from mincodes.constructions import (
+    _check_entries,
     cf_code,
     cg_code,
     comb0,
@@ -524,6 +527,34 @@ def test_cg_code_bad_params():
         cg_code(2, 1, 2)
     with pytest.raises(BudgetExceeded):
         cg_code(2, 2, 3, budget=10)
+
+
+@pytest.mark.parametrize("build, entries", [
+    (lambda: second(5, 4, 256), 5 * (5 + 5 * 255**3)),
+    (lambda: weight_s(4, 8, 256), 8 * (8 + 70 * 255**4)),
+    (lambda: lift(first(2, 2), 10**7), (10**7 + 2) * (10**7 + 1) * 3),
+    (lambda: tensor_product(first(6, 256), first(6, 256)),
+     36 * 3831**2),
+], ids=["second", "weight_s", "lift", "tensor_product"])
+def test_a_generator_is_sized_before_it_is_built(build, entries):
+    # each would need GBs (second(5,4,256) has 82,906,880 columns); the
+    # count is refused before any list or array of that size exists
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded,
+                           match=f"needs {entries} generator entries, "
+                                 f"budget is {DEFAULT_BUDGET}$"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_generator_entries_limit_is_inclusive():
+    _check_entries(10, DEFAULT_BUDGET // 10)
+    with pytest.raises(BudgetExceeded):
+        _check_entries(1, DEFAULT_BUDGET + 1)
 
 
 @pytest.mark.parametrize("build, what, value", [

@@ -4,7 +4,9 @@
 every run that ``tests/record_goldens.py`` lists: ``sss access`` by each
 method on first(3,3), random [24,12]_2 (seed 1), first(4,4) and a code
 whose access structure is empty; ``distribution`` and a seeded
-``sss deal``; ``analyze --json`` on a minimal and a non-minimal code;
+``sss deal``; ``analyze --json`` on a minimal and a non-minimal code,
+and ``analyze`` text and ``--json`` on lift(extended(3,4), 2), whose
+witness is decoded through GF(4) arithmetic;
 ``construct`` for every family; and every file that ``sweep --out-dir``
 writes.  Each is compared byte for byte; the goldens are only read here.
 ``tests/test_demos.py`` compares the five demos' goldens.

@@ -7,16 +7,19 @@ generator checks) and n <= 7, and every enumeration runs with a small
 the canonical order.  Both generators are checked byte for byte against
 the filter-then-``GF.matmul`` enumeration they replaced, and for their
 block sizes and budget check, and the canonical class order decoded by
-``codes._class_coeffs``, on arrays of indices, against
-``projective_blocks``.  The rank test of
+``codes._class_coeffs``, on arrays of indices, and the words that
+``analysis._class_rows`` makes of them, against ``projective_blocks``
+over every field drawn here.  The rank test of
 minimality is checked against the pairwise cover scan it replaced (kept
 here as the oracle, and itself checked on random support matrices up to
 300 columns wide) on codes with k = 1, with zero columns and with a class
 that has no zero coordinate, and on every code of the default sweep
 corpus, and ``is_minimal_codeword`` against a walk over every class.  The
 witness scan, in growing blocks, is checked against the fixed-block scan
-it replaced on random supports and on random codes whose first covered
-class lies past several blocks, with floating-point errors raised.  The
+it replaced on random supports and, on words decoded from class indices,
+on random codes over GF(2), GF(3), GF(4), GF(5) and GF(8), some with
+their first covered class past several blocks, with floating-point
+errors raised.  The
 whole-code results kept on a code are checked, called in any order,
 against fresh walks of a copy, and the weight strata against a
 stratification of all q^k words.  The
@@ -102,8 +105,8 @@ SETTINGS = settings(max_examples=40, deadline=None, database=None,
 
 
 @st.composite
-def small_codes(draw, max_k=4, max_n=7):
-    q = draw(st.sampled_from(FIELDS))
+def small_codes(draw, max_k=4, max_n=7, fields=FIELDS):
+    q = draw(st.sampled_from(fields))
     k = draw(st.integers(1, max_k))
     n = draw(st.integers(k, max_n))
     entries = st.integers(0, q - 1)
@@ -356,16 +359,27 @@ def fixed_block_first_cover(packed, bad, n, row_block):
 
 @pytest.mark.parametrize("n, k, q, seed, covered", [
     *[(24, 9, 3, seed, 0) for seed in range(1, 6)],
+    (30, 10, 3, 2, 0),
+    (20, 6, 5, 1, 0),
+    (12, 5, 4, 1, 0),
+    (10, 4, 8, 1, 0),
     (40, 14, 2, 1, 10),
     (60, 16, 2, 1, 933),  # past the blocks of 1, 2, ..., 512 rows
 ])
 def test_growing_cover_scan_matches_fixed_blocks(n, k, q, seed, covered):
+    """The scan on words decoded from class indices, as
+    ``is_minimal_code`` runs it, against the fixed-block scan on the
+    packed supports of a walk."""
     code = random_code(n, k, q, seed=seed)
     packed = np.vstack([np.packbits(v != 0, axis=1)
                         for _, v in projective_blocks(code)])
     bad = np.nonzero(~analysis._walk(code, codes.DEFAULT_BUDGET)["minimal"])[0]
+
+    def rows(index):
+        return (analysis._class_rows(code, index)[1] != 0).astype(np.float32)
+
     with np.errstate(invalid="raise"):
-        got = analysis._first_cover(packed, bad, n)
+        got = analysis._first_cover(rows, bad, len(packed))
         want = fixed_block_first_cover(packed, bad, n, analysis._ROW_BLOCK)
     assert got == want
     assert got[0] == covered
@@ -384,9 +398,14 @@ def test_growing_cover_scan_matches_fixed_blocks_on_masks(drawn, row_block):
     supp = np.array([[(m >> c) & 1 for c in range(n)] for m in masks],
                     dtype=bool)
     packed = np.packbits(supp, axis=1)
+
+    def rows(index):
+        return np.unpackbits(packed[index], axis=1,
+                             count=n).astype(np.float32)
+
     with np.errstate(invalid="raise"), \
             mock.patch.object(analysis, "_ROW_BLOCK", row_block):
-        got = analysis._first_cover(packed, bad, n)
+        got = analysis._first_cover(rows, bad, len(packed))
     assert got == fixed_block_first_cover(packed, bad, n, row_block)
 
 
@@ -631,22 +650,33 @@ def test_slice_rank_mask_matches_full_width(q):
     assert 0 < counts["argmin"] < counts["blocks"], counts
 
 
-@SETTINGS
-@given(small_codes(max_k=5), chunks, st.data())
-def test_class_coeffs_index_projective_blocks(code, chunk, data):
+def test_class_coeffs_index_projective_blocks():
     """Decoded all at once, one at a time and at a random subset of
-    indices, in any order, across block boundaries."""
-    with small_chunks(chunk):
-        u = np.vstack([b for b, _ in projective_blocks(code)])
-    q, k = code.q, code.k
-    assert np.array_equal(codes._class_coeffs(q, k, np.arange(len(u))), u)
-    for i in range(len(u)):
-        assert codes._class_coeffs(q, k, np.array([i])).tolist() == \
-            [u[i].tolist()]
-    some = data.draw(st.lists(st.integers(0, len(u) - 1), max_size=20))
-    assert np.array_equal(
-        codes._class_coeffs(q, k, np.array(some, dtype=np.int64)),
-        u[some].reshape(len(some), k))
+    indices, in any order, across block boundaries, over every field of
+    FIELDS; ``_class_rows`` gives the words of the same classes."""
+    for q in FIELDS:
+        @SETTINGS
+        @given(small_codes(max_k=5, fields=(q,)), chunks, st.data())
+        def check(code, chunk, data):
+            with small_chunks(chunk):
+                u, v = map(np.vstack, zip(*projective_blocks(code)))
+            k = code.k
+            assert np.array_equal(
+                codes._class_coeffs(q, k, np.arange(len(u))), u)
+            for i in range(len(u)):
+                assert codes._class_coeffs(q, k, np.array([i])).tolist() == \
+                    [u[i].tolist()]
+            some = np.array(data.draw(st.lists(st.integers(0, len(u) - 1),
+                                               max_size=20)), dtype=np.int64)
+            assert np.array_equal(codes._class_coeffs(q, k, some),
+                                  u[some].reshape(len(some), k))
+            for index in (np.arange(len(u)), some):
+                got_u, got_v = analysis._class_rows(code, index)
+                assert np.array_equal(got_u, u[index].reshape(len(index), k))
+                assert np.array_equal(got_v,
+                                      v[index].reshape(len(index), code.n))
+
+        check()
 
 
 def class_walk_minimal(code, values) -> bool:
