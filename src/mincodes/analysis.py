@@ -47,9 +47,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .codes import DEFAULT_BUDGET, Codeword, LinearCode, WeightDistribution, \
-    _check_budget, _class_coeffs, projective_blocks, weight_distribution
-from .errors import BadParams, NotInCode
+from .codes import DEFAULT_BUDGET, Codeword, LinearCode, _class_coeffs, \
+    min_max_weight, projective_blocks
+from .errors import BadParams, NotInCode, _spend
 from .matrix import GFMatrix, _vector, column_ranks, in_span, rank
 
 _ROW_BLOCK = 1024
@@ -220,7 +220,7 @@ def _walk(code: LinearCode, budget: int) -> dict:
     that is when those passes over each row are fewer than the log2(n)
     of a sort; otherwise by sorting every row's keys, zero columns first,
     and after argmin rounds only the rows ranked again are sorted."""
-    _check_budget(code, budget)
+    _spend(code.size, budget, "words")
     memo = code._memo
     if memo:
         return memo
@@ -320,11 +320,11 @@ def is_minimal_codeword(code: LinearCode, word) -> bool:
     return rank(zero_cols) == code.k - 1
 
 
-def ab_report(dist: WeightDistribution) -> AbReport:
-    """The weight-ratio check on a computed distribution: sufficient iff
-    q*w_min > (q-1)*w_max."""
-    w_min, w_max = dist.min_nonzero(), dist.max_weight()
-    q = dist.q
+def ab_condition(code: LinearCode, budget: int = DEFAULT_BUDGET) -> AbReport:
+    """Exact Ashikhmin-Barg style check: sufficient iff q*w_min > (q-1)*w_max,
+    on the weights of the kept walk."""
+    w_min, w_max = min_max_weight(code, budget)
+    q = code.q
     return AbReport(
         q=q,
         w_min=w_min,
@@ -333,11 +333,6 @@ def ab_report(dist: WeightDistribution) -> AbReport:
         threshold=Fraction(q - 1, q),
         sufficient=q * w_min > (q - 1) * w_max,
     )
-
-
-def ab_condition(code: LinearCode, budget: int = DEFAULT_BUDGET) -> AbReport:
-    """Exact Ashikhmin-Barg style check: sufficient iff q*w_min > (q-1)*w_max."""
-    return ab_report(weight_distribution(code, budget))
 
 
 def has_full_value_property(code: LinearCode,

@@ -32,7 +32,7 @@ import sys
 import time
 from pathlib import Path
 
-from .analysis import ab_report, has_full_value_property, is_minimal_code
+from .analysis import ab_condition, has_full_value_property, is_minimal_code
 from .codes import DEFAULT_BUDGET, LinearCode, weight_distribution
 from .constructions import (cf_code, cg_code, extended, first, lift, second,
                             tensor_product, weight_s)
@@ -121,7 +121,7 @@ def _cmd_analyze(args) -> int:
     # the results it keeps on the code
     minimal = is_minimal_code(code, args.budget)
     dist = weight_distribution(code, args.budget)
-    ab = ab_report(dist)
+    ab = ab_condition(code, args.budget)
     fv = has_full_value_property(code, args.budget)
     counts = {str(w): dist.counts[w] for w in sorted(dist.counts)}
     if args.json:

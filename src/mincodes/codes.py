@@ -10,24 +10,27 @@ Single classes, or any set of them, are decoded from their index in that
 canonical order by ``_class_coeffs``, with no walk.
 
 Both build words by outer sums instead of multiplying coefficient rows by
-G.  The span T of the tail (the last t rows of G, with q^t <= _CHUNK) is
-built once, from the zero word up: each row's q multiples are added to
-every word built so far, the multiple as the more significant index, so
-row i of T is the word of coefficient vector i and T is in canonical
-order.  A head word plus all of T is then q^t consecutive words.  A lead-1
-representative whose lead j lies in the tail is e_j.G plus the span of
-rows j+1..k-1, that is rows [q^i, 2q^i) of T with i = k-1-j; these come
-first, in one block, and then each lead-1 head (from the same construction
-on the head rows) plus all of T.  Sums are XOR in characteristic 2 and
-``add_table`` lookups otherwise; no block holds more than max(_CHUNK, q)
-words.
+G.  The span T of the tail (the last t rows of G, t >= 1, with q^t <=
+_CHUNK words and q^t * n <= _ENTRIES entries) is built once, from the
+zero word up: each row's q multiples are added to every word built so
+far, the multiple as the more significant index, so row i of T is the
+word of coefficient vector i and T is in canonical order.  A head word
+plus all of T is then q^t consecutive words.  A lead-1 representative
+whose lead j lies in the tail is e_j.G plus the span of rows j+1..k-1,
+that is rows [q^i, 2q^i) of T with i = k-1-j; these come first, in one
+block, and then each lead-1 head (from the same construction on the head
+rows) plus all of T.  Their coefficients are decoded from the class
+indices by ``_class_coeffs``, the one statement of that order.  Sums are
+XOR in characteristic 2 and ``add_table`` lookups otherwise; no block
+holds more than max(_CHUNK, q) words or max(_ENTRIES, q * n) entries.
 
 Exhaustive operations refuse to run past a word budget (default 10**7
-codewords) instead of silently taking forever.  The generator is
-read-only, so ``analysis._walk`` keeps the whole-code results of one
-walk of the scalar classes on the code (``LinearCode._memo``), and
-``analysis.is_minimal_code`` adds its report there; the weight functions
-here read the walk's counts.
+codewords) instead of silently taking forever; like every budget in the
+package, it is spent through the one gate ``errors._spend``.  The
+generator is read-only, so ``analysis._walk`` keeps the whole-code
+results of one walk of the scalar classes on the code
+(``LinearCode._memo``), and ``analysis.is_minimal_code`` adds its report
+there; the weight functions here read the walk's counts.
 """
 
 from __future__ import annotations
@@ -39,14 +42,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import BadParams, BudgetExceeded, RankDeficient, TrivialDual, \
-    _int
+from .errors import BadParams, RankDeficient, TrivialDual, _int, _spend
 from .field import GF, build_field
 from .matrix import GFMatrix, _vector, nullspace, rref
 
 DEFAULT_BUDGET = 10**7
 
 _CHUNK = 1 << 14
+_ENTRIES = 1 << 20  # entries (words times n) in a block, unless t = 1
 
 _MAX_TRIES = 1000  # draws random_code makes for one seed
 
@@ -110,16 +113,10 @@ class LinearCode:
         return f"LinearCode([{self.n},{self.k}]_{self.q})"
 
 
-def _check_budget(code: LinearCode, budget: int) -> None:
-    budget = _int(budget, "budget")
-    if code.size > budget:
-        raise BudgetExceeded(code.size, budget)
-
-
 def coeff_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET,
                  chunk: int = _CHUNK) -> Iterator[np.ndarray]:
     """All q^k coefficient vectors in canonical order, in (chunk, k) blocks."""
-    _check_budget(code, budget)
+    _spend(code.size, budget, "words")
     q, k, total = code.q, code.k, code.size
     place = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, chunk):
@@ -127,10 +124,11 @@ def coeff_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET,
         yield (idx[:, None] // place[None, :]) % q
 
 
-def _tail_rows(q: int, k: int) -> int:
-    """t: how many trailing rows have a span of q^t <= _CHUNK words (>= 1)."""
+def _tail_rows(q: int, k: int, n: int) -> int:
+    """t: how many trailing rows have a span of q^t <= _CHUNK words and
+    q^t * n <= _ENTRIES entries (t >= 1)."""
     t = 1
-    while t < k and q ** (t + 1) <= _CHUNK:
+    while t < k and q ** (t + 1) <= min(_CHUNK, _ENTRIES // n):
         t += 1
     return t
 
@@ -152,25 +150,20 @@ def _span(field: GF, rows: np.ndarray) -> np.ndarray:
 
 
 def _lead_one_blocks(field: GF, gen: np.ndarray):
-    """(coeffs, values) of every lead-1 combination of gen's rows, in
-    canonical order.  Leads in the last t rows come first, as one block of
-    slices of their span T; then each lead-1 combination of the rows above
-    (in canonical order, from this same generator) plus every row of T."""
-    q, k = field.q, len(gen)
-    t = _tail_rows(q, k)
+    """The words of every lead-1 combination of gen's rows, in canonical
+    order.  Leads in the last t rows come first, as one block of slices
+    of their span T; then each lead-1 combination of the rows above (in
+    canonical order, from this same generator) plus every row of T."""
+    q, (k, n) = field.q, gen.shape
+    t = _tail_rows(q, k, n)
     h = k - t
     span = _span(field, gen[h:])
-    place = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    idx = np.concatenate([np.arange(q**j, 2 * q**j, dtype=np.int64)
-                          for j in range(t)])
-    yield idx[:, None] // place % q, span[idx]
+    yield np.vstack([span[q**j:2 * q**j] for j in range(t)])
     if h == 0:
         return
-    tail = np.arange(q**t, dtype=np.int64)[:, None] // place[h:] % q
-    for heads, values in _lead_one_blocks(field, gen[:h]):
-        for c, v in zip(heads, values):
-            coeffs = np.hstack([np.broadcast_to(c, (len(span), h)), tail])
-            yield coeffs, _add(field, v, span)
+    for values in _lead_one_blocks(field, gen[:h]):
+        for v in values:
+            yield _add(field, v, span)
 
 
 def _class_coeffs(q: int, k: int, index: np.ndarray) -> np.ndarray:
@@ -188,9 +181,9 @@ def _class_coeffs(q: int, k: int, index: np.ndarray) -> np.ndarray:
 def codeword_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
     """All q^k codewords in canonical order, as (coeff block, value block):
     one block per head prefix, its head word plus the tail span T."""
-    _check_budget(code, budget)
+    _spend(code.size, budget, "words")
     f, gen = code.field, code.gen.data
-    h = code.k - _tail_rows(code.q, code.k)
+    h = code.k - _tail_rows(code.q, code.k, code.n)
     span = _span(f, gen[h:])
     for block in coeff_blocks(code, budget, chunk=len(span)):
         yield block, _add(f, f.matmul(block[:1, :h], gen[:h])[0], span)
@@ -200,10 +193,15 @@ def projective_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
     """One codeword per scalar class, as (coeff block, value block).
 
     Representatives have first nonzero coefficient 1, which makes each the
-    first word of its class in canonical coefficient order.
+    first word of its class in canonical coefficient order; each block's
+    coefficients are decoded from its class indices by ``_class_coeffs``.
     """
-    _check_budget(code, budget)
-    yield from _lead_one_blocks(code.field, code.gen.data)
+    _spend(code.size, budget, "words")
+    start = 0
+    for values in _lead_one_blocks(code.field, code.gen.data):
+        stop = start + len(values)
+        yield _class_coeffs(code.q, code.k, np.arange(start, stop)), values
+        start = stop
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 All generators are assembled column by column in a fixed order (index
 subsets lexicographic, then scalar tuples in ascending encoding order), so
-identical parameters always produce byte-identical matrices.
+identical parameters always produce byte-identical matrices.  Through
+``errors._spend``, the families, ``lift`` and ``tensor_product`` refuse a
+generator of more than DEFAULT_BUDGET entries (rows times columns), and
+the evaluation codes more points than their budget, before building any.
 
 Families:
 
@@ -41,8 +44,7 @@ import numpy as np
 
 from .analysis import has_full_value_property, is_minimal_code
 from .codes import DEFAULT_BUDGET, LinearCode
-from .errors import (BadParams, BudgetExceeded, PreconditionFailed, _int,
-                     _ints)
+from .errors import BadParams, PreconditionFailed, _int, _ints, _spend
 from .field import build_field
 from .matrix import GFMatrix, _rref_array, kronecker
 
@@ -81,21 +83,14 @@ def weight_s(s: int, t: int, q: int) -> LinearCode:
     return _systematic(t, q, s, lead_one=False)
 
 
-def _check_entries(rows: int, cols: int) -> None:
-    """Refuse a generator of more than DEFAULT_BUDGET entries before any
-    of it is built."""
-    entries = rows * cols
-    if entries > DEFAULT_BUDGET:
-        raise BudgetExceeded(entries, DEFAULT_BUDGET, unit="generator entries")
-
-
 def _systematic(t: int, q: int, size: int, lead_one: bool) -> LinearCode:
     """(I_t | one column per size-subset of the t rows and per tuple of
     nonzero values on it), subsets lexicographic, then value tuples in
     ascending order; with lead_one the first value is always 1."""
     f = build_field(q)
     lead = (1,) if lead_one else ()
-    _check_entries(t, t + math.comb(t, size) * (f.q - 1)**(size - len(lead)))
+    _spend(t * (t + math.comb(t, size) * (f.q - 1)**(size - len(lead))),
+           DEFAULT_BUDGET, "generator entries")
     cols = np.eye(t, dtype=np.int64).tolist()
     for supp in itertools.combinations(range(t), size):
         for vals in itertools.product(range(1, q), repeat=size - len(lead)):
@@ -138,7 +133,7 @@ def lift(code: LinearCode, s: int, budget: int = DEFAULT_BUDGET) -> LinearCode:
             "lift base code has a codeword that misses some field value"
         )
     k, n = code.k, code.n
-    _check_entries(s + k, (s + 1) * n)
+    _spend((s + k) * (s + 1) * n, DEFAULT_BUDGET, "generator entries")
     out = np.zeros((s + k, (s + 1) * n), dtype=np.int64)
     for j in range(s + 1):
         block = slice(j * n, (j + 1) * n)
@@ -150,7 +145,7 @@ def lift(code: LinearCode, s: int, budget: int = DEFAULT_BUDGET) -> LinearCode:
 
 def tensor_product(c1: LinearCode, c2: LinearCode) -> LinearCode:
     """Code generated by the Kronecker product of the two generators."""
-    _check_entries(c1.k * c2.k, c1.n * c2.n)
+    _spend(c1.k * c2.k * c1.n * c2.n, DEFAULT_BUDGET, "generator entries")
     return LinearCode(kronecker(c1.gen, c2.gen))
 
 
@@ -159,10 +154,7 @@ def tensor_product(c1: LinearCode, c2: LinearCode) -> LinearCode:
 
 def _points(q: int, n: int, budget: int) -> np.ndarray:
     """All nonzero x in GF(q)^n as rows, ascending base-q encoding."""
-    budget = _int(budget, "budget")
-    total = q**n - 1
-    if total > budget:
-        raise BudgetExceeded(total, budget, unit="points")
+    _spend(q**n - 1, budget, "points")
     idx = np.arange(1, q**n, dtype=np.int64)
     place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
     return (idx[:, None] // place[None, :]) % q

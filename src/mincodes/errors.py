@@ -1,4 +1,7 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the checks that raise
+them for every module: integers (``_int``, ``_ints``), iterables
+(``_list``) and budgets (``_spend``, the only place that raises
+``BudgetExceeded``)."""
 
 import operator
 
@@ -32,19 +35,18 @@ class NotInCode(MinCodesError):
 
 
 class BudgetExceeded(MinCodesError):
-    """An exhaustive enumeration would exceed the configured budget.
+    """A stage would exceed its budget; raised only by ``_spend``.
 
     unit names what the budget counts: codewords by default, coalitions
-    for the access-structure search, points for the function codes.
+    for the access-structure search, points for the function codes,
+    generator entries for the constructions.
     """
 
     def __init__(self, needed: int, budget: int, *, unit: str = "words"):
         self.needed = needed
         self.budget = budget
         self.unit = unit
-        super().__init__(
-            f"enumeration needs {needed} {unit}, budget is {budget}"
-        )
+        super().__init__(f"needs {needed} {unit}, budget is {budget}")
 
 
 class BadParams(MinCodesError):
@@ -58,6 +60,14 @@ def _int(value, what: str) -> int:
         return operator.index(value)
     except TypeError:
         raise BadParams(f"{what} must be an integer, got {value!r}") from None
+
+
+def _spend(needed: int, budget, unit: str) -> None:
+    """The one budget gate: budget as an int (else BadParams), and
+    BudgetExceeded when a stage needs more than it, the limit inclusive."""
+    budget = _int(budget, "budget")
+    if needed > budget:
+        raise BudgetExceeded(needed, budget, unit=unit)
 
 
 def _ints(values, what: str, optional: bool = False) -> list:

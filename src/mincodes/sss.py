@@ -49,13 +49,13 @@ from .codes import (
 )
 from .errors import (
     BadParams,
-    BudgetExceeded,
     InconsistentShares,
     Unauthorized,
     ZeroColumn,
     _int,
     _ints,
     _list,
+    _spend,
 )
 from .matrix import _rref_array, column_ranks
 
@@ -277,9 +277,8 @@ def _authorized(scheme: SssScheme, cols: np.ndarray) -> np.ndarray:
 
 def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
     n, k = scheme.code.n, scheme.code.k
-    total = sum(math.comb(n - 1, size) for size in range(1, k + 1))
-    if total > budget:
-        raise BudgetExceeded(total, budget, unit="coalitions")
+    _spend(sum(math.comb(n - 1, size) for size in range(1, k + 1)), budget,
+           "coalitions")
     ids = np.array(scheme.participants)
     # binom[x, i] = C(x, i); a coalition c_0 < ... < c_{s-1} of participant
     # positions has colex rank sum_i C(c_i, i+1) among those of its size

@@ -446,8 +446,8 @@ def test_construct_refuses_an_oversized_generator(capsys):
                                "--t", "5", "--k", "4", "--q", "256")
     assert status == 1
     assert out == ""
-    assert ("error: BudgetExceeded: enumeration needs 414534400 generator "
-            "entries, budget is 10000000") in err
+    assert ("error: BudgetExceeded: needs 414534400 generator entries, "
+            "budget is 10000000") in err
 
 
 def test_access_search_budget_names_coalitions(first33, capsys):
@@ -455,5 +455,5 @@ def test_access_search_budget_names_coalitions(first33, capsys):
                                "--method", "search", "--budget", "10")
     assert status == 1
     assert out == ""
-    assert ("error: BudgetExceeded: enumeration needs 92 coalitions, "
-            "budget is 10") in err
+    assert ("error: BudgetExceeded: needs 92 coalitions, budget is 10"
+            in err)

@@ -18,7 +18,6 @@ from mincodes.analysis import (
 from mincodes.codes import DEFAULT_BUDGET, LinearCode, coeff_blocks, \
     min_max_weight, weight_distribution
 from mincodes.constructions import (
-    _check_entries,
     cf_code,
     cg_code,
     comb0,
@@ -38,6 +37,7 @@ from mincodes.errors import (
     BudgetExceeded,
     FieldMismatch,
     PreconditionFailed,
+    _spend,
 )
 from mincodes.field import build_field
 from mincodes.matrix import GFMatrix
@@ -552,9 +552,11 @@ def test_a_generator_is_sized_before_it_is_built(build, entries):
 
 
 def test_generator_entries_limit_is_inclusive():
-    _check_entries(10, DEFAULT_BUDGET // 10)
-    with pytest.raises(BudgetExceeded):
-        _check_entries(1, DEFAULT_BUDGET + 1)
+    _spend(DEFAULT_BUDGET, DEFAULT_BUDGET, "generator entries")
+    with pytest.raises(BudgetExceeded) as err:
+        _spend(DEFAULT_BUDGET + 1, DEFAULT_BUDGET, "generator entries")
+    assert (err.value.needed, err.value.budget, err.value.unit) == \
+        (DEFAULT_BUDGET + 1, DEFAULT_BUDGET, "generator entries")
 
 
 @pytest.mark.parametrize("build, what, value", [

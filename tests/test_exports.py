@@ -1,5 +1,6 @@
 """``mincodes.__all__`` lists exactly the public names the package binds,
-and ``build_field`` is the one way to a field."""
+``build_field`` is the one way to a field, and ``errors._spend`` the one
+way to ``BudgetExceeded``."""
 
 import ast
 from pathlib import Path
@@ -43,16 +44,29 @@ def test_build_field_is_the_only_way_to_a_field():
         assert code.field is mincodes.build_field(code.q)
 
 
-def test_only_the_canonical_field_constructs_gf():
-    def gf_calls(tree):
-        return sum(isinstance(node, ast.Call)
-                   and isinstance(node.func, ast.Name)
-                   and node.func.id == "GF" for node in ast.walk(tree))
+def calls(tree, name: str) -> int:
+    """How many calls of ``name``, bare or as an attribute, the tree holds."""
+    return sum(isinstance(node, ast.Call)
+               and name in (getattr(node.func, "id", None),
+                            getattr(node.func, "attr", None))
+               for node in ast.walk(tree))
 
+
+def call_counts(name: str, module: str, function: str) -> tuple[int, int]:
+    """Calls of ``name`` in the package's source, and in ``function`` of
+    ``module``."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
              for path in INIT.parent.glob("*.py")}
-    canonical = next(node for node in trees["field.py"].body
-                     if isinstance(node, ast.FunctionDef)
-                     and node.name == "_canonical_field")
-    assert sum(gf_calls(tree) for tree in trees.values()) == 1
-    assert gf_calls(canonical) == 1
+    owner = next(node for node in trees[module].body
+                 if isinstance(node, ast.FunctionDef)
+                 and node.name == function)
+    return sum(calls(tree, name) for tree in trees.values()), \
+        calls(owner, name)
+
+
+def test_only_the_canonical_field_constructs_gf():
+    assert call_counts("GF", "field.py", "_canonical_field") == (1, 1)
+
+
+def test_only_the_budget_gate_raises_budget_exceeded():
+    assert call_counts("BudgetExceeded", "errors.py", "_spend") == (1, 1)

@@ -6,7 +6,7 @@ generator checks) and n <= 7, and every enumeration runs with a small
 ``codes._CHUNK`` drawn per example, so block boundaries fall anywhere in
 the canonical order.  Both generators are checked byte for byte against
 the filter-then-``GF.matmul`` enumeration they replaced, and for their
-block sizes and budget check, and the canonical class order decoded by
+block sizes (in words and in entries) and budget check, and the canonical class order decoded by
 ``codes._class_coeffs``, on arrays of indices, and the words that
 ``analysis._class_rows`` makes of them, against ``projective_blocks``
 over every field drawn here.  The rank test of
@@ -53,6 +53,7 @@ import itertools
 import math
 import random
 from collections import Counter
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -62,10 +63,10 @@ from hypothesis import strategies as st
 
 from mincodes import analysis, codes, sss, sweep
 from mincodes.analysis import (
+    AbReport,
     FullValueReport,
     MinimalityReport,
     ab_condition,
-    ab_report,
     has_full_value_property,
     is_minimal_code,
     is_minimal_codeword,
@@ -199,23 +200,40 @@ def test_generators_match_filter_then_matmul(code, chunk):
 
 
 @SETTINGS
-@given(small_codes(max_k=5), chunks)
-def test_blocks_fit_the_chunk_and_the_budget_comes_first(code, chunk):
+@given(small_codes(max_k=5), chunks, st.integers(1, 64))
+def test_blocks_fit_the_chunk_and_the_budget_comes_first(code, chunk,
+                                                         entries):
+    """Blocks hold at most max(chunk, q) words and, with ``_ENTRIES``
+    drawn from 1 to 64, at most max(entries, q*n) entries."""
     limit = max(chunk, code.q)
-    with small_chunks(chunk):
+    with small_chunks(chunk), mock.patch.object(codes, "_ENTRIES", entries):
         for gen in (codeword_blocks, projective_blocks):
             blocks = list(gen(code))
             assert all(len(u) == len(v) for u, v in blocks)
             sizes = [len(u) for u, _ in blocks]
             assert max(sizes) <= limit
-            if gen is projective_blocks and code.size <= chunk:
+            assert max(sizes) * code.n <= max(entries, code.q * code.n)
+            if gen is projective_blocks and code.size <= chunk and \
+                    code.size * code.n <= entries:
                 assert len(sizes) == 1
             with mock.patch.object(codes, "_span", side_effect=AssertionError):
                 with pytest.raises(BudgetExceeded) as err:
                     next(gen(code, budget=code.size - 1))
-            assert str(err.value) == (f"enumeration needs {code.size} "
-                                      f"words, budget is {code.size - 1}")
+            assert str(err.value) == (f"needs {code.size} words, "
+                                      f"budget is {code.size - 1}")
             assert err.value.unit == "words"
+
+
+def test_a_wide_code_walks_blocks_of_bounded_entries():
+    """At n = 2000 the 1024 words of a k = 10 code would fit one block of
+    _CHUNK words but not of ``_ENTRIES`` entries: they come in blocks of
+    512, and the walk still counts every word."""
+    code = random_code(2000, 10, 2, seed=1)
+    for gen in (codeword_blocks, projective_blocks):
+        sizes = [len(v) for _, v in gen(code)]
+        assert max(sizes) * code.n <= codes._ENTRIES < 2 * max(sizes) * code.n
+        assert sum(sizes) == (code.size if gen is codeword_blocks
+                              else code.size - 1)
 
 
 @SETTINGS
@@ -525,14 +543,16 @@ def whole_code_oracles(code):
     walks above and the pairwise cover scan."""
     fresh = LinearCode(code.gen)
     dist = walk_weight_distribution(fresh)
+    q, w_min, w_max = code.q, dist.min_nonzero(), dist.max_weight()
     mask, witness, pairs = pairwise_minimality(fresh, analysis._ROW_BLOCK)
     return {
         is_minimal_code: MinimalityReport(witness is None, witness,
                                           len(mask), pairs),
         weight_distribution: dist,
         weight_strata: stratified(fresh),
-        ab_condition: ab_report(dist),
-        min_max_weight: (dist.min_nonzero(), dist.max_weight()),
+        ab_condition: AbReport(q, w_min, w_max, Fraction(w_min, w_max),
+                               Fraction(q - 1, q), q * w_min > (q - 1) * w_max),
+        min_max_weight: (w_min, w_max),
         has_full_value_property: walk_full_value(fresh),
         minimal_codewords: [Codeword(*r) for r, ok in zip(
             flatten(projective_blocks(fresh)), mask) if ok],

@@ -333,7 +333,7 @@ def test_search_budget_counts_coalitions(f33):
         minimal_authorized_sets(f33, method="search", budget=10)
     assert info.value.unit == "coalitions"
     assert info.value.needed == 8 + 28 + 56
-    assert str(info.value) == "enumeration needs 92 coalitions, budget is 10"
+    assert str(info.value) == "needs 92 coalitions, budget is 10"
 
 
 @pytest.mark.parametrize("method", ["auto", "dual", "search"])
