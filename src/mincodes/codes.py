@@ -20,9 +20,9 @@ whose lead j lies in the tail is e_j.G plus the span of rows j+1..k-1,
 that is rows [q^i, 2q^i) of T with i = k-1-j; these come first, in one
 block, and then each lead-1 head (from the same construction on the head
 rows) plus all of T.  Their coefficients are decoded from the class
-indices by ``_class_coeffs``, the one statement of that order.  Sums are
-XOR in characteristic 2 and ``add_table`` lookups otherwise; no block
-holds more than max(_CHUNK, q) words or max(_ENTRIES, q * n) entries.
+indices by ``_class_coeffs``, the one statement of that order.  Sums go
+through ``GF.add``; no block holds more than max(_CHUNK, q) words or
+max(_ENTRIES, q * n) entries.
 
 Exhaustive operations refuse to run past a word budget (default 10**7
 codewords) instead of silently taking forever; like every budget in the
@@ -51,7 +51,7 @@ DEFAULT_BUDGET = 10**7
 _CHUNK = 1 << 14
 _ENTRIES = 1 << 20  # entries (words times n) in a block, unless t = 1
 
-_MAX_TRIES = 1000  # draws random_code makes for one seed
+_MAX_TRIES = 1000  # draws of each kind random_code makes for one seed
 
 
 @dataclass(frozen=True)
@@ -133,11 +133,6 @@ def _tail_rows(q: int, k: int, n: int) -> int:
     return t
 
 
-def _add(field: GF, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise field sum of broadcastable encoding arrays."""
-    return np.bitwise_xor(a, b) if field.p == 2 else field.add_table[a, b]
-
-
 def _span(field: GF, rows: np.ndarray) -> np.ndarray:
     """All q^len(rows) combinations of rows, in canonical coefficient order:
     each row's q multiples, outer-summed with the span of the rows below."""
@@ -145,7 +140,7 @@ def _span(field: GF, rows: np.ndarray) -> np.ndarray:
     span = np.zeros((1, n), dtype=field.add_table.dtype)
     for g in rows[::-1]:
         mult = field.mul_table[:, g]
-        span = _add(field, mult[:, None, :], span[None, :, :]).reshape(-1, n)
+        span = field.add(mult[:, None, :], span[None, :, :]).reshape(-1, n)
     return span
 
 
@@ -163,7 +158,7 @@ def _lead_one_blocks(field: GF, gen: np.ndarray):
         return
     for values in _lead_one_blocks(field, gen[:h]):
         for v in values:
-            yield _add(field, v, span)
+            yield field.add(v, span)
 
 
 def _class_coeffs(q: int, k: int, index: np.ndarray) -> np.ndarray:
@@ -186,7 +181,7 @@ def codeword_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
     h = code.k - _tail_rows(code.q, code.k, code.n)
     span = _span(f, gen[h:])
     for block in coeff_blocks(code, budget, chunk=len(span)):
-        yield block, _add(f, f.matmul(block[:1, :h], gen[:h])[0], span)
+        yield block, f.add(f.matmul(block[:1, :h], gen[:h])[0], span)
 
 
 def projective_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
@@ -261,21 +256,27 @@ def random_code(n: int, k: int, q: int, seed: int) -> LinearCode:
 
     Entries are drawn from random.Random(seed); draws are repeated until
     the matrix has full row rank and every column is nonzero, so the same
-    (n, k, q, seed) always yields the same code.
+    (n, k, q, seed) always yields the same code.  Once _MAX_TRIES such
+    draws miss (as for [20,1]_2), each column is drawn among the nonzero
+    vectors.
     """
     n, k, q, seed = map(_int, (n, k, q, seed), ("n", "k", "q", "seed"))
     if not 1 <= k <= n:
         raise BadParams(f"random_code needs 1 <= k <= n, got n={n}, k={k}")
     f = build_field(q)
     rng = random.Random(seed)
-    for _ in range(_MAX_TRIES):
-        data = np.array([[rng.randrange(q) for _ in range(n)]
-                         for _ in range(k)])
+    for tries in range(2 * _MAX_TRIES):
+        if tries < _MAX_TRIES:
+            data = np.array([[rng.randrange(q) for _ in range(n)]
+                             for _ in range(k)])
+        else:  # column j holds the base-q digits of cols[j] > 0
+            cols = [rng.randrange(1, q**k) for _ in range(n)]
+            data = np.array([[c // q**i % q for c in cols] for i in range(k)])
         if np.count_nonzero(data, axis=0).min() == 0:
             continue
         with contextlib.suppress(RankDeficient):
             return LinearCode(GFMatrix(f, data))
     raise RankDeficient(
         f"no full-rank zero-column-free [{n},{k}]_{q} matrix "
-        f"in {_MAX_TRIES} draws from seed {seed}"
+        f"in {2 * _MAX_TRIES} draws from seed {seed}"
     )

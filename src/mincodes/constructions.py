@@ -215,7 +215,7 @@ def cg_code(r: int, k: int, q: int, budget: int = DEFAULT_BUDGET) -> LinearCode:
         block = pts[:, j * r]
         for l in range(1, r):
             block = f.mul_table[block, pts[:, j * r + l]]
-        g = f.add_table[g, block]
+        g = f.add(g, block)
     return _evaluation_code(f, g, pts)
 
 

@@ -96,8 +96,9 @@ class GF:
     canonical modulus (monic and irreducible), so no argument is checked;
     equality and hashing go by (p, m, modulus).  The ``*_table`` arrays
     can be fancy-indexed with ints or numpy integer arrays for scalar or
-    vectorized arithmetic, and :meth:`matmul` multiplies matrices of
-    encodings.
+    vectorized arithmetic.  Sums go through :meth:`add`, the one place
+    that picks XOR (characteristic 2) or ``add_table``, and :meth:`matmul`
+    multiplies matrices of encodings.
 
     Attributes:
         p: field characteristic.
@@ -159,6 +160,12 @@ class GF:
 
     # -- vectorized arithmetic ----------------------------------------------
 
+    def add(self, a, b) -> np.ndarray:
+        """Elementwise sum of broadcastable encoding arrays: the XOR of the
+        encodings in characteristic 2 (digits add without carry), else
+        an ``add_table`` lookup."""
+        return np.bitwise_xor(a, b) if self.p == 2 else self.add_table[a, b]
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product of encoding arrays over this field.
 
@@ -174,7 +181,7 @@ class GF:
         out = np.zeros((a.shape[0], b.shape[1]), dtype=self.add_table.dtype)
         for i in range(a.shape[1]):
             term = self.mul_table[a[:, i][:, None], b[i][None, :]]
-            out = self.add_table[out, term]
+            out = self.add(out, term)
         return out
 
     # -- identity ------------------------------------------------------------

@@ -94,9 +94,7 @@ def _vector(field: GF, values, length: int | None = None) -> np.ndarray:
 def _rref_array(field: GF, data: np.ndarray) -> tuple[np.ndarray, list[int]]:
     """Row-reduce a copy of data; return (rref, pivot column list)."""
     m = data.astype(np.int64).copy()
-    add, mul, neg, inv = (
-        field.add_table, field.mul_table, field.neg_table, field.inv_table,
-    )
+    mul, neg, inv = field.mul_table, field.neg_table, field.inv_table
     nrows, ncols = m.shape
     pivots: list[int] = []
     r = 0
@@ -114,7 +112,8 @@ def _rref_array(field: GF, data: np.ndarray) -> tuple[np.ndarray, list[int]]:
         others = others[others != r]
         if others.size:
             factors = neg[m[others, c]]
-            m[others] = add[m[others], mul[factors[:, None], m[r][None, :]]]
+            m[others] = field.add(m[others],
+                                  mul[factors[:, None], m[r][None, :]])
         pivots.append(c)
         r += 1
     return m, pivots
@@ -255,11 +254,8 @@ def nullspace(matrix: GFMatrix) -> GFMatrix:
     red, pivots = _rref_array(field, matrix.data)
     free = [c for c in range(matrix.cols) if c not in pivots]
     basis = np.zeros((len(free), matrix.cols), dtype=np.int64)
-    neg = field.neg_table
-    for i, fcol in enumerate(free):
-        basis[i, fcol] = 1
-        for rrow, pcol in enumerate(pivots):
-            basis[i, pcol] = neg[red[rrow, fcol]]
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = field.neg_table[red[:len(pivots)][:, free]].T
     return GFMatrix(field, basis)
 
 

@@ -57,7 +57,7 @@ from .errors import (
     _list,
     _spend,
 )
-from .matrix import _rref_array, column_ranks
+from .matrix import GFMatrix, _rref_array, column_ranks, in_span, nullspace
 
 # the class ``secrets`` exports; importing it from ``random`` avoids loading
 # hmac and OpenSSL at import time
@@ -91,21 +91,16 @@ class SssScheme:
         self.participants = tuple(
             i for i in range(1, code.n + 1) if i != secret_column
         )
-        # [secret | free draws] @ _deal_map = the participants' shares: rows
-        # e_p/col_p and, for each row j != pivot p, e_j - (col_j/col_p)*e_p,
-        # each times G on the participants' columns
+        # the dealer draws u = secret * x + draws @ N, where x . col = 1 and
+        # N's rows span col's nullspace, so u . col = secret; _deal_map,
+        # [x; N] times G on the participants' columns, maps [secret | draws]
+        # to the participants' shares
         f, gen = self.field, code.gen.data
         col = self.secret_col()
-        p = int(np.flatnonzero(col)[0])
-        basis = gen[:, [i - 1 for i in self.participants]]
-        scale = f.inv_table[col[p]]
-        free = np.array([j for j in range(code.k) if j != p], dtype=np.int64)
-        ratio = f.mul_table[col[free], scale]
-        self._deal_map = np.vstack([
-            f.mul_table[scale, basis[p]][None, :],
-            f.sub_table[basis[free],
-                        f.mul_table[ratio[:, None], basis[p][None, :]]],
-        ])
+        self._deal_map = f.matmul(
+            np.vstack([in_span(f, [1], col[:, None]),
+                       nullspace(GFMatrix(f, col[None])).data]),
+            gen[:, [i - 1 for i in self.participants]])
         self._rank = column_ranks(f, gen)
         # coalition ids -> row reduction; the partial holds no reference to
         # the scheme, so the cache makes no cycle through it

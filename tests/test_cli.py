@@ -66,6 +66,14 @@ def test_construct_rejects_large_q(capsys):
     assert "field order must be at most 256, got 257" in err
 
 
+def test_construct_rejects_non_integer_alphas(capsys):
+    status, _, err = run_cli(capsys, "construct", "--family", "cf",
+                             "--n", "4", "--k", "2", "--q", "3",
+                             "--alphas", "1,x")
+    assert status == 1
+    assert "--alphas wants comma-separated integers, got '1,x'" in err
+
+
 def test_construct_and_analyze_past_q_64(tmp_path, capsys):
     path = tmp_path / "f2128.txt"
     assert run_cli(capsys, "construct", "--family", "first", "--t", "2",

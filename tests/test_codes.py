@@ -1,5 +1,6 @@
 """Code enumeration, weight distributions, duals."""
 
+import hashlib
 import itertools
 
 import numpy as np
@@ -188,6 +189,32 @@ def test_random_code_retries_a_rank_deficient_draw():
     for seed in range(20):
         code = random_code(3, 3, 2, seed=seed)
         assert not code.zero_columns
+
+
+@pytest.mark.parametrize("n, k, q, seed, digest", [
+    (24, 12, 2, 1, "8caeb36568c80b0e"),
+    (90, 13, 2, 1, "7046c78606c45b98"),
+    (24, 9, 3, 1, "90c9ac49f4c8c781"),
+    (5, 3, 3, 7, "778c9bf5e3c0ca64"),
+    (30, 2, 2, 7, "1870d683fbca884f"),
+    (30, 2, 2, 8, "8fe52ad03877a3d4"),
+])
+def test_random_code_keeps_its_whole_matrix_draws(n, k, q, seed, digest):
+    # codes a whole-matrix draw finds, pinned by the hash of the generator
+    data = random_code(n, k, q, seed=seed).gen.data
+    assert hashlib.sha256(data.tobytes()).hexdigest()[:16] == digest
+
+
+@pytest.mark.parametrize("n, k", [(20, 1), (30, 2)])
+def test_random_code_draws_nonzero_columns_when_whole_draws_miss(n, k):
+    # over GF(2) a whole-matrix draw of these shapes almost always has a
+    # zero column, so most seeds fall back to drawing column by column
+    for seed in range(10):
+        code = random_code(n, k, 2, seed=seed)
+        assert (code.n, code.k, code.zero_columns) == (n, k, ())
+        assert code.gen == random_code(n, k, 2, seed=seed).gen
+    # the all-ones row is the one zero-column-free [20,1]_2 code
+    assert random_code(20, 1, 2, seed=0).gen.data.tolist() == [[1] * 20]
 
 
 def test_zero_columns_recorded_not_rejected():

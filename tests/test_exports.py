@@ -1,11 +1,14 @@
 """``mincodes.__all__`` lists exactly the public names the package binds,
-``build_field`` is the one way to a field, and ``errors._spend`` the one
-way to ``BudgetExceeded``."""
+``build_field`` is the one way to a field, ``errors._spend`` the one
+way to ``BudgetExceeded``, and ``GF.add`` the one way to a field sum."""
 
 import ast
 from pathlib import Path
 
+import numpy as np
+
 import mincodes
+from mincodes import codes, field
 from mincodes import (cf_code, cg_code, extended, first, lift, random_code,
                       second, tensor_product, weight_s)
 
@@ -44,6 +47,12 @@ def test_build_field_is_the_only_way_to_a_field():
         assert code.field is mincodes.build_field(code.q)
 
 
+def sources() -> dict[str, ast.Module]:
+    """The syntax tree of each module of the package, by file name."""
+    return {path.name: ast.parse(path.read_text(encoding="utf-8"))
+            for path in INIT.parent.glob("*.py")}
+
+
 def calls(tree, name: str) -> int:
     """How many calls of ``name``, bare or as an attribute, the tree holds."""
     return sum(isinstance(node, ast.Call)
@@ -55,8 +64,7 @@ def calls(tree, name: str) -> int:
 def call_counts(name: str, module: str, function: str) -> tuple[int, int]:
     """Calls of ``name`` in the package's source, and in ``function`` of
     ``module``."""
-    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
-             for path in INIT.parent.glob("*.py")}
+    trees = sources()
     owner = next(node for node in trees[module].body
                  if isinstance(node, ast.FunctionDef)
                  and node.name == function)
@@ -70,3 +78,49 @@ def test_only_the_canonical_field_constructs_gf():
 
 def test_only_the_budget_gate_raises_budget_exceeded():
     assert call_counts("BudgetExceeded", "errors.py", "_spend") == (1, 1)
+
+
+def tables_used(tree) -> set[str]:
+    """The ``*_table`` attributes that the tree reads for more than their
+    ``dtype``: indexed, or bound to a name that may be indexed later."""
+    dtype_reads = {id(node.value) for node in ast.walk(tree)
+                   if isinstance(node, ast.Attribute) and node.attr == "dtype"}
+    return {node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.endswith("_table") and id(node) not in dtype_reads}
+
+
+def test_only_field_and_matrix_use_tables_other_than_mul():
+    for name, tree in sources().items():
+        if name not in ("field.py", "matrix.py"):
+            assert tables_used(tree) <= {"mul_table"}, name
+
+
+def test_gf_add_is_the_one_choice_between_xor_and_add_table():
+    assert not hasattr(codes, "_add")
+    trees = sources()
+    gf = next(node for node in trees["field.py"].body
+              if isinstance(node, ast.ClassDef) and node.name == "GF")
+    add = next(node for node in gf.body
+               if isinstance(node, ast.FunctionDef) and node.name == "add")
+    assert sum(calls(tree, "bitwise_xor") for tree in trees.values()) == 1
+    assert calls(add, "bitwise_xor") == 1
+    assert tables_used(add) == {"add_table"}
+    for name, tree in trees.items():
+        if name != "field.py":
+            assert "add_table" not in tables_used(tree), name
+
+
+def test_the_dealer_does_no_table_arithmetic():
+    assert tables_used(sources()["sss.py"]) == set()
+
+
+def test_gf_add_matches_the_add_table_on_every_field():
+    for q in range(2, 257):
+        if field._prime_power(q) is None:
+            continue
+        f = mincodes.build_field(q)
+        a, b = np.indices((q, q), dtype=f.add_table.dtype)
+        sums = f.add(a, b)
+        assert sums.dtype == f.add_table.dtype
+        assert np.array_equal(sums, f.add_table), q

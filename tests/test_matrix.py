@@ -15,6 +15,7 @@ from mincodes import (
 from mincodes.matrix import (
     GFMatrix,
     _read_text,
+    _rref_array,
     dumps_matrix,
     in_span,
     kronecker,
@@ -138,6 +139,31 @@ def test_nullspace_orthogonality_and_rank():
         assert ns_rank == ns.rows
 
 
+def loop_nullspace(m):
+    """The back-substitution basis one entry at a time, as an oracle."""
+    red, pivots = _rref_array(m.field, m.data)
+    free = [c for c in range(m.cols) if c not in pivots]
+    basis = np.zeros((len(free), m.cols), dtype=np.int64)
+    for i, fcol in enumerate(free):
+        basis[i, fcol] = 1
+        for rrow, pcol in enumerate(pivots):
+            basis[i, pcol] = m.field.neg_table[red[rrow, fcol]]
+    return basis
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9, 27])
+def test_nullspace_matches_the_entrywise_basis(q):
+    rng = np.random.default_rng(q)
+    shapes = [(1, 1), (1, 6), (3, 7), (4, 4), (5, 3), (6, 9)]
+    for rows, cols in shapes:
+        for sparse in (False, True):
+            data = rng.integers(0, q, size=(rows, cols))
+            if sparse:  # repeated and zero columns leave more free columns
+                data[:, ::2] = 0
+            m = gfm(q, data)
+            assert nullspace(m).data.tolist() == loop_nullspace(m).tolist()
+
+
 def test_nullspace_full_rank_empty():
     ns = nullspace(gfm(3, np.eye(2, dtype=np.int64)))
     assert ns.rows == 0 and ns.cols == 2
@@ -172,6 +198,8 @@ def test_matrix_validation():
         gfm(2, [[1, 0], [1]])
     with pytest.raises(DimensionMismatch):
         gfm(3, [[1, 2]]).hstack(gfm(3, [[1], [2]]))
+    with pytest.raises(FieldMismatch):
+        gfm(3, [[1, 2]]).hstack(gfm(5, [[1, 2]]))
 
 
 @pytest.mark.parametrize("q, rows", [
@@ -241,6 +269,8 @@ def test_text_errors():
         loads_matrix("6 1 1\n1\n")
     with pytest.raises(BadParams):
         loads_matrix("")
+    with pytest.raises(BadParams, match="bad shape 0x2"):
+        loads_matrix("3 0 2\n")
     for text in (3, None, b"3 1 1\n1\n"):
         with pytest.raises(BadParams, match="matrix text must be a str"):
             loads_matrix(text)
