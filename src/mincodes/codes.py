@@ -137,7 +137,7 @@ def _span(field: GF, rows: np.ndarray) -> np.ndarray:
     """All q^len(rows) combinations of rows, in canonical coefficient order:
     each row's q multiples, outer-summed with the span of the rows below."""
     n = rows.shape[1]
-    span = np.zeros((1, n), dtype=field.add_table.dtype)
+    span = np.zeros((1, n), dtype=field.dtype)
     for g in rows[::-1]:
         mult = field.mul_table[:, g]
         span = field.add(mult[:, None, :], span[None, :, :]).reshape(-1, n)

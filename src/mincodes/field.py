@@ -22,6 +22,16 @@ place, fold the top digit back in as -f), so the digits of x^i * b are
 computed for every b at once and a * b is the sum of a's digits times
 them, mod p.
 
+Sums follow one rule, in :meth:`GF.add` and :meth:`GF.sum`: the XOR of the
+encodings in characteristic 2, an ``add_table`` lookup otherwise.  A
+matrix product over a prime field runs in int64 and reduces mod p.  Over
+an extension field it takes its products from ``mul_table`` in one of two
+regimes, by size.  Up to ``_GATHER`` = 4096 products r*k*c, one gather
+makes the (r, k, c) array of them all and one :meth:`GF.sum` adds it over
+k.  Above the cap, a loop over k adds one (r, c) term per step, so no
+temporary is larger than the output; with r >= q each term takes whole
+rows of a (q, c) table of products.
+
 The canonical modulus is found with the same tables.  The monic degree-m
 polynomials are tried in ascending encoding, and the first f whose quotient
 ring has no zero divisors is kept.  A finite commutative ring is a field
@@ -39,6 +49,9 @@ import functools
 import numpy as np
 
 from .errors import BadParams, DimensionMismatch, NotPrimePower, _int
+
+# most products r*k*c that GF.matmul gathers at once in an extension field
+_GATHER = 4096
 
 
 def _prime_power(q: int) -> tuple[int, int] | None:
@@ -96,9 +109,9 @@ class GF:
     canonical modulus (monic and irreducible), so no argument is checked;
     equality and hashing go by (p, m, modulus).  The ``*_table`` arrays
     can be fancy-indexed with ints or numpy integer arrays for scalar or
-    vectorized arithmetic.  Sums go through :meth:`add`, the one place
-    that picks XOR (characteristic 2) or ``add_table``, and :meth:`matmul`
-    multiplies matrices of encodings.
+    vectorized arithmetic.  Sums go through :meth:`add` and :meth:`sum`,
+    the only methods that pick XOR (characteristic 2) or ``add_table``,
+    and :meth:`matmul` multiplies matrices of encodings.
 
     Attributes:
         p: field characteristic.
@@ -106,6 +119,8 @@ class GF:
         q: field order p**m.
         modulus: little-endian coefficients of the reduction polynomial.
         xi: smallest encoding of a multiplicative generator.
+        dtype: numpy dtype of the tables and of every encoding array that
+            the methods return.
     """
 
     def __init__(self, p: int, m: int, modulus: tuple[int, ...]):
@@ -121,14 +136,14 @@ class GF:
         neg = (-digits % p) @ weights
         mul = _mul_table(p, modulus, digits, q)
 
+        self.dtype = dtype
         self.add_table = add.astype(dtype)
         self.mul_table = mul.astype(dtype)
         self.neg_table = neg.astype(dtype)
-        self.sub_table = self.add_table[:, self.neg_table]
         # row 0 holds no 1, so argmax leaves inv_table[0] = 0
         self.inv_table = np.argmax(mul == 1, axis=1).astype(dtype)
         for t in (self.add_table, self.mul_table, self.neg_table,
-                  self.sub_table, self.inv_table):
+                  self.inv_table):
             t.setflags(write=False)
 
         self.xi = self._find_generator()
@@ -166,21 +181,46 @@ class GF:
         an ``add_table`` lookup."""
         return np.bitwise_xor(a, b) if self.p == 2 else self.add_table[a, b]
 
+    def sum(self, x: np.ndarray, axis: int) -> np.ndarray:
+        """Field sum of an encoding array along the nonnegative ``axis``,
+        by the rule of :meth:`add`: one XOR reduction in characteristic 2,
+        else a fold of ``add_table`` from zeros (so an empty axis sums to
+        0)."""
+        if self.p == 2:
+            return np.bitwise_xor.reduce(x, axis=axis)
+        head = (slice(None),) * axis
+        out = np.zeros(x.shape[:axis] + x.shape[axis + 1:], dtype=self.dtype)
+        for i in range(x.shape[axis]):
+            out = self.add_table[out, x[head + (i,)]]
+        return out
+
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Matrix product of encoding arrays over this field.
 
-        a has shape (r, k), b has shape (k, c); returns shape (r, c).
+        a has shape (r, k), b has shape (k, c); returns shape (r, c) in
+        :attr:`dtype`.  Prime fields multiply in int64 and reduce mod p.
+        Extension fields go by size: up to ``_GATHER`` products r*k*c, one
+        gather of them all from ``mul_table`` and one :meth:`sum` over k;
+        above it, a loop over k that adds one (r, c) term per step, so no
+        temporary holds more than r*c entries.  With r >= q a term takes
+        whole rows of the products of b's row (a (q, c) table).
         """
         a = np.asarray(a)
         b = np.asarray(b)
         if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
             raise DimensionMismatch(f"bad matmul shapes {a.shape} x {b.shape}")
+        (r, k), c = a.shape, b.shape[1]
         if self.m == 1:
             out = (a.astype(np.int64) @ b.astype(np.int64)) % self.p
-            return out.astype(self.add_table.dtype)
-        out = np.zeros((a.shape[0], b.shape[1]), dtype=self.add_table.dtype)
-        for i in range(a.shape[1]):
-            term = self.mul_table[a[:, i][:, None], b[i][None, :]]
+            return out.astype(self.dtype)
+        if r * k * c <= _GATHER:
+            return self.sum(self.mul_table[a[:, :, None], b[None]], axis=1)
+        out = np.zeros((r, c), dtype=self.dtype)
+        for i in range(k):
+            if r >= self.q:
+                term = self.mul_table[:, b[i]][a[:, i]]
+            else:
+                term = self.mul_table[a[:, i, None], b[i]]
             out = self.add(out, term)
         return out
 

@@ -39,7 +39,7 @@ class GFMatrix:
         if arr.size and (arr.min() < 0 or arr.max() >= field.q):
             raise BadParams(f"entries outside [0, {field.q})")
         self.field = field
-        self.data = arr.astype(field.add_table.dtype)
+        self.data = arr.astype(field.dtype)
         self.data.setflags(write=False)
 
     @property

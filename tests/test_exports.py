@@ -1,6 +1,7 @@
 """``mincodes.__all__`` lists exactly the public names the package binds,
 ``build_field`` is the one way to a field, ``errors._spend`` the one
-way to ``BudgetExceeded``, and ``GF.add`` the one way to a field sum."""
+way to ``BudgetExceeded``, and ``GF.add`` and ``GF.sum`` the one way to
+a field sum."""
 
 import ast
 from pathlib import Path
@@ -96,16 +97,28 @@ def test_only_field_and_matrix_use_tables_other_than_mul():
             assert tables_used(tree) <= {"mul_table"}, name
 
 
+def mentions(tree, name: str) -> int:
+    """How often the tree names ``name``, bare or as an attribute, called
+    or not (so ``np.bitwise_xor.reduce`` and an alias count too)."""
+    return sum(name in (getattr(node, "id", None), getattr(node, "attr", None))
+               for node in ast.walk(tree)
+               if isinstance(node, (ast.Name, ast.Attribute)))
+
+
 def test_gf_add_is_the_one_choice_between_xor_and_add_table():
     assert not hasattr(codes, "_add")
     trees = sources()
     gf = next(node for node in trees["field.py"].body
               if isinstance(node, ast.ClassDef) and node.name == "GF")
-    add = next(node for node in gf.body
-               if isinstance(node, ast.FunctionDef) and node.name == "add")
-    assert sum(calls(tree, "bitwise_xor") for tree in trees.values()) == 1
-    assert calls(add, "bitwise_xor") == 1
-    assert tables_used(add) == {"add_table"}
+    method = {node.name: node for node in gf.body
+              if isinstance(node, ast.FunctionDef)}
+    # GF.sum reduces by the rule of GF.add, so the two hold every XOR
+    assert sum(mentions(tree, "bitwise_xor") for tree in trees.values()) == 2
+    assert mentions(method["add"], "bitwise_xor") == 1
+    assert mentions(method["sum"], "bitwise_xor") == 1
+    assert tables_used(method["add"]) == {"add_table"}
+    assert tables_used(method["sum"]) == {"add_table"}
+    assert tables_used(method["matmul"]) == {"mul_table"}
     for name, tree in trees.items():
         if name != "field.py":
             assert "add_table" not in tables_used(tree), name
@@ -120,7 +133,7 @@ def test_gf_add_matches_the_add_table_on_every_field():
         if field._prime_power(q) is None:
             continue
         f = mincodes.build_field(q)
-        a, b = np.indices((q, q), dtype=f.add_table.dtype)
+        a, b = np.indices((q, q), dtype=f.dtype)
         sums = f.add(a, b)
-        assert sums.dtype == f.add_table.dtype
+        assert sums.dtype == f.dtype
         assert np.array_equal(sums, f.add_table), q

@@ -1,5 +1,6 @@
 """Field arithmetic: canonical moduli, tables, axioms."""
 
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -145,7 +146,7 @@ def test_tables_match_schoolbook_arithmetic(q):
     assert f.add_table.tolist() == [
         [encode(x + y for x, y in zip(digits[a], digits[b])) for b in range(q)]
         for a in range(q)]
-    assert f.sub_table.tolist() == [
+    assert f.add_table[:, f.neg_table].tolist() == [
         [encode(x - y for x, y in zip(digits[a], digits[b])) for b in range(q)]
         for a in range(q)]
     assert f.neg_table.tolist() == [encode(-x for x in digits[a])
@@ -177,7 +178,7 @@ def test_prime_field_is_modular_arithmetic():
         for b in range(13):
             assert f.add_table[a, b] == (a + b) % 13
             assert f.mul_table[a, b] == (a * b) % 13
-            assert f.sub_table[a, b] == (a - b) % 13
+            assert f.add_table[a, f.neg_table[b]] == (a - b) % 13
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 8, 9])
@@ -235,18 +236,55 @@ def test_powers_of_xi():
 
 
 def test_matmul_matches_scalar_loops():
-    for q in [2, 3, 4, 9]:
+    for q in range(2, 257):
+        if field._prime_power(q) is None:
+            continue
         f = build_field(q)
         rng = np.random.default_rng(q)
-        a = rng.integers(0, q, size=(3, 4))
-        b = rng.integers(0, q, size=(4, 5))
-        got = f.matmul(a, b)
-        for i in range(3):
-            for j in range(5):
-                acc = 0
-                for l in range(4):
-                    acc = f.add_table[acc, f.mul_table[a[i, l], b[l, j]]]
-                assert int(got[i, j]) == acc
+        for r, k, c in [(3, 4, 5), (2, 0, 3), (0, 2, 2)]:
+            a = rng.integers(0, q, size=(r, k))
+            b = rng.integers(0, q, size=(k, c))
+            got = f.matmul(a, b)
+            assert got.shape == (r, c) and got.dtype == f.dtype
+            for i in range(r):
+                for j in range(c):
+                    acc = 0
+                    for l in range(k):
+                        acc = f.add_table[acc, f.mul_table[a[i, l], b[l, j]]]
+                    assert int(got[i, j]) == acc, q
+
+
+@pytest.mark.parametrize("q", [2, 4, 256, 3, 9, 243])
+def test_sum_folds_the_add_table_along_each_axis(q):
+    f = build_field(q)
+    x = np.random.default_rng(q).integers(0, q, size=(3, 4, 5))
+    x = x.astype(f.dtype)
+    for axis in range(3):
+        want = np.zeros(np.delete(x.shape, axis), dtype=f.dtype)
+        for part in np.moveaxis(x, axis, 0):
+            want = f.add_table[want, part]
+        got = f.sum(x, axis)
+        assert got.dtype == f.dtype and np.array_equal(got, want)
+    empty = f.sum(np.zeros((2, 0, 3), dtype=f.dtype), 1)
+    assert empty.dtype == f.dtype and empty.tolist() == [[0] * 3] * 2
+
+
+def test_tall_matmul_keeps_no_product_cube():
+    # 20000 x 8 x 30 is far above the gather cap, so the loop over k holds
+    # a few (r, c) arrays at a time, never the r*k*c products (8 times
+    # the output)
+    f = build_field(16)
+    rng = np.random.default_rng(0)
+    a = rng.integers(0, 16, size=(20000, 8)).astype(f.dtype)
+    b = rng.integers(0, 16, size=(8, 30)).astype(f.dtype)
+    assert a.size * b.shape[1] > 1000 * field._GATHER
+    tracemalloc.start()
+    try:
+        out = f.matmul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * out.nbytes
 
 
 def test_matmul_gf4_hand_case():

@@ -45,7 +45,9 @@ on dealings thinned at random so that both verdicts can fail, and on a
 coalition too wide for any int64 pattern key.  ``reconstruct_batch`` on a
 scheme that already keeps a coalition's row reduction is checked against
 the same call with none kept, for every coalition, and ``is_authorized``
-against ``in_span``.
+against ``in_span``.  ``GF.matmul`` is checked byte for byte against the
+elementwise loop it replaced over every field order up to 256, on shapes
+on both sides of its gather cap and of r = q.
 """
 
 import contextlib
@@ -61,7 +63,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from mincodes import analysis, codes, sss, sweep
+from mincodes import analysis, codes, field, sss, sweep
 from mincodes.analysis import (
     AbReport,
     FullValueReport,
@@ -985,6 +987,54 @@ def test_independent_rows_match_greedy_basis(q, data):
 
 
 
+# -- field products --------------------------------------------------------------
+
+PRIME_POWERS = [q for q in range(2, 257) if field._prime_power(q) is not None]
+
+
+def loop_matmul(f, a, b):
+    """The product that the gather and the row loop replaced: per step
+    over k, one elementwise ``mul_table`` lookup and one ``add_table``
+    sum."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=f.dtype)
+    for i in range(a.shape[1]):
+        out = f.add_table[out, f.mul_table[a[:, i][:, None], b[i][None, :]]]
+    return out
+
+
+@st.composite
+def matmul_operands(draw, q, r):
+    """(a, b) of shapes (r, k) and (k, c), each int64 or uint8, with r*k*c
+    at most ``field._GATHER`` or, when r*k > 0 and the draw says so, above
+    it."""
+    k = draw(st.integers(0, 9))
+    if r * k and draw(st.booleans()):
+        low = field._GATHER // (r * k) + 1
+        c = draw(st.integers(low, low + 3))
+    else:
+        c = draw(st.integers(0, min(9, field._GATHER // max(r * k, 1))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dtypes = st.sampled_from([np.int64, np.uint8])
+    return tuple(rng.integers(0, q, size=shape).astype(draw(dtypes))
+                 for shape in ((r, k), (k, c)))
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS)
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_matmul_matches_the_elementwise_loop(q, data):
+    """Every field order: r on both sides of q (and 0 and 1), k and c
+    from 0, and r*k*c on both sides of the gather cap; byte-identical to
+    the loop, in the field's dtype."""
+    f = build_field(q)
+    for r in (0, 1, q - 1, q, q + 1):
+        a, b = data.draw(matmul_operands(q, r), label=f"r={r}")
+        got = f.matmul(a, b)
+        want = loop_matmul(f, a, b)
+        assert (got.dtype, got.shape) == (f.dtype, want.shape)
+        assert got.tobytes() == want.tobytes()
+
+
 # -- batched Massey operations --------------------------------------------------
 
 
@@ -1003,7 +1053,8 @@ def scalar_deal(scheme, secret, seed):
     acc = secret
     for j in range(k):
         if j != pivot:
-            acc = int(f.sub_table[acc, f.mul_table[u[j], col[j]]])
+            term = f.mul_table[u[j], col[j]]
+            acc = int(f.add_table[acc, f.neg_table[term]])
     u[pivot] = int(f.mul_table[acc, f.inv_table[col[pivot]]])
     word = scheme.code.codeword(u)
     return {i: word.values[i - 1] for i in scheme.participants}
