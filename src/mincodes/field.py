@@ -28,9 +28,9 @@ matrix product over a prime field runs in int64 and reduces mod p.  Over
 an extension field it takes its products from ``mul_table`` in one of two
 regimes, by size.  Up to ``_GATHER`` = 4096 products r*k*c, one gather
 makes the (r, k, c) array of them all and one :meth:`GF.sum` adds it over
-k.  Above the cap, a loop over k adds one (r, c) term per step, so no
-temporary is larger than the output; with r >= q each term takes whole
-rows of a (q, c) table of products.
+k.  Above the cap, a loop over k adds one (r, c) term per step, an
+elementwise ``mul_table`` gather, so no temporary is larger than the
+output.
 
 The canonical modulus is found with the same tables.  The monic degree-m
 polynomials are tried in ascending encoding, and the first f whose quotient
@@ -202,8 +202,7 @@ class GF:
         Extension fields go by size: up to ``_GATHER`` products r*k*c, one
         gather of them all from ``mul_table`` and one :meth:`sum` over k;
         above it, a loop over k that adds one (r, c) term per step, so no
-        temporary holds more than r*c entries.  With r >= q a term takes
-        whole rows of the products of b's row (a (q, c) table).
+        temporary holds more than r*c entries.
         """
         a = np.asarray(a)
         b = np.asarray(b)
@@ -217,11 +216,7 @@ class GF:
             return self.sum(self.mul_table[a[:, :, None], b[None]], axis=1)
         out = np.zeros((r, c), dtype=self.dtype)
         for i in range(k):
-            if r >= self.q:
-                term = self.mul_table[:, b[i]][a[:, i]]
-            else:
-                term = self.mul_table[a[:, i, None], b[i]]
-            out = self.add(out, term)
+            out = self.add(out, self.mul_table[a[:, i, None], b[i]])
         return out
 
     # -- identity ------------------------------------------------------------

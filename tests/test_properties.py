@@ -993,9 +993,8 @@ PRIME_POWERS = [q for q in range(2, 257) if field._prime_power(q) is not None]
 
 
 def loop_matmul(f, a, b):
-    """The product that the gather and the row loop replaced: per step
-    over k, one elementwise ``mul_table`` lookup and one ``add_table``
-    sum."""
+    """The product that the gather replaced: per step over k, one
+    elementwise ``mul_table`` lookup and one ``add_table`` sum."""
     out = np.zeros((a.shape[0], b.shape[1]), dtype=f.dtype)
     for i in range(a.shape[1]):
         out = f.add_table[out, f.mul_table[a[:, i][:, None], b[i][None, :]]]
@@ -1023,9 +1022,9 @@ def matmul_operands(draw, q, r):
 @settings(max_examples=8, deadline=None, database=None, derandomize=True)
 @given(data=st.data())
 def test_matmul_matches_the_elementwise_loop(q, data):
-    """Every field order: r on both sides of q (and 0 and 1), k and c
-    from 0, and r*k*c on both sides of the gather cap; byte-identical to
-    the loop, in the field's dtype."""
+    """Every field order: r among 0, 1 and q - 1 to q + 1, k and c from 0,
+    and r*k*c on both sides of the gather cap; byte-identical to the loop,
+    in the field's dtype."""
     f = build_field(q)
     for r in (0, 1, q - 1, q, q + 1):
         a, b = data.draw(matmul_operands(q, r), label=f"r={r}")
