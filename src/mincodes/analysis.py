@@ -24,7 +24,8 @@ ranked again on all of them.
 
 Every whole-code fact comes from that rank pass, run only by ``_walk``,
 which also counts the classes by coefficient and codeword weight and
-finds the first class that misses a field value.  The generator is
+finds the first class that misses a field value; only the words a report
+shows are decoded from class indices (``_class_rows``).  The generator is
 read-only, so the results, each class's verdict among them, are kept in
 the code's memo and read by every whole-code check after its budget
 check; ``minimal_codewords`` and the ``sss`` dual path read the verdict.
@@ -194,26 +195,14 @@ def _first_cover(rows, bad: np.ndarray, classes: int):
     raise AssertionError("a non-minimal class covers another")  # unreachable
 
 
-def _full_value_failure(u: np.ndarray, v: np.ndarray, q: int):
-    """The report for the block's first class that misses a field value,
-    or None when every class takes all q values."""
-    ok = np.ones(len(v), dtype=bool)
-    for val in range(q):
-        ok &= (v == val).any(axis=1)
-    if ok.all():
-        return None
-    i = int(np.nonzero(~ok)[0][0])
-    word = _as_word(v[i], u[i])
-    return FullValueReport(False, word, tuple(sorted(set(word.values))))
-
-
 def _walk(code: LinearCode, budget: int) -> dict:
     """The code's memo, after the budget check.  The first call walks the
     classes and keeps ``minimal`` (the rank test's verdict, one bool per
-    class in canonical order), ``full_value`` (scaling permutes the field
-    values, so one word per class decides it) and ``strata``, a (k+1, n+1)
-    array of class counts by coefficient weight s and codeword weight;
-    ``is_minimal_code`` adds ``minimality`` when it is first asked.
+    class in canonical order), ``full_value`` (the index of the first class
+    that misses a field value, or None: a class takes 0 iff its weight is
+    below n) and ``strata``, a (k+1, n+1) array of class counts by
+    coefficient weight s and codeword weight; ``is_minimal_code`` adds
+    ``minimality`` when it is first asked.
 
     Each block's slice (see the module docstring), padded with the zero
     column n, is gathered by width rounds of argmin when 2**width <= n,
@@ -228,8 +217,8 @@ def _walk(code: LinearCode, budget: int) -> dict:
     rank = column_ranks(code.field, code.gen.data)
     masks = []
     strata = np.zeros((k + 1) * (n + 1), dtype=np.int64)
-    full_value = FullValueReport(True, None, None)
-    for u, v in projective_blocks(code, budget):
+    missing = None
+    for s, v in projective_blocks(code, budget):
         supp = v != 0
         w = supp.sum(axis=1)
         zeros = n - w
@@ -241,12 +230,15 @@ def _walk(code: LinearCode, budget: int) -> dict:
         if again.any():
             rest = idx[again] if by_sort else _sorted_zeros(supp[again])
             ok[again] = rank(rest[:, :zeros[again].max()]) == k - 1
-        masks.append(ok)
-        s = np.count_nonzero(u, axis=1)
         strata += np.bincount(s * (n + 1) + w, minlength=strata.size)
-        if full_value.holds:
-            full_value = _full_value_failure(u, v, code.q) or full_value
-    memo.update(minimal=np.concatenate(masks), full_value=full_value,
+        if missing is None:
+            full = zeros > 0
+            for value in range(1, code.q):
+                full &= (v == value).any(axis=1)
+            if not full.all():
+                missing = sum(map(len, masks)) + int(full.argmin())
+        masks.append(ok)
+    memo.update(minimal=np.concatenate(masks), full_value=missing,
                 strata=strata.reshape(k + 1, n + 1))
     return memo
 
@@ -337,5 +329,11 @@ def ab_condition(code: LinearCode, budget: int = DEFAULT_BUDGET) -> AbReport:
 
 def has_full_value_property(code: LinearCode,
                             budget: int = DEFAULT_BUDGET) -> FullValueReport:
-    """Check that every nonzero codeword realizes all q field values."""
-    return _walk(code, budget)["full_value"]
+    """Check that every nonzero codeword realizes all q field values (one
+    word per class decides it, since scaling permutes the values)."""
+    missing = _walk(code, budget)["full_value"]
+    if missing is None:
+        return FullValueReport(True, None, None)
+    u, v = _class_rows(code, np.array([missing]))
+    word = _as_word(v[0], u[0])
+    return FullValueReport(False, word, tuple(sorted(set(word.values))))

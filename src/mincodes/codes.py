@@ -5,9 +5,9 @@ are enumerated in the canonical order of their coefficient vectors (read as
 base-q integers, first coefficient most significant), so every stream,
 distribution, and report derived from enumeration is deterministic.  Every
 walk goes through ``codeword_blocks`` (all q^k words) or, for checks that
-scaling cannot change, ``projective_blocks`` (one word per scalar class).
-Single classes, or any set of them, are decoded from their index in that
-canonical order by ``_class_coeffs``, with no walk.
+scaling cannot change, ``projective_blocks`` (one word per scalar class,
+with its coefficient weight).  Coefficient rows of any set of classes are
+decoded from their index in that canonical order by ``_class_coeffs``.
 
 Both build words by outer sums instead of multiplying coefficient rows by
 G.  The span T of the tail (the last t rows of G, t >= 1, with q^t <=
@@ -19,10 +19,9 @@ plus all of T is then q^t consecutive words.  A lead-1 representative
 whose lead j lies in the tail is e_j.G plus the span of rows j+1..k-1,
 that is rows [q^i, 2q^i) of T with i = k-1-j; these come first, in one
 block, and then each lead-1 head (from the same construction on the head
-rows) plus all of T.  Their coefficients are decoded from the class
-indices by ``_class_coeffs``, the one statement of that order.  Sums go
-through ``GF.add``; no block holds more than max(_CHUNK, q) words or
-max(_ENTRIES, q * n) entries.
+rows) plus all of T; coefficient weights follow the same outer sums.
+Sums go through ``GF.add``; no block holds more than max(_CHUNK, q) words
+or max(_ENTRIES, q * n) entries.
 
 Exhaustive operations refuse to run past a word budget (default 10**7
 codewords) instead of silently taking forever; like every budget in the
@@ -145,20 +144,24 @@ def _span(field: GF, rows: np.ndarray) -> np.ndarray:
 
 
 def _lead_one_blocks(field: GF, gen: np.ndarray):
-    """The words of every lead-1 combination of gen's rows, in canonical
-    order.  Leads in the last t rows come first, as one block of slices
-    of their span T; then each lead-1 combination of the rows above (in
-    canonical order, from this same generator) plus every row of T."""
+    """(coefficient weights, words) of every lead-1 combination of gen's
+    rows, in canonical order.  Leads in the last t rows come first, as one
+    block of slices of their span T; then each lead-1 combination of the
+    rows above (in canonical order, from this same generator) plus T."""
     q, (k, n) = field.q, gen.shape
     t = _tail_rows(q, k, n)
     h = k - t
     span = _span(field, gen[h:])
-    yield np.vstack([span[q**j:2 * q**j] for j in range(t)])
+    s = np.zeros(1, dtype=np.int64)  # coefficient weights of T, as _span
+    for _ in range(t):
+        s = ((np.arange(q) > 0)[:, None] + s).ravel()
+    lead = np.concatenate([np.arange(q**j, 2 * q**j) for j in range(t)])
+    yield s[lead], span[lead]
     if h == 0:
         return
-    for values in _lead_one_blocks(field, gen[:h]):
-        for v in values:
-            yield field.add(v, span)
+    for weights, values in _lead_one_blocks(field, gen[:h]):
+        for c, v in zip(weights, values):
+            yield c + s, field.add(v, span)
 
 
 def _class_coeffs(q: int, k: int, index: np.ndarray) -> np.ndarray:
@@ -185,18 +188,14 @@ def codeword_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
 
 
 def projective_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
-    """One codeword per scalar class, as (coeff block, value block).
+    """One codeword per scalar class, as (coefficient weights, words).
 
     Representatives have first nonzero coefficient 1, which makes each the
-    first word of its class in canonical coefficient order; each block's
-    coefficients are decoded from its class indices by ``_class_coeffs``.
+    first word of its class in canonical coefficient order.  No coefficient
+    row is built; ``analysis._class_rows`` decodes those a report shows.
     """
     _spend(code.size, budget, "words")
-    start = 0
-    for values in _lead_one_blocks(code.field, code.gen.data):
-        stop = start + len(values)
-        yield _class_coeffs(code.q, code.k, np.arange(start, stop)), values
-        start = stop
+    yield from _lead_one_blocks(code.field, code.gen.data)
 
 
 @dataclass(frozen=True)

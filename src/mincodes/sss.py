@@ -160,7 +160,6 @@ class PerfectnessReport:
     subset: tuple[int, ...]
     authorized: bool
     ok: bool
-    patterns: int
 
 
 def deal_batch(scheme: SssScheme, secrets, seeds=None) -> list[ShareVector]:
@@ -391,13 +390,11 @@ def perfectness_batch(scheme: SssScheme, subsets,
             auth = authorized[start:start + step]
             good = np.where(auth[owner], one, even)
             failed = np.bincount(owner[~good], minlength=len(part))
-            patterns = np.bincount(owner, minlength=len(part))
             for j, i in enumerate(which[start:start + step]):
                 reports[i] = PerfectnessReport(
                     subset=tuple(sorted(subsets[i])),
                     authorized=bool(auth[j]),
                     ok=not failed[j],
-                    patterns=int(patterns[j]),
                 )
     return reports
 

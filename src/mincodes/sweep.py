@@ -40,8 +40,8 @@ import numpy as np
 
 from .analysis import (ab_condition, has_full_value_property,
                        is_minimal_code, weight_strata)
-from .codes import (DEFAULT_BUDGET, LinearCode, dual_code, min_max_weight,
-                    projective_blocks, random_code, weight_distribution)
+from .codes import (DEFAULT_BUDGET, LinearCode, codeword_blocks,
+                    min_max_weight, random_code, weight_distribution)
 from .constructions import (cf_code, cg_code, comb0, extended, first, lift,
                             predicted_dprime_weights, predicted_second_bound,
                             predicted_ws, second, tensor_product, weight_s)
@@ -309,12 +309,15 @@ def _extended_case_counterexample(code, t, q, budget):
     """First codeword violating the split weight formula, or None.
 
     The formula under test assigns w_s to a combination of s rows whose
-    first coefficient is zero and w_s + (q-1) otherwise.
+    first coefficient is zero and w_s + (q-1) otherwise; both sides are
+    scale-invariant, so the first failing word has lead coefficient 1.
     """
-    for block, values in projective_blocks(code, budget):
+    for block, values in codeword_blocks(code, budget):
         w = np.count_nonzero(values, axis=1)
         cw = np.count_nonzero(block, axis=1)
         for u, got, s in zip(block, w, cw):
+            if not s:
+                continue  # the zero word
             want = predicted_ws(int(s), t, q) + (q - 1 if u[0] else 0)
             if int(got) != want:
                 return tuple(int(x) for x in u), int(got), want

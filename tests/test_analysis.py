@@ -21,9 +21,9 @@ from mincodes.analysis import (
     minimal_codewords,
     weight_strata,
 )
-from mincodes.codes import DEFAULT_BUDGET, Codeword, LinearCode, \
-    min_max_weight, random_code, weight_distribution
-from mincodes.constructions import first, second
+from mincodes.codes import DEFAULT_BUDGET, LinearCode, min_max_weight, \
+    random_code, weight_distribution
+from mincodes.constructions import extended, first, second
 from mincodes.matrix import GFMatrix, write_matrix
 from mincodes.sss import SssScheme, minimal_authorized_sets
 
@@ -117,11 +117,11 @@ def test_minimal_codewords_match_oracle(q, rows):
 def test_is_minimal_codeword_agrees(q, rows):
     code = make_code(q, rows)
     rep_values = {w.values for w in minimal_codewords(code)}
-    from mincodes.analysis import projective_blocks
-    for ublock, vblock in projective_blocks(code):
-        for u, v in zip(ublock, vblock):
-            word = Codeword(tuple(map(int, u)), tuple(map(int, v)))
-            assert is_minimal_codeword(code, word) == (word.values in rep_values)
+    # every class, from its coefficient row decoded by index
+    classes = (code.size - 1) // (q - 1)
+    for u in codes._class_coeffs(q, code.k, np.arange(classes)):
+        word = code.codeword(u)
+        assert is_minimal_codeword(code, word) == (word.values in rep_values)
 
 
 def test_minimal_code_returns_every_class():
@@ -286,6 +286,46 @@ def test_memoised_checks_walk_nothing():
     assert counts == {}
     with pytest.raises(BudgetExceeded):
         is_minimal_code(code, budget=code.size - 1)
+
+
+@contextlib.contextmanager
+def counted_decodes():
+    """Count the calls of codes._class_coeffs, wherever it is bound, and
+    the coefficient rows they decode."""
+    counts = Counter()
+    real = codes._class_coeffs
+
+    def decode(q, k, index):
+        counts["calls"] += 1
+        counts["rows"] += len(index)
+        return real(q, k, index)
+
+    with mock.patch.object(codes, "_class_coeffs", decode), \
+            mock.patch.object(analysis, "_class_coeffs", decode):
+        yield counts
+
+
+def test_the_walk_decodes_no_coefficient_row():
+    # extended(3,3) is minimal and full-valued, so no report shows a word
+    code = extended(3, 3)
+    with counted_decodes() as counts:
+        assert is_minimal_code(code).is_minimal
+        weight_distribution(code)
+        weight_strata(code)
+        assert has_full_value_property(code).holds
+    assert counts == {}
+
+
+def test_a_full_value_witness_decodes_one_row():
+    # [4,2]_3: the first class, (0,1,1,2), takes every value; the second,
+    # (1,0,1,1), misses 2
+    code = make_code(3, [[1, 0, 1, 1], [0, 1, 1, 2]])
+    with counted_decodes() as counts:
+        report = has_full_value_property(code)
+    assert counts == {"calls": 1, "rows": 1}
+    assert report.witness.coeffs == (1, 0)
+    assert report.witness.values == (1, 0, 1, 1)
+    assert report.witness_values == (0, 1)
 
 
 @contextlib.contextmanager

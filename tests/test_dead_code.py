@@ -1,19 +1,24 @@
 """Every name the package defines has a caller.
 
-A name is read when it is loaded, taken as an attribute or imported.  The
-check goes by name only, so a use of another module's namesake counts
-too, and dunders are exempt.
+A name is read when it is loaded, as a bare name or an attribute, or
+imported.  The check goes by name only, so a use of another module's
+namesake counts too, and dunders are exempt.
 
-A private module-level function, class or constant (its name starts with
-``_``) can only be used inside the package, so it must be read somewhere
-in ``src/mincodes`` outside its own definition.
+An attribute of a module-level class is a field of a dataclass or a
+``self.x`` assigned in ``__init__``; an assignment to it is not a read.
 
-A public module-level function, class or constant, and a public method of
-any module-level class, must be read in ``src/mincodes`` outside its own
-definition or in a demo, be named in a code span or block of the README,
-or sit on ``ALLOWED`` with a reason.  The re-exports in ``__init__.py`` and
-its ``__all__`` are not uses, and a method counts only reads as an
-attribute, since a bare name never reaches it.
+A private module-level function, class or constant, or a private method
+or attribute (its name starts with ``_``) can only be used inside the
+package, so it must be read somewhere in ``src/mincodes`` outside its own
+definition.
+
+A public module-level function, class or constant, and a public method or
+attribute of any module-level class, must be read in ``src/mincodes``
+outside its own definition or in a demo, be named in a code span or block
+of the README, or sit on ``ALLOWED`` with a reason.  The re-exports in
+``__init__.py`` and its ``__all__`` are not uses, and a method or
+attribute counts only reads as an attribute, since a bare name never
+reaches it.
 
 Both checks run to a fixpoint: they run again with each flagged
 definition dropped until they flag nothing new, so a name that only dead
@@ -59,29 +64,58 @@ def methods(tree):
                     yield f"{cls}.{item.name}", item
 
 
+def attributes(tree):
+    """(Class.name, node) for each field of a module-level dataclass and
+    each ``self.name`` assigned in the ``__init__`` of a module-level
+    class, node being the assignment."""
+    for cls, node in definitions(tree):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if is_dataclass(node) and isinstance(item, ast.AnnAssign) \
+                    and isinstance(item.target, ast.Name):
+                yield f"{cls}.{item.target.id}", item
+            elif getattr(item, "name", None) == "__init__":
+                for stmt in ast.walk(item):
+                    for target in self_targets(stmt):
+                        yield f"{cls}.{target.attr}", stmt
+
+
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(getattr(getattr(d, "func", d), "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def self_targets(stmt):
+    """The ``self.x`` targets of an assignment statement."""
+    targets = (stmt.targets if isinstance(stmt, ast.Assign)
+               else [stmt.target] if isinstance(stmt, ast.AnnAssign) else [])
+    return [t for t in targets if isinstance(t, ast.Attribute)
+            and isinstance(t.value, ast.Name) and t.value.id == "self"]
+
+
 def uses(tree):
-    """How often each name is read in tree: loaded, taken as an
-    attribute or imported."""
-    found = Counter()
+    """How often each name is read in tree: loaded, as a bare name or an
+    attribute, or imported."""
+    found = attribute_uses(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            found[node.attr] += 1
         elif isinstance(node, ast.ImportFrom):
             found.update(alias.name for alias in node.names)
     return found
 
 
 def attribute_uses(tree):
-    """How often each name is taken as an attribute in tree."""
+    """How often each name is loaded as an attribute in tree."""
     return Counter(node.attr for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute))
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load))
 
 
 def dropped(sources: dict[str, str], names) -> dict[str, str]:
     """sources without the definitions of names (module.name or
-    module.Class.method); an assignment goes when all its targets do."""
+    module.Class.member); an assignment goes when all its targets do."""
     out = {}
     for module, text in sources.items():
         tree = ast.parse(text)
@@ -95,11 +129,39 @@ def dropped(sources: dict[str, str], names) -> dict[str, str]:
                      or not targets[id(node)] <= gone]
         for cls in tree.body:
             if isinstance(cls, ast.ClassDef):
-                cls.body = [item for item in cls.body
-                            if f"{cls.name}.{getattr(item, 'name', '')}"
-                            not in gone] or [ast.Pass()]
+                drop = DropSelfTargets(cls.name, gone)
+                cls.body = [drop.visit(item) for item in cls.body
+                            if f"{cls.name}.{member(item)}" not in gone] \
+                    or [ast.Pass()]
         out[module] = ast.unparse(tree)
     return out
+
+
+def member(item) -> str:
+    """The name a class-body item defines: a function, class or field."""
+    return getattr(item, "name", getattr(getattr(item, "target", None),
+                                         "id", ""))
+
+
+class DropSelfTargets(ast.NodeTransformer):
+    """Take the ``self.x`` targets of Class.x in gone off the assignments
+    of an ``__init__``; an assignment left with none becomes ``pass``."""
+
+    def __init__(self, cls, gone):
+        self.gone = {name.partition(".")[2] for name in gone
+                     if name.partition(".")[0] == cls}
+
+    def visit_FunctionDef(self, node):
+        return self.generic_visit(node) if node.name == "__init__" else node
+
+    def visit_Assign(self, node):
+        node.targets = [t for t in node.targets if t not in self_targets(node)
+                        or t.attr not in self.gone]
+        return node if node.targets else ast.Pass()
+
+    def visit_AnnAssign(self, node):
+        return ast.Pass() if self_targets(node) and \
+            node.target.attr in self.gone else node
 
 
 def to_fixpoint(find, sources, *args):
@@ -115,29 +177,44 @@ def to_fixpoint(find, sources, *args):
 
 
 def unused_private_names(sources: dict[str, str]) -> list[str]:
-    """module.name for each private module-level name with no use, to a
-    fixpoint."""
+    """module.name or module.Class.attribute for each private module-level
+    name or attribute with no use, to a fixpoint."""
     return to_fixpoint(_unused_private_names, sources)
 
 
 def _unused_private_names(sources):
     trees = {module: ast.parse(text) for module, text in sources.items()}
-    counts = {module: uses(tree) for module, tree in trees.items()}
+    return unread(trees, list(trees.values()),
+                  lambda name: name.startswith("_"))
+
+
+def unread(trees, readers, checked):
+    """module.qualname for each module-level name, method or attribute in
+    trees whose last part passes checked and that no tree in readers
+    reads outside its own definition, a method or attribute as an
+    attribute; each once, in the order of trees."""
+    totals = {reads: sum((reads(tree) for tree in readers), Counter())
+              for reads in (uses, attribute_uses)}
     unused = []
     for module, tree in trees.items():
-        for name, node in definitions(tree):
-            if not name.startswith("_") or name.startswith("__"):
+        found = [(name, node, uses) for name, node in definitions(tree)]
+        found += [(name, node, attribute_uses)
+                  for members in (methods, attributes)
+                  for name, node in members(tree)]
+        for qualname, node, reads in found:
+            name = qualname.rpartition(".")[2]
+            if name.startswith("__") or not checked(name):
                 continue
-            total = sum(c[name] for c in counts.values())
-            if total == uses(node)[name]:  # only inside its own definition
-                unused.append(f"{module}.{name}")
-    return unused
+            if totals[reads][name] == reads(node)[name]:
+                unused.append(f"{module}.{qualname}")
+    return list(dict.fromkeys(unused))
 
 
 def unused_public_names(sources: dict[str, str], outside=(),
                         named=frozenset()) -> list[str]:
-    """module.name or module.Class.method for each public module-level name
-    or method that is not in named and that neither a module but
+    """module.name or module.Class.member for each public module-level
+    name, method or attribute that is not in named and that neither a
+    module but
     ``__init__``, outside its own definition, nor a tree in outside
     reads, to a fixpoint."""
     return to_fixpoint(_unused_public_names, sources, outside, named)
@@ -146,20 +223,8 @@ def unused_public_names(sources: dict[str, str], outside=(),
 def _unused_public_names(sources, outside, named):
     trees = {module: ast.parse(text) for module, text in sources.items()}
     readers = [tree for module, tree in trees.items() if module != "__init__"]
-    readers += outside
-    totals = {reads: sum((reads(tree) for tree in readers), Counter())
-              for reads in (uses, attribute_uses)}
-    unused = []
-    for module, tree in trees.items():
-        found = [(name, node, uses) for name, node in definitions(tree)]
-        found += [(name, node, attribute_uses) for name, node in methods(tree)]
-        for qualname, node, reads in found:
-            name = qualname.rpartition(".")[2]
-            if name.startswith("_") or name in named:
-                continue
-            if totals[reads][name] == reads(node)[name]:
-                unused.append(f"{module}.{qualname}")
-    return unused
+    return unread(trees, readers + list(outside),
+                  lambda name: not name.startswith("_") and name not in named)
 
 
 def package_sources() -> dict[str, str]:
@@ -235,3 +300,38 @@ def test_an_unused_public_method_is_found():
     # only by __init__; shown is named in the README
     assert unused_public_names(sources, [demo], {"shown"}) == [
         "a.exported", "a.Box.get", "a.Box.size"]
+
+
+def test_an_unread_attribute_is_found():
+    sources = {
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass(frozen=True)\n"
+             "class Report:\n"
+             "    ok: bool\n"
+             "    count: int\n"
+             "    shown: int\n"
+             "    _note: str\n"
+             "class Box:\n"
+             "    limit: int = 3\n"
+             "    def __init__(self, n):\n"
+             "        self.n = self.size = n\n"
+             "        self._spare = _pad()\n"
+             "        if n:\n"
+             "            self._cache: dict = {}\n"
+             "        self.read = 0\n"
+             "    def get(self):\n"
+             "        self.size = 2\n"
+             "        return self.n\n"
+             "def _pad():\n    return 0\n"
+             "def make():\n"
+             "    return Box(1).get(), Report(True, 0, 0, '').ok\n",
+        "b": "from .a import make\nx = make()\nx.read\n",
+    }
+    # size is only assigned, count only passed to the constructor, shown
+    # is named in the README; a plain class's class attribute (limit) is
+    # not checked
+    assert unused_public_names(sources, [], {"shown"}) == [
+        "a.Report.count", "a.Box.size"]
+    # _pad is read only by the assignment of the unread _spare
+    assert unused_private_names(sources) == [
+        "a.Report._note", "a.Box._spare", "a.Box._cache", "a._pad"]

@@ -6,10 +6,14 @@ generator checks) and n <= 7, and every enumeration runs with a small
 ``codes._CHUNK`` drawn per example, so block boundaries fall anywhere in
 the canonical order.  Both generators are checked byte for byte against
 the filter-then-``GF.matmul`` enumeration they replaced, and for their
-block sizes (in words and in entries) and budget check, and the canonical class order decoded by
-``codes._class_coeffs``, on arrays of indices, and the words that
-``analysis._class_rows`` makes of them, against ``projective_blocks``
-over every field drawn here.  The rank test of
+block sizes (in words and in entries) and budget check.  The coefficient
+weights ``projective_blocks`` yields are checked against the rows
+``codes._class_coeffs`` decodes, and its words byte for byte against the
+walk that decoded those rows, with ``_CHUNK`` and ``_ENTRIES`` small.  The
+canonical class order decoded by ``_class_coeffs``, on arrays of indices,
+and the words that ``analysis._class_rows`` makes of them, are checked
+against the lead-1 rows of ``codeword_blocks`` over every field drawn
+here.  The rank test of
 minimality is checked against the pairwise cover scan it replaced (kept
 here as the oracle, and itself checked on random support matrices up to
 300 columns wide) on codes with k = 1, with zero columns and with a class
@@ -172,6 +176,36 @@ def concatenated(blocks):
     return tuple(np.concatenate([b[i] for b in blocks]) for i in (0, 1))
 
 
+def lead_one_rows(code):
+    """(coeffs, values) of the lead-1 rows of ``codeword_blocks``: one word
+    per scalar class, in canonical order."""
+    u, v = concatenated(codeword_blocks(code))
+    keep = u[np.arange(len(u)), (u != 0).argmax(axis=1)] == 1
+    return u[keep], v[keep]
+
+
+def parent_projective_blocks(code):
+    """The class walk before it yielded coefficient weights: the same
+    words, with each block's coefficient rows decoded from its class
+    indices."""
+    def lead_one_blocks(f, gen):
+        q, (k, n) = f.q, gen.shape
+        t = codes._tail_rows(q, k, n)
+        h = k - t
+        span = codes._span(f, gen[h:])
+        yield np.vstack([span[q**j:2 * q**j] for j in range(t)])
+        if h:
+            for values in lead_one_blocks(f, gen[:h]):
+                for v in values:
+                    yield f.add(v, span)
+
+    start = 0
+    for values in lead_one_blocks(code.field, code.gen.data):
+        index = np.arange(start, start + len(values))
+        yield codes._class_coeffs(code.q, code.k, index), values
+        start += len(values)
+
+
 @SETTINGS
 @given(small_codes(), chunks)
 def test_codeword_blocks_match_codeword(code, chunk):
@@ -184,9 +218,11 @@ def test_codeword_blocks_match_codeword(code, chunk):
 @given(small_codes(), chunks)
 def test_projective_blocks_are_lead_one_rows(code, chunk):
     with small_chunks(chunk):
-        got = flatten(projective_blocks(code))
+        got = [(int(s), tuple(v.tolist()))
+               for weights, values in projective_blocks(code)
+               for s, v in zip(weights, values)]
         stream = flatten(codeword_blocks(code))
-    assert got == [(u, v) for u, v in stream if lead(u) == 1]
+    assert got == [(sum(map(bool, u)), v) for u, v in stream if lead(u) == 1]
 
 
 @SETTINGS
@@ -196,9 +232,40 @@ def test_generators_match_filter_then_matmul(code, chunk):
         with small_chunks(chunk):
             got = concatenated(gen(code))
         want = concatenated(filtered_blocks(code, lead_one))
+        if lead_one:  # coefficient weights, not rows
+            want = np.count_nonzero(want[0], axis=1), want[1]
         for g, w in zip(got, want):
             assert (g.dtype, g.shape) == (w.dtype, w.shape)
             assert g.tobytes() == w.tobytes()
+
+
+def test_coefficient_weights_match_decoded_rows():
+    """With ``_CHUNK`` and ``_ENTRIES`` drawn small, so that the tail T is
+    short and the head above it is split again: ``projective_blocks``
+    yields the parent walk's blocks, its words byte for byte, and each
+    weight is the coefficient weight of its class's row decoded by
+    ``_class_coeffs``."""
+    counts = Counter()
+
+    @SETTINGS
+    @given(small_codes(max_k=5), chunks, st.integers(1, 64))
+    def check(code, chunk, entries):
+        with small_chunks(chunk), \
+                mock.patch.object(codes, "_ENTRIES", entries):
+            got = list(projective_blocks(code))
+            want = list(parent_projective_blocks(code))
+            h = code.k - codes._tail_rows(code.q, code.k, code.n)
+            counts["split"] += h > 0
+            counts["split again"] += h > codes._tail_rows(code.q, h, code.n)
+        assert len(got) == len(want)
+        for (weights, values), (coeffs, old) in zip(got, want):
+            assert (values.dtype, values.shape) == (old.dtype, old.shape)
+            assert values.tobytes() == old.tobytes()
+            assert weights.dtype == np.int64
+            assert np.array_equal(weights, np.count_nonzero(coeffs, axis=1))
+
+    check()
+    assert counts["split"] > counts["split again"] > 0, counts
 
 
 @SETTINGS
@@ -337,9 +404,7 @@ def pairwise_minimality(code, row_block):
     """(mask, witness, pairs) by the pairwise cover scan: class j is
     minimal when no other class's support lies inside its own, and the
     witness is the first covered pair in row-major order."""
-    blocks = list(projective_blocks(code))
-    u = np.vstack([b[0] for b in blocks])
-    v = np.vstack([b[1] for b in blocks])
+    u, v = lead_one_rows(code)
     classes = len(v)
     minimal = np.ones(classes, dtype=bool)
     witness, pairs = None, 0
@@ -468,7 +533,7 @@ def test_rank_mask_matches_pairwise_oracle(q, data, chunk, row_block):
         assert report.witness == witness
         assert report.pairs_checked == pairs
         assert report.classes == len(want)
-        reps = flatten(projective_blocks(code))
+        reps = flatten([lead_one_rows(code)])
         assert [(w.coeffs, w.values) for w in words] == \
             [r for r, ok in zip(reps, want) if ok]
 
@@ -499,17 +564,12 @@ def walk_weight_distribution(code):
 
 
 def walk_full_value(code):
-    """The full-value verdict by a walk that stops at the first class
-    missing a field value."""
-    for ublock, vblock in projective_blocks(code):
-        ok = np.ones(len(vblock), dtype=bool)
-        for val in range(code.q):
-            ok &= (vblock == val).any(axis=1)
-        if not ok.all():
-            i = int(np.nonzero(~ok)[0][0])
-            word = analysis._as_word(vblock[i], ublock[i])
-            return FullValueReport(False, word,
-                                   tuple(sorted(set(word.values))))
+    """The full-value verdict from the first lead-1 word that misses a
+    field value, every value compared."""
+    for u, v in flatten([lead_one_rows(code)]):
+        if len(set(v)) < code.q:
+            return FullValueReport(False, Codeword(u, v),
+                                   tuple(sorted(set(v))))
     return FullValueReport(True, None, None)
 
 
@@ -557,7 +617,7 @@ def whole_code_oracles(code):
         min_max_weight: (w_min, w_max),
         has_full_value_property: walk_full_value(fresh),
         minimal_codewords: [Codeword(*r) for r, ok in zip(
-            flatten(projective_blocks(fresh)), mask) if ok],
+            flatten([lead_one_rows(fresh)]), mask) if ok],
     }
 
 
@@ -674,14 +734,18 @@ def test_slice_rank_mask_matches_full_width(q):
 
 def test_class_coeffs_index_projective_blocks():
     """Decoded all at once, one at a time and at a random subset of
-    indices, in any order, across block boundaries, over every field of
-    FIELDS; ``_class_rows`` gives the words of the same classes."""
+    indices, in any order, over every field of FIELDS, against the lead-1
+    rows of ``codeword_blocks``, whose words ``projective_blocks`` yields
+    across block boundaries; ``_class_rows`` gives the words of the same
+    classes."""
     for q in FIELDS:
         @SETTINGS
         @given(small_codes(max_k=5, fields=(q,)), chunks, st.data())
         def check(code, chunk, data):
+            u, v = lead_one_rows(code)
             with small_chunks(chunk):
-                u, v = map(np.vstack, zip(*projective_blocks(code)))
+                walked = np.vstack([v for _, v in projective_blocks(code)])
+            assert np.array_equal(walked, v)
             k = code.k
             assert np.array_equal(
                 codes._class_coeffs(q, k, np.arange(len(u))), u)
@@ -720,9 +784,9 @@ def class_walk_minimal(code, values) -> bool:
 @given(small_codes(max_k=3), st.data())
 def test_is_minimal_codeword_matches_class_walk(code, data):
     f = code.field
-    for _, v in flatten(projective_blocks(code)):
+    for v in np.vstack([v for _, v in projective_blocks(code)]):
         lam = data.draw(st.integers(1, f.q - 1))
-        word = f.mul_table[lam, np.array(v)]
+        word = f.mul_table[lam, v]
         assert is_minimal_codeword(code, word) == \
             class_walk_minimal(code, word.astype(np.int64))
 
@@ -1204,7 +1268,7 @@ def perfectness_oracle(scheme, subset, values):
     else:
         ok = bool(np.all(table == table[:, :1]) and np.all(table[:, 0] > 0))
     return PerfectnessReport(subset=tuple(sorted(ids)),
-                             authorized=authorized, ok=ok, patterns=n_groups)
+                             authorized=authorized, ok=ok)
 
 
 def all_values(code):

@@ -349,13 +349,13 @@ def test_access_budget_must_be_an_integer(f33, method, budget):
 
 def test_perfectness_frozen(f22):
     rep = perfectness_check(f22, {3})
-    assert not rep.authorized and rep.ok and rep.patterns == 2
+    assert not rep.authorized and rep.ok
 
     rep = perfectness_check(f22, {2, 3})
-    assert rep.authorized and rep.ok and rep.patterns == 4
+    assert rep.authorized and rep.ok
 
     rep = perfectness_check(f22, set())
-    assert not rep.authorized and rep.ok and rep.patterns == 1
+    assert not rep.authorized and rep.ok
 
 
 def test_perfectness_batch_keeps_input_order(f22):
