@@ -202,9 +202,6 @@ def projective_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
 class WeightDistribution:
     """Codeword count per Hamming weight (the zero word included at 0)."""
 
-    q: int
-    n: int
-    k: int
     counts: dict[int, int]
 
     def min_nonzero(self) -> int:
@@ -229,9 +226,7 @@ def weight_distribution(code: LinearCode,
     counts = per_class * (code.q - 1)  # a class's q-1 words share its weight
     counts[0] = 1  # the zero word
     return WeightDistribution(
-        q=code.q, n=code.n, k=code.k,
-        counts={int(w): int(c) for w, c in enumerate(counts) if c},
-    )
+        {int(w): int(c) for w, c in enumerate(counts) if c})
 
 
 def min_max_weight(code: LinearCode,

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import has_full_value_property, is_minimal_code
+from .analysis import _walk
 from .codes import DEFAULT_BUDGET, LinearCode
 from .errors import BadParams, PreconditionFailed, _int, _ints, _spend
 from .field import build_field
@@ -126,9 +126,10 @@ def lift(code: LinearCode, s: int, budget: int = DEFAULT_BUDGET) -> LinearCode:
     s = _int(s, "s")
     if s < 1:
         raise BadParams(f"lift needs s >= 1, got {s}")
-    if not is_minimal_code(code, budget).is_minimal:
+    memo = _walk(code, budget)  # verdicts only: no witness scan, no decode
+    if not memo["minimal"].all():
         raise PreconditionFailed("lift base code is not minimal")
-    if not has_full_value_property(code, budget).holds:
+    if memo["full_value"] is not None:
         raise PreconditionFailed(
             "lift base code has a codeword that misses some field value"
         )

@@ -13,7 +13,11 @@ checks as plain ``(check, passed, detail[, paper_discrepancy])`` tuples.
 One driver, ``_collect``, attaches the label to each tuple. A
 ``BudgetExceeded`` raised in a body ends that instance only: the checks
 it already yielded are kept, a failed ``budget`` check follows them, and
-the driver goes on to the next instance.
+the driver goes on to the next instance. The codes a sweep builds live
+in one registry, a plain dict from label to ``LinearCode``, which
+criterion 11 audits. Every body obtains each code it will check before
+it yields its first check, so a body run up to that check registers all
+its codes.
 
 Checks whose outcome is known to contradict a published closed-form claim
 carry ``paper_discrepancy=True``. The sweep never patches an expectation
@@ -30,6 +34,7 @@ from __future__ import annotations
 
 import json
 import re
+from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -45,7 +50,7 @@ from .codes import (DEFAULT_BUDGET, LinearCode, codeword_blocks,
 from .constructions import (cf_code, cg_code, comb0, extended, first, lift,
                             predicted_dprime_weights, predicted_second_bound,
                             predicted_ws, second, tensor_product, weight_s)
-from .errors import BadParams, BudgetExceeded, PreconditionFailed
+from .errors import BadParams, BudgetExceeded, PreconditionFailed, _int
 from .field import build_field
 from .matrix import GFMatrix
 from .sss import (SssScheme, deal_batch, minimal_authorized_sets,
@@ -112,27 +117,14 @@ class CriterionResult:
         }
 
 
-class CodeRegistry:
-    """Codes built during a sweep, keyed by a human-readable label.
-
-    The final consistency criterion re-reads everything registered here,
-    so every runner registers each code it constructs. ``obtain`` builds
-    a code at most once per label, letting criteria share instances.
-    """
-
-    def __init__(self):
-        self._codes: dict[str, LinearCode] = {}
-
-    def obtain(self, label: str, build: Callable[[], LinearCode]) -> LinearCode:
-        if label not in self._codes:
-            self._codes[label] = build()
-        return self._codes[label]
-
-    def items(self) -> list[tuple[str, LinearCode]]:
-        return list(self._codes.items())
-
-    def __len__(self) -> int:
-        return len(self._codes)
+def _obtain(registry: dict[str, LinearCode], label: str,
+            build: Callable[[], LinearCode]) -> LinearCode:
+    """registry[label], built on first use: a code is built at most once
+    per label, letting criteria share instances, and the final consistency
+    criterion re-reads every code that runners obtain through here."""
+    if label not in registry:
+        registry[label] = build()
+    return registry[label]
 
 
 def _fmt_counts(counts: dict[int, int]) -> str:
@@ -169,7 +161,7 @@ def _run_first_params(instances, budget, registry):
         label = f"first({t},{q})"
 
         def body():
-            code = registry.obtain(label, lambda: first(t, q))
+            code = _obtain(registry, label, lambda: first(t, q))
             d, _ = min_max_weight(code, budget)
             got = (code.n, code.k, d)
             want = (comb0(t, 2) * (q - 1) + t, t, predicted_ws(1, t, q))
@@ -203,7 +195,7 @@ def _run_first_minimality(instances, budget, registry):
         label = f"first({t},{q})"
 
         def body():
-            code = registry.obtain(label, lambda: first(t, q))
+            code = _obtain(registry, label, lambda: first(t, q))
             yield _minimal_check(code, budget)
             ab = ab_condition(code, budget)
             # the extremes of the strata; w_1 and w_(t-1) only if q >= t-2
@@ -233,7 +225,7 @@ def _run_first_counts(instances, budget, registry):
         label = f"first({t},{q})"
 
         def body():
-            code = registry.obtain(label, lambda: first(t, q))
+            code = _obtain(registry, label, lambda: first(t, q))
             dist = weight_distribution(code, budget)
             want: dict[int, int] = {0: 1}
             for s in range(1, t + 1):
@@ -258,7 +250,7 @@ def _run_second(instances, budget, registry):
         label = f"second({t},{k},{q})"
 
         def body():
-            code = registry.obtain(label, lambda: second(t, k, q))
+            code = _obtain(registry, label, lambda: second(t, k, q))
             bound = predicted_second_bound(t, k, q)
             yield ("params", (code.n, code.k) == (bound.n, bound.dim),
                    f"[n,k] = [{code.n},{code.k}], "
@@ -280,7 +272,7 @@ def _run_weight_family(instances, budget, registry):
         label = f"weight_s({s},{t},{q})"
 
         def body():
-            code = registry.obtain(label, lambda: weight_s(s, t, q))
+            code = _obtain(registry, label, lambda: weight_s(s, t, q))
             pred = dict(predicted_dprime_weights(t, s, q))
             strata = {r: set(counts) for r, counts
                       in weight_strata(code, budget).items()}
@@ -329,7 +321,7 @@ def _run_extended(instances, budget, registry):
         label = f"extended({t},{q})"
 
         def body():
-            code = registry.obtain(label, lambda: extended(t, q))
+            code = _obtain(registry, label, lambda: extended(t, q))
             want_n = comb0(t, 2) * (q - 1) + t + q - 2
             yield ("params", (code.n, code.k) == (want_n, t),
                    f"[n,k] = [{code.n},{code.k}], predicted [{want_n},{t}]")
@@ -356,12 +348,13 @@ _LIFT_BASES = (
 
 def _run_lift(instances, budget, registry):
     for base_label, build in _LIFT_BASES:
-        base = registry.obtain(base_label, build)
+        base = _obtain(registry, base_label, build)
         for s in (1, 2):
             label = f"lift({base_label},{s})"
 
             def body():
-                lifted = registry.obtain(label, lambda: lift(base, s, budget))
+                lifted = _obtain(registry, label,
+                                 lambda: lift(base, s, budget))
                 want = ((s + 1) * base.n, s + base.k)
                 yield ("params", (lifted.n, lifted.k) == want,
                        f"[n,k] = [{lifted.n},{lifted.k}], "
@@ -374,8 +367,8 @@ def _run_lift(instances, budget, registry):
 
         def compose():
             try:
-                twice = registry.obtain(
-                    label, lambda: lift(lift(base, 1, budget), 1, budget))
+                twice = _obtain(registry, label, lambda: lift(
+                    lift(base, 1, budget), 1, budget))
             except PreconditionFailed as exc:
                 yield "compose", False, f"second lift rejected: {exc}", True
                 return
@@ -392,15 +385,15 @@ def _run_lift(instances, budget, registry):
 
 def _run_function_codes(instances, budget, registry):
     def cg():
-        code = registry.obtain("cg(2,2,2)", lambda: cg_code(2, 2, 2, budget))
+        code = _obtain(registry, "cg(2,2,2)", lambda: cg_code(2, 2, 2, budget))
         yield ("params", (code.n, code.k) == (15, 5),
                f"[n,k] = [{code.n},{code.k}], predicted [15,5]")
         yield _full_value_check(code, budget)
         yield _minimal_check(code, budget)
 
     def cf():
-        code = registry.obtain("cf(4,2,3;1,2)",
-                               lambda: cf_code(4, 2, 3, (1, 2), budget))
+        code = _obtain(registry, "cf(4,2,3;1,2)",
+                       lambda: cf_code(4, 2, 3, (1, 2), budget))
         yield ("params", code.n == 80 and code.k <= 5,
                f"[n,k] = [{code.n},{code.k}], n = 80 and k <= 5 expected")
         yield _minimal_check(code, budget)
@@ -411,8 +404,8 @@ def _run_function_codes(instances, budget, registry):
                "and does not apply at k = 2, q = 3")
 
     def cf_repeated():
-        code = registry.obtain("cf(4,2,3;1,1)",
-                               lambda: cf_code(4, 2, 3, (1, 1), budget))
+        code = _obtain(registry, "cf(4,2,3;1,1)",
+                       lambda: cf_code(4, 2, 3, (1, 1), budget))
         fv = has_full_value_property(code, budget)
         yield ("full-value-report", True,
                f"holds = {fv.holds} with repeated alphas (1, 1)" +
@@ -429,8 +422,8 @@ def _run_tensor(instances, budget, registry):
         label = f"first({t},{q}) x first({t},{q})"
 
         def body():
-            base = registry.obtain(f"first({t},{q})", lambda: first(t, q))
-            prod = registry.obtain(label, lambda: tensor_product(base, base))
+            base = _obtain(registry, f"first({t},{q})", lambda: first(t, q))
+            prod = _obtain(registry, label, lambda: tensor_product(base, base))
             d, _ = min_max_weight(prod, budget)
             yield ("params", (prod.n, prod.k, d) == want,
                    f"[n,k,d] = [{prod.n},{prod.k},{d}], "
@@ -452,10 +445,10 @@ def _run_sss(instances, budget, registry):
     for label, build, small in specs:
 
         def body():
-            code = registry.obtain(label, build)
+            code = _obtain(registry, label, build)
             scheme = SssScheme(code)
             # the scheme's own dual, so the dual scan walks it once
-            registry.obtain(f"dual({label})", lambda: scheme.dual)
+            _obtain(registry, f"dual({label})", lambda: scheme.dual)
             dual_sets = minimal_authorized_sets(scheme, method="dual",
                                                 budget=budget)
             search_sets = minimal_authorized_sets(scheme, method="search",
@@ -566,7 +559,7 @@ def _check_instances(number, instances) -> Optional[tuple]:
 
 
 def _collect(number: int, instances: Optional[tuple], budget: int,
-             registry: CodeRegistry) -> list[CheckResult]:
+             registry: dict[str, LinearCode]) -> list[CheckResult]:
     """Run every instance body of a criterion; see the module docstring."""
     _, defaults, runner = _CRITERIA[number]
     checks: list[CheckResult] = []
@@ -582,19 +575,23 @@ def _collect(number: int, instances: Optional[tuple], budget: int,
 
 def run_criterion(number: int, instances: Optional[Sequence] = None,
                   budget: int = DEFAULT_BUDGET,
-                  registry: Optional[CodeRegistry] = None) -> CriterionResult:
+                  registry: Optional[dict] = None) -> CriterionResult:
     """Run one numbered criterion and collect its checks.
 
-    Criterion 11 audits every code in the registry; when called with an
-    empty registry it first rebuilds the full default corpus of criteria
-    1 to 10, so that the consistency audit always has codes to read.
+    The codes it builds are added to registry (label -> code). Criterion
+    11 audits every code there; given an empty registry, it first fills
+    it from the default bodies of criteria 1 to 10, each run only up to
+    its first check (see the module docstring).
     """
     use = _check_instances(number, instances)
-    if registry is None:
-        registry = CodeRegistry()
-    if number == 11 and not len(registry):
+    budget = _int(budget, "budget")
+    registry = {} if registry is None else registry
+    if number == 11 and not registry:
         for m in range(1, 11):
-            _collect(m, None, budget, registry)
+            _, defaults, runner = _CRITERIA[m]
+            for _, body in runner(defaults, budget, registry):
+                with suppress(BudgetExceeded):  # _collect would record it
+                    next(iter(body()), None)
     checks = _collect(number, use, budget, registry)
     return CriterionResult(number, _CRITERIA[number][0], tuple(checks))
 
@@ -605,7 +602,7 @@ class SweepReport:
 
     results: list[CriterionResult]
     budget: int
-    registry: CodeRegistry
+    registry: dict[str, LinearCode]
 
     @property
     def passed(self) -> bool:
@@ -687,7 +684,8 @@ def run_sweep(config: Optional[dict] = None, budget: int = DEFAULT_BUDGET,
     after the first criterion that has a failing check.
     """
     config = load_config() if config is None else validate_config(config)
-    registry = CodeRegistry()
+    budget = _int(budget, "budget")
+    registry = {}
     results = []
     for entry in config["criteria"]:
         res = run_criterion(entry["id"], entry["instances"], budget, registry)

@@ -12,7 +12,7 @@ import pytest
 
 from mincodes import analysis, cli, codes
 from mincodes import BadParams, BudgetExceeded, DimensionMismatch, NotInCode, \
-    build_field
+    PreconditionFailed, build_field
 from mincodes.analysis import (
     ab_condition,
     has_full_value_property,
@@ -23,7 +23,7 @@ from mincodes.analysis import (
 )
 from mincodes.codes import DEFAULT_BUDGET, LinearCode, min_max_weight, \
     random_code, weight_distribution
-from mincodes.constructions import extended, first, second
+from mincodes.constructions import extended, first, lift, second
 from mincodes.matrix import GFMatrix, write_matrix
 from mincodes.sss import SssScheme, minimal_authorized_sets
 
@@ -365,6 +365,20 @@ def test_only_is_minimal_code_scans_for_a_witness(call):
         reports = {is_minimal_code(walked) for _ in range(3)}
     assert counts == {"scans": 1}
     assert len(reports) == 1 and not reports.pop().is_minimal
+
+
+def test_lift_reads_its_preconditions_from_the_walk():
+    # a refused base pays for the walk's verdicts only: no witness scan
+    code = second(4, 3, 2)
+    with counted_scans() as counts:
+        with pytest.raises(PreconditionFailed,
+                           match="^lift base code is not minimal$"):
+            lift(code, 1)
+        with pytest.raises(PreconditionFailed, match="^lift base code has a "
+                           "codeword that misses some field value$"):
+            lift(first(3, 3), 1)
+    assert counts == {}
+    assert "minimality" not in code._memo
 
 
 WHOLE_CODE_CALLS = (is_minimal_code, weight_strata, weight_distribution,

@@ -22,7 +22,6 @@ from hypothesis import strategies as st
 import mincodes
 from mincodes import (GFMatrix, LinearCode, MinCodesError, SssScheme,
                       build_field, extended, first)
-from mincodes.sweep import CodeRegistry
 
 SMALL = st.integers(-3, 6)
 NESTED = st.recursive(SMALL, lambda inner: st.lists(inner, max_size=4),
@@ -56,7 +55,7 @@ OBJECTS = {
     "c1": CODES,
     "c2": CODES,
     "scheme": CODES.map(SssScheme),
-    "registry": st.builds(CodeRegistry),
+    "registry": st.builds(dict),
 }
 PATHS = {"path"}
 

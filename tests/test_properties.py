@@ -542,7 +542,7 @@ def test_rank_mask_matches_pairwise_oracle_on_sweep_corpus():
     """The structured codes of the default sweep (lifts, extensions and
     tensor products repeat columns in ways random codes rarely do): the
     per-class rank mask equals the pairwise cover scan on every one."""
-    registry = sweep.CodeRegistry()
+    registry = {}
     sweep.run_criterion(11, registry=registry)
     assert len(registry) == 38
     for label, code in registry.items():
@@ -559,8 +559,7 @@ def walk_weight_distribution(code):
     counts *= code.q - 1
     counts[0] = 1
     return WeightDistribution(
-        q=code.q, n=code.n, k=code.k,
-        counts={int(w): int(c) for w, c in enumerate(counts) if c})
+        {int(w): int(c) for w, c in enumerate(counts) if c})
 
 
 def walk_full_value(code):

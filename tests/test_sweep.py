@@ -1,16 +1,18 @@
 """Tests for the sweep engine on small, fast configurations."""
 
+import contextlib
+import json
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
-from mincodes import analysis
-from mincodes.codes import weight_distribution
+from mincodes import analysis, sweep
+from mincodes.codes import DEFAULT_BUDGET, weight_distribution
 from mincodes.errors import BadParams
-from mincodes.sweep import (CodeRegistry, load_config, run_criterion,
-                            run_sweep, validate_config,
-                            write_distribution_csvs)
+from mincodes.sweep import (load_config, run_criterion, run_sweep,
+                            validate_config, write_distribution_csvs)
 
 
 GOLDEN = Path(__file__).resolve().parents[1] / "perfbench" / "golden"
@@ -110,7 +112,7 @@ def test_criterion_10_passes():
 
 
 def test_criterion_11_audits_shared_registry():
-    reg = CodeRegistry()
+    reg = {}
     run_criterion(2, instances=[(2, 2)], registry=reg)
     res = run_criterion(11, registry=reg)
     assert res.passed
@@ -156,6 +158,45 @@ def test_criterion_11_alone_rebuilds_the_default_corpus(default_report):
     coverage, = by_check(alone, "coverage")
     assert coverage.detail == ("38 codes registered; 14 met the ratio "
                                "bound, 24 were inconclusive")
+
+
+@pytest.mark.parametrize("number", range(1, 11))
+def test_first_checks_register_what_a_full_run_registers(number):
+    # every body obtains its codes before its first check, which is what
+    # lets a lone criterion 11 fill its corpus without the other checks
+    _, defaults, runner = sweep._CRITERIA[number]
+    full, prefix = {}, {}
+    sweep._collect(number, None, DEFAULT_BUDGET, full)
+    for _, body in runner(defaults, DEFAULT_BUDGET, prefix):
+        next(iter(body()), None)
+    assert list(prefix) == list(full)
+    assert all(prefix[label].gen == full[label].gen for label in full)
+
+
+def test_criterion_11_alone_runs_no_check_past_a_first_one():
+    names = ("perfectness_batch", "reconstruct_batch", "deal_batch",
+             "_extended_case_counterexample")
+    with contextlib.ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(
+            sweep, name, wraps=getattr(sweep, name))) for name in names]
+        assert run_criterion(11).passed
+    assert [spy.call_count for spy in spies] == [0] * len(names)
+
+
+def test_sweep_budget_is_checked_as_an_integer():
+    with pytest.raises(BadParams, match="^budget must be an integer"):
+        run_sweep({"criteria": []}, budget="x")
+    with pytest.raises(BadParams, match="^budget must be an integer"):
+        run_criterion(1, budget=1e7)
+    # the criterion id is checked first
+    with pytest.raises(BadParams, match="^unknown criterion 12"):
+        run_criterion(12, budget="x")
+
+
+def test_numpy_integer_budget_gives_a_json_report():
+    report = run_sweep({"criteria": [1]}, budget=np.int64(10**7))
+    assert type(report.budget) is int
+    assert json.loads(report.to_json())["budget"] == 10**7
 
 
 def test_default_sweep_matches_goldens(default_report):
@@ -315,7 +356,7 @@ def test_criterion_10_builds_and_walks_each_dual_once():
         walked.append(code)
         return real(code, *args, **kwargs)
 
-    registry = CodeRegistry()
+    registry = {}
     with mock.patch.object(analysis, "projective_blocks", spy):
         assert run_criterion(10, registry=registry).passed
         duals = [code for label, code in registry.items()
