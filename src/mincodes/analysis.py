@@ -12,7 +12,17 @@ the hyperplane orthogonal to u.  This is the cutting blocking set
 characterization (Alfarano, Borello and Neri, "A geometric characterization
 of minimal codes and their asymptotic performance"; Tang, Qiu, Liao and
 Zhou, "Full characterization of minimal linear codes as cutting blocking
-sets").  The ranks come from the batched GF(p) kernel
+sets").  Two counting facts decide many classes before any rank:
+
+* a class with fewer than k-1 zero columns is not minimal, since those
+  columns cannot span a space of dimension k-1;
+* a class c with (q-1)*wt(c) < q*w_min is minimal, the per-class form of
+  Ashikhmin and Barg ("Minimal vectors in linear codes", IEEE Trans. IT
+  1998): if Supp(c') subseteq Supp(c) with c' not a multiple of c, the
+  q-1 words c - lam*c' (lam != 0) are nonzero and their weights sum to
+  (q-1)*wt(c) - wt(c'), so (q-1)*wt(c) >= (q-1)*w_min + wt(c') >= q*w_min.
+
+The ranks of the other classes come from the batched GF(p) kernel
 ``matrix.column_ranks``, one block of classes at a time, so memory is
 linear: one block of zero columns, plus one byte of verdict per class.
 Each block is ranked first on a slice, the first k-1+_SLICE zero columns
@@ -22,10 +32,11 @@ set fits in the slice is decided exactly.  Only the remaining classes, of
 rank below k-1 on the slice and with more zero columns than it, are
 ranked again on all of them.
 
-Every whole-code fact comes from that rank pass, run only by ``_walk``,
-which also counts the classes by coefficient and codeword weight and
-finds the first class that misses a field value; only the words a report
-shows are decoded from class indices (``_class_rows``).  The generator is
+Every whole-code fact comes from that pass, run only by ``_walk`` (in
+one walk of the classes, bar the case its docstring names), which also
+counts the classes by coefficient and codeword weight and finds the first
+class that misses a field value; only the words a report shows are
+decoded from class indices (``_class_rows``).  The generator is
 read-only, so the results, each class's verdict among them, are kept in
 the code's memo and read by every whole-code check after its budget
 check; ``minimal_codewords`` and the ``sss`` dual path read the verdict.
@@ -38,7 +49,8 @@ block's words are decoded from class indices (``_class_rows``), and the
 test is a float32 GEMM, exact because every term is nonnegative.
 
 The sufficient (not necessary) weight-ratio test: a code is minimal whenever
-w_min / w_max > (q-1)/q.  The comparison is exact, by cross-multiplication.
+w_min / w_max > (q-1)/q, the second counting fact for every class at once.
+The comparison is exact, by cross-multiplication.
 """
 
 from __future__ import annotations
@@ -61,7 +73,10 @@ _SLICE = 2  # zero columns past k-1 in the first rank call; by measurement
 class MinimalityReport:
     """Outcome of the exhaustive minimality check.
 
-    is_minimal comes from the rank test on every scalar class.  witness,
+    is_minimal comes from the walk's verdict on every scalar class: the
+    two counting facts of the module docstring where they decide it (fewer
+    than k-1 zeros: not minimal; (q-1)*wt < q*w_min: minimal), the rank
+    of its zero columns otherwise.  witness,
     present iff is_minimal is false, is a pair (covered, covering) of
     non-proportional codewords with Supp(covered) subseteq Supp(covering);
     it is the first violation in canonical scan order.  pairs_checked
@@ -197,12 +212,21 @@ def _first_cover(rows, bad: np.ndarray, classes: int):
 
 def _walk(code: LinearCode, budget: int) -> dict:
     """The code's memo, after the budget check.  The first call walks the
-    classes and keeps ``minimal`` (the rank test's verdict, one bool per
-    class in canonical order), ``full_value`` (the index of the first class
-    that misses a field value, or None: a class takes 0 iff its weight is
-    below n) and ``strata``, a (k+1, n+1) array of class counts by
+    classes and keeps ``minimal`` (the verdict, by counting or by rank, one
+    bool per class in canonical order), ``full_value`` (the index of the
+    first class that misses a field value, or None: a class takes 0 iff its
+    weight is below n) and ``strata``, a (k+1, n+1) array of class counts by
     coefficient weight s and codeword weight; ``is_minimal_code`` adds
     ``minimality`` when it is first asked.
+
+    Counting decides a block's classes first (see the module docstring):
+    fewer than k-1 zeros, not minimal; (q-1)*wt < q*M, minimal, where M is
+    the least class weight walked so far, this block included.  Only the
+    rest go to the rank kernel, gathered as a subset when counting decided
+    any.  M never falls below w_min, so only a block whose M exceeds the
+    final w_min can hold a class taken as minimal that w_min does not
+    prove: a second walk, up to the last such block, ranks its classes
+    with q*w_min <= (q-1)*wt < q*M.
 
     Each block's slice (see the module docstring), padded with the zero
     column n, is gathered by width rounds of argmin when 2**width <= n,
@@ -213,15 +237,10 @@ def _walk(code: LinearCode, budget: int) -> dict:
     memo = code._memo
     if memo:
         return memo
-    n, k = code.n, code.k
+    n, k, q = code.n, code.k, code.q
     rank = column_ranks(code.field, code.gen.data)
-    masks = []
-    strata = np.zeros((k + 1) * (n + 1), dtype=np.int64)
-    missing = None
-    for s, v in projective_blocks(code, budget):
-        supp = v != 0
-        w = supp.sum(axis=1)
-        zeros = n - w
+
+    def ranked(supp, zeros):
         width = max(1, min(k - 1 + _SLICE, int(zeros.max())))
         by_sort = 2**width > n
         idx = _sorted_zeros(supp) if by_sort else _first_zeros(supp, width)
@@ -230,14 +249,41 @@ def _walk(code: LinearCode, budget: int) -> dict:
         if again.any():
             rest = idx[again] if by_sort else _sorted_zeros(supp[again])
             ok[again] = rank(rest[:, :zeros[again].max()]) == k - 1
+        return ok
+
+    masks, least, m = [], [], n
+    strata = np.zeros((k + 1) * (n + 1), dtype=np.int64)
+    missing = None
+    for s, v in projective_blocks(code, budget):
+        supp = v != 0
+        w = supp.sum(axis=1)
+        zeros = n - w
+        m = min(m, int(w.min()))
+        least.append(m)
+        ok = (q - 1) * w < q * m
+        todo = ~ok & (zeros >= k - 1)
+        if todo.all():
+            ok = ranked(supp, zeros)
+        elif todo.any():
+            ok[todo] = ranked(supp[todo], zeros[todo])
         strata += np.bincount(s * (n + 1) + w, minlength=strata.size)
         if missing is None:
             full = zeros > 0
-            for value in range(1, code.q):
+            for value in range(1, q):
                 full &= (v == value).any(axis=1)
             if not full.all():
                 missing = sum(map(len, masks)) + int(full.argmin())
         masks.append(ok)
+    # the blocks whose running minimum exceeds w_min = m, a prefix, rank on
+    # a second walk the classes they took as light that m does not prove
+    stale = sum(bound > m for bound in least)
+    if stale:
+        for b, (_, v) in zip(range(stale), projective_blocks(code, budget)):
+            supp = v != 0
+            w = supp.sum(axis=1)
+            redo = (q * m <= (q - 1) * w) & ((q - 1) * w < q * least[b])
+            if redo.any():
+                masks[b][redo] = ranked(supp[redo], n - w[redo])
     memo.update(minimal=np.concatenate(masks), full_value=missing,
                 strata=strata.reshape(k + 1, n + 1))
     return memo

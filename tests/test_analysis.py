@@ -458,25 +458,77 @@ def kernel_calls(code):
 
 
 def test_slice_decides_every_class_of_first_3_64():
-    # each class's first k+1 = 4 zero columns already have rank k-1
+    # the classes of least weight w_min = 127 are minimal by counting,
+    # (q-1)*127 < q*127: two in the first block, one in the second; every
+    # other class vanishes on at most 2 or 3 columns, so the slice is that
+    # wide, and those columns already have rank k-1
     from mincodes.constructions import first
 
     mask, calls = kernel_calls(first(3, 64))
     assert mask.all()
-    assert calls == [[(65, 4)], [(4096, 4)]]
+    assert calls == [[(63, 2)], [(4095, 3)]]
 
 
 def test_second_pass_ranks_only_the_undecided_classes():
     # columns e1 (five times), e2, e3 over GF(2); classes in canonical
-    # order u = 001, 010, 011, 100, 101, 110, 111.  The first three vanish
-    # on more than k+1 = 4 columns whose first four are all e1, so they
-    # are ranked again at full width: 001 and 010 reach rank 2 there,
-    # 011 (zero on e1 only) stays non-minimal.  100, 101, 110 and 111
-    # vanish on at most two columns, so the slice already decides them.
+    # order u = 001, 010, 011, 100, 101, 110, 111.  001 and 010 have weight
+    # w_min = 1, so counting proves them minimal; 101, 110 and 111 vanish
+    # on fewer than k-1 = 2 columns, so counting refutes them.  011 and
+    # 100 go to the slice of k+1 = 4 columns: 100 (zero on e2 and e3)
+    # reaches rank 2 there, and 011, which vanishes on the five e1 columns,
+    # is ranked again at full width and stays non-minimal.
     code = make_code(2, [[1, 1, 1, 1, 1, 0, 0],
                          [0, 0, 0, 0, 0, 1, 0],
                          [0, 0, 0, 0, 0, 0, 1]])
     mask, calls = kernel_calls(code)
     assert mask.tolist() == [True, True, False, True, False, False, False]
-    assert calls == [[(7, 4), (3, 6)]]
+    assert calls == [[(2, 4), (1, 5)]]
     assert not is_minimal_code(code).is_minimal
+
+
+def test_counting_spares_the_rank_kernel():
+    # on [90,13]_2, (q-1)*wt < q*w_min proves 8086 of the 8191 classes
+    # minimal, so the slice sees the other 105 at most
+    mask, calls = kernel_calls(random_code(90, 13, 2, seed=1))
+    assert mask.all()
+    assert len(calls) == 1 and calls[0][0][0] <= 105
+    # on [24,9]_3, a class with fewer than k-1 = 8 zeros is not minimal by
+    # counting, so no row that the kernel sees has fewer than 8 zero columns
+    code = random_code(24, 9, 3, seed=1)
+    seen = []
+    real = analysis.column_ranks
+
+    def spy(field, gen):
+        rank = real(field, gen)
+
+        def counted(idx):
+            seen.append(np.count_nonzero(idx < code.n, axis=1).min())
+            return rank(idx)
+        return counted
+
+    with mock.patch.object(analysis, "column_ranks", spy):
+        assert not is_minimal_code(code).is_minimal
+    assert seen and min(seen) >= code.k - 1
+
+
+def stale_code():
+    """A [4,3]_2 code whose first block, at ``_CHUNK`` = 4, is 001, 010 and
+    011 (words 1111, 1010 and 0101), of least weight 2, and whose second
+    block holds words of weight 1: 010 and 011, light at 2 but not at 1,
+    must be ranked on a second walk, which finds 0101 non-minimal."""
+    return make_code(2, [[1, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 1]])
+
+
+def test_a_stale_block_walks_the_classes_twice():
+    # a running minimum above w_min costs a second walk up to the last
+    # stale block, ranked with the first walk's kernel
+    with mock.patch.object(codes, "_CHUNK", 4):
+        with counted_walks() as counts:
+            assert not is_minimal_code(stale_code()).is_minimal
+        assert counts == {"walks": 2, "column_ranks": 1}
+        mask, calls = kernel_calls(stale_code())
+    assert mask.tolist() == [False, True, False, False, True, True, False]
+    # counting decides every class on the first walk: 001, 100 and 111
+    # have one zero, and 101 and 110 weight 1; the second walk ranks block
+    # one's 010 and 011, and stops there
+    assert calls == [[], [], [(2, 2)]]

@@ -19,7 +19,12 @@ here as the oracle, and itself checked on random support matrices up to
 300 columns wide) on codes with k = 1, with zero columns and with a class
 that has no zero coordinate, and on every code of the default sweep
 corpus, and ``is_minimal_codeword`` against a walk over every class.  The
-witness scan, in growing blocks, is checked against the fixed-block scan
+two counting facts the walk decides classes by (fewer than k-1 zeros: not
+minimal; (q-1)*wt < q*w_min: minimal) are checked against
+``is_minimal_codeword`` on random codes and on the sweep corpus, and the
+second walk that ranks a block whose running least weight ended above
+w_min against the pairwise scan, on fixed codes at a small ``_CHUNK``.
+The witness scan, in growing blocks, is checked against the fixed-block scan
 it replaced on random supports and, on words decoded from class indices,
 on random codes over GF(2), GF(3), GF(4), GF(5) and GF(8), some with
 their first covered class past several blocks, with floating-point
@@ -548,6 +553,85 @@ def test_rank_mask_matches_pairwise_oracle_on_sweep_corpus():
     for label, code in registry.items():
         got = analysis._walk(code, codes.DEFAULT_BUDGET)["minimal"]
         assert np.array_equal(got, pairwise_minimality(code, 1024)[0]), label
+
+
+def check_counting_facts(code):
+    """The two counting facts the walk decides classes by, against the
+    one-word rank test on the lead-1 rows of ``codeword_blocks``: a class
+    with fewer than k-1 zero columns is not minimal, and one with
+    (q-1)*wt < q*w_min is.  Returns how many classes each fact decided."""
+    q, k = code.q, code.k
+    _, v = lead_one_rows(code)
+    wt = np.count_nonzero(v, axis=1)
+    few = code.n - wt < k - 1
+    light = (q - 1) * wt < q * wt.min()
+    for word in v[few]:
+        assert not is_minimal_codeword(code, word), word
+    for word in v[light]:
+        assert is_minimal_codeword(code, word), word
+    return int(few.sum()), int(light.sum())
+
+
+@pytest.mark.parametrize("q", FIELDS)
+def test_counting_facts_hold_on_random_codes(q):
+    decided = Counter()
+
+    @SETTINGS
+    @given(small_codes(max_k=4, fields=(q,)))
+    def check(code):
+        few, light = check_counting_facts(code)
+        decided.update(few=few, light=light)
+
+    check()
+    assert decided["few"] and decided["light"], decided
+
+
+def test_counting_facts_hold_on_sweep_corpus():
+    registry = {}
+    sweep.run_criterion(11, registry=registry)
+    decided = Counter()
+    for code in registry.values():
+        few, light = check_counting_facts(code)
+        decided.update(few=few, light=light)
+    assert decided["few"] and decided["light"], decided
+
+
+@pytest.mark.parametrize("build, chunk", [
+    (lambda: LinearCode(GFMatrix(build_field(2), np.array(
+        [[1, 1, 1, 0], [1, 0, 1, 0], [1, 1, 1, 1]]))), 4),
+    (lambda: random_code(12, 6, 2, seed=1), 9),
+    (lambda: random_code(10, 4, 3, seed=3), 9),
+    (lambda: random_code(9, 4, 4, seed=3), 9),
+], ids=["[4,3]_2", "[12,6]_2", "[10,4]_3", "[9,4]_4"])
+def test_rank_mask_matches_pairwise_oracle_after_a_second_walk(build, chunk):
+    """Codes whose running least weight, at a small ``_CHUNK`` (and
+    ``_ENTRIES`` to match), ends above w_min after an early block, so the
+    walk ranks that block's light classes on a second walk.  The mask
+    equals the pairwise scan, and the first walk's alone does not."""
+    code = build()
+    want = pairwise_minimality(code, 1024)[0]
+    real = analysis.projective_blocks
+
+    def walk_mask(second_walk: bool):
+        walks = []
+
+        def walk(*args, **kwargs):
+            walks.append(args)
+            return real(*args, **kwargs) \
+                if len(walks) == 1 or second_walk else iter(())
+
+        with small_chunks(chunk), \
+                mock.patch.object(codes, "_ENTRIES", chunk * code.n), \
+                mock.patch.object(analysis, "projective_blocks", walk):
+            mask = analysis._walk(LinearCode(code.gen),
+                                  codes.DEFAULT_BUDGET)["minimal"]
+        return mask, len(walks)
+
+    got, walks = walk_mask(True)
+    assert walks == 2
+    assert np.array_equal(got, want)
+    first, _ = walk_mask(False)
+    assert not np.array_equal(first, want)
 
 
 def walk_weight_distribution(code):
