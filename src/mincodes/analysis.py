@@ -147,10 +147,6 @@ class FullValueReport:
         }
 
 
-def _as_word(values_row, coeffs_row) -> Codeword:
-    return Codeword(tuple(coeffs_row.tolist()), tuple(values_row.tolist()))
-
-
 def _sorted_zeros(supp: np.ndarray) -> np.ndarray:
     """Each row's zero columns first, ascending, by sorting keys: the
     other coordinates land at n or past it, where ``column_ranks`` reads
@@ -180,15 +176,25 @@ def _class_rows(code: LinearCode, index: np.ndarray):
     return u, code.field.matmul(u, code.gen.data)
 
 
-def _first_cover(rows, bad: np.ndarray, classes: int):
+def _words(code: LinearCode, index: np.ndarray) -> list[Codeword]:
+    """The codewords of the classes at an integer array of indices."""
+    u, v = _class_rows(code, index)
+    return [Codeword(tuple(c), tuple(x))
+            for c, x in zip(u.tolist(), v.tolist())]
+
+
+def _first_cover(code: LinearCode, bad: np.ndarray, classes: int):
     """(i, j): the first class i in canonical order whose support lies
     inside the support of a non-minimal class j != i, and the first such j.
 
-    rows(index) gives the supports of the classes at an index array as a
-    float32 0/1 block; bad lists the non-minimal classes, ascending.
-    Covered rows go in blocks of 1, 2, 4, ... up to _ROW_BLOCK, so a cover
-    among the first classes is found without testing the rest, and the
-    non-minimal side _ROW_BLOCK at a time."""
+    The supports are decoded from class indices as float32 0/1 blocks;
+    bad lists the non-minimal classes, ascending.  Covered rows go in
+    blocks of 1, 2, 4, ... up to _ROW_BLOCK, so a cover among the first
+    classes is found without testing the rest, and the non-minimal side
+    _ROW_BLOCK at a time."""
+    def rows(index):
+        return (_class_rows(code, index)[1] != 0).astype(np.float32)
+
     start, size = 0, 1
     while start < classes:
         block = rows(np.arange(start, min(start + size, classes)))
@@ -309,11 +315,8 @@ def is_minimal_code(code: LinearCode,
     classes = stop = len(minimal)
     witness = None
     if not minimal.all():
-        i, j = _first_cover(
-            lambda index: (_class_rows(code, index)[1] != 0).astype(np.float32),
-            np.flatnonzero(~minimal), classes)
-        u, v = _class_rows(code, np.array([i, j]))
-        witness = (_as_word(v[0], u[0]), _as_word(v[1], u[1]))
+        i, j = _first_cover(code, np.flatnonzero(~minimal), classes)
+        witness = tuple(_words(code, np.array([i, j])))
         stop = min(i - i % _ROW_BLOCK + _ROW_BLOCK, classes)
     memo["minimality"] = MinimalityReport(witness is None, witness, classes,
                                           stop * (classes - 1))
@@ -339,9 +342,7 @@ def minimal_codewords(code: LinearCode,
     in canonical coefficient order; the complete set of minimal codewords is
     exactly their nonzero scalar multiples.
     """
-    u, v = _minimal_rows(code, budget)
-    return [Codeword(tuple(c), tuple(x))
-            for c, x in zip(u.tolist(), v.tolist())]
+    return _words(code, np.flatnonzero(_walk(code, budget)["minimal"]))
 
 
 def is_minimal_codeword(code: LinearCode, word) -> bool:
@@ -380,6 +381,5 @@ def has_full_value_property(code: LinearCode,
     missing = _walk(code, budget)["full_value"]
     if missing is None:
         return FullValueReport(True, None, None)
-    u, v = _class_rows(code, np.array([missing]))
-    word = _as_word(v[0], u[0])
+    word, = _words(code, np.array([missing]))
     return FullValueReport(False, word, tuple(sorted(set(word.values))))

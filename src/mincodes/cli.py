@@ -27,6 +27,7 @@ Field orders above 256 are refused where fields are built
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -287,7 +288,9 @@ def _add_infile(p) -> None:
                    help="generator matrix file (q rows cols header)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built once; argparse looks sys.stdout and sys.stderr up to print."""
     parser = _Parser(prog="mincodes",
                      description="construct and verify minimal linear "
                                  "codes, and share secrets with them")

@@ -347,55 +347,56 @@ def perfectness_batch(scheme: SssScheme, subsets,
                       budget: int = DEFAULT_BUDGET) -> list[PerfectnessReport]:
     """Enumerate all q^k dealings once and test each coalition's knowledge.
 
-    A coalition's share patterns are its columns of the dealings.  The
-    coalitions of one size are taken together, as many at a time as fit
-    ``codes._CHUNK`` (coalition, dealing) rows: the rows are sorted by
-    coalition and then entry by entry (``np.lexsort``), and a new pattern
-    number starts wherever the coalition or an entry changes.  No pattern
-    is packed into a mixed-radix integer, so no coalition is too wide.
-    A coalition is authorized when the secret column adds no rank to its
-    columns; the coalitions of one size are ranked with and without it in
-    one ``column_ranks`` call.  Reports come in the order of ``subsets``.
+    A coalition's share patterns are its columns of the dealings, padded
+    to the widest coalition with a zero column n.  As many coalitions as
+    fit ``codes._CHUNK`` (coalition, dealing) rows go at a time: the rows
+    are sorted by coalition and then entry by entry (``np.lexsort``), and
+    a new pattern number starts wherever the coalition or an entry
+    changes.  No pattern is packed into a mixed-radix integer, so no
+    coalition is too wide.  A coalition is authorized when the secret
+    column adds no rank to its columns; all coalitions are ranked with
+    and without it in one ``column_ranks`` call.  Reports come in the
+    order of ``subsets``.
     """
     subsets = [scheme._check(s)
                for s in _list(subsets, "subsets", "coalitions")]
     values = np.concatenate(
         [v for _, v in codeword_blocks(scheme.code, budget)])
+    if not subsets:
+        return []
     secret = values[:, scheme.secret_column - 1].astype(np.int64)
-    dealings, q = len(values), scheme.field.q
+    values = np.pad(values, ((0, 0), (0, 1)))
+    dealings, q, n = len(values), scheme.field.q, scheme.code.n
+    width = max(map(len, subsets))
+    cols = np.array([ids + (n + 1,) * (width - len(ids)) for ids in subsets],
+                    dtype=np.int64).reshape(len(subsets), width) - 1
+    authorized = _authorized(scheme, cols)
     step = max(1, _CHUNK // dealings)
-    reports: list[PerfectnessReport | None] = [None] * len(subsets)
-    for size in sorted({len(ids) for ids in subsets}):
-        which = [i for i, ids in enumerate(subsets) if len(ids) == size]
-        cols = np.array([subsets[i] for i in which],
-                        dtype=np.int64).reshape(len(which), size) - 1
-        authorized = _authorized(scheme, cols)
-        for start in range(0, len(which), step):
-            part = cols[start:start + step]
-            flat = values[:, part].transpose(1, 0, 2).reshape(
-                len(part) * dealings, size)
-            owner = np.repeat(np.arange(len(part)), dealings)
-            order = np.lexsort(np.vstack([flat.T[::-1], owner]))
-            flat, owner = flat[order], owner[order]
-            new = np.ones(len(flat), dtype=bool)
-            new[1:] = ((owner[1:] != owner[:-1])
-                       | (flat[1:] != flat[:-1]).any(axis=1))
-            group = np.cumsum(new) - 1
-            n_groups = int(group[-1]) + 1
-            table = np.bincount(group * q + np.tile(secret, len(part))[order],
-                                minlength=n_groups * q).reshape(n_groups, q)
-            owner = owner[new]
-            one = (table > 0).sum(axis=1) == 1
-            even = np.all(table == table[:, :1], axis=1) & (table[:, 0] > 0)
-            auth = authorized[start:start + step]
-            good = np.where(auth[owner], one, even)
-            failed = np.bincount(owner[~good], minlength=len(part))
-            for j, i in enumerate(which[start:start + step]):
-                reports[i] = PerfectnessReport(
-                    subset=tuple(sorted(subsets[i])),
-                    authorized=bool(auth[j]),
-                    ok=not failed[j],
-                )
+    reports = []
+    for start in range(0, len(cols), step):
+        part = cols[start:start + step]
+        flat = values[:, part].transpose(1, 0, 2).reshape(
+            len(part) * dealings, width)
+        owner = np.repeat(np.arange(len(part)), dealings)
+        order = np.lexsort(np.vstack([flat.T[::-1], owner]))
+        flat, owner = flat[order], owner[order]
+        new = np.ones(len(flat), dtype=bool)
+        new[1:] = ((owner[1:] != owner[:-1])
+                   | (flat[1:] != flat[:-1]).any(axis=1))
+        group = np.cumsum(new) - 1
+        n_groups = int(group[-1]) + 1
+        table = np.bincount(group * q + np.tile(secret, len(part))[order],
+                            minlength=n_groups * q).reshape(n_groups, q)
+        owner = owner[new]
+        one = (table > 0).sum(axis=1) == 1
+        even = np.all(table == table[:, :1], axis=1) & (table[:, 0] > 0)
+        auth = authorized[start:start + step]
+        good = np.where(auth[owner], one, even)
+        failed = np.bincount(owner[~good], minlength=len(part))
+        reports.extend(
+            PerfectnessReport(subset=tuple(sorted(ids)),
+                              authorized=bool(a), ok=not f)
+            for ids, a, f in zip(subsets[start:start + step], auth, failed))
     return reports
 
 

@@ -10,7 +10,12 @@ instances.
 Each criterion has a runner: a generator of ``(instance label, body)``
 pairs. A body is a zero-argument callable that yields the instance's
 checks as plain ``(check, passed, detail[, paper_discrepancy])`` tuples.
-One driver, ``_collect``, attaches the label to each tuple. A
+Each body is bound to its own instance, so bodies may also be run after
+their runner is drained. The family criteria 1 to 6 share one runner
+factory, ``_each(label, build, checks)``: for each instance's params its
+body obtains ``build(*params)`` under ``label.format(*params)`` and then
+yields the checks of the plain generator ``checks(code, budget,
+*params)``. One driver, ``_collect``, attaches the label to each tuple. A
 ``BudgetExceeded`` raised in a body ends that instance only: the checks
 it already yielded are kept, a failed ``budget`` check follows them, and
 the driver goes on to the next instance. The codes a sweep builds live
@@ -37,6 +42,7 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -156,88 +162,87 @@ def _full_value_check(code: LinearCode, budget: int, flagged: bool = False):
             f"{fv.witness.coeffs}", flagged and not fv.holds)
 
 
-def _run_first_params(instances, budget, registry):
-    for t, q in instances:
-        label = f"first({t},{q})"
-
-        def body():
-            code = _obtain(registry, label, lambda: first(t, q))
-            d, _ = min_max_weight(code, budget)
-            got = (code.n, code.k, d)
-            want = (comb0(t, 2) * (q - 1) + t, t, predicted_ws(1, t, q))
-            yield ("params", got == want,
-                   f"[n,k,d] = {list(got)}, predicted {list(want)}")
-            strata = {s: set(counts) for s, counts
-                      in weight_strata(code, budget).items()}
-            want_strata: dict[int, set[int]] = {0: {0}}
-            for s in range(1, t + 1):
-                want_strata[s] = {predicted_ws(s, t, q)}
-            ok = strata == want_strata
-            yield ("stratified-weights", ok,
-                   "every combination of s rows has weight w_s, s = 1..t"
-                   if ok else f"got {strata}, predicted {want_strata}")
-            if not all(len(strata.get(s, ())) == 1 for s in range(1, t + 1)):
-                yield ("step-identity", False,
-                       "per-s weights are not single-valued")
-                return
-            ws = [0] + [next(iter(strata[s])) for s in range(1, t + 1)]
-            bad = [s for s in range(1, t + 1)
-                   if ws[s] - ws[s - 1] != -t + (t - s) * q + 2]
-            yield ("step-identity", not bad,
-                   "w_s - w_(s-1) = -t + (t-s)q + 2 for s = 1..t"
-                   if not bad else f"identity fails at s in {bad}")
-
-        yield label, body
+def _checked(registry, label, build, checks, budget, params):
+    code = _obtain(registry, label, lambda: build(*params))
+    yield from checks(code, budget, *params)
 
 
-def _run_first_minimality(instances, budget, registry):
-    for t, q in instances:
-        label = f"first({t},{q})"
+def _each(label: str, build: Callable, checks: Callable) -> Callable:
+    """The runner of a family criterion; see the module docstring."""
+    def runner(instances, budget, registry):
+        for params in instances:
+            name = label.format(*params)
+            yield name, partial(_checked, registry, name, build, checks,
+                                budget, params)
+    return runner
 
-        def body():
-            code = _obtain(registry, label, lambda: first(t, q))
-            yield _minimal_check(code, budget)
-            ab = ab_condition(code, budget)
-            # the extremes of the strata; w_1 and w_(t-1) only if q >= t-2
-            ws = [predicted_ws(s, t, q) for s in range(1, t + 1)]
-            want = Fraction(min(ws), max(ws))
-            yield ("ratio-formula", ab.ratio == want,
-                   f"w_min/w_max = {ab.ratio}" if ab.ratio == want
-                   else f"w_min/w_max = {ab.ratio}, predicted {want}")
-            if (t, q) in AB_STRICT:
-                ok = ab.ratio < ab.threshold and not ab.sufficient
-                yield ("ratio-below-threshold", ok,
-                       f"{ab.ratio} < {ab.threshold}: minimal although the "
-                       "weight-ratio bound is inconclusive" if ok else
-                       f"expected {ab.ratio} < {ab.threshold}")
-            if (t, q) in AB_COUNTER:
-                yield ("ratio-exceeds-threshold", ab.sufficient,
-                       f"{ab.ratio} > {ab.threshold}: the weight-ratio bound "
-                       "applies here although a published claim places this "
-                       "instance outside it" if ab.sufficient else
-                       f"expected {ab.ratio} > {ab.threshold}", True)
 
-        yield label, body
+def _first_params(code, budget, t, q):
+    d, _ = min_max_weight(code, budget)
+    got = (code.n, code.k, d)
+    want = (comb0(t, 2) * (q - 1) + t, t, predicted_ws(1, t, q))
+    yield ("params", got == want,
+           f"[n,k,d] = {list(got)}, predicted {list(want)}")
+    strata = {s: set(counts) for s, counts
+              in weight_strata(code, budget).items()}
+    want_strata: dict[int, set[int]] = {0: {0}}
+    for s in range(1, t + 1):
+        want_strata[s] = {predicted_ws(s, t, q)}
+    ok = strata == want_strata
+    yield ("stratified-weights", ok,
+           "every combination of s rows has weight w_s, s = 1..t"
+           if ok else f"got {strata}, predicted {want_strata}")
+    if not all(len(strata.get(s, ())) == 1 for s in range(1, t + 1)):
+        yield ("step-identity", False,
+               "per-s weights are not single-valued")
+        return
+    ws = [0] + [next(iter(strata[s])) for s in range(1, t + 1)]
+    bad = [s for s in range(1, t + 1)
+           if ws[s] - ws[s - 1] != -t + (t - s) * q + 2]
+    yield ("step-identity", not bad,
+           "w_s - w_(s-1) = -t + (t-s)q + 2 for s = 1..t"
+           if not bad else f"identity fails at s in {bad}")
+
+
+def _first_minimality(code, budget, t, q):
+    yield _minimal_check(code, budget)
+    ab = ab_condition(code, budget)
+    # the extremes of the strata; w_1 and w_(t-1) only if q >= t-2
+    ws = [predicted_ws(s, t, q) for s in range(1, t + 1)]
+    want = Fraction(min(ws), max(ws))
+    yield ("ratio-formula", ab.ratio == want,
+           f"w_min/w_max = {ab.ratio}" if ab.ratio == want
+           else f"w_min/w_max = {ab.ratio}, predicted {want}")
+    if (t, q) in AB_STRICT:
+        ok = ab.ratio < ab.threshold and not ab.sufficient
+        yield ("ratio-below-threshold", ok,
+               f"{ab.ratio} < {ab.threshold}: minimal although the "
+               "weight-ratio bound is inconclusive" if ok else
+               f"expected {ab.ratio} < {ab.threshold}")
+    if (t, q) in AB_COUNTER:
+        yield ("ratio-exceeds-threshold", ab.sufficient,
+               f"{ab.ratio} > {ab.threshold}: the weight-ratio bound "
+               "applies here although a published claim places this "
+               "instance outside it" if ab.sufficient else
+               f"expected {ab.ratio} > {ab.threshold}", True)
+
+
+def _first_counts(code, budget, t, q):
+    dist = weight_distribution(code, budget)
+    want: dict[int, int] = {0: 1}
+    for s in range(1, t + 1):
+        w = predicted_ws(s, t, q)
+        want[w] = want.get(w, 0) + comb0(t, s) * (q - 1) ** s
+    ok = dist.counts == want
+    yield ("weight-counts", ok,
+           f"counts {_fmt_counts(dist.counts)}" if ok else
+           f"counts {_fmt_counts(dist.counts)}, "
+           f"predicted {_fmt_counts(want)}")
 
 
 def _run_first_counts(instances, budget, registry):
-    for t, q in instances:
-        label = f"first({t},{q})"
-
-        def body():
-            code = _obtain(registry, label, lambda: first(t, q))
-            dist = weight_distribution(code, budget)
-            want: dict[int, int] = {0: 1}
-            for s in range(1, t + 1):
-                w = predicted_ws(s, t, q)
-                want[w] = want.get(w, 0) + comb0(t, s) * (q - 1) ** s
-            ok = dist.counts == want
-            yield ("weight-counts", ok,
-                   f"counts {_fmt_counts(dist.counts)}" if ok else
-                   f"counts {_fmt_counts(dist.counts)}, "
-                   f"predicted {_fmt_counts(want)}")
-
-        yield label, body
+    yield from _each("first({0},{1})", first, _first_counts)(
+        instances, budget, registry)
     if instances:
         yield "(all instances)", lambda: [(
             "count-formula-note", True,
@@ -245,56 +250,42 @@ def _run_first_counts(instances, budget, registry):
             "omits the binomial factor", True)]
 
 
-def _run_second(instances, budget, registry):
-    for t, k, q in instances:
-        label = f"second({t},{k},{q})"
-
-        def body():
-            code = _obtain(registry, label, lambda: second(t, k, q))
-            bound = predicted_second_bound(t, k, q)
-            yield ("params", (code.n, code.k) == (bound.n, bound.dim),
-                   f"[n,k] = [{code.n},{code.k}], "
-                   f"predicted [{bound.n},{bound.dim}]")
-            d, _ = min_max_weight(code, budget)
-            row = code.codeword([1] + [0] * (t - 1))
-            ok = d <= bound.d_upper and row.weight == bound.d_upper
-            yield ("distance-bound", ok,
-                   f"d = {d} <= {bound.d_upper}, first row attains the bound"
-                   if ok else f"d = {d}, bound {bound.d_upper}, "
-                   f"first row weight {row.weight}")
-            yield _minimal_check(code, budget, flagged=True)
-
-        yield label, body
+def _second(code, budget, t, k, q):
+    bound = predicted_second_bound(t, k, q)
+    yield ("params", (code.n, code.k) == (bound.n, bound.dim),
+           f"[n,k] = [{code.n},{code.k}], "
+           f"predicted [{bound.n},{bound.dim}]")
+    d, _ = min_max_weight(code, budget)
+    row = code.codeword([1] + [0] * (t - 1))
+    ok = d <= bound.d_upper and row.weight == bound.d_upper
+    yield ("distance-bound", ok,
+           f"d = {d} <= {bound.d_upper}, first row attains the bound"
+           if ok else f"d = {d}, bound {bound.d_upper}, "
+           f"first row weight {row.weight}")
+    yield _minimal_check(code, budget, flagged=True)
 
 
-def _run_weight_family(instances, budget, registry):
-    for t, s, q in instances:
-        label = f"weight_s({s},{t},{q})"
-
-        def body():
-            code = _obtain(registry, label, lambda: weight_s(s, t, q))
-            pred = dict(predicted_dprime_weights(t, s, q))
-            strata = {r: set(counts) for r, counts
-                      in weight_strata(code, budget).items()}
-            want = {r: {pred[r]} for r in range(t + 1)}
-            ok = strata == want
-            yield ("stratified-weights", ok,
-                   f"weights by coefficient weight r = 0..t: "
-                   f"{[pred[r] for r in range(t + 1)]}"
-                   if ok else f"got {strata}, predicted {want}")
-            yield _minimal_check(code, budget, flagged=True)
-            if s * s <= 3 * t:
-                nonzero = {r: w for r, w in pred.items() if r >= 1}
-                best = min(nonzero.values())
-                attained = nonzero[s] == best
-                yield ("minimum-at-r-equals-s", attained,
-                       f"weights for r = 1..t are "
-                       f"{[nonzero[r] for r in range(1, t + 1)]}; minimum "
-                       f"{best} " + ("attained at r = s" if attained else
-                                     f"not attained at r = {s}"),
-                       not attained)
-
-        yield label, body
+def _weight_family(code, budget, t, s, q):
+    pred = dict(predicted_dprime_weights(t, s, q))
+    strata = {r: set(counts) for r, counts
+              in weight_strata(code, budget).items()}
+    want = {r: {pred[r]} for r in range(t + 1)}
+    ok = strata == want
+    yield ("stratified-weights", ok,
+           f"weights by coefficient weight r = 0..t: "
+           f"{[pred[r] for r in range(t + 1)]}"
+           if ok else f"got {strata}, predicted {want}")
+    yield _minimal_check(code, budget, flagged=True)
+    if s * s <= 3 * t:
+        nonzero = {r: w for r, w in pred.items() if r >= 1}
+        best = min(nonzero.values())
+        attained = nonzero[s] == best
+        yield ("minimum-at-r-equals-s", attained,
+               f"weights for r = 1..t are "
+               f"{[nonzero[r] for r in range(1, t + 1)]}; minimum "
+               f"{best} " + ("attained at r = s" if attained else
+                             f"not attained at r = {s}"),
+               not attained)
 
 
 def _extended_case_counterexample(code, t, q, budget):
@@ -316,26 +307,19 @@ def _extended_case_counterexample(code, t, q, budget):
     return None
 
 
-def _run_extended(instances, budget, registry):
-    for t, q in instances:
-        label = f"extended({t},{q})"
-
-        def body():
-            code = _obtain(registry, label, lambda: extended(t, q))
-            want_n = comb0(t, 2) * (q - 1) + t + q - 2
-            yield ("params", (code.n, code.k) == (want_n, t),
-                   f"[n,k] = [{code.n},{code.k}], predicted [{want_n},{t}]")
-            yield _minimal_check(code, budget)
-            yield _full_value_check(code, budget)
-            bad = _extended_case_counterexample(code, t, q, budget)
-            yield ("case-weights", bad is None,
-                   "weights split as w_s and w_s + (q-1) by the first "
-                   "coefficient" if bad is None else
-                   f"coeffs {bad[0]} have weight {bad[1]}, the split formula "
-                   f"predicts {bad[2]}; the enumerated offset for a nonzero "
-                   "first coefficient is q-2, not q-1", bad is not None)
-
-        yield label, body
+def _extended(code, budget, t, q):
+    want_n = comb0(t, 2) * (q - 1) + t + q - 2
+    yield ("params", (code.n, code.k) == (want_n, t),
+           f"[n,k] = [{code.n},{code.k}], predicted [{want_n},{t}]")
+    yield _minimal_check(code, budget)
+    yield _full_value_check(code, budget)
+    bad = _extended_case_counterexample(code, t, q, budget)
+    yield ("case-weights", bad is None,
+           "weights split as w_s and w_s + (q-1) by the first "
+           "coefficient" if bad is None else
+           f"coeffs {bad[0]} have weight {bad[1]}, the split formula "
+           f"predicts {bad[2]}; the enumerated offset for a nonzero "
+           "first coefficient is q-2, not q-1", bad is not None)
 
 
 _LIFT_BASES = (
@@ -347,40 +331,36 @@ _LIFT_BASES = (
 
 
 def _run_lift(instances, budget, registry):
+    def body(label, base, s):
+        lifted = _obtain(registry, label, lambda: lift(base, s, budget))
+        want = ((s + 1) * base.n, s + base.k)
+        yield ("params", (lifted.n, lifted.k) == want,
+               f"[n,k] = [{lifted.n},{lifted.k}], predicted {list(want)}")
+        yield _minimal_check(lifted, budget, flagged=True)
+        yield _full_value_check(lifted, budget, flagged=True)
+
+    def compose(label, base):
+        try:
+            twice = _obtain(registry, label, lambda: lift(
+                lift(base, 1, budget), 1, budget))
+        except PreconditionFailed as exc:
+            yield "compose", False, f"second lift rejected: {exc}", True
+            return
+        rep = is_minimal_code(twice, budget)
+        fv = has_full_value_property(twice, budget)
+        ok = rep.is_minimal and fv.holds
+        yield ("compose", ok,
+               f"[{twice.n},{twice.k}] is minimal and full-valued" if ok
+               else f"minimal = {rep.is_minimal}, full-value = {fv.holds}",
+               not ok)
+
     for base_label, build in _LIFT_BASES:
         base = _obtain(registry, base_label, build)
         for s in (1, 2):
             label = f"lift({base_label},{s})"
-
-            def body():
-                lifted = _obtain(registry, label,
-                                 lambda: lift(base, s, budget))
-                want = ((s + 1) * base.n, s + base.k)
-                yield ("params", (lifted.n, lifted.k) == want,
-                       f"[n,k] = [{lifted.n},{lifted.k}], "
-                       f"predicted {list(want)}")
-                yield _minimal_check(lifted, budget, flagged=True)
-                yield _full_value_check(lifted, budget, flagged=True)
-
-            yield label, body
+            yield label, partial(body, label, base, s)
         label = f"lift(lift({base_label},1),1)"
-
-        def compose():
-            try:
-                twice = _obtain(registry, label, lambda: lift(
-                    lift(base, 1, budget), 1, budget))
-            except PreconditionFailed as exc:
-                yield "compose", False, f"second lift rejected: {exc}", True
-                return
-            rep = is_minimal_code(twice, budget)
-            fv = has_full_value_property(twice, budget)
-            ok = rep.is_minimal and fv.holds
-            yield ("compose", ok,
-                   f"[{twice.n},{twice.k}] is minimal and full-valued" if ok
-                   else f"minimal = {rep.is_minimal}, full-value = {fv.holds}",
-                   not ok)
-
-        yield label, compose
+        yield label, partial(compose, label, base)
 
 
 def _run_function_codes(instances, budget, registry):
@@ -418,97 +398,93 @@ def _run_function_codes(instances, budget, registry):
 
 
 def _run_tensor(instances, budget, registry):
+    def body(label, t, q, want):
+        base = _obtain(registry, f"first({t},{q})", lambda: first(t, q))
+        prod = _obtain(registry, label, lambda: tensor_product(base, base))
+        d, _ = min_max_weight(prod, budget)
+        yield ("params", (prod.n, prod.k, d) == want,
+               f"[n,k,d] = [{prod.n},{prod.k},{d}], predicted {list(want)}")
+        d1, _ = min_max_weight(base, budget)
+        yield ("distance-product", d == d1 * d1,
+               f"d = {d} = {d1}*{d1}" if d == d1 * d1 else
+               f"d = {d}, factors have d = {d1}")
+        yield _minimal_check(prod, budget)
+
     for t, q, want in ((2, 2, (9, 4, 4)), (2, 3, (16, 4, 9))):
         label = f"first({t},{q}) x first({t},{q})"
-
-        def body():
-            base = _obtain(registry, f"first({t},{q})", lambda: first(t, q))
-            prod = _obtain(registry, label, lambda: tensor_product(base, base))
-            d, _ = min_max_weight(prod, budget)
-            yield ("params", (prod.n, prod.k, d) == want,
-                   f"[n,k,d] = [{prod.n},{prod.k},{d}], "
-                   f"predicted {list(want)}")
-            d1, _ = min_max_weight(base, budget)
-            yield ("distance-product", d == d1 * d1,
-                   f"d = {d} = {d1}*{d1}" if d == d1 * d1 else
-                   f"d = {d}, factors have d = {d1}")
-            yield _minimal_check(prod, budget)
-
-        yield label, body
+        yield label, partial(body, label, t, q, want)
 
 
 def _run_sss(instances, budget, registry):
+    def body(label, build, small):
+        code = _obtain(registry, label, build)
+        scheme = SssScheme(code)
+        # the scheme's own dual, so the dual scan walks it once
+        _obtain(registry, f"dual({label})", lambda: scheme.dual)
+        dual_sets = minimal_authorized_sets(scheme, method="dual",
+                                            budget=budget)
+        search_sets = minimal_authorized_sets(scheme, method="search",
+                                              budget=budget)
+        yield ("structure-agreement", dual_sets == search_sets,
+               f"{len(dual_sets)} minimal authorized sets from both the "
+               "dual scan and the direct search" if
+               dual_sets == search_sets else
+               f"dual found {len(dual_sets)}, search {len(search_sets)}")
+        q = code.q
+        secrets = [secret for secret in range(q) for _ in range(10)]
+        dealt = deal_batch(scheme, secrets, list(range(10)) * q)
+        trials = 0
+        mismatches = 0
+        for aset in dual_sets:
+            got = reconstruct_batch(
+                scheme, aset.indices,
+                [[sv.shares[i] for i in aset.indices] for sv in dealt])
+            trials += len(got)
+            mismatches += int(np.count_nonzero(got != secrets))
+        yield ("round-trip", trials > 0 and mismatches == 0,
+               f"{trials} reconstructions over {len(dual_sets)} minimal "
+               f"sets, {q} secrets, 10 seeds" +
+               ("" if mismatches == 0 else f"; {mismatches} mismatches"))
+        if small:
+            subsets = [subset
+                       for size in range(len(scheme.participants) + 1)
+                       for subset in combinations(scheme.participants, size)]
+            reports = perfectness_batch(scheme, subsets, budget)
+            failing = [subset for subset, rep in zip(subsets, reports)
+                       if not rep.ok]
+            yield ("perfectness", not failing,
+                   f"all {len(subsets)} participant subsets pass"
+                   if not failing
+                   else f"failing coalitions: {failing}")
+
     specs = (("first(2,2)", lambda: first(2, 2), True),
              ("first(3,3)", lambda: first(3, 3), True),
              ("random(5,3,3;seed=7)",
               lambda: random_code(5, 3, 3, seed=7), False))
     for label, build, small in specs:
-
-        def body():
-            code = _obtain(registry, label, build)
-            scheme = SssScheme(code)
-            # the scheme's own dual, so the dual scan walks it once
-            _obtain(registry, f"dual({label})", lambda: scheme.dual)
-            dual_sets = minimal_authorized_sets(scheme, method="dual",
-                                                budget=budget)
-            search_sets = minimal_authorized_sets(scheme, method="search",
-                                                  budget=budget)
-            yield ("structure-agreement", dual_sets == search_sets,
-                   f"{len(dual_sets)} minimal authorized sets from both the "
-                   "dual scan and the direct search" if
-                   dual_sets == search_sets else
-                   f"dual found {len(dual_sets)}, search {len(search_sets)}")
-            q = code.q
-            secrets = [secret for secret in range(q) for _ in range(10)]
-            dealt = deal_batch(scheme, secrets, list(range(10)) * q)
-            trials = 0
-            mismatches = 0
-            for aset in dual_sets:
-                got = reconstruct_batch(
-                    scheme, aset.indices,
-                    [[sv.shares[i] for i in aset.indices] for sv in dealt])
-                trials += len(got)
-                mismatches += int(np.count_nonzero(got != secrets))
-            yield ("round-trip", trials > 0 and mismatches == 0,
-                   f"{trials} reconstructions over {len(dual_sets)} minimal "
-                   f"sets, {q} secrets, 10 seeds" +
-                   ("" if mismatches == 0 else f"; {mismatches} mismatches"))
-            if small:
-                subsets = [subset
-                           for size in range(len(scheme.participants) + 1)
-                           for subset in combinations(scheme.participants,
-                                                      size)]
-                reports = perfectness_batch(scheme, subsets, budget)
-                failing = [subset for subset, rep in zip(subsets, reports)
-                           if not rep.ok]
-                yield ("perfectness", not failing,
-                       f"all {len(subsets)} participant subsets pass"
-                       if not failing
-                       else f"failing coalitions: {failing}")
-
-        yield label, body
+        yield label, partial(body, label, build, small)
 
 
 def _run_consistency(instances, budget, registry):
     sufficient = 0
     vacuous = 0
+
+    def body(code):
+        nonlocal sufficient, vacuous
+        ab = ab_condition(code, budget)
+        if not ab.sufficient:
+            vacuous += 1
+            return
+        sufficient += 1
+        rep = is_minimal_code(code, budget)
+        yield ("sufficient-implies-minimal", rep.is_minimal,
+               f"w_min/w_max = {ab.ratio} > {ab.threshold} and the "
+               "exhaustive check agrees" if rep.is_minimal else
+               f"ratio {ab.ratio} is sufficient yet "
+               + _witness_detail(rep))
+
     for label, code in registry.items():
-
-        def body():
-            nonlocal sufficient, vacuous
-            ab = ab_condition(code, budget)
-            if not ab.sufficient:
-                vacuous += 1
-                return
-            sufficient += 1
-            rep = is_minimal_code(code, budget)
-            yield ("sufficient-implies-minimal", rep.is_minimal,
-                   f"w_min/w_max = {ab.ratio} > {ab.threshold} and the "
-                   "exhaustive check agrees" if rep.is_minimal else
-                   f"ratio {ab.ratio} is sufficient yet "
-                   + _witness_detail(rep))
-
-        yield label, body
+        yield label, partial(body, code)
     yield "(registry)", lambda: [(
         "coverage", True,
         f"{len(registry)} codes registered; {sufficient} met the ratio "
@@ -517,12 +493,18 @@ def _run_consistency(instances, budget, registry):
 
 # criterion number -> (name, default instances or None when fixed, runner)
 _CRITERIA: dict[int, tuple[str, Optional[tuple], Callable]] = {
-    1: ("first-family-parameters", FIRST_INSTANCES, _run_first_params),
-    2: ("first-family-minimality", FIRST_INSTANCES, _run_first_minimality),
+    1: ("first-family-parameters", FIRST_INSTANCES,
+        _each("first({0},{1})", first, _first_params)),
+    2: ("first-family-minimality", FIRST_INSTANCES,
+        _each("first({0},{1})", first, _first_minimality)),
     3: ("first-family-weight-counts", FIRST_INSTANCES, _run_first_counts),
-    4: ("second-family", SECOND_INSTANCES, _run_second),
-    5: ("weight-bounded-family", WEIGHT_INSTANCES, _run_weight_family),
-    6: ("extended-family", EXTENDED_INSTANCES, _run_extended),
+    4: ("second-family", SECOND_INSTANCES,
+        _each("second({0},{1},{2})", second, _second)),
+    5: ("weight-bounded-family", WEIGHT_INSTANCES,
+        _each("weight_s({1},{0},{2})", lambda t, s, q: weight_s(s, t, q),
+              _weight_family)),
+    6: ("extended-family", EXTENDED_INSTANCES,
+        _each("extended({0},{1})", extended, _extended)),
     7: ("lift", None, _run_lift),
     8: ("function-codes", None, _run_function_codes),
     9: ("tensor-products", None, _run_tensor),

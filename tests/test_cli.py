@@ -1,6 +1,8 @@
 """End-to-end tests of the command line, run in process, and once as
 ``python -m mincodes`` in a subprocess."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -9,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from mincodes.cli import main
+from mincodes.cli import build_parser, main
 from mincodes.field import _canonical_field
 
 
@@ -446,6 +448,26 @@ def test_budget_overrun_exits_1(first33, capsys):
                              "--budget", "5")
     assert status == 1
     assert "BudgetExceeded" in err
+
+
+def test_a_second_call_prints_to_the_current_streams(first33, capsys):
+    # the parser is built once per process, under other streams here;
+    # argparse and main look sys.stdout and sys.stderr up when they print
+    build_parser.cache_clear()
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        assert main(["--help"]) == 0
+    assert build_parser() is build_parser()
+    for _ in range(2):
+        status, out, err = run_cli(capsys, "--help")
+        assert status == 0 and out.startswith("usage: mincodes") and not err
+        status, out, err = run_cli(capsys, "frobnicate")
+        assert status == 1 and not out
+        assert err.startswith("usage: mincodes") and "invalid choice" in err
+        status, out, err = run_cli(capsys, "analyze", "--in", str(first33),
+                                   "--budget", "5")
+        assert status == 1 and not out
+        assert err.startswith("error: BudgetExceeded")
 
 
 def test_construct_refuses_an_oversized_generator(capsys):

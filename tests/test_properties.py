@@ -420,7 +420,9 @@ def pairwise_minimality(code, row_block):
             hits = np.argwhere(covered)
             if hits.size:
                 i, j = start + hits[0, 0], hits[0, 1]
-                witness = tuple(analysis._as_word(v[x], u[x]) for x in (i, j))
+                witness = tuple(Codeword(tuple(u[x].tolist()),
+                                         tuple(v[x].tolist()))
+                                for x in (i, j))
     return minimal, witness, pairs
 
 
@@ -464,12 +466,8 @@ def test_growing_cover_scan_matches_fixed_blocks(n, k, q, seed, covered):
     packed = np.vstack([np.packbits(v != 0, axis=1)
                         for _, v in projective_blocks(code)])
     bad = np.nonzero(~analysis._walk(code, codes.DEFAULT_BUDGET)["minimal"])[0]
-
-    def rows(index):
-        return (analysis._class_rows(code, index)[1] != 0).astype(np.float32)
-
     with np.errstate(invalid="raise"):
-        got = analysis._first_cover(rows, bad, len(packed))
+        got = analysis._first_cover(code, bad, len(packed))
         want = fixed_block_first_cover(packed, bad, n, analysis._ROW_BLOCK)
     assert got == want
     assert got[0] == covered
@@ -489,13 +487,14 @@ def test_growing_cover_scan_matches_fixed_blocks_on_masks(drawn, row_block):
                     dtype=bool)
     packed = np.packbits(supp, axis=1)
 
-    def rows(index):
-        return np.unpackbits(packed[index], axis=1,
-                             count=n).astype(np.float32)
+    # the scan decodes supports from indices: here it reads the masks
+    def class_rows(masks, index):
+        return None, masks[index]
 
     with np.errstate(invalid="raise"), \
-            mock.patch.object(analysis, "_ROW_BLOCK", row_block):
-        got = analysis._first_cover(rows, bad, len(packed))
+            mock.patch.object(analysis, "_ROW_BLOCK", row_block), \
+            mock.patch.object(analysis, "_class_rows", class_rows):
+        got = analysis._first_cover(supp, bad, len(packed))
     assert got == fixed_block_first_cover(packed, bad, n, row_block)
 
 

@@ -173,6 +173,19 @@ def test_first_checks_register_what_a_full_run_registers(number):
     assert all(prefix[label].gen == full[label].gen for label in full)
 
 
+def test_bodies_run_after_their_runner_check_their_own_instance():
+    # each body is bound to its instance: draining every runner first and
+    # running the bodies afterwards gives _collect's checks and codes
+    eager, late = {}, {}
+    for number in range(1, 11):
+        _, defaults, runner = sweep._CRITERIA[number]
+        bodies = list(runner(defaults, DEFAULT_BUDGET, late))
+        got = [sweep.CheckResult(label, *c)
+               for label, body in bodies for c in body()]
+        assert got == sweep._collect(number, None, DEFAULT_BUDGET, eager)
+    assert late.keys() == eager.keys()
+
+
 def test_criterion_11_alone_runs_no_check_past_a_first_one():
     names = ("perfectness_batch", "reconstruct_batch", "deal_batch",
              "_extended_case_counterexample")
