@@ -28,17 +28,17 @@ Families:
 
 Each closed form is stated once, in a ``predicted_*`` helper, and the
 sweep checks it against enumeration: ``predicted_ws`` gives the first
-family's weight strata, from which the sweep also takes its distance and
-weight ratio; ``predicted_dprime_weights`` the weight-s family's weights;
-``predicted_second_bound`` the second family's length and distance bound.
+family's weight w_s, from which the sweep also takes its distance and
+weight ratio; ``predicted_dprime_weights`` the weight-s family's weights
+as a list [w_0, ..., w_t] indexed by coefficient weight r;
+``predicted_second_bound`` the second family's length and distance bound
+as a pair (n, d_upper).  Each returns plain integers.
 """
 
 from __future__ import annotations
 
 import itertools
-import logging
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,8 +47,6 @@ from .codes import DEFAULT_BUDGET, LinearCode
 from .errors import BadParams, PreconditionFailed, _int, _ints, _spend
 from .field import build_field
 from .matrix import GFMatrix, _rref_array, kronecker
-
-log = logging.getLogger(__name__)
 
 
 def comb0(n: int, k: int) -> int:
@@ -109,7 +107,6 @@ def extended(t: int, q: int) -> LinearCode:
     base = first(t, q)
     f = base.field
     if q == 2:
-        log.info("extended(t, 2) appends no columns; returning first(t, 2)")
         return base
     extra = np.zeros((t, q - 2), dtype=np.int64)
     extra[0] = f.powers_of_xi()
@@ -244,36 +241,20 @@ def psi(r: int, t: int, s: int, q: int) -> int:
     return total
 
 
-def predicted_dprime_weights(t: int, s: int, q: int) -> list[tuple[int, int]]:
-    """(r, weight) for weight_s(s, t, q) codewords of coefficient weight r.
-
-    Covers the full coefficient-weight range r = 0..t; the zero word (r = 0)
-    correctly comes out at weight 0.
-    """
+def predicted_dprime_weights(t: int, s: int, q: int) -> list[int]:
+    """[w_0, ..., w_t]: the weight of a weight_s(s, t, q) codeword of
+    coefficient weight r, at index r; the zero word comes out at w_0 = 0."""
     if not 1 <= s <= t:
         raise BadParams(f"need 1 <= s <= t, got s={s}, t={t}")
     big_n = t + comb0(t, s) * (q - 1) ** s
-    out = []
-    for r in range(t + 1):
-        w = big_n - t + r - psi(r, t, s, q) - comb0(t - r, s) * (q - 1) ** s
-        out.append((r, w))
-    return out
+    return [big_n - t + r - psi(r, t, s, q) - comb0(t - r, s) * (q - 1) ** s
+            for r in range(t + 1)]
 
 
-@dataclass(frozen=True)
-class SecondBound:
-    """Predicted parameters and distance bound of second(t, k, q)."""
-
-    n: int
-    dim: int
-    d_upper: int  # attained by the first generator row
-
-
-def predicted_second_bound(t: int, k: int, q: int) -> SecondBound:
+def predicted_second_bound(t: int, k: int, q: int) -> tuple[int, int]:
+    """(n, d_upper) of second(t, k, q): its length, and the weight of its
+    first generator row, which bounds the minimum distance."""
     if not 2 <= k <= t - 1:
         raise BadParams(f"need 2 <= k <= t-1, got k={k}, t={t}")
-    return SecondBound(
-        n=comb0(t, k) * (q - 1) ** (k - 1) + t,
-        dim=t,
-        d_upper=1 + comb0(t - 1, k - 1) * (q - 1) ** (k - 1),
-    )
+    return (comb0(t, k) * (q - 1) ** (k - 1) + t,
+            1 + comb0(t - 1, k - 1) * (q - 1) ** (k - 1))

@@ -7,22 +7,22 @@ list of fine-grained check results rather than a single flag, which keeps
 failures localized: a wrong weight at one instance cannot hide the other
 instances.
 
-Each criterion has a runner: a generator of ``(instance label, body)``
-pairs. A body is a zero-argument callable that yields the instance's
-checks as plain ``(check, passed, detail[, paper_discrepancy])`` tuples.
-Each body is bound to its own instance, so bodies may also be run after
-their runner is drained. The family criteria 1 to 6 share one runner
-factory, ``_each(label, build, checks)``: for each instance's params its
-body obtains ``build(*params)`` under ``label.format(*params)`` and then
-yields the checks of the plain generator ``checks(code, budget,
-*params)``. One driver, ``_collect``, attaches the label to each tuple. A
-``BudgetExceeded`` raised in a body ends that instance only: the checks
-it already yielded are kept, a failed ``budget`` check follows them, and
-the driver goes on to the next instance. The codes a sweep builds live
-in one registry, a plain dict from label to ``LinearCode``, which
-criterion 11 audits. Every body obtains each code it will check before
-it yields its first check, so a body run up to that check registers all
-its codes.
+Each criterion has a runner: a generator of ``(label, checks)`` pairs,
+one per instance, with checks a lazy generator of the instance's checks
+as plain ``(check, passed, detail[, paper_discrepancy])`` tuples. Nothing
+runs until checks is iterated, and each is bound to its own instance, so
+it may also be drained after its runner is. The family criteria 1 to 6
+share one runner factory, ``_each(label, build, checks)``: for each
+instance's params, its checks obtain ``build(*params)`` under
+``label.format(*params)`` and then yield those of the plain generator
+``checks(code, budget, *params)``. One driver, ``_collect``, attaches the
+label to each tuple. A ``BudgetExceeded`` raised in an instance's checks
+ends that instance only: the checks it already yielded are kept, a failed
+``budget`` check follows them, and the driver goes on to the next
+instance. The codes a sweep builds live in one registry, a plain dict
+from label to ``LinearCode``, which criterion 11 audits. Each instance
+obtains every code it will check before it yields its first check, so
+its checks run up to that one register all its codes.
 
 Checks whose outcome is known to contradict a published closed-form claim
 carry ``paper_discrepancy=True``. The sweep never patches an expectation
@@ -42,7 +42,6 @@ import re
 from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import combinations
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -51,8 +50,9 @@ import numpy as np
 
 from .analysis import (ab_condition, has_full_value_property,
                        is_minimal_code, weight_strata)
-from .codes import (DEFAULT_BUDGET, LinearCode, codeword_blocks,
-                    min_max_weight, random_code, weight_distribution)
+from .codes import (DEFAULT_BUDGET, LinearCode, _class_coeffs,
+                    min_max_weight, projective_blocks, random_code,
+                    weight_distribution)
 from .constructions import (cf_code, cg_code, comb0, extended, first, lift,
                             predicted_dprime_weights, predicted_second_bound,
                             predicted_ws, second, tensor_product, weight_s)
@@ -172,8 +172,8 @@ def _each(label: str, build: Callable, checks: Callable) -> Callable:
     def runner(instances, budget, registry):
         for params in instances:
             name = label.format(*params)
-            yield name, partial(_checked, registry, name, build, checks,
-                                budget, params)
+            yield name, _checked(registry, name, build, checks, budget,
+                                 params)
     return runner
 
 
@@ -244,67 +244,74 @@ def _run_first_counts(instances, budget, registry):
     yield from _each("first({0},{1})", first, _first_counts)(
         instances, budget, registry)
     if instances:
-        yield "(all instances)", lambda: [(
+        yield "(all instances)", iter([(
             "count-formula-note", True,
             "the census at weight w_s is C(t,s)(q-1)^s; a published count "
-            "omits the binomial factor", True)]
+            "omits the binomial factor", True)])
 
 
 def _second(code, budget, t, k, q):
-    bound = predicted_second_bound(t, k, q)
-    yield ("params", (code.n, code.k) == (bound.n, bound.dim),
-           f"[n,k] = [{code.n},{code.k}], "
-           f"predicted [{bound.n},{bound.dim}]")
+    n, d_upper = predicted_second_bound(t, k, q)
+    yield ("params", (code.n, code.k) == (n, t),
+           f"[n,k] = [{code.n},{code.k}], predicted [{n},{t}]")
     d, _ = min_max_weight(code, budget)
     row = code.codeword([1] + [0] * (t - 1))
-    ok = d <= bound.d_upper and row.weight == bound.d_upper
+    ok = d <= d_upper and row.weight == d_upper
     yield ("distance-bound", ok,
-           f"d = {d} <= {bound.d_upper}, first row attains the bound"
-           if ok else f"d = {d}, bound {bound.d_upper}, "
+           f"d = {d} <= {d_upper}, first row attains the bound"
+           if ok else f"d = {d}, bound {d_upper}, "
            f"first row weight {row.weight}")
     yield _minimal_check(code, budget, flagged=True)
 
 
 def _weight_family(code, budget, t, s, q):
-    pred = dict(predicted_dprime_weights(t, s, q))
+    pred = predicted_dprime_weights(t, s, q)
     strata = {r: set(counts) for r, counts
               in weight_strata(code, budget).items()}
-    want = {r: {pred[r]} for r in range(t + 1)}
+    want = {r: {w} for r, w in enumerate(pred)}
     ok = strata == want
     yield ("stratified-weights", ok,
-           f"weights by coefficient weight r = 0..t: "
-           f"{[pred[r] for r in range(t + 1)]}"
+           f"weights by coefficient weight r = 0..t: {pred}"
            if ok else f"got {strata}, predicted {want}")
     yield _minimal_check(code, budget, flagged=True)
     if s * s <= 3 * t:
-        nonzero = {r: w for r, w in pred.items() if r >= 1}
-        best = min(nonzero.values())
-        attained = nonzero[s] == best
+        best = min(pred[1:])
+        attained = pred[s] == best
         yield ("minimum-at-r-equals-s", attained,
-               f"weights for r = 1..t are "
-               f"{[nonzero[r] for r in range(1, t + 1)]}; minimum "
+               f"weights for r = 1..t are {pred[1:]}; minimum "
                f"{best} " + ("attained at r = s" if attained else
                              f"not attained at r = {s}"),
                not attained)
 
 
 def _extended_case_counterexample(code, t, q, budget):
-    """First codeword violating the split weight formula, or None.
+    """(coeffs, weight, predicted, offset q-2 holds) of the first codeword
+    violating the split weight formula, or None.
 
     The formula under test assigns w_s to a combination of s rows whose
-    first coefficient is zero and w_s + (q-1) otherwise; both sides are
-    scale-invariant, so the first failing word has lead coefficient 1.
+    first coefficient u_0 is zero and w_s + (q-1) otherwise.  Both sides
+    are scale-invariant and classes come in canonical order, so the first
+    failing word is the lead-1 word of the first failing class; the classes
+    with u_0 != 0 are those from index (q^(t-1) - 1)/(q - 1) on.  The last
+    entry tells whether every class weighs w_s + (q-2)*[u_0 != 0] instead.
     """
-    for block, values in codeword_blocks(code, budget):
-        w = np.count_nonzero(values, axis=1)
-        cw = np.count_nonzero(block, axis=1)
-        for u, got, s in zip(block, w, cw):
-            if not s:
-                continue  # the zero word
-            want = predicted_ws(int(s), t, q) + (q - 1 if u[0] else 0)
-            if int(got) != want:
-                return tuple(int(x) for x in u), int(got), want
-    return None
+    ws = np.array([0] + [predicted_ws(s, t, q) for s in range(1, t + 1)])
+    first_lead = (q ** (t - 1) - 1) // (q - 1)
+    bad, offset_holds, start = None, True, 0
+    for s, values in projective_blocks(code, budget):
+        lead = np.arange(start, start + len(s)) >= first_lead
+        want = ws[s] + (q - 1) * lead
+        got = np.count_nonzero(values, axis=1)
+        miss = np.flatnonzero(got != want)
+        if bad is None and len(miss):
+            bad = start + miss[0], int(got[miss[0]]), int(want[miss[0]])
+        offset_holds &= bool((got == want - lead).all())  # q-2 for q-1
+        start += len(s)
+    if bad is None:
+        return None
+    index, got, want = bad
+    u = _class_coeffs(q, t, np.array([index]))[0]
+    return tuple(int(x) for x in u), got, want, offset_holds
 
 
 def _extended(code, budget, t, q):
@@ -314,12 +321,14 @@ def _extended(code, budget, t, q):
     yield _minimal_check(code, budget)
     yield _full_value_check(code, budget)
     bad = _extended_case_counterexample(code, t, q, budget)
+    offset = bad is not None and bad[3]
     yield ("case-weights", bad is None,
            "weights split as w_s and w_s + (q-1) by the first "
            "coefficient" if bad is None else
            f"coeffs {bad[0]} have weight {bad[1]}, the split formula "
-           f"predicts {bad[2]}; the enumerated offset for a nonzero "
-           "first coefficient is q-2, not q-1", bad is not None)
+           f"predicts {bad[2]}" + ("; the enumerated offset for a nonzero "
+                                   "first coefficient is q-2, not q-1"
+                                   if offset else ""), offset)
 
 
 _LIFT_BASES = (
@@ -358,9 +367,9 @@ def _run_lift(instances, budget, registry):
         base = _obtain(registry, base_label, build)
         for s in (1, 2):
             label = f"lift({base_label},{s})"
-            yield label, partial(body, label, base, s)
+            yield label, body(label, base, s)
         label = f"lift(lift({base_label},1),1)"
-        yield label, partial(compose, label, base)
+        yield label, compose(label, base)
 
 
 def _run_function_codes(instances, budget, registry):
@@ -392,9 +401,9 @@ def _run_function_codes(instances, budget, registry):
                ("" if fv.holds else
                 f"; witness values {sorted(fv.witness_values)}"))
 
-    yield "cg(2,2,2)", cg
-    yield "cf(4,2,3;1,2)", cf
-    yield "cf(4,2,3;1,1)", cf_repeated
+    yield "cg(2,2,2)", cg()
+    yield "cf(4,2,3;1,2)", cf()
+    yield "cf(4,2,3;1,1)", cf_repeated()
 
 
 def _run_tensor(instances, budget, registry):
@@ -412,7 +421,7 @@ def _run_tensor(instances, budget, registry):
 
     for t, q, want in ((2, 2, (9, 4, 4)), (2, 3, (16, 4, 9))):
         label = f"first({t},{q}) x first({t},{q})"
-        yield label, partial(body, label, t, q, want)
+        yield label, body(label, t, q, want)
 
 
 def _run_sss(instances, budget, registry):
@@ -462,20 +471,14 @@ def _run_sss(instances, budget, registry):
              ("random(5,3,3;seed=7)",
               lambda: random_code(5, 3, 3, seed=7), False))
     for label, build, small in specs:
-        yield label, partial(body, label, build, small)
+        yield label, body(label, build, small)
 
 
 def _run_consistency(instances, budget, registry):
-    sufficient = 0
-    vacuous = 0
-
     def body(code):
-        nonlocal sufficient, vacuous
         ab = ab_condition(code, budget)
         if not ab.sufficient:
-            vacuous += 1
             return
-        sufficient += 1
         rep = is_minimal_code(code, budget)
         yield ("sufficient-implies-minimal", rep.is_minimal,
                f"w_min/w_max = {ab.ratio} > {ab.threshold} and the "
@@ -483,12 +486,16 @@ def _run_consistency(instances, budget, registry):
                f"ratio {ab.ratio} is sufficient yet "
                + _witness_detail(rep))
 
+    def coverage():  # counted from the registry, whichever bodies ran
+        met = [ab_condition(code, budget).sufficient
+               for code in registry.values() if code.size <= budget]
+        yield ("coverage", True,
+               f"{len(registry)} codes registered; {sum(met)} met the ratio "
+               f"bound, {len(met) - sum(met)} were inconclusive")
+
     for label, code in registry.items():
-        yield label, partial(body, code)
-    yield "(registry)", lambda: [(
-        "coverage", True,
-        f"{len(registry)} codes registered; {sufficient} met the ratio "
-        f"bound, {vacuous} were inconclusive")]
+        yield label, body(code)
+    yield "(registry)", coverage()
 
 
 # criterion number -> (name, default instances or None when fixed, runner)
@@ -513,16 +520,12 @@ _CRITERIA: dict[int, tuple[str, Optional[tuple], Callable]] = {
 }
 
 
-def _spec(number) -> tuple[str, Optional[tuple], Callable]:
+def _check_instances(number, instances) -> Optional[tuple]:
+    """Instances as a tuple of integer tuples (None stays None)."""
     spec = _CRITERIA.get(number) if type(number) is int else None
     if spec is None:
         raise BadParams(f"unknown criterion {number!r}; valid ids are 1..11")
-    return spec
-
-
-def _check_instances(number, instances) -> Optional[tuple]:
-    """Instances as a tuple of integer tuples (None stays None)."""
-    defaults = _spec(number)[1]
+    defaults = spec[1]
     if instances is None:
         return None
     if defaults is None:
@@ -542,17 +545,17 @@ def _check_instances(number, instances) -> Optional[tuple]:
 
 def _collect(number: int, instances: Optional[tuple], budget: int,
              registry: dict[str, LinearCode]) -> list[CheckResult]:
-    """Run every instance body of a criterion; see the module docstring."""
+    """Drain each instance's checks; see the module docstring."""
     _, defaults, runner = _CRITERIA[number]
-    checks: list[CheckResult] = []
+    results: list[CheckResult] = []
     use = defaults if instances is None else instances
-    for label, body in runner(use, budget, registry):
+    for label, checks in runner(use, budget, registry):
         try:
-            for c in body():
-                checks.append(CheckResult(label, *c))
+            for c in checks:
+                results.append(CheckResult(label, *c))
         except BudgetExceeded as exc:
-            checks.append(CheckResult(label, "budget", False, str(exc)))
-    return checks
+            results.append(CheckResult(label, "budget", False, str(exc)))
+    return results
 
 
 def run_criterion(number: int, instances: Optional[Sequence] = None,
@@ -562,8 +565,8 @@ def run_criterion(number: int, instances: Optional[Sequence] = None,
 
     The codes it builds are added to registry (label -> code). Criterion
     11 audits every code there; given an empty registry, it first fills
-    it from the default bodies of criteria 1 to 10, each run only up to
-    its first check (see the module docstring).
+    it from the default instances of criteria 1 to 10, the checks of each
+    run only up to the first (see the module docstring).
     """
     use = _check_instances(number, instances)
     budget = _int(budget, "budget")
@@ -571,9 +574,9 @@ def run_criterion(number: int, instances: Optional[Sequence] = None,
     if number == 11 and not registry:
         for m in range(1, 11):
             _, defaults, runner = _CRITERIA[m]
-            for _, body in runner(defaults, budget, registry):
+            for _, checks in runner(defaults, budget, registry):
                 with suppress(BudgetExceeded):  # _collect would record it
-                    next(iter(body()), None)
+                    next(checks, None)
     checks = _collect(number, use, budget, registry)
     return CriterionResult(number, _CRITERIA[number][0], tuple(checks))
 

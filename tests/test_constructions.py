@@ -207,12 +207,12 @@ def test_second_4_3_2_generator():
 def test_second_params_and_distance_bound():
     for t, k, q in [(4, 3, 2), (4, 3, 3), (5, 3, 2), (5, 4, 2)]:
         code = second(t, k, q)
-        bound = predicted_second_bound(t, k, q)
-        assert (code.n, code.k) == (bound.n, bound.dim), (t, k, q)
+        n, d_upper = predicted_second_bound(t, k, q)
+        assert (code.n, code.k) == (n, t), (t, k, q)
         w_min, _ = min_max_weight(code)
-        assert w_min <= bound.d_upper
+        assert w_min <= d_upper
         row = code.codeword([1] + [0] * (t - 1))
-        assert row.weight == bound.d_upper
+        assert row.weight == d_upper
 
 
 def test_second_binary_odd_k_not_minimal():
@@ -284,21 +284,17 @@ def test_psi_frozen():
 
 
 def test_predicted_dprime_weights_frozen():
-    assert predicted_dprime_weights(3, 2, 2) == [(0, 0), (1, 3), (2, 4),
-                                                 (3, 3)]
-    assert [w for _, w in predicted_dprime_weights(4, 2, 3)][1:] == \
-        [13, 20, 21, 16]
-    assert [w for _, w in predicted_dprime_weights(4, 3, 2)][1:] == \
-        [4, 4, 4, 8]
-    assert [w for _, w in predicted_dprime_weights(5, 2, 2)][1:] == \
-        [5, 8, 9, 8, 5]
+    assert predicted_dprime_weights(3, 2, 2) == [0, 3, 4, 3]
+    assert predicted_dprime_weights(4, 2, 3)[1:] == [13, 20, 21, 16]
+    assert predicted_dprime_weights(4, 3, 2)[1:] == [4, 4, 4, 8]
+    assert predicted_dprime_weights(5, 2, 2)[1:] == [5, 8, 9, 8, 5]
 
 
 def test_weight_s_stratified_weights():
     for t, s, q in [(3, 2, 2), (4, 2, 2), (4, 2, 3), (4, 3, 2), (5, 2, 2)]:
         code = weight_s(s, t, q)
         assert code.n == t + comb0(t, s) * (q - 1) ** s
-        predicted = dict(predicted_dprime_weights(t, s, q))
+        predicted = predicted_dprime_weights(t, s, q)
         strata = weights_by_coeff_weight(code)
         for r in range(t + 1):
             assert strata[r] == {predicted[r]}, (t, s, q, r)
@@ -318,9 +314,8 @@ def test_weight_s_minimum_location():
     # weight r: only (4,3,2) attains it at r = s (through a three-way tie)
     attained_at_s = {}
     for t, s, q in [(3, 2, 2), (4, 2, 2), (4, 2, 3), (4, 3, 2), (5, 2, 2)]:
-        ws = dict(predicted_dprime_weights(t, s, q))
-        nonzero = {r: w for r, w in ws.items() if r >= 1}
-        attained_at_s[(t, s, q)] = nonzero[s] == min(nonzero.values())
+        ws = predicted_dprime_weights(t, s, q)
+        attained_at_s[(t, s, q)] = ws[s] == min(ws[1:])
     assert attained_at_s == {
         (3, 2, 2): False,
         (4, 2, 2): False,

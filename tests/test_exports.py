@@ -81,6 +81,12 @@ def test_only_the_budget_gate_raises_budget_exceeded():
     assert call_counts("BudgetExceeded", "errors.py", "_spend") == (1, 1)
 
 
+def test_only_the_dealer_enumeration_walks_every_word():
+    # every other walk takes one word per scalar class
+    assert call_counts("codeword_blocks", "sss.py",
+                       "perfectness_batch") == (1, 1)
+
+
 def tables_used(tree) -> set[str]:
     """The ``*_table`` attributes that the tree reads for more than their
     ``dtype``: indexed, or bound to a name that may be indexed later."""

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from mincodes import analysis, sweep
-from mincodes.codes import DEFAULT_BUDGET, weight_distribution
+from mincodes.codes import (DEFAULT_BUDGET, codeword_blocks,
+                            weight_distribution)
+from mincodes.constructions import extended
 from mincodes.errors import BadParams
 from mincodes.sweep import (load_config, run_criterion, run_sweep,
                             validate_config, write_distribution_csvs)
@@ -98,6 +100,45 @@ def test_criterion_6_case_weights_fail_flagged():
         assert by_check(res, name)[0].passed
 
 
+def first_split_failure(code, ws):
+    """The oracle of case-weights: every word in canonical order, one at a
+    time, against w_s + (q-1)*[u_0 != 0]; also whether every word weighs
+    w_s + (q-2)*[u_0 != 0] instead."""
+    q, bad, offset = code.q, None, True
+    for block, values in codeword_blocks(code):
+        for u, word in zip(block, values):
+            s, got = np.count_nonzero(u), np.count_nonzero(word)
+            if not s:
+                continue
+            want = ws(s) + (q - 1) * bool(u[0])
+            if bad is None and got != want:
+                bad = tuple(int(x) for x in u), int(got), int(want)
+            offset &= bool(got == want - bool(u[0]))
+    return None if bad is None else bad + (offset,)
+
+
+@pytest.mark.parametrize("shift", [0, 1])
+@pytest.mark.parametrize("t,q", [(2, 2), (2, 5), (3, 3), (3, 4), (4, 3)])
+def test_case_weights_match_a_word_by_word_scan(t, q, shift):
+    code = extended(t, q)
+    real = sweep.predicted_ws
+    with mock.patch.object(sweep, "predicted_ws",
+                           lambda s, t, q: real(s, t, q) + shift):
+        got = sweep._extended_case_counterexample(code, t, q, DEFAULT_BUDGET)
+    assert got == first_split_failure(code, lambda s: real(s, t, q) + shift)
+
+
+def test_case_weights_unflagged_when_neither_split_holds():
+    real = sweep.predicted_ws
+    with mock.patch.object(sweep, "predicted_ws",
+                           lambda s, t, q: real(s, t, q) + 1):
+        res = run_criterion(6, instances=[(3, 3)])
+    case, = by_check(res, "case-weights")
+    assert not case.passed and not case.paper_discrepancy
+    assert case.detail == ("coeffs (0, 0, 1) have weight 5, the split "
+                           "formula predicts 6")
+
+
 def test_criterion_9_passes():
     res = run_criterion(9)
     assert res.passed
@@ -168,7 +209,7 @@ def test_first_checks_register_what_a_full_run_registers(number):
     full, prefix = {}, {}
     sweep._collect(number, None, DEFAULT_BUDGET, full)
     for _, body in runner(defaults, DEFAULT_BUDGET, prefix):
-        next(iter(body()), None)
+        next(body, None)
     assert list(prefix) == list(full)
     assert all(prefix[label].gen == full[label].gen for label in full)
 
@@ -181,9 +222,25 @@ def test_bodies_run_after_their_runner_check_their_own_instance():
         _, defaults, runner = sweep._CRITERIA[number]
         bodies = list(runner(defaults, DEFAULT_BUDGET, late))
         got = [sweep.CheckResult(label, *c)
-               for label, body in bodies for c in body()]
+               for label, body in bodies for c in body]
         assert got == sweep._collect(number, None, DEFAULT_BUDGET, eager)
     assert late.keys() == eager.keys()
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, 100])
+def test_coverage_note_counts_the_registry_before_any_body(default_report,
+                                                           budget):
+    registry = default_report.registry
+    _, _, runner = sweep._CRITERIA[11]
+    label, note = list(runner(None, budget, registry))[-1]
+    assert label == "(registry)"
+    (check, passed, detail), = note  # before any body of criterion 11
+    collected = sweep._collect(11, None, budget, registry)
+    assert (check, passed, detail) == (
+        "coverage", True, collected[-1].detail)
+    vacuous = {DEFAULT_BUDGET: 24, 100: 14}[budget]
+    assert detail == ("38 codes registered; 14 met the ratio bound, "
+                      f"{vacuous} were inconclusive")
 
 
 def test_criterion_11_alone_runs_no_check_past_a_first_one():
