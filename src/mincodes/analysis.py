@@ -228,11 +228,10 @@ def _walk(code: LinearCode, budget: int) -> dict:
     Counting decides a block's classes first (see the module docstring):
     fewer than k-1 zeros, not minimal; (q-1)*wt < q*M, minimal, where M is
     the least class weight walked so far, this block included.  Only the
-    rest go to the rank kernel, gathered as a subset when counting decided
-    any.  M never falls below w_min, so only a block whose M exceeds the
-    final w_min can hold a class taken as minimal that w_min does not
-    prove: a second walk, up to the last such block, ranks its classes
-    with q*w_min <= (q-1)*wt < q*M.
+    rest go to the rank kernel, gathered as a subset.  M never falls below
+    w_min, so only a block whose M exceeds the final w_min can hold a
+    class taken as minimal that w_min does not prove: a second walk, up to
+    the last such block, ranks its classes with q*w_min <= (q-1)*wt < q*M.
 
     Each block's slice (see the module docstring), padded with the zero
     column n, is gathered by width rounds of argmin when 2**width <= n,
@@ -268,9 +267,7 @@ def _walk(code: LinearCode, budget: int) -> dict:
         least.append(m)
         ok = (q - 1) * w < q * m
         todo = ~ok & (zeros >= k - 1)
-        if todo.all():
-            ok = ranked(supp, zeros)
-        elif todo.any():
+        if todo.any():
             ok[todo] = ranked(supp[todo], zeros[todo])
         strata += np.bincount(s * (n + 1) + w, minlength=strata.size)
         if missing is None:
@@ -364,14 +361,8 @@ def ab_condition(code: LinearCode, budget: int = DEFAULT_BUDGET) -> AbReport:
     on the weights of the kept walk."""
     w_min, w_max = min_max_weight(code, budget)
     q = code.q
-    return AbReport(
-        q=q,
-        w_min=w_min,
-        w_max=w_max,
-        ratio=Fraction(w_min, w_max),
-        threshold=Fraction(q - 1, q),
-        sufficient=q * w_min > (q - 1) * w_max,
-    )
+    return AbReport(q, w_min, w_max, Fraction(w_min, w_max),
+                    Fraction(q - 1, q), q * w_min > (q - 1) * w_max)
 
 
 def has_full_value_property(code: LinearCode,

@@ -130,7 +130,7 @@ def _cmd_analyze(args) -> int:
             "command": "analyze",
             "parameters": {"in": str(args.infile), "budget": args.budget},
             "code": {"n": code.n, "k": code.k, "q": code.q,
-                     "d": dist.min_nonzero()},
+                     "d": ab.w_min},
             "verdicts": {
                 "minimality": minimal.as_dict(),
                 "ab": ab.as_dict(),
@@ -140,7 +140,7 @@ def _cmd_analyze(args) -> int:
             "warnings": [],
         })
     else:
-        print(f"[{code.n},{code.k}]_{code.q} code, d = {dist.min_nonzero()}")
+        print(f"[{code.n},{code.k}]_{code.q} code, d = {ab.w_min}")
         if minimal.is_minimal:
             print(f"minimal: yes ({minimal.classes} scalar classes, "
                   f"{minimal.pairs_checked} pairs checked)")

@@ -204,26 +204,24 @@ class WeightDistribution:
 
     counts: dict[int, int]
 
-    def min_nonzero(self) -> int:
-        return min(w for w in self.counts if w > 0)
-
-    def max_weight(self) -> int:
-        return max(w for w in self.counts if w > 0)
-
     def to_csv(self) -> str:
         lines = ["weight,count"]
         lines += [f"{w},{self.counts[w]}" for w in sorted(self.counts)]
         return "\n".join(lines) + "\n"
 
 
-def weight_distribution(code: LinearCode,
-                        budget: int = DEFAULT_BUDGET) -> WeightDistribution:
-    """Exhaustive weight distribution of the code, from the class counts
-    of the one walk in ``analysis``."""
+def _class_weights(code: LinearCode, budget: int) -> np.ndarray:
+    """Class counts by weight 0..n, from the strata of ``analysis._walk``."""
     # analysis imports this module, so its walk is imported at call time
     from .analysis import _walk
-    per_class = _walk(code, budget)["strata"].sum(axis=0)
-    counts = per_class * (code.q - 1)  # a class's q-1 words share its weight
+    return _walk(code, budget)["strata"].sum(axis=0)
+
+
+def weight_distribution(code: LinearCode,
+                        budget: int = DEFAULT_BUDGET) -> WeightDistribution:
+    """Exhaustive weight distribution of the code, from its class counts."""
+    # a class's q-1 words share its weight
+    counts = _class_weights(code, budget) * (code.q - 1)
     counts[0] = 1  # the zero word
     return WeightDistribution(
         {int(w): int(c) for w, c in enumerate(counts) if c})
@@ -232,8 +230,8 @@ def weight_distribution(code: LinearCode,
 def min_max_weight(code: LinearCode,
                    budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """(w_min, w_max) over nonzero codewords; w_min is the distance d."""
-    dist = weight_distribution(code, budget)
-    return dist.min_nonzero(), dist.max_weight()
+    weights = np.flatnonzero(_class_weights(code, budget))
+    return int(weights[0]), int(weights[-1])
 
 
 def dual_code(code: LinearCode) -> LinearCode:

@@ -272,6 +272,24 @@ def test_analyze_walks_the_classes_once(build, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_analyze_builds_one_weight_distribution(tmp_path, capsys):
+    # d and the weight ratio come from the walk's counts, not from a
+    # second WeightDistribution
+    path = tmp_path / "code.txt"
+    write_matrix(first(3, 3).gen, path)
+    built = []
+    real = codes.WeightDistribution
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    with mock.patch.object(codes, "WeightDistribution", counted):
+        cli.main(["analyze", "--in", str(path), "--json"])
+    assert len(built) == 1
+    capsys.readouterr()
+
+
 def test_memoised_checks_walk_nothing():
     code = second(4, 3, 2)
     report = is_minimal_code(code)

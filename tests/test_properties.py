@@ -687,7 +687,8 @@ def whole_code_oracles(code):
     walks above and the pairwise cover scan."""
     fresh = LinearCode(code.gen)
     dist = walk_weight_distribution(fresh)
-    q, w_min, w_max = code.q, dist.min_nonzero(), dist.max_weight()
+    weights = [w for w in dist.counts if w]
+    q, w_min, w_max = code.q, min(weights), max(weights)
     mask, witness, pairs = pairwise_minimality(fresh, analysis._ROW_BLOCK)
     return {
         is_minimal_code: MinimalityReport(witness is None, witness,

@@ -2,6 +2,7 @@
 
 import contextlib
 import json
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -81,6 +82,42 @@ def test_criterion_4_binary_instance_fails_flagged():
     assert not minimal.passed and minimal.paper_discrepancy
     assert by_check(res, "params")[0].passed
     assert by_check(res, "distance-bound")[0].passed
+
+
+@pytest.mark.parametrize("params", [(6, 3, 2), (8, 5, 2), (9, 5, 2)])
+def test_non_default_second_failures_are_unflagged(params):
+    # outside the record of default failures, a failure reads as a
+    # regression, even where the same published argument fails
+    minimal, = by_check(run_criterion(4, instances=[params]), "is-minimal")
+    assert not minimal.passed and not minimal.paper_discrepancy
+
+
+@pytest.mark.parametrize("number,instances,label", [
+    (4, [(4, 3, 3)], "second(4,3,3)"),
+    (5, [(3, 2, 2)], "weight_s(2,3,2)"),
+    (7, None, "lift(gen(1,0),1)"),
+])
+def test_a_minimal_default_code_read_as_not_minimal_is_unflagged(
+        number, instances, label):
+    real = sweep.is_minimal_code
+
+    def not_minimal(code, budget):
+        word = analysis.minimal_codewords(code, budget)[0]
+        return replace(real(code, budget), is_minimal=False,
+                       witness=(word, word))
+
+    with mock.patch.object(sweep, "is_minimal_code", not_minimal):
+        res = run_criterion(number, instances=instances)
+    minimal, = [c for c in by_check(res, "is-minimal") if c.instance == label]
+    assert not minimal.passed and not minimal.paper_discrepancy
+
+
+def test_every_recorded_discrepancy_fails_flagged(default_report):
+    flagged = {(c.instance, c.check) for r in default_report.results
+               for c in r.checks if not c.passed and c.paper_discrepancy}
+    record = {(label, check) for check, labels
+              in sweep._DISCREPANCIES.items() for label in labels}
+    assert len(record) == 13 and record <= flagged
 
 
 def test_criterion_5_remark_fails_flagged():
@@ -207,7 +244,7 @@ def test_first_checks_register_what_a_full_run_registers(number):
     # lets a lone criterion 11 fill its corpus without the other checks
     _, defaults, runner = sweep._CRITERIA[number]
     full, prefix = {}, {}
-    sweep._collect(number, None, DEFAULT_BUDGET, full)
+    sweep._collect(runner(defaults, DEFAULT_BUDGET, full))
     for _, body in runner(defaults, DEFAULT_BUDGET, prefix):
         next(body, None)
     assert list(prefix) == list(full)
@@ -221,9 +258,8 @@ def test_bodies_run_after_their_runner_check_their_own_instance():
     for number in range(1, 11):
         _, defaults, runner = sweep._CRITERIA[number]
         bodies = list(runner(defaults, DEFAULT_BUDGET, late))
-        got = [sweep.CheckResult(label, *c)
-               for label, body in bodies for c in body]
-        assert got == sweep._collect(number, None, DEFAULT_BUDGET, eager)
+        got = sweep._collect(bodies)
+        assert got == sweep._collect(runner(defaults, DEFAULT_BUDGET, eager))
     assert late.keys() == eager.keys()
 
 
@@ -235,7 +271,7 @@ def test_coverage_note_counts_the_registry_before_any_body(default_report,
     label, note = list(runner(None, budget, registry))[-1]
     assert label == "(registry)"
     (check, passed, detail), = note  # before any body of criterion 11
-    collected = sweep._collect(11, None, budget, registry)
+    collected = sweep._collect(runner(None, budget, registry))
     assert (check, passed, detail) == (
         "coverage", True, collected[-1].detail)
     vacuous = {DEFAULT_BUDGET: 24, 100: 14}[budget]
@@ -414,6 +450,20 @@ def test_json_shape():
     check = d["criteria"][0]["checks"][0]
     assert set(check) == {"instance", "check", "passed",
                           "paper_discrepancy", "detail"}
+
+
+def test_default_sweep_walks_each_registered_code_once():
+    # column_ranks is bound once per fresh walk of a code's classes
+    calls = []
+    real = analysis.column_ranks
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    with mock.patch.object(analysis, "column_ranks", spy):
+        report = run_sweep()
+    assert len(calls) == len(report.registry) == 38
 
 
 def test_criterion_10_builds_and_walks_each_dual_once():
