@@ -19,14 +19,14 @@ exactly when rank [G_A] = rank [G_A | secret column], and one
 Each Massey operation has a batched form that the single call wraps:
 ``deal_batch`` makes many dealings with one matmul, ``reconstruct_batch``
 decides a block of share rows for one coalition with one matmul against
-the coalition's row reduction, and ``perfectness_batch`` enumerates the
-q^k dealings once for all the coalitions it checks.  A scheme row-reduces
-each coalition once and keeps the result for ``reconstruct_batch`` and
-``is_authorized``, for up to ``_SOLVER_CAP`` coalitions, dropping the
-least recently used first; generator data is read-only, so a kept
-reduction cannot go stale.  Dealings draw from ``secrets.SystemRandom``
-unless a seed is given; a seed replays the same shares from
-``random.Random(seed)``.
+the coalition's decoder, and ``perfectness_batch`` enumerates the q^k
+dealings once for all the coalitions it checks.  A scheme row-reduces
+each coalition once and keeps the decoder made from the result
+(``_reduce``) for ``reconstruct_batch`` and ``is_authorized``, for up to
+``_SOLVER_CAP`` coalitions, dropping the least recently used first;
+generator data is read-only, so a kept decoder cannot go stale.
+Dealings draw from ``secrets.SystemRandom`` unless a seed is given; a
+seed replays the same shares from ``random.Random(seed)``.
 """
 
 from __future__ import annotations
@@ -63,7 +63,7 @@ from .matrix import GFMatrix, _rref_array, column_ranks, in_span, nullspace
 # hmac and OpenSSL at import time
 _SYSTEM_RANDOM = random.SystemRandom()
 
-# most coalitions a scheme keeps a row reduction for; first(4,4) has 828
+# most coalitions a scheme keeps a decoder for; first(4,4) has 828
 # minimal coalitions and random [24,12]_2 (seed 1) 906
 _SOLVER_CAP = 4096
 
@@ -91,6 +91,7 @@ class SssScheme:
         self.participants = tuple(
             i for i in range(1, code.n + 1) if i != secret_column
         )
+        self._members = frozenset(self.participants)
         # the dealer draws u = secret * x + draws @ N, where x . col = 1 and
         # N's rows span col's nullspace, so u . col = secret; _deal_map,
         # [x; N] times G on the participants' columns, maps [secret | draws]
@@ -102,8 +103,8 @@ class SssScheme:
                        nullspace(GFMatrix(f, col[None])).data]),
             gen[:, [i - 1 for i in self.participants]])
         self._rank = column_ranks(f, gen)
-        # coalition ids -> row reduction; the partial holds no reference to
-        # the scheme, so the cache makes no cycle through it
+        # coalition ids -> decoder; the partial holds no reference to the
+        # scheme, so the cache makes no cycle through it
         self._reductions = functools.lru_cache(maxsize=_SOLVER_CAP)(
             functools.partial(_reduce, f, gen, secret_column - 1))
 
@@ -120,7 +121,7 @@ class SssScheme:
         ids = tuple(_ints(subset, "participants"))
         if len(set(ids)) != len(ids):
             raise BadParams(f"duplicate participants in {ids}")
-        bad = [i for i in ids if i not in self.participants]
+        bad = [i for i in ids if i not in self._members]
         if bad:
             raise BadParams(f"unknown participants {bad}")
         return ids
@@ -200,15 +201,31 @@ def deal(scheme: SssScheme, secret: int, seed: int | None = None
 
 def _reduce(field, gen: np.ndarray, secret_index: int,
             ids: tuple[int, ...]):
-    """The row reduction of [gen's 1-based columns ids | the secret column]:
-    None when the coalition is unauthorized, else (pivot columns, the
-    nonzero reduced rows) in gen's dtype, their columns in ids' order."""
+    """The decoder of the coalition with gen's 1-based columns ids: None
+    when it is unauthorized, else an (m, f+1) matrix D in gen's dtype, where
+    m = len(ids) and f = m - rank G_ids counts the columns that are not
+    pivots of the row reduction of [G_ids | the secret column].
+
+    Let P be the (m, m+1) matrix holding reduced row i at row pivots[i].
+    A share row v lies in the row space of G_ids iff v P agrees with v on
+    its first m entries, and then v P's last entry is the secret.  P - I
+    is zero at the pivot columns, so D is P - I at the f others, then P's
+    secret column: v is consistent iff v D[:, :f] = 0, and its secret is
+    v D[:, f].  Independent columns (every minimal coalition) have f = 0,
+    and D is the recombination vector."""
+    m = len(ids)
     red, pivots = _rref_array(field, gen[:, [i - 1 for i in ids]
                                        + [secret_index]])
     # the secret column is nonzero, so it has a pivot unless it is spanned
-    if pivots[-1] == len(ids):
+    if pivots[-1] == m:
         return None
-    return np.array(pivots, dtype=np.intp), red[:len(pivots)].astype(gen.dtype)
+    free = [c for c in range(m) if c not in pivots]
+    dec = np.zeros((m, len(free) + 1), dtype=np.int64)
+    dec[pivots] = red[:len(pivots), free + [m]]
+    # P's row at a free column is zero, so P - I there is -1 on the
+    # diagonal: the encoding whose one nonzero digit, the constant, is p-1
+    dec[free, range(len(free))] = field.p - 1
+    return dec.astype(gen.dtype)
 
 
 def is_authorized(scheme: SssScheme, subset) -> bool:
@@ -219,12 +236,12 @@ def is_authorized(scheme: SssScheme, subset) -> bool:
 def reconstruct_batch(scheme: SssScheme, subset, share_rows) -> np.ndarray:
     """Recover the secret of each row of shares held by one coalition.
 
-    The row reduction of [coalition columns | secret column], made once
-    per scheme and coalition (see ``_reduce``), decides authorization,
-    and one matmul of the share rows with the reduced rows checks that
-    each row matches some codeword and gives its secret, which is the
-    same for every codeword the row matches.  The first row that matches
-    none is named in the InconsistentShares raised.
+    The coalition's decoder, made once per scheme and coalition (see
+    ``_reduce``), decides authorization, and one matmul of the share rows
+    with it gives, per row, f check entries that are all zero exactly when
+    the row matches some codeword, and the secret, which is the same for
+    every codeword the row matches.  The first row that matches none is
+    named in the InconsistentShares raised.
     """
     ids = scheme._check(subset)
     m, q = len(ids), scheme.field.q
@@ -236,20 +253,17 @@ def reconstruct_batch(scheme: SssScheme, subset, share_rows) -> np.ndarray:
         if any(not 0 <= v < q for v in vals):
             raise BadParams(f"share values out of range: {vals}")
         rows.append(vals)
-    solver = scheme._reductions(ids)
-    if solver is None:
+    dec = scheme._reductions(ids)
+    if dec is None:
         raise Unauthorized(f"coalition {sorted(ids)} cannot reconstruct")
-    pivots, red = solver
-    # a row is in the row space of the coalition columns iff it is the
-    # pivot-weighted sum of the reduced rows, whose last entry is the secret
-    want = np.array(rows, dtype=np.int64).reshape(len(rows), m)
-    got = scheme.field.matmul(want[:, pivots], red)
-    bad = (got[:, :m] != want).any(axis=1)
-    if bad.any():
+    got = scheme.field.matmul(
+        np.array(rows, dtype=np.int64).reshape(len(rows), m), dec)
+    # a minimal coalition's decoder has no check columns (f = 0)
+    if dec.shape[1] > 1 and got[:, :-1].any():
         raise InconsistentShares(
-            f"shares {rows[int(bad.argmax())]} match no codeword on "
-            f"{sorted(ids)}")
-    return got[:, m].astype(np.int64)
+            f"shares {rows[int(got[:, :-1].any(axis=1).argmax())]} match "
+            f"no codeword on {sorted(ids)}")
+    return got[:, -1].astype(np.int64)
 
 
 def reconstruct(scheme: SssScheme, subset, shares) -> int:
@@ -299,8 +313,7 @@ def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
             before = np.cumsum(own, axis=1) - own
             after = np.cumsum(low[:, ::-1], axis=1)[:, ::-1] - low
             minimal = ok & ~prev[before + after].any(axis=1)
-            found.extend(tuple(int(i) for i in ids[row])
-                         for row in block[minimal])
+            found.extend(map(tuple, ids[block[minimal]].tolist()))
         prev = auth
     return [AccessSet(m) for m in found]
 
@@ -311,11 +324,14 @@ def _dual_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
     values = _minimal_rows(scheme.dual, budget)[1]
     supp = values[values[:, c0] != 0] != 0
     supp[:, c0] = False
+    # order by size; within one size, the first column where two supports
+    # differ belongs to the smaller tuple, so by the negated bits next
+    sizes = supp.sum(axis=1)
+    order = np.lexsort(np.vstack([~supp.T[::-1], sizes]))
     # row i's participants, ascending, are cols[ends[i-1]:ends[i]]
-    cols = (np.nonzero(supp)[1] + 1).tolist()
-    ends = np.cumsum(supp.sum(axis=1)).tolist()
-    sets = [tuple(cols[s:e]) for s, e in zip([0] + ends, ends)]
-    return [AccessSet(s) for s in sorted(sets, key=lambda s: (len(s), s))]
+    cols = (np.nonzero(supp[order])[1] + 1).tolist()
+    ends = np.cumsum(sizes[order]).tolist()
+    return [AccessSet(tuple(cols[s:e])) for s, e in zip([0] + ends, ends)]
 
 
 def minimal_authorized_sets(scheme: SssScheme, method: str = "auto",
@@ -347,16 +363,17 @@ def perfectness_batch(scheme: SssScheme, subsets,
                       budget: int = DEFAULT_BUDGET) -> list[PerfectnessReport]:
     """Enumerate all q^k dealings once and test each coalition's knowledge.
 
-    A coalition's share patterns are its columns of the dealings, padded
-    to the widest coalition with a zero column n.  As many coalitions as
-    fit ``codes._CHUNK`` (coalition, dealing) rows go at a time: the rows
-    are sorted by coalition and then entry by entry (``np.lexsort``), and
-    a new pattern number starts wherever the coalition or an entry
-    changes.  No pattern is packed into a mixed-radix integer, so no
-    coalition is too wide.  A coalition is authorized when the secret
-    column adds no rank to its columns; all coalitions are ranked with
-    and without it in one ``column_ranks`` call.  Reports come in the
-    order of ``subsets``.
+    The coalitions go in order of size, as many at a time as fit
+    ``codes._CHUNK`` (coalition, dealing) rows.  A coalition's share
+    patterns are its columns of the dealings, padded with a zero column n
+    to the widest coalition of its part, not of the call.  Within a part
+    the rows are sorted by coalition and then entry by entry
+    (``np.lexsort``), and a new pattern number starts wherever the
+    coalition or an entry changes.  No pattern is packed into a
+    mixed-radix integer, so no coalition is too wide.  A coalition is
+    authorized when the secret column adds no rank to its columns; the
+    coalitions of a part are ranked with and without it in one
+    ``column_ranks`` call.  Reports come in the order of ``subsets``.
     """
     subsets = [scheme._check(s)
                for s in _list(subsets, "subsets", "coalitions")]
@@ -367,14 +384,16 @@ def perfectness_batch(scheme: SssScheme, subsets,
     secret = values[:, scheme.secret_column - 1].astype(np.int64)
     values = np.pad(values, ((0, 0), (0, 1)))
     dealings, q, n = len(values), scheme.field.q, scheme.code.n
-    width = max(map(len, subsets))
-    cols = np.array([ids + (n + 1,) * (width - len(ids)) for ids in subsets],
-                    dtype=np.int64).reshape(len(subsets), width) - 1
-    authorized = _authorized(scheme, cols)
     step = max(1, _CHUNK // dealings)
-    reports = []
-    for start in range(0, len(cols), step):
-        part = cols[start:start + step]
+    by_size = sorted(range(len(subsets)), key=lambda i: len(subsets[i]))
+    reports = [None] * len(subsets)
+    for start in range(0, len(by_size), step):
+        which = by_size[start:start + step]
+        width = len(subsets[which[-1]])
+        part = np.array([subsets[i] + (n + 1,) * (width - len(subsets[i]))
+                         for i in which],
+                        dtype=np.int64).reshape(len(which), width) - 1
+        auth = _authorized(scheme, part)
         flat = values[:, part].transpose(1, 0, 2).reshape(
             len(part) * dealings, width)
         owner = np.repeat(np.arange(len(part)), dealings)
@@ -390,13 +409,11 @@ def perfectness_batch(scheme: SssScheme, subsets,
         owner = owner[new]
         one = (table > 0).sum(axis=1) == 1
         even = np.all(table == table[:, :1], axis=1) & (table[:, 0] > 0)
-        auth = authorized[start:start + step]
         good = np.where(auth[owner], one, even)
         failed = np.bincount(owner[~good], minlength=len(part))
-        reports.extend(
-            PerfectnessReport(subset=tuple(sorted(ids)),
-                              authorized=bool(a), ok=not f)
-            for ids, a, f in zip(subsets[start:start + step], auth, failed))
+        for i, a, f in zip(which, auth, failed):
+            reports[i] = PerfectnessReport(subset=tuple(sorted(subsets[i])),
+                                           authorized=bool(a), ok=not f)
     return reports
 
 

@@ -52,11 +52,13 @@ a rank test of consistency, and ``perfectness_batch`` against the
 per-coalition check it replaced (``np.unique(axis=0)`` and ``in_span``),
 on dealings thinned at random so that both verdicts can fail, and on a
 coalition too wide for any int64 pattern key.  ``reconstruct_batch`` on a
-scheme that already keeps a coalition's row reduction is checked against
-the same call with none kept, for every coalition, and ``is_authorized``
-against ``in_span``.  ``GF.matmul`` is checked byte for byte against the
-elementwise loop it replaced over every field order up to 256, on shapes
-on both sides of its gather cap and of r = q.
+scheme that already keeps a coalition's decoder is checked against the
+same call with none kept, for every coalition, and ``is_authorized``
+against ``in_span``; and on every coalition of small schemes, dependent
+ones included, and every one of its q^m share rows, against the q^k
+codewords restricted to the coalition.  ``GF.matmul`` is checked byte
+for byte against the elementwise loop it replaced over every field order
+up to 256, on shapes on both sides of its gather cap and of r = q.
 """
 
 import contextlib
@@ -1326,6 +1328,54 @@ def test_cached_row_reductions_match_fresh_schemes(q, data):
         assert warm._reductions.cache_info().misses == misses
     info = warm._reductions.cache_info()
     assert info.currsize == info.misses == len(coalitions)
+
+
+# participants per field that keep (q+1)^(n-1), the share rows of all
+# coalitions together, at most 256
+ORACLE_PARTS = {2: 5, 3: 4, 4: 3, 5: 3, 8: 2, 9: 2}
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_decoders_match_codeword_enumeration(q, data):
+    """Every coalition in a drawn order, dependent and non-minimal ones
+    included, and every one of its q^m share rows, against the q^k
+    codewords restricted to it: the coalition is authorized iff no row
+    shows two secrets, a row is consistent iff some codeword shows it, and
+    its secret is that codeword's entry at the secret column.  Each row
+    alone, and all q^m rows at once, which name the first inconsistent
+    one."""
+    scheme = data.draw(sss_schemes(q, max_k=3, max_n=ORACLE_PARTS[q] + 1))
+    values = all_values(scheme.code).tolist()
+    c0 = scheme.secret_column - 1
+    rng = random.Random(data.draw(st.integers(0, 99)))
+    parts = scheme.participants
+    for size in range(len(parts) + 1):
+        for ids in itertools.combinations(parts, size):
+            ids = tuple(rng.sample(ids, size))
+            seen = {}
+            for word in values:
+                seen.setdefault(tuple(word[i - 1] for i in ids),
+                                set()).add(word[c0])
+            rows = [list(r) for r in itertools.product(range(q),
+                                                       repeat=size)]
+            if any(len(secrets) > 1 for secrets in seen.values()):
+                with pytest.raises(Unauthorized):
+                    reconstruct_batch(scheme, ids, rows)
+                continue
+            want = []
+            for row in rows:
+                secrets = seen.get(tuple(row))
+                want.append(
+                    list(secrets) if secrets else
+                    ("InconsistentShares",
+                     f"shares {row} match no codeword on {sorted(ids)}"))
+                assert outcome(lambda: reconstruct_batch(
+                    scheme, ids, [row])) == want[-1]
+            bad = [w for w in want if isinstance(w, tuple)]
+            assert outcome(lambda: reconstruct_batch(scheme, ids, rows)) \
+                == (bad[0] if bad else [w[0] for w in want])
 
 
 def perfectness_oracle(scheme, subset, values):

@@ -3,9 +3,11 @@
 import dataclasses
 import gc
 import itertools
+import random
 import sys
 import threading
 import weakref
+from collections import Counter
 from unittest import mock
 
 import numpy as np
@@ -21,7 +23,7 @@ from mincodes.errors import (
     Unauthorized,
     ZeroColumn,
 )
-from mincodes.field import build_field
+from mincodes.field import GF, build_field
 from mincodes.matrix import GFMatrix, in_span
 from mincodes.sss import (
     SssScheme,
@@ -344,6 +346,16 @@ def test_access_budget_must_be_an_integer(f33, method, budget):
         minimal_authorized_sets(f33, method=method, budget=budget)
 
 
+@pytest.mark.parametrize("method", ["dual", "search"])
+def test_access_sets_hold_python_ints(f33, method):
+    # numpy scalars would break the CLI's JSON output
+    sets = minimal_authorized_sets(f33, method=method)
+    assert sets
+    for a in sets:
+        assert type(a.indices) is tuple
+        assert all(type(i) is int for i in a.indices)
+
+
 # -- perfectness ----------------------------------------------------------------
 
 
@@ -366,6 +378,29 @@ def test_perfectness_batch_keeps_input_order(f22):
         (2, 3), (), (3,), (2, 3)]
     with pytest.raises(BudgetExceeded):
         perfectness_batch(f22, subsets, budget=3)
+
+
+def test_perfectness_batch_pads_each_part_to_its_own_widest(f33):
+    # first(3,3) has 27 dealings, so this _CHUNK puts 40 coalitions in a
+    # part; the parts go by size, and each is ranked at its own width
+    subsets = [ids for size in range(len(f33.participants) + 1)
+               for ids in itertools.combinations(f33.participants, size)]
+    random.Random(0).shuffle(subsets)
+    shapes = []
+    real = sss._authorized
+
+    def authorized(scheme, cols):
+        shapes.append(cols.shape)
+        return real(scheme, cols)
+
+    with mock.patch.object(sss, "_CHUNK", 27 * 40), \
+            mock.patch.object(sss, "_authorized", authorized):
+        got = perfectness_batch(f33, subsets)
+    assert got == [perfectness_check(f33, ids) for ids in subsets]
+    sizes = sorted(map(len, subsets))
+    parts = [sizes[i:i + 40] for i in range(0, len(sizes), 40)]
+    assert shapes == [(len(part), part[-1]) for part in parts]
+    assert shapes[0][1] < shapes[-1][1]
 
 
 @pytest.mark.parametrize("subsets", [3, None, 2.5],
@@ -475,6 +510,27 @@ def test_second_call_reuses_the_row_reduction(f33):
         with pytest.raises(Unauthorized):
             reconstruct(f33, [2], [0])
         assert len(calls) == 3
+
+
+@pytest.mark.parametrize("ids", [(2, 4), (4, 5, 2)],
+                         ids=["minimal", "dependent"])
+def test_a_warm_reconstruct_is_one_matmul(f33, ids):
+    counts = Counter()
+
+    def spy(name, real):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    dealt = deal(f33, 2, seed=0)
+    shares = [dealt.shares[i] for i in ids]
+    assert reconstruct(f33, ids, shares) == 2
+    with mock.patch.object(GF, "matmul", spy("matmul", GF.matmul)), \
+            mock.patch.object(sss, "_rref_array",
+                              spy("rref", sss._rref_array)):
+        assert reconstruct(f33, ids, shares) == 2
+    assert counts == {"matmul": 1}
 
 
 def test_row_reductions_hold_no_reference_to_the_scheme(f33):
