@@ -60,6 +60,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import codes
 from .codes import DEFAULT_BUDGET, Codeword, LinearCode, _class_coeffs, \
     min_max_weight, projective_blocks
 from .errors import BadParams, NotInCode, _spend
@@ -293,8 +294,13 @@ def _walk(code: LinearCode, budget: int) -> dict:
 
 
 def _minimal_rows(code: LinearCode, budget: int):
-    """(coeffs, values) of the minimal classes, in canonical order."""
-    return _class_rows(code, np.flatnonzero(_walk(code, budget)["minimal"]))
+    """The values of the minimal classes, in canonical order, in blocks of
+    at most max(1, ``codes._ENTRIES`` // n) rows, the walk's entry bound,
+    so a caller can reduce each block before the next is decoded."""
+    index = np.flatnonzero(_walk(code, budget)["minimal"])
+    step = max(1, codes._ENTRIES // code.n)
+    for start in range(0, len(index), step):
+        yield _class_rows(code, index[start:start + step])[1]
 
 
 def is_minimal_code(code: LinearCode,

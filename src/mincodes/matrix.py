@@ -4,6 +4,8 @@ All entries are integer encodings (see :mod:`mincodes.field`).  Matrices are
 immutable; operations return new objects.  Row reduction uses the first
 nonzero entry in column order as the pivot, so every derived object
 (rref, rank, nullspace basis, span coefficients) is deterministic.
+``_solve`` is the one reader that turns reduced rows into solutions, for
+``in_span``, ``nullspace`` and the ``sss`` dealing map and decoders.
 
 Many column sets of one generator are ranked at once by ``column_ranks``,
 the package's one batched elimination kernel.  It works over the prime
@@ -129,29 +131,40 @@ def rank(matrix: GFMatrix) -> int:
     return rref(matrix)[1]
 
 
+def _solve(field: GF, a: np.ndarray, b):
+    """(x, null) from one reduction of [a | b]: x solves a.x = b with every
+    free variable zero, or is None when b's column takes a pivot; null is
+    the back-substitution basis of a's right nullspace, one row per free
+    column of a, ascending."""
+    cols = a.shape[1]
+    red, pivots = _rref_array(field, np.column_stack([a, b]))
+    x = None
+    if not pivots or pivots[-1] < cols:
+        x = np.zeros(cols, dtype=np.int64)
+        x[pivots] = red[:len(pivots), -1]
+    else:
+        pivots = pivots[:-1]
+    free = [c for c in range(cols) if c not in pivots]
+    null = np.zeros((len(free), cols), dtype=np.int64)
+    null[np.arange(len(free)), free] = 1
+    null[:, pivots] = field.neg_table[red[:len(pivots)][:, free]].T
+    return x, null
+
+
 def in_span(field: GF, target, vectors) -> np.ndarray | None:
     """Solve target = sum_j x_j * vectors[j], or return None.
 
     vectors is an iterable of 1-D encoding vectors (iterating a 2-D array
     yields its rows, so ``M.data`` passes the rows of M).  The returned
     coefficient vector is the deterministic solution with every free
-    variable set to zero.
+    variable set to zero (see ``_solve``).
     """
     t = _vector(field, target)
     vecs = [_vector(field, v, len(t))
             for v in _list(vectors, "vectors", "vectors")]
     if not vecs:
         return np.zeros(0, dtype=np.int64) if not t.any() else None
-    a = np.column_stack(vecs)
-    aug = np.hstack([a, t[:, None]])
-    red, pivots = _rref_array(field, aug)
-    ncols = a.shape[1]
-    if ncols in pivots:
-        return None  # pivot in the augmented column: inconsistent
-    x = np.zeros(ncols, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = red[i, -1]
-    return x
+    return _solve(field, np.column_stack(vecs), t)[0]
 
 
 def _prime_columns(field: GF, gen: np.ndarray) -> np.ndarray:
@@ -250,13 +263,8 @@ def nullspace(matrix: GFMatrix) -> GFMatrix:
     back-substitution basis.  A full-column-rank matrix yields a 0 x cols
     result.
     """
-    field = matrix.field
-    red, pivots = _rref_array(field, matrix.data)
-    free = [c for c in range(matrix.cols) if c not in pivots]
-    basis = np.zeros((len(free), matrix.cols), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = field.neg_table[red[:len(pivots)][:, free]].T
-    return GFMatrix(field, basis)
+    zeros = np.zeros(matrix.rows, dtype=np.int64)
+    return GFMatrix(matrix.field, _solve(matrix.field, matrix.data, zeros)[1])
 
 
 def kronecker(a: GFMatrix, b: GFMatrix) -> GFMatrix:

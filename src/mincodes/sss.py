@@ -8,21 +8,21 @@ coalition can reconstruct exactly when the secret column lies in the
 span of its columns, and the minimal such coalitions are read off the
 minimal codewords of the dual code that are nonzero on the secret
 column: the supports, less the secret column, of the minimal rows that
-the dual's one walk marks (``analysis._minimal_rows``).  A scheme builds
-its dual (``SssScheme.dual``) on first use and keeps it, so the walk is
-taken once per scheme; the budget is still checked on every call.  Where
-the dual is too big to enumerate they are found by search instead, which
-decides the coalitions of one size together: coalition A is authorized
-exactly when rank [G_A] = rank [G_A | secret column], and one
-``matrix.column_ranks`` call takes both for a block.
+the dual's one walk marks, decoded in blocks (``analysis._minimal_rows``).
+A scheme builds its dual (``SssScheme.dual``) on first use and keeps it,
+so the walk is taken once per scheme; the budget is still checked on
+every call.  Where the dual is too big to enumerate they are found by
+search instead, which decides the coalitions of one size together:
+coalition A is authorized exactly when rank [G_A] = rank [G_A | secret
+column], and one ``matrix.column_ranks`` call takes both for a block.
 
 Each Massey operation has a batched form that the single call wraps:
 ``deal_batch`` makes many dealings with one matmul, ``reconstruct_batch``
 decides a block of share rows for one coalition with one matmul against
 the coalition's decoder, and ``perfectness_batch`` enumerates the q^k
-dealings once for all the coalitions it checks.  A scheme row-reduces
-each coalition once and keeps the decoder made from the result
-(``_reduce``) for ``reconstruct_batch`` and ``is_authorized``, for up to
+dealings once for all the coalitions it checks.  A scheme solves each
+coalition's columns for the secret column once (``_reduce``) and keeps
+the decoder for ``reconstruct_batch`` and ``is_authorized``, for up to
 ``_SOLVER_CAP`` coalitions, dropping the least recently used first;
 generator data is read-only, so a kept decoder cannot go stale.
 Dealings draw from ``secrets.SystemRandom`` unless a seed is given; a
@@ -57,7 +57,7 @@ from .errors import (
     _list,
     _spend,
 )
-from .matrix import GFMatrix, _rref_array, column_ranks, in_span, nullspace
+from .matrix import _solve, column_ranks
 
 # the class ``secrets`` exports; importing it from ``random`` avoids loading
 # hmac and OpenSSL at import time
@@ -93,15 +93,13 @@ class SssScheme:
         )
         self._members = frozenset(self.participants)
         # the dealer draws u = secret * x + draws @ N, where x . col = 1 and
-        # N's rows span col's nullspace, so u . col = secret; _deal_map,
-        # [x; N] times G on the participants' columns, maps [secret | draws]
-        # to the participants' shares
+        # N's rows span col's nullspace, both from one reduction of
+        # [col | 1], so u . col = secret; _deal_map, [x; N] times G on the
+        # participants' columns, maps [secret | draws] to their shares
         f, gen = self.field, code.gen.data
-        col = self.secret_col()
-        self._deal_map = f.matmul(
-            np.vstack([in_span(f, [1], col[:, None]),
-                       nullspace(GFMatrix(f, col[None])).data]),
-            gen[:, [i - 1 for i in self.participants]])
+        x, null = _solve(f, self.secret_col()[None], [1])
+        self._deal_map = f.matmul(np.vstack([x, null]),
+                                  gen[:, [i - 1 for i in self.participants]])
         self._rank = column_ranks(f, gen)
         # coalition ids -> decoder; the partial holds no reference to the
         # scheme, so the cache makes no cycle through it
@@ -202,30 +200,15 @@ def deal(scheme: SssScheme, secret: int, seed: int | None = None
 def _reduce(field, gen: np.ndarray, secret_index: int,
             ids: tuple[int, ...]):
     """The decoder of the coalition with gen's 1-based columns ids: None
-    when it is unauthorized, else an (m, f+1) matrix D in gen's dtype, where
-    m = len(ids) and f = m - rank G_ids counts the columns that are not
-    pivots of the row reduction of [G_ids | the secret column].
-
-    Let P be the (m, m+1) matrix holding reduced row i at row pivots[i].
-    A share row v lies in the row space of G_ids iff v P agrees with v on
-    its first m entries, and then v P's last entry is the secret.  P - I
-    is zero at the pivot columns, so D is P - I at the f others, then P's
-    secret column: v is consistent iff v D[:, :f] = 0, and its secret is
-    v D[:, f].  Independent columns (every minimal coalition) have f = 0,
-    and D is the recombination vector."""
-    m = len(ids)
-    red, pivots = _rref_array(field, gen[:, [i - 1 for i in ids]
-                                       + [secret_index]])
-    # the secret column is nonzero, so it has a pivot unless it is spanned
-    if pivots[-1] == m:
+    when it is unauthorized, else D = [N^T | x] in gen's dtype, from one
+    ``matrix._solve`` of G_ids x = s, the secret column; the f = len(ids)
+    - rank G_ids rows of N are a basis of G_ids's right nullspace.  A share
+    row v is some u G_ids iff v N^T = 0, and then its secret is u s = v x.
+    A minimal coalition has f = 0, and D is the recombination vector."""
+    x, null = _solve(field, gen[:, [i - 1 for i in ids]], gen[:, secret_index])
+    if x is None:
         return None
-    free = [c for c in range(m) if c not in pivots]
-    dec = np.zeros((m, len(free) + 1), dtype=np.int64)
-    dec[pivots] = red[:len(pivots), free + [m]]
-    # P's row at a free column is zero, so P - I there is -1 on the
-    # diagonal: the encoding whose one nonzero digit, the constant, is p-1
-    dec[free, range(len(free))] = field.p - 1
-    return dec.astype(gen.dtype)
+    return np.column_stack([null.T, x]).astype(gen.dtype, order="C")
 
 
 def is_authorized(scheme: SssScheme, subset) -> bool:
@@ -321,8 +304,8 @@ def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
 def _dual_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
     # minimal words with one support are proportional: no coalition twice
     c0 = scheme.secret_column - 1
-    values = _minimal_rows(scheme.dual, budget)[1]
-    supp = values[values[:, c0] != 0] != 0
+    supp = np.concatenate([values[values[:, c0] != 0] != 0
+                           for values in _minimal_rows(scheme.dual, budget)])
     supp[:, c0] = False
     # order by size; within one size, the first column where two supports
     # differ belongs to the smaller tuple, so by the negated bits next

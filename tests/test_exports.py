@@ -87,6 +87,26 @@ def test_only_the_dealer_enumeration_walks_every_word():
                        "perfectness_batch") == (1, 1)
 
 
+def test_reduced_rows_are_read_in_one_place():
+    trees = sources()
+    # the dealer imports no elimination: its decoders and dealing map come
+    # from matrix._solve
+    named = {getattr(node, "id", None) or getattr(node, "attr", None)
+             or getattr(node, "name", None)
+             for node in ast.walk(trees["sss.py"])
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    assert not named & {"_rref_array", "in_span", "nullspace", "GFMatrix"}
+    # rref reads the reduced rows as they are and _solve turns them into
+    # solutions; _independent_rows reads only the pivots
+    callers = {(module, node.name) for module, tree in trees.items()
+               for node in ast.walk(tree)
+               if isinstance(node, ast.FunctionDef)
+               and calls(node, "_rref_array")}
+    assert callers == {("matrix.py", "rref"), ("matrix.py", "_solve"),
+                       ("constructions.py", "_independent_rows")}
+    assert sum(calls(tree, "_rref_array") for tree in trees.values()) == 3
+
+
 def tables_used(tree) -> set[str]:
     """The ``*_table`` attributes that the tree reads for more than their
     ``dtype``: indexed, or bound to a name that may be indexed later."""

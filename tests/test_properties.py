@@ -45,8 +45,11 @@ other, the empty structure of a secret column outside the others' span
 included, and the batched rank kernel ``matrix.column_ranks`` against
 ``rank`` and ``in_span`` one matrix at a time and against ``rank`` at the
 limits of its dtypes, and the row basis of the evaluation codes against
-the greedy rank-raising selection it replaced.  The batched Massey
-operations are checked against their single calls: ``deal_batch`` also
+the greedy rank-raising selection it replaced.  ``in_span`` is checked
+against every coefficient vector of up to 4 vectors: its solution, its
+None, and its zero at each vector spanned by the ones before it.  The
+batched Massey operations are checked against their single calls:
+``deal_batch`` also
 against the scalar dealing it replaced, ``reconstruct_batch`` also against
 a rank test of consistency, and ``perfectness_batch`` against the
 per-coalition check it replaced (``np.unique(axis=0)`` and ``in_span``),
@@ -1133,6 +1136,36 @@ def test_independent_rows_match_greedy_basis(q, data):
         if rank(GFMatrix(f, rows[keep + [i]])) > len(keep):
             keep.append(i)
     assert _independent_rows(f, rows).tolist() == rows[keep].tolist()
+
+
+@pytest.mark.parametrize("q", FIELDS)
+@SETTINGS
+@given(data=st.data())
+def test_in_span_matches_every_coefficient_vector(q, data):
+    """Up to 4 vectors, fresh, zero, repeated or combined, and a target in
+    their span or drawn at random, against all q^c coefficient vectors: the
+    result is None exactly when none solves, else it solves, and it is zero
+    at every vector that lies in the span of the vectors before it."""
+    f = build_field(q)
+    vecs = data.draw(row_stacks(f, max_rows=4, max_cols=4))
+    c, r = vecs.shape
+    coeffs = np.array(list(itertools.product(range(q), repeat=c)))
+    sums = f.matmul(coeffs, vecs)
+    target = (sums[data.draw(st.integers(0, len(sums) - 1))]
+              if data.draw(st.booleans()) else
+              np.array(data.draw(st.lists(st.integers(0, q - 1),
+                                          min_size=r, max_size=r))))
+    solutions = {tuple(x) for x, y in zip(coeffs.tolist(), sums.tolist())
+                 if y == target.tolist()}
+    got = in_span(f, target, vecs)
+    if not solutions:
+        assert got is None
+        return
+    assert tuple(got.tolist()) in solutions
+    for j in range(c):
+        before = ~coeffs[:, j:].any(axis=1)  # combinations of vectors < j
+        if (sums[before] == vecs[j]).all(axis=1).any():
+            assert got[j] == 0
 
 
 

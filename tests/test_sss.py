@@ -13,7 +13,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from mincodes import analysis, sss
+from mincodes import analysis, codes, matrix, sss
 from mincodes.codes import LinearCode, random_code
 from mincodes.constructions import first
 from mincodes.errors import (
@@ -330,6 +330,23 @@ def test_dual_access_builds_and_walks_the_dual_once(f33):
     assert walks == [f33.dual]
 
 
+def test_dual_path_decodes_minimal_rows_in_blocks(f33):
+    want = minimal_authorized_sets(SssScheme(f33.code), method="dual")
+    sizes = []
+    real_rows = analysis._class_rows
+
+    def class_rows(code, index):
+        sizes.append(len(index))
+        return real_rows(code, index)
+
+    # blocks of at most max(1, _ENTRIES // n) = 4 rows of the dual's n = 9
+    with mock.patch.object(codes, "_ENTRIES", 4 * 9), \
+            mock.patch.object(analysis, "_class_rows", class_rows):
+        got = minimal_authorized_sets(SssScheme(f33.code), method="dual")
+    assert got == want
+    assert len(sizes) > 1 and max(sizes) <= 4
+
+
 def test_search_budget_counts_coalitions(f33):
     with pytest.raises(BudgetExceeded) as info:
         minimal_authorized_sets(f33, method="search", budget=10)
@@ -485,15 +502,16 @@ def test_numpy_integers_still_pass(f33):
 
 
 def counting_rref():
-    """A patch of ``sss._rref_array`` and the list its calls go to."""
+    """A patch of ``matrix._rref_array``, where ``matrix._solve`` looks it
+    up, and the list its calls go to."""
     calls = []
-    rref_array = sss._rref_array
+    rref_array = matrix._rref_array
 
     def counted(*args):
         calls.append(args)
         return rref_array(*args)
 
-    return mock.patch.object(sss, "_rref_array", counted), calls
+    return mock.patch.object(matrix, "_rref_array", counted), calls
 
 
 def test_second_call_reuses_the_row_reduction(f33):
@@ -527,8 +545,8 @@ def test_a_warm_reconstruct_is_one_matmul(f33, ids):
     shares = [dealt.shares[i] for i in ids]
     assert reconstruct(f33, ids, shares) == 2
     with mock.patch.object(GF, "matmul", spy("matmul", GF.matmul)), \
-            mock.patch.object(sss, "_rref_array",
-                              spy("rref", sss._rref_array)):
+            mock.patch.object(matrix, "_rref_array",
+                              spy("rref", matrix._rref_array)):
         assert reconstruct(f33, ids, shares) == 2
     assert counts == {"matmul": 1}
 
