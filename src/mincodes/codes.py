@@ -9,19 +9,22 @@ scaling cannot change, ``projective_blocks`` (one word per scalar class,
 with its coefficient weight).  Coefficient rows of any set of classes are
 decoded from their index in that canonical order by ``_class_coeffs``.
 
-Both build words by outer sums instead of multiplying coefficient rows by
-G.  The span T of the tail (the last t rows of G, t >= 1, with q^t <=
-_CHUNK words and q^t * n <= _ENTRIES entries) is built once, from the
-zero word up: each row's q multiples are added to every word built so
-far, the multiple as the more significant index, so row i of T is the
-word of coefficient vector i and T is in canonical order.  A head word
-plus all of T is then q^t consecutive words.  A lead-1 representative
-whose lead j lies in the tail is e_j.G plus the span of rows j+1..k-1,
-that is rows [q^i, 2q^i) of T with i = k-1-j; these come first, in one
-block, and then each lead-1 head (from the same construction on the head
-rows) plus all of T; coefficient weights follow the same outer sums.
-Sums go through ``GF.add``; no block holds more than max(_CHUNK, q) words
-or max(_ENTRIES, q * n) entries.
+Neither multiplies every coefficient row by G.  The span T of the tail
+(the last t rows of G, t >= 1, with q^t <= _CHUNK words and q^t * n <=
+_ENTRIES entries) is built once by outer sums, from the zero word up:
+each row's q multiples are added to every word built so far, the
+multiple as the more significant index, so row i of T is the word of
+coefficient vector i and T is in canonical order.  A head word plus all
+of T is then q^t consecutive words; ``codeword_blocks`` takes each head
+word from one (1 x h) . (h x n) ``GF.matmul`` of the block's first
+coefficient row by the h = k - t head rows.  ``projective_blocks`` uses
+outer sums only: a lead-1 representative whose lead j lies in the tail
+is e_j.G plus the span of rows j+1..k-1, that is rows [q^i, 2q^i) of T
+with i = k-1-j; these come first, in one block, and then each lead-1
+head (from the same construction on the head rows) plus all of T;
+coefficient weights follow the same outer sums.  Sums go through
+``GF.add``; no block holds more than max(_CHUNK, q) words or
+max(_ENTRIES, q * n) entries.
 
 Exhaustive operations refuse to run past a word budget (default 10**7
 codewords) instead of silently taking forever; like every budget in the
@@ -112,11 +115,14 @@ class LinearCode:
         return f"LinearCode([{self.n},{self.k}]_{self.q})"
 
 
-def coeff_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET,
-                 chunk: int = _CHUNK) -> Iterator[np.ndarray]:
-    """All q^k coefficient vectors in canonical order, in (chunk, k) blocks."""
+def coeff_blocks(code: LinearCode,
+                 budget: int = DEFAULT_BUDGET) -> Iterator[np.ndarray]:
+    """All q^k coefficient vectors in canonical order, in (q^t, k) blocks
+    (t from ``_tail_rows``): block i is that of word block i of
+    ``codeword_blocks``."""
     _spend(code.size, budget, "words")
     q, k, total = code.q, code.k, code.size
+    chunk = q ** _tail_rows(q, k, code.n)
     place = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
     for start in range(0, total, chunk):
         idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
@@ -183,7 +189,7 @@ def codeword_blocks(code: LinearCode, budget: int = DEFAULT_BUDGET):
     f, gen = code.field, code.gen.data
     h = code.k - _tail_rows(code.q, code.k, code.n)
     span = _span(f, gen[h:])
-    for block in coeff_blocks(code, budget, chunk=len(span)):
+    for block in coeff_blocks(code, budget):
         yield block, f.add(f.matmul(block[:1, :h], gen[:h])[0], span)
 
 

@@ -39,7 +39,8 @@ class BudgetExceeded(MinCodesError):
 
     unit names what the budget counts: codewords by default, coalitions
     for the access-structure search, points for the function codes,
-    generator entries for the constructions.
+    generator entries for the constructions, dealing entries for the
+    perfectness checks.
     """
 
     def __init__(self, needed: int, budget: int, *, unit: str = "words"):

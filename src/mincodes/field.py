@@ -9,8 +9,7 @@ Fields come only from :func:`build_field` (the package does not export
 :class:`GF`), which picks a canonical modulus so that two runs (or two
 machines) agree on the arithmetic: the monic irreducible polynomial of
 degree m over GF(p) whose coefficient vector has the smallest base-p
-encoding.  The primitive element ``xi`` is the smallest encoding that
-generates the multiplicative group.
+encoding.
 
 Arithmetic is table-driven: :func:`build_field` refuses q > 256, the
 largest order whose encodings fit in one byte, so the q x q tables stay
@@ -118,7 +117,6 @@ class GF:
         m: extension degree.
         q: field order p**m.
         modulus: little-endian coefficients of the reduction polynomial.
-        xi: smallest encoding of a multiplicative generator.
         dtype: numpy dtype of the tables and of every encoding array that
             the methods return.
     """
@@ -146,31 +144,20 @@ class GF:
                   self.inv_table):
             t.setflags(write=False)
 
-        self.xi = self._find_generator()
-
     def powers_of_xi(self) -> list[int]:
         """[xi^1, ..., xi^(q-2)]: the units other than 1, in power order.
 
-        Empty for q = 2 (there is no unit besides 1).
+        xi, the primitive element, is the smallest encoding that generates
+        the multiplicative group: the first a whose powers a, a^2, ...
+        reach 1 only at the (q-1)-th.  Empty for q = 2 (there is no unit
+        besides 1).
         """
-        out = []
-        acc = 1
-        for _ in range(self.q - 2):
-            acc = int(self.mul_table[acc, self.xi])
-            out.append(acc)
-        return out
-
-    def _order(self, a: int) -> int:
-        acc, n = a, 1
-        while acc != 1:
-            acc = int(self.mul_table[acc, a])
-            n += 1
-        return n
-
-    def _find_generator(self) -> int:
         for a in range(1, self.q):
-            if self._order(a) == self.q - 1:
-                return a
+            powers = [a]
+            while powers[-1] != 1:
+                powers.append(int(self.mul_table[powers[-1], a]))
+            if len(powers) == self.q - 1:
+                return powers[:-1]
         raise AssertionError("no generator found")  # unreachable
 
     # -- vectorized arithmetic ----------------------------------------------

@@ -357,9 +357,12 @@ def perfectness_batch(scheme: SssScheme, subsets,
     authorized when the secret column adds no rank to its columns; the
     coalitions of a part are ranked with and without it in one
     ``column_ranks`` call.  Reports come in the order of ``subsets``.
+    The dealings are held at once, so the budget counts their q^k (n+1)
+    entries, padding included, before any is built.
     """
     subsets = [scheme._check(s)
                for s in _list(subsets, "subsets", "coalitions")]
+    _spend(scheme.code.size * (scheme.code.n + 1), budget, "dealing entries")
     values = np.concatenate(
         [v for _, v in codeword_blocks(scheme.code, budget)])
     if not subsets:

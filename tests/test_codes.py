@@ -260,10 +260,15 @@ def test_trivial_dual():
 
 
 def test_chunking_consistent():
-    # force several chunks through a small chunk size
+    # force several blocks through a small _CHUNK: a tail of one row, so
+    # nine blocks of q = 3 rows, each that of its word block
     from mincodes.codes import coeff_blocks
     c = make_code(3, [[1, 0, 2], [0, 1, 1], [0, 0, 1]])
-    blocks = list(coeff_blocks(c, chunk=5))
+    with mock.patch.object(codes, "_CHUNK", 5):
+        blocks = list(coeff_blocks(c))
+        words = list(codeword_blocks(c))
+    assert [len(b) for b in blocks] == [3] * 9
+    assert all(np.array_equal(b, u) for b, (u, _) in zip(blocks, words))
     stacked = np.vstack(blocks)
     assert stacked.shape == (27, 3)
     assert len(np.unique(stacked, axis=0)) == 27

@@ -1,8 +1,10 @@
 """Every name the package defines has a caller.
 
 A name is read when it is loaded, as a bare name or an attribute, or
-imported.  The check goes by name only, so a use of another module's
-namesake counts too, and dunders are exempt.
+imported.  The check goes by name, so a use of another module's namesake
+counts too, and dunders are exempt.  The one receiver it resolves is
+``self``: a ``self.x`` read in module-level class C is a read of C's own
+x only, never of a module-level name or another class's attribute x.
 
 An attribute of a module-level class is a field of a dataclass or a
 ``self.x`` assigned in ``__init__``; an assignment to it is not a read.
@@ -94,10 +96,10 @@ def self_targets(stmt):
             and isinstance(t.value, ast.Name) and t.value.id == "self"]
 
 
-def uses(tree):
+def uses(tree, owner=None):
     """How often each name is read in tree: loaded, as a bare name or an
-    attribute, or imported."""
-    found = attribute_uses(tree)
+    attribute, or imported; see ``attribute_uses`` for owner."""
+    found = attribute_uses(tree, owner)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found[node.id] += 1
@@ -106,11 +108,22 @@ def uses(tree):
     return found
 
 
-def attribute_uses(tree):
-    """How often each name is loaded as an attribute in tree."""
-    return Counter(node.attr for node in ast.walk(tree)
-                   if isinstance(node, ast.Attribute)
-                   and isinstance(node.ctx, ast.Load))
+def attribute_uses(tree, owner=None):
+    """How often each name is loaded as an attribute in tree.  A
+    ``self.x`` load inside module-level class C counts as ``C.x``, not as
+    x; owner names C when tree is a part of C's body."""
+    parts = tree.body if isinstance(tree, ast.Module) else [tree]
+    found = Counter()
+    for part in parts:
+        cls = part.name if isinstance(part, ast.ClassDef) else owner
+        for node in ast.walk(part):
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load):
+                on_self = isinstance(node.value, ast.Name) \
+                    and node.value.id == "self"
+                found[f"{cls}.{node.attr}" if cls and on_self
+                      else node.attr] += 1
+    return found
 
 
 def dropped(sources: dict[str, str], names) -> dict[str, str]:
@@ -202,10 +215,13 @@ def unread(trees, readers, checked):
                   for members in (methods, attributes)
                   for name, node in members(tree)]
         for qualname, node, reads in found:
-            name = qualname.rpartition(".")[2]
+            owner, _, name = qualname.rpartition(".")
             if name.startswith("__") or not checked(name):
                 continue
-            if totals[reads][name] == reads(node)[name]:
+            # a member is read as x by any receiver, or as Class.x by self
+            keys = {name, qualname}
+            own = reads(node, owner or None)
+            if sum(totals[reads][k] - own[k] for k in keys) == 0:
                 unused.append(f"{module}.{qualname}")
     return list(dict.fromkeys(unused))
 
@@ -335,3 +351,29 @@ def test_an_unread_attribute_is_found():
     # _pad is read only by the assignment of the unread _spare
     assert unused_private_names(sources) == [
         "a.Report._note", "a.Box._spare", "a.Box._cache", "a._pad"]
+
+
+def test_a_self_read_counts_only_for_its_own_class():
+    sources = {
+        "a": "class Box:\n"
+             "    def __init__(self):\n"
+             "        self.size = 1\n"
+             "        self._spare = 2\n"
+             "class Crate:\n"
+             "    def __init__(self):\n"
+             "        self.size = 3\n"
+             "        self._spare = 4\n"
+             "    def weigh(self):\n"
+             "        return self.size + self._spare + self._weight\n"
+             "def _weight():\n    return 0\n"
+             "def make():\n"
+             "    return Box(), Crate().weigh()\n",
+        "b": "from .a import make\nmake()\n",
+    }
+    # Crate's self reads keep Crate's attributes, not Box's namesakes,
+    # and self._weight is no read of the module-level _weight
+    assert unused_public_names(sources) == ["a.Box.size"]
+    assert unused_private_names(sources) == ["a._weight", "a.Box._spare"]
+    # any other receiver still reads every attribute of that name
+    sources["b"] += "make()[0].size\n"
+    assert unused_public_names(sources) == []

@@ -218,12 +218,14 @@ def test_fermat():
 
 
 def test_primitive_element():
-    assert build_field(2).xi == 1
-    assert build_field(3).xi == 2
-    assert build_field(4).xi == 2
-    assert build_field(5).xi == 2
-    assert build_field(7).xi == 3  # 2 has order 3 mod 7
-    assert build_field(9).xi == 4  # 2 has order 2, 3 (=x) has order 4
+    def xi(q):
+        return build_field(q).powers_of_xi()[0]
+    assert build_field(2).powers_of_xi() == []  # xi = 1 has no power to list
+    assert xi(3) == 2
+    assert xi(4) == 2
+    assert xi(5) == 2
+    assert xi(7) == 3  # 2 has order 3 mod 7
+    assert xi(9) == 4  # 2 has order 2, 3 (=x) has order 4
     for q in [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]:
         f = build_field(q)
         assert sorted(f.powers_of_xi() + [1]) == list(range(1, q))
@@ -233,6 +235,23 @@ def test_powers_of_xi():
     assert build_field(2).powers_of_xi() == []
     assert build_field(3).powers_of_xi() == [2]
     assert build_field(5).powers_of_xi() == [2, 4, 3]
+
+
+def test_xi_is_the_least_encoding_of_full_order():
+    # the order of every unit of every field, by repeated multiplication
+    # in mul_table: order[a] counts the powers a, a^2, ... up to the first 1
+    for q in [q for q in range(2, 257) if field._prime_power(q)]:
+        f = build_field(q)
+        units = np.arange(1, q)
+        acc, order = units.copy(), np.ones(q - 1, dtype=np.int64)
+        while (live := acc != 1).any():
+            acc[live] = f.mul_table[acc[live], units[live]]
+            order += live
+        xi = int(units[order == q - 1][0])
+        expected = [xi]
+        while len(expected) < q - 2:
+            expected.append(int(f.mul_table[expected[-1], xi]))
+        assert f.powers_of_xi() == expected[:q - 2]
 
 
 def test_matmul_matches_scalar_loops():

@@ -397,6 +397,38 @@ def test_perfectness_batch_keeps_input_order(f22):
         perfectness_batch(f22, subsets, budget=3)
 
 
+def test_perfectness_budget_counts_dealing_entries(f33):
+    # the 27 dealings of first(3,3) hold 27 * (9 + 1) entries with the
+    # padding column; a budget that covers the words but not the entries
+    # is refused before any block is built
+    code = f33.code
+    entries = code.size * (code.n + 1)
+    built = []
+    real = sss.codeword_blocks
+
+    def spy(code, budget):
+        for block in real(code, budget):
+            built.append(block)
+            yield block
+
+    subsets = [(2,), (2, 3, 4)]
+    with mock.patch.object(sss, "codeword_blocks", spy):
+        for budget in (code.size, entries - 1):
+            for call in (lambda: perfectness_batch(f33, subsets, budget),
+                         lambda: perfectness_check(f33, (2,), budget)):
+                with pytest.raises(BudgetExceeded) as err:
+                    call()
+                assert err.value.unit == "dealing entries"
+                assert str(err.value) == (
+                    f"needs {entries} dealing entries, budget is {budget}")
+        assert built == []
+        assert perfectness_batch(f33, subsets, entries) == \
+            perfectness_batch(f33, subsets)
+        assert perfectness_check(f33, (2,), entries) == \
+            perfectness_check(f33, (2,))
+    assert built
+
+
 def test_perfectness_batch_pads_each_part_to_its_own_widest(f33):
     # first(3,3) has 27 dealings, so this _CHUNK puts 40 coalitions in a
     # part; the parts go by size, and each is ranked at its own width
