@@ -293,14 +293,20 @@ def _walk(code: LinearCode, budget: int) -> dict:
     return memo
 
 
-def _minimal_rows(code: LinearCode, budget: int):
-    """The values of the minimal classes, in canonical order, in blocks of
-    at most max(1, ``codes._ENTRIES`` // n) rows, the walk's entry bound,
-    so a caller can reduce each block before the next is decoded."""
+def _minimal_rows(code: LinearCode, budget: int, column: int):
+    """The values of the minimal classes that are nonzero at the 0-based
+    column, in canonical order, in blocks of at most max(1,
+    ``codes._ENTRIES`` // n) classes, the walk's entry bound, so a caller
+    can reduce each block before the next is decoded.  Each block's
+    coefficients give the column by one (rows x 1) matmul, and only the
+    rows nonzero there are decoded at full width."""
     index = np.flatnonzero(_walk(code, budget)["minimal"])
     step = max(1, codes._ENTRIES // code.n)
+    gen = code.gen.data
     for start in range(0, len(index), step):
-        yield _class_rows(code, index[start:start + step])[1]
+        u = _class_coeffs(code.q, code.k, index[start:start + step])
+        hit = code.field.matmul(u, gen[:, column:column + 1])[:, 0] != 0
+        yield code.field.matmul(u[hit], gen)
 
 
 def is_minimal_code(code: LinearCode,

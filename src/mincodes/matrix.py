@@ -229,10 +229,11 @@ def _mod_rank(a: np.ndarray, scale: np.ndarray, p: int) -> np.ndarray:
 def column_ranks(field: GF, gen: np.ndarray):
     """rank(idx): the GF(q) rank of each row's set of columns of gen.
 
-    idx is an (M, w) array of column indices, w >= 1.  An index n or above
-    (gen has n columns) reads the zero column, so sets of different sizes,
-    the empty set included, share one array padded with n.  All M sets are
-    eliminated together over GF(p), as the module docstring describes.
+    idx is an (M, w) array of column indices, w >= 1, M >= 0.  An index n
+    or above (gen has n columns) reads the zero column, so sets of different
+    sizes, the empty set included, share one array padded with n.  All M
+    sets are eliminated together over GF(p), as the module docstring
+    describes.
     """
     p, m = field.p, field.m
     cols = _prime_columns(field, gen)
@@ -251,7 +252,9 @@ def column_ranks(field: GF, gen: np.ndarray):
 
     def rank(idx) -> np.ndarray:
         a = np.take(cols, np.transpose(idx), axis=-1, mode="clip")
-        return kernel(a.reshape(a.shape[:-3] + (-1, len(idx)))) // m
+        # an explicit width: -1 cannot be inferred when M is 0
+        *lead, mult, width, sets = a.shape
+        return kernel(a.reshape(*lead, mult * width, sets)) // m
 
     return rank
 

@@ -8,13 +8,18 @@ coalition can reconstruct exactly when the secret column lies in the
 span of its columns, and the minimal such coalitions are read off the
 minimal codewords of the dual code that are nonzero on the secret
 column: the supports, less the secret column, of the minimal rows that
-the dual's one walk marks, decoded in blocks (``analysis._minimal_rows``).
-A scheme builds its dual (``SssScheme.dual``) on first use and keeps it,
-so the walk is taken once per scheme; the budget is still checked on
-every call.  Where the dual is too big to enumerate they are found by
-search instead, which decides the coalitions of one size together:
+the dual's one walk marks, decoded in blocks, secret column first, so
+that only the rows nonzero there are decoded at full width
+(``analysis._minimal_rows``).  A scheme builds its dual
+(``SssScheme.dual``) on first use and keeps it, so the walk is taken once
+per scheme; the budget is still checked on every call.  Where the dual
+is too big to enumerate they are found by a levelwise search instead:
 coalition A is authorized exactly when rank [G_A] = rank [G_A | secret
 column], and one ``matrix.column_ranks`` call takes both for a block.
+The candidates of size s are the unauthorized coalitions of size s-1,
+each extended by a larger participant, less those with an authorized
+subset of size s-1; an authorized candidate is minimal, and the
+unauthorized ones make the next size's candidates.
 
 Each Massey operation has a batched form that the single call wraps:
 ``deal_batch`` makes many dealings with one matmul, ``reconstruct_batch``
@@ -32,7 +37,6 @@ seed replays the same shares from ``random.Random(seed)``.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -258,59 +262,91 @@ def reconstruct(scheme: SssScheme, subset, shares) -> int:
 def _authorized(scheme: SssScheme, cols: np.ndarray) -> np.ndarray:
     """Whether each row of an (M, s) block of 0-based generator columns
     spans the secret column: whether adding the secret column leaves its
-    rank unchanged.  Both ranks of all M rows come from one kernel call;
-    each row is padded with the zero column n, then with the secret
-    column, so the two sets have one width even for s = 0."""
-    pad = np.repeat([scheme.code.n, scheme.secret_column - 1], len(cols))
-    ranks = scheme._rank(np.column_stack([np.vstack([cols, cols]), pad]))
-    return ranks[:len(cols)] == ranks[len(cols):]
+    rank unchanged.  Both ranks of all M rows come from one kernel call on
+    one (2M, s+1) index in cols' dtype, which must hold n: each row padded
+    with the zero column n, then with the secret column, so the two sets
+    have one width even for s = 0."""
+    m, s = cols.shape
+    idx = np.empty((2 * m, s + 1), dtype=cols.dtype)
+    idx[:m, :s] = idx[m:, :s] = cols
+    idx[:m, s] = scheme.code.n
+    idx[m:, s] = scheme.secret_column - 1
+    ranks = scheme._rank(idx)
+    return ranks[:m] == ranks[m:]
 
 
 def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
     n, k = scheme.code.n, scheme.code.k
     _spend(sum(math.comb(n - 1, size) for size in range(1, k + 1)), budget,
            "coalitions")
+    # coalitions are rows of ascending participant positions 0..n-2, in a
+    # dtype that also holds the generator columns and the zero column n
+    dtype = np.min_scalar_type(n)
     ids = np.array(scheme.participants)
-    # binom[x, i] = C(x, i); a coalition c_0 < ... < c_{s-1} of participant
-    # positions has colex rank sum_i C(c_i, i+1) among those of its size
-    binom = np.array([[math.comb(x, i) for i in range(k + 1)]
-                      for x in range(n)], dtype=np.int64)
-    # the empty coalition: the secret column is nonzero, so unauthorized
-    prev = np.zeros(1, dtype=bool)
+    cols = (ids - 1).astype(dtype)
+    pos = np.arange(n - 1, dtype=dtype)
+    # binom[x, i] = C(x, i), row by row down Pascal's triangle; a coalition
+    # c_0 < ... < c_{s-1} has colex rank sum_i C(c_i, i+1) among its size
+    binom = np.zeros((n, k + 1), dtype=np.int64)
+    binom[:, 0] = 1
+    for i in range(1, k + 1):
+        np.cumsum(binom[:-1, i - 1], out=binom[1:, i])
+    # prefixes per chunk: at most _CHUNK extensions, so as many candidates
+    step = max(1, _CHUNK // max(1, n - 1))
+    # the last size's unauthorized coalitions, in chunks of prefixes, and
+    # by colex rank whether each coalition of that size is unauthorized;
+    # the empty coalition is, as the secret column is nonzero
+    blocks, unauth = [np.zeros((1, 0), dtype=dtype)], np.ones(1, dtype=bool)
     found: list[tuple[int, ...]] = []
     for size in range(1, k + 1):
-        auth = np.zeros(math.comb(n - 1, size), dtype=bool)
-        combos = itertools.combinations(range(n - 1), size)
-        while True:
-            block = np.fromiter(
-                itertools.chain.from_iterable(
-                    itertools.islice(combos, _CHUNK)),
-                dtype=np.int64).reshape(-1, size)
-            if not len(block):
-                break
-            ok = _authorized(scheme, ids[block] - 1)
-            own = binom[block, np.arange(1, size + 1)]
-            auth[own.sum(axis=1)] = ok
-            # dropping c_j shifts every later c_i down to place i-1
-            low = binom[block, np.arange(size)]
-            before = np.cumsum(own, axis=1) - own
-            after = np.cumsum(low[:, ::-1], axis=1)[:, ::-1] - low
-            minimal = ok & ~prev[before + after].any(axis=1)
-            found.extend(map(tuple, ids[block[minimal]].tolist()))
-        prev = auth
+        if not blocks:
+            break
+        prefixes, blocks, below = blocks, [], unauth
+        unauth = np.zeros(math.comb(n - 1, size) if size < k else 0,
+                          dtype=bool)
+        while prefixes:
+            pre = prefixes.pop(0)  # each chunk is freed once extended
+            # dropping c_j shifts every later c_i down to place i-1, so the
+            # prefix less c_j has rank sum_{i<j} own_i + sum_{i>j} low_i:
+            # the running sum of own - low, plus all of low, less own_j
+            own = binom[pre, np.arange(1, size)]
+            low = binom[pre, np.arange(size - 1)]
+            drop = np.cumsum(own - low, axis=1) - own
+            drop += low.sum(axis=1, keepdims=True)
+            # each prefix extended by every larger position, in
+            # lexicographic order
+            row, ext = np.nonzero(pos > pre[:, -1:] if size > 1
+                                  else np.ones((1, n - 1), dtype=bool))
+            # a candidate less c_j, j < s-1, is its prefix less c_j and
+            # then c_{s-1}; less c_{s-1}, it is its unauthorized prefix
+            keep = below[drop[row] + binom[ext, size - 1, None]].all(axis=1)
+            row, ext = row[keep], ext[keep]
+            cand = np.empty((len(row), size), dtype=dtype)
+            cand[:, :-1] = pre[row]
+            cand[:, -1] = ext
+            ok = _authorized(scheme, cols[cand])
+            found.extend(map(tuple, ids[cand[ok]].tolist()))
+            if size < k:
+                bad = ~ok
+                rest, row, ext = cand[bad], row[bad], ext[bad]
+                # a candidate's rank: its prefix's, plus C(c_{s-1}, s)
+                unauth[own.sum(axis=1)[row] + binom[ext, size]] = True
+                blocks += [rest[i:i + step] for i in range(0, len(rest), step)]
     return [AccessSet(m) for m in found]
 
 
 def _dual_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
     # minimal words with one support are proportional: no coalition twice
     c0 = scheme.secret_column - 1
-    supp = np.concatenate([values[values[:, c0] != 0] != 0
-                           for values in _minimal_rows(scheme.dual, budget)])
+    supp = np.concatenate([values != 0 for values in
+                           _minimal_rows(scheme.dual, budget, c0)])
     supp[:, c0] = False
     # order by size; within one size, the first column where two supports
-    # differ belongs to the smaller tuple, so by the negated bits next
+    # differ belongs to the smaller tuple, so by the complemented packed
+    # bytes next, the first column the most significant bit
     sizes = supp.sum(axis=1)
-    order = np.lexsort(np.vstack([~supp.T[::-1], sizes]))
+    packed = ~np.packbits(supp, axis=1)
+    order = np.lexsort(np.vstack([packed.T[::-1], sizes]))
     # row i's participants, ascending, are cols[ends[i-1]:ends[i]]
     cols = (np.nonzero(supp[order])[1] + 1).tolist()
     ends = np.cumsum(sizes[order]).tolist()
@@ -322,12 +358,16 @@ def minimal_authorized_sets(scheme: SssScheme, method: str = "auto",
     """All minimal coalitions, sorted by size then lexicographically.
 
     method "dual" enumerates the dual code and maps its minimal codewords
-    that are nonzero on the secret column; "search" decides the
-    coalitions of each size 1..k together, ranking up to ``codes._CHUNK``
-    of them with and without the secret column in one ``column_ranks``
-    call, keeps the authorized ones (the secret column adds no rank) with
-    no authorized subset one smaller, and counts coalitions against the
-    budget; "auto" picks dual when the dual is small enough.
+    that are nonzero on the secret column, decoding only those at full
+    width; "search" walks sizes 1..k levelwise: a size's candidates are
+    the last size's unauthorized coalitions, each extended by a larger
+    participant, that have no authorized subset one smaller (found by
+    colex rank in a table of the last size), and up to ``codes._CHUNK``
+    of them are ranked with and without the secret column in one
+    ``column_ranks`` call; the authorized ones (the secret column adds no
+    rank) are minimal, the others extend to the next size, and the walk
+    stops when none is left.  Its budget counts all C(n-1,1)+...+C(n-1,k)
+    coalitions; "auto" picks dual when the dual is small enough.
     """
     budget = _int(budget, "budget")
     n, k, q = scheme.code.n, scheme.code.k, scheme.code.q
@@ -340,6 +380,18 @@ def minimal_authorized_sets(scheme: SssScheme, method: str = "auto",
     if method == "search":
         return _search_path(scheme, budget)
     raise BadParams(f"unknown method {method!r}")
+
+
+def _dealings(code: LinearCode, budget: int) -> np.ndarray:
+    """The q^k codewords in canonical order, each followed by the zero
+    column n, in one array that ``codeword_blocks`` fills a block at a
+    time, so the words are never held twice."""
+    values = np.zeros((code.size, code.n + 1), dtype=code.field.dtype)
+    start = 0
+    for _, v in codeword_blocks(code, budget):
+        values[start:start + len(v), :-1] = v
+        start += len(v)
+    return values
 
 
 def perfectness_batch(scheme: SssScheme, subsets,
@@ -357,19 +409,18 @@ def perfectness_batch(scheme: SssScheme, subsets,
     authorized when the secret column adds no rank to its columns; the
     coalitions of a part are ranked with and without it in one
     ``column_ranks`` call.  Reports come in the order of ``subsets``.
-    The dealings are held at once, so the budget counts their q^k (n+1)
-    entries, padding included, before any is built.
+    The dealings are held at once, in one array (``_dealings``), so the
+    budget counts its q^k (n+1) entries, padding included, before any
+    is built.
     """
     subsets = [scheme._check(s)
                for s in _list(subsets, "subsets", "coalitions")]
     _spend(scheme.code.size * (scheme.code.n + 1), budget, "dealing entries")
-    values = np.concatenate(
-        [v for _, v in codeword_blocks(scheme.code, budget)])
     if not subsets:
         return []
-    secret = values[:, scheme.secret_column - 1].astype(np.int64)
-    values = np.pad(values, ((0, 0), (0, 1)))
+    values = _dealings(scheme.code, budget)
     dealings, q, n = len(values), scheme.field.q, scheme.code.n
+    secret = values[:, scheme.secret_column - 1].astype(np.int64)
     step = max(1, _CHUNK // dealings)
     by_size = sorted(range(len(subsets)), key=lambda i: len(subsets[i]))
     reports = [None] * len(subsets)

@@ -82,9 +82,10 @@ def test_only_the_budget_gate_raises_budget_exceeded():
 
 
 def test_only_the_dealer_enumeration_walks_every_word():
-    # every other walk takes one word per scalar class
-    assert call_counts("codeword_blocks", "sss.py",
-                       "perfectness_batch") == (1, 1)
+    # every other walk takes one word per scalar class; the dealings are
+    # filled into one array by _dealings, for perfectness_batch alone
+    assert call_counts("codeword_blocks", "sss.py", "_dealings") == (1, 1)
+    assert call_counts("_dealings", "sss.py", "perfectness_batch") == (1, 1)
 
 
 def test_reduced_rows_are_read_in_one_place():

@@ -40,11 +40,13 @@ weight distribution of every dual code is checked against the MacWilliams
 transform.  The batched coalition search is checked against a
 per-coalition ``in_span`` loop and the dual-code path with every column as
 the secret column (n <= 8 here) and on a GF(256) code too wide for the XOR
-packing, the two methods of ``minimal_authorized_sets`` against each
+packing, the dual-code path against the same loop on codes of length 9
+to 17, whose supports take more than one packed byte, the two methods of
+``minimal_authorized_sets`` against each
 other, the empty structure of a secret column outside the others' span
 included, and the batched rank kernel ``matrix.column_ranks`` against
-``rank`` and ``in_span`` one matrix at a time and against ``rank`` at the
-limits of its dtypes, and the row basis of the evaluation codes against
+``rank`` and ``in_span`` one matrix at a time, against ``rank`` at the
+limits of its dtypes and on no column sets at all, and the row basis of the evaluation codes against
 the greedy rank-raising selection it replaced.  ``in_span`` is checked
 against every coefficient vector of up to 4 vectors: its solution, its
 None, and its zero at each vector spanned by the ones before it.  The
@@ -958,11 +960,13 @@ DUAL_SPAN = {2: 10, 3: 6, 4: 5, 5: 4, 8: 3, 9: 3}
 
 
 @st.composite
-def sss_codes(draw, q, max_k=4, max_n=8):
+def sss_codes(draw, q, max_k=4, max_n=8, min_n=1, span=None):
     """Codes with no zero column, so that every column can hold the
-    secret, and a dual small enough to enumerate."""
-    k = draw(st.integers(1, max_k))
-    n = draw(st.integers(k, min(max_n, k + DUAL_SPAN[q])))
+    secret, and a dual small enough to enumerate: n - k at most span,
+    DUAL_SPAN[q] by default."""
+    span = DUAL_SPAN[q] if span is None else span
+    k = draw(st.integers(max(1, min_n - span), max_k))
+    n = draw(st.integers(max(k, min_n), min(max_n, k + span)))
     cols = draw(st.lists(st.integers(1, q ** k - 1), min_size=n, max_size=n))
     place = q ** np.arange(k - 1, -1, -1)
     gen = GFMatrix(build_field(q), (np.array(cols)[None, :]
@@ -984,6 +988,21 @@ def test_search_path_matches_oracle_and_dual(q, data, chunk):
         dual = (sss._dual_path(scheme, codes.DEFAULT_BUDGET)
                 if code.n > code.k else [])
         assert dual == want
+
+
+@pytest.mark.parametrize("q, span", [(2, 13), (3, 8)])
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_dual_path_orders_supports_past_one_byte(q, span, data):
+    """Codes of length 9 to 17 pack their supports into two or three
+    bytes, so the dual path's order by packed bytes must carry across
+    bytes: it matches the search oracle with the secret first and last.
+    A span of n - k keeps the dual at most 8192 (q = 2) or 6561 words."""
+    code = data.draw(sss_codes(q, max_n=17, min_n=9, span=span))
+    for secret_column in (1, code.n):
+        scheme = SssScheme(code, secret_column)
+        assert sss._dual_path(scheme, codes.DEFAULT_BUDGET) == \
+            search_oracle(scheme)
 
 
 @pytest.mark.parametrize("q", FIELDS)
@@ -1083,6 +1102,18 @@ def test_column_ranks_at_the_dtype_limits(q, k):
     ranks = column_ranks(f, gen)(idx)
     assert ranks.dtype.kind in "iu"
     assert ranks.tolist() == [rank(GFMatrix(f, gen[:, c])) for c in sets]
+
+
+@pytest.mark.parametrize("q, k", [(2, 3), (3, 3), (256, 9)],
+                         ids=["xor", "mod-3", "mod-2-past-64-digits"])
+def test_column_ranks_of_no_sets(q, k):
+    """Zero column sets rank to an empty array on each kernel: XOR over
+    GF(2), mod 3, and mod 2 for GF(256) at k*m = 72 digits."""
+    f = build_field(q)
+    gen = np.random.default_rng(k).integers(0, q, size=(k, 5))
+    for width in (1, 3):
+        ranks = column_ranks(f, gen)(np.zeros((0, width), dtype=np.int64))
+        assert ranks.shape == (0,) and ranks.dtype.kind in "iu"
 
 
 def test_search_path_past_64_prime_digits():
@@ -1441,6 +1472,12 @@ def all_values(code):
     return np.concatenate([v for _, v in codeword_blocks(code)])
 
 
+def padded(values):
+    """Dealings as ``sss._dealings`` holds them: each row followed by the
+    zero column n."""
+    return np.pad(values, ((0, 0), (0, 1)))
+
+
 @pytest.mark.parametrize("q", FIELDS)
 @SETTINGS
 @given(data=st.data(), chunk=chunks,
@@ -1468,8 +1505,8 @@ def test_perfectness_batch_matches_per_coalition_oracle(q, data, chunk,
             extra[:, c0], rng.integers(1, q, len(extra))]
         values = np.vstack([values, extra])
     with mock.patch.object(sss, "_CHUNK", chunk), \
-            mock.patch.object(sss, "codeword_blocks",
-                              lambda code, budget: iter([(None, values)])):
+            mock.patch.object(sss, "_dealings",
+                              lambda code, budget: padded(values)):
         got = perfectness_batch(scheme, subsets)
     assert got == [perfectness_oracle(scheme, s, values) for s in subsets]
 
@@ -1491,7 +1528,7 @@ def test_perfectness_batch_on_a_coalition_wider_than_int64_keys():
     # thinned dealings: the wide patterns must stay apart for the verdicts
     # and pattern counts to agree
     values = values[[0, 1, 3]]
-    with mock.patch.object(sss, "codeword_blocks",
-                           lambda code, budget: iter([(None, values)])):
+    with mock.patch.object(sss, "_dealings",
+                           lambda code, budget: padded(values)):
         got = perfectness_batch(scheme, subsets)
     assert got == [perfectness_oracle(scheme, s, values) for s in subsets]

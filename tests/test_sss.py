@@ -3,9 +3,11 @@
 import dataclasses
 import gc
 import itertools
+import math
 import random
 import sys
 import threading
+import tracemalloc
 import weakref
 from collections import Counter
 from unittest import mock
@@ -332,19 +334,64 @@ def test_dual_access_builds_and_walks_the_dual_once(f33):
 
 def test_dual_path_decodes_minimal_rows_in_blocks(f33):
     want = minimal_authorized_sets(SssScheme(f33.code), method="dual")
-    sizes = []
-    real_rows = analysis._class_rows
+    scheme = SssScheme(f33.code)
+    dual, c0 = scheme.dual, scheme.secret_column - 1
+    # the dual's walk is kept on it, so the spies below see only the decode
+    analysis._walk(dual, codes.DEFAULT_BUDGET)
+    blocks, decoded = [], []
+    real_coeffs, real_matmul = analysis._class_coeffs, GF.matmul
 
-    def class_rows(code, index):
-        sizes.append(len(index))
-        return real_rows(code, index)
+    def class_coeffs(q, k, index):
+        blocks.append(len(index))
+        return real_coeffs(q, k, index)
+
+    def matmul(field, a, b):
+        out = real_matmul(field, a, b)
+        if b.shape[1] == dual.n:
+            decoded.append(out)
+        return out
 
     # blocks of at most max(1, _ENTRIES // n) = 4 rows of the dual's n = 9
     with mock.patch.object(codes, "_ENTRIES", 4 * 9), \
-            mock.patch.object(analysis, "_class_rows", class_rows):
-        got = minimal_authorized_sets(SssScheme(f33.code), method="dual")
+            mock.patch.object(analysis, "_class_coeffs", class_coeffs), \
+            mock.patch.object(GF, "matmul", matmul):
+        got = minimal_authorized_sets(scheme, method="dual")
     assert got == want
-    assert len(sizes) > 1 and max(sizes) <= 4
+    assert len(blocks) > 1 and max(blocks) <= 4
+    # the minimal rows zero on the secret column are never decoded at full
+    # width; each row that is gives one coalition
+    rows = np.concatenate(decoded)
+    assert rows[:, c0].all()
+    assert len(rows) == len(want) < sum(blocks)
+
+
+@pytest.mark.parametrize("t, q, ranked", [
+    (4, 4, [21, 210, 1012, 1579, 86]),
+    (3, 3, [8, 28, 24]),
+])
+def test_search_ranks_only_levelwise_candidates(t, q, ranked):
+    """The search ranks only the coalitions whose one-smaller subsets are
+    all unauthorized: on first(4,4) 2908 of the 7546 that its budget counts,
+    in chunks of at most _CHUNK // (n - 1) = 780 prefixes (the last size's
+    1665 candidates take two), and on first(3,3) 60 of 92."""
+    scheme = SssScheme(first(t, q))
+    n, k = scheme.code.n, scheme.code.k
+    budgeted = sum(math.comb(n - 1, size) for size in range(1, k + 1))
+    sizes = []
+    real = sss._authorized
+
+    def authorized(scheme, cols):
+        sizes.append(len(cols))
+        return real(scheme, cols)
+
+    with mock.patch.object(sss, "_authorized", authorized):
+        got = minimal_authorized_sets(scheme, method="search",
+                                      budget=budgeted)
+    assert sizes == ranked
+    assert (sum(sizes), budgeted) == {4: (2908, 7546), 3: (60, 92)}[t]
+    assert len(got) == {4: 828, 3: 22}[t]
+    with pytest.raises(BudgetExceeded):
+        minimal_authorized_sets(scheme, method="search", budget=budgeted - 1)
 
 
 def test_search_budget_counts_coalitions(f33):
@@ -395,6 +442,26 @@ def test_perfectness_batch_keeps_input_order(f22):
         (2, 3), (), (3,), (2, 3)]
     with pytest.raises(BudgetExceeded):
         perfectness_batch(f22, subsets, budget=3)
+
+
+def test_perfectness_holds_the_dealings_once():
+    """Random [90,16]_2 at its bound of 65536 * 91 = 5,963,776 one-byte
+    dealing entries, one coalition: the traced peak stays under 1.93 times
+    the entries.  Concatenating the blocks and padding the result held
+    the dealings twice, 2.08 times; filling one array block by block
+    peaks at 1.79 times, with a block and the tail span alive."""
+    scheme = SssScheme(random_code(90, 16, 2, seed=1))
+    entries = scheme.code.size * (scheme.code.n + 1)
+    assert entries == 5_963_776
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        report, = perfectness_batch(scheme, [(2, 3)], budget=entries)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert not report.authorized and report.ok
+    assert peak < 1.93 * entries
 
 
 def test_perfectness_budget_counts_dealing_entries(f33):
