@@ -287,9 +287,9 @@ def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
     pos = np.arange(n - 1, dtype=dtype)
     # binom[x, i] = C(x, i), row by row down Pascal's triangle; a coalition
     # c_0 < ... < c_{s-1} has colex rank sum_i C(c_i, i+1) among its size
-    binom = np.zeros((n, k + 1), dtype=np.int64)
+    binom = np.zeros((n, k), dtype=np.int64)
     binom[:, 0] = 1
-    for i in range(1, k + 1):
+    for i in range(1, k):
         np.cumsum(binom[:-1, i - 1], out=binom[1:, i])
     # prefixes per chunk: at most _CHUNK extensions, so as many candidates
     step = max(1, _CHUNK // max(1, n - 1))
@@ -299,8 +299,6 @@ def _search_path(scheme: SssScheme, budget: int) -> list[AccessSet]:
     blocks, unauth = [np.zeros((1, 0), dtype=dtype)], np.ones(1, dtype=bool)
     found: list[tuple[int, ...]] = []
     for size in range(1, k + 1):
-        if not blocks:
-            break
         prefixes, blocks, below = blocks, [], unauth
         unauth = np.zeros(math.comb(n - 1, size) if size < k else 0,
                           dtype=bool)
@@ -365,14 +363,16 @@ def minimal_authorized_sets(scheme: SssScheme, method: str = "auto",
     colex rank in a table of the last size), and up to ``codes._CHUNK``
     of them are ranked with and without the secret column in one
     ``column_ranks`` call; the authorized ones (the secret column adds no
-    rank) are minimal, the others extend to the next size, and the walk
-    stops when none is left.  Its budget counts all C(n-1,1)+...+C(n-1,k)
-    coalitions; "auto" picks dual when the dual is small enough.
+    rank) are minimal, and the others extend to the next size, up to k:
+    k-1 participant columns that extend the secret column to a basis,
+    and each subset of them, stay unauthorized.  Its budget counts all
+    C(n-1,1)+...+C(n-1,k) coalitions; "auto" picks dual when the dual's
+    q^(n-k) words fit the budget, so a square code gets [] from it.
     """
     budget = _int(budget, "budget")
     n, k, q = scheme.code.n, scheme.code.k, scheme.code.q
     if method == "auto":
-        method = "dual" if n > k and q ** (n - k) <= budget else "search"
+        method = "dual" if q ** (n - k) <= budget else "search"
     if method == "dual":
         if n == k:
             return []  # full-space code: zero dual, nothing is authorized

@@ -23,7 +23,8 @@ driver goes on to the next instance. The codes a sweep builds live in one
 registry, a plain dict from label to ``LinearCode``, which criterion 11
 audits. Each instance obtains every code it will check before it yields
 its first check, so its checks run up to that one register all its
-codes, and each registered code is built and walked once per sweep.
+codes.  Each registered code is built and walked once per sweep, and
+criterion 6 reads each extended code's classes once more for their weights.
 
 Checks whose outcome is known to contradict a published closed-form claim
 carry ``paper_discrepancy=True``: a 3-tuple only when it fails on an
@@ -302,27 +303,24 @@ def _extended_case_counterexample(code, t, q, budget):
     The formula under test assigns w_s to a combination of s rows whose
     first coefficient u_0 is zero and w_s + (q-1) otherwise.  Both sides
     are scale-invariant and classes come in canonical order, so the first
-    failing word is the lead-1 word of the first failing class; the classes
-    with u_0 != 0 are those from index (q^(t-1) - 1)/(q - 1) on.  The last
-    entry tells whether every class weighs w_s + (q-2)*[u_0 != 0] instead.
+    failing word is the lead-1 word of the first failing class, whose
+    coefficients ``codes._class_coeffs`` decodes.  The last entry tells
+    whether every class weighs w_s + (q-2)*[u_0 != 0] instead.
     """
     ws = np.array([0] + [predicted_ws(s, t, q) for s in range(1, t + 1)])
-    first_lead = (q ** (t - 1) - 1) // (q - 1)
     bad, offset_holds, start = None, True, 0
     for s, values in projective_blocks(code, budget):
-        lead = np.arange(start, start + len(s)) >= first_lead
+        u = _class_coeffs(q, t, np.arange(start, start + len(s)))
+        lead = u[:, 0] != 0
         want = ws[s] + (q - 1) * lead
         got = np.count_nonzero(values, axis=1)
         miss = np.flatnonzero(got != want)
         if bad is None and len(miss):
-            bad = start + miss[0], int(got[miss[0]]), int(want[miss[0]])
+            bad = (tuple(u[miss[0]].tolist()), int(got[miss[0]]),
+                   int(want[miss[0]]))
         offset_holds &= bool((got == want - lead).all())  # q-2 for q-1
         start += len(s)
-    if bad is None:
-        return None
-    index, got, want = bad
-    u = _class_coeffs(q, t, np.array([index]))[0]
-    return tuple(int(x) for x in u), got, want, offset_holds
+    return None if bad is None else bad + (offset_holds,)
 
 
 def _extended(code, budget, t, q):

@@ -191,6 +191,15 @@ def test_random_code_retries_a_rank_deficient_draw():
         assert not code.zero_columns
 
 
+def test_random_code_gives_up_after_its_draws():
+    # with no tries left, not one draw is made
+    with mock.patch.object(codes, "_MAX_TRIES", 0), \
+            pytest.raises(RankDeficient, match=r"^no full-rank "
+                          r"zero-column-free \[5,3\]_3 matrix in 0 draws "
+                          r"from seed 1$"):
+        random_code(5, 3, 3, seed=1)
+
+
 @pytest.mark.parametrize("n, k, q, seed, digest", [
     (24, 12, 2, 1, "8caeb36568c80b0e"),
     (90, 13, 2, 1, "7046c78606c45b98"),

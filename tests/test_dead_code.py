@@ -2,9 +2,21 @@
 
 A name is read when it is loaded, as a bare name or an attribute, or
 imported.  The check goes by name, so a use of another module's namesake
-counts too, and dunders are exempt.  The one receiver it resolves is
-``self``: a ``self.x`` read in module-level class C is a read of C's own
-x only, never of a module-level name or another class's attribute x.
+counts too, and dunders are exempt.  Three receivers of an attribute read
+``r.x`` resolve to a module-level class C of the package, and the read is
+then of C's own x only, never of a module-level name or another class's
+attribute x:
+
+- ``self`` in a method of C;
+- a parameter annotated with C (a bare name or a string);
+- a name whose every binding in its scope is a call ``C(...)`` or
+  ``module.C(...)``, as in ``x = C(...); x.v``.
+
+A receiver bound any other way, even once in its scope, stays
+unresolved, and its read counts for every attribute x.  A function sees
+the receivers that its enclosing function or module resolves and that
+it does not bind itself; a method does not see its class body's names.
+Bases are not followed: a resolved read counts for C's own x only.
 
 An attribute of a module-level class is a field of a dataclass or a
 ``self.x`` assigned in ``__init__``; an assignment to it is not a read.
@@ -96,10 +108,10 @@ def self_targets(stmt):
             and isinstance(t.value, ast.Name) and t.value.id == "self"]
 
 
-def uses(tree, owner=None):
+def uses(tree, resolved):
     """How often each name is read in tree: loaded, as a bare name or an
-    attribute, or imported; see ``attribute_uses`` for owner."""
-    found = attribute_uses(tree, owner)
+    attribute, or imported; see ``attribute_uses`` for resolved."""
+    found = attribute_uses(tree, resolved)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             found[node.id] += 1
@@ -108,22 +120,95 @@ def uses(tree, owner=None):
     return found
 
 
-def attribute_uses(tree, owner=None):
-    """How often each name is loaded as an attribute in tree.  A
-    ``self.x`` load inside module-level class C counts as ``C.x``, not as
-    x; owner names C when tree is a part of C's body."""
-    parts = tree.body if isinstance(tree, ast.Module) else [tree]
+def attribute_uses(tree, resolved):
+    """How often each name is loaded as an attribute in tree.  A load
+    that resolved maps to class C (see ``receivers``) counts as ``C.x``,
+    not as x."""
     found = Counter()
-    for part in parts:
-        cls = part.name if isinstance(part, ast.ClassDef) else owner
-        for node in ast.walk(part):
-            if isinstance(node, ast.Attribute) \
-                    and isinstance(node.ctx, ast.Load):
-                on_self = isinstance(node.value, ast.Name) \
-                    and node.value.id == "self"
-                found[f"{cls}.{node.attr}" if cls and on_self
-                      else node.attr] += 1
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            cls = resolved.get(id(node))
+            found[f"{cls}.{node.attr}" if cls else node.attr] += 1
     return found
+
+
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def receivers(tree, classes) -> dict[int, str]:
+    """The class, one of the names classes, of each attribute load in tree
+    whose receiver resolves (see the module docstring), by the id of its
+    ``ast.Attribute`` node."""
+    found = {}
+
+    def visit(scope, env, owner=None):
+        nodes = list(local_nodes(scope))
+        bound: dict[str, set] = {}
+        if not isinstance(scope, (ast.Module, ast.ClassDef)):
+            a = scope.args
+            for arg in a.posonlyargs + a.args + a.kwonlyargs:
+                bound.setdefault(arg.arg, set()).add(
+                    owner if owner and arg.arg == "self"
+                    else named_class(arg.annotation, classes))
+            for arg in (a.vararg, a.kwarg):
+                if arg is not None:
+                    bound.setdefault(arg.arg, set()).add(None)
+        made = {id(target): constructed(node.value, classes)
+                for node in nodes if isinstance(node, ast.Assign)
+                for target in node.targets}
+        made.update({id(node.target): constructed(node.value, classes)
+                     for node in nodes if isinstance(node, ast.AnnAssign)})
+        for node in nodes:
+            if isinstance(node, ast.Name) and not isinstance(node.ctx,
+                                                             ast.Load):
+                bound.setdefault(node.id, set()).add(made.get(id(node)))
+        inner = {name: cls for name, cls in env.items() if name not in bound}
+        inner.update({name: next(iter(kinds)) for name, kinds in bound.items()
+                      if len(kinds) == 1 and None not in kinds})
+        for node in nodes:
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, ast.Load) \
+                    and isinstance(node.value, ast.Name) \
+                    and node.value.id in inner:
+                found[id(node)] = inner[node.value.id]
+            elif isinstance(node, ast.ClassDef):
+                # self is C only in a method of module-level class C
+                visit(node, inner,
+                      node.name if isinstance(scope, ast.Module) else None)
+            elif isinstance(node, SCOPES) and isinstance(scope, ast.ClassDef):
+                # a method does not see the names of its class body
+                visit(node, env, owner)
+            elif isinstance(node, SCOPES):
+                visit(node, inner)
+
+    visit(tree, {})
+    return found
+
+
+def local_nodes(scope):
+    """The nodes of scope's body, down to and including each nested
+    function, lambda or class, but not into one."""
+    todo = list(scope.body) if isinstance(scope.body, list) \
+        else [scope.body]
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def named_class(annotation, classes):
+    """The class of classes that an annotation names, else None."""
+    name = getattr(annotation, "id", getattr(annotation, "value", None))
+    return name if isinstance(name, str) and name in classes else None
+
+
+def constructed(value, classes):
+    """The class of classes that value calls, ``C(...)`` or
+    ``module.C(...)``, else None."""
+    func = getattr(value, "func", None)
+    name = getattr(func, "id", getattr(func, "attr", None))
+    return name if isinstance(value, ast.Call) and name in classes else None
 
 
 def dropped(sources: dict[str, str], names) -> dict[str, str]:
@@ -206,7 +291,14 @@ def unread(trees, readers, checked):
     trees whose last part passes checked and that no tree in readers
     reads outside its own definition, a method or attribute as an
     attribute; each once, in the order of trees."""
-    totals = {reads: sum((reads(tree) for tree in readers), Counter())
+    classes = {name for tree in trees.values()
+               for name, node in definitions(tree)
+               if isinstance(node, ast.ClassDef)}
+    resolved = {}
+    for tree in dict.fromkeys([*trees.values(), *readers]):
+        resolved.update(receivers(tree, classes))
+    totals = {reads: sum((reads(tree, resolved) for tree in readers),
+                         Counter())
               for reads in (uses, attribute_uses)}
     unused = []
     for module, tree in trees.items():
@@ -215,12 +307,13 @@ def unread(trees, readers, checked):
                   for members in (methods, attributes)
                   for name, node in members(tree)]
         for qualname, node, reads in found:
-            owner, _, name = qualname.rpartition(".")
+            name = qualname.rpartition(".")[2]
             if name.startswith("__") or not checked(name):
                 continue
-            # a member is read as x by any receiver, or as Class.x by self
+            # a member is read as x by any receiver, or as Class.x by a
+            # resolved one
             keys = {name, qualname}
-            own = reads(node, owner or None)
+            own = reads(node, resolved)
             if sum(totals[reads][k] - own[k] for k in keys) == 0:
                 unused.append(f"{module}.{qualname}")
     return list(dict.fromkeys(unused))
@@ -377,3 +470,60 @@ def test_a_self_read_counts_only_for_its_own_class():
     # any other receiver still reads every attribute of that name
     sources["b"] += "make()[0].size\n"
     assert unused_public_names(sources) == []
+
+
+def test_a_constructed_name_reads_only_its_class():
+    sources = {
+        "a": "class Box:\n"
+             "    def __init__(self):\n"
+             "        self.size = 1\n"
+             "        self._spare = 2\n"
+             "class Crate:\n"
+             "    def __init__(self):\n"
+             "        self.size = 3\n"
+             "        self._spare = 4\n"
+             "def make():\n"
+             "    crate = Crate()\n"
+             "    return Box(), crate.size + crate._spare\n",
+        "b": "from . import a\na.make()\n",
+    }
+    # crate is bound only by Crate(...), so its reads keep Crate's own
+    assert unused_public_names(sources) == ["a.Box.size"]
+    assert unused_private_names(sources) == ["a.Box._spare"]
+    # box is bound only by a.Box(...), so its read keeps Box's own
+    sources["b"] += "box = a.Box()\nbox.size\n"
+    assert unused_public_names(sources) == []
+    assert unused_private_names(sources) == ["a.Box._spare"]
+    # bound once more in any other way, box reads every _spare
+    sources["b"] += "box = None\nbox._spare\n"
+    assert unused_private_names(sources) == []
+
+
+def test_an_annotated_parameter_reads_only_its_class():
+    def sources(params="crate: Crate, box: 'Box', *rest: Crate",
+                inner="", read="box, rest"):
+        return {
+            "a": "class Box:\n"
+                 "    def __init__(self):\n"
+                 "        self.size = 1\n"
+                 "class Crate:\n"
+                 "    def __init__(self):\n"
+                 "        self.size = 3\n"
+                 f"def weigh({params}):\n"
+                 f"    def inner({inner}):\n"
+                 "        return crate.size\n"
+                 f"    return inner, {read}\n"
+                 "def make():\n"
+                 "    return Box(), weigh(Crate(), Box())\n",
+            "b": "from .a import make\nmake()\n",
+        }
+
+    # the nested function reads weigh's crate, a Crate
+    assert unused_public_names(sources()) == ["a.Box.size"]
+    # so does a read through a parameter annotated with a string
+    assert unused_public_names(sources(
+        params="crate: 'Crate', box: 'Crate'", read="box.size")) == [
+            "a.Box.size"]
+    # neither *rest nor a nested parameter named crate is annotated
+    assert unused_public_names(sources(read="rest.size")) == []
+    assert unused_public_names(sources(inner="crate")) == []

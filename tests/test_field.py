@@ -92,6 +92,7 @@ def test_prime_power_orders_accepted():
         f = build_field(q)
         assert f.q == q
         assert f.p ** f.m == q
+        assert repr(f) == f"GF({q})"
 
 
 def test_canonical_moduli():

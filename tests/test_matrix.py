@@ -31,6 +31,15 @@ def gfm(q, rows):
     return GFMatrix(build_field(q), rows)
 
 
+def test_equal_matrices_hash_equal():
+    f = build_field(3)
+    a = GFMatrix(f, [[1, 2], [0, 1]])
+    b = GFMatrix(f, np.array([[1, 2], [0, 1]], dtype=np.int8))
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, GFMatrix(f, [[1, 2, 0, 1]])}) == 2
+    assert repr(a) == "GFMatrix(q=3, 2x2)"
+
+
 def test_identity_rref_fixed_point():
     m = gfm(3, np.eye(3, dtype=np.int64))
     red, rk = rref(m)

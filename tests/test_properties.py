@@ -990,6 +990,36 @@ def test_search_path_matches_oracle_and_dual(q, data, chunk):
         assert dual == want
 
 
+@pytest.mark.parametrize("q", FIELDS)
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(data=st.data())
+def test_search_ranks_candidates_at_every_size_up_to_k(q, data):
+    """The levelwise search never runs out of candidates before size k:
+    the secret column extends to a basis with k-1 participant columns,
+    and every subset of those is unauthorized, so it ranks a block at each
+    size 1..k, whichever column holds the secret, also when columns repeat
+    up to a scalar."""
+    code = data.draw(sss_codes(q, max_n=7))
+    f, gen = code.field, code.gen.data
+    extra = data.draw(st.lists(st.tuples(st.integers(0, code.n - 1),
+                                         st.integers(1, q - 1)),
+                               max_size=2), label="parallel columns")
+    parallel = [f.mul_table[a, gen[:, j]] for j, a in extra]
+    code = LinearCode(GFMatrix(f, np.column_stack([gen, *parallel])))
+    real = sss._authorized
+    for secret_column in range(1, code.n + 1):
+        sizes = []
+
+        def authorized(scheme, cols):
+            sizes.append(cols.shape[1])
+            return real(scheme, cols)
+
+        with mock.patch.object(sss, "_authorized", authorized):
+            sss._search_path(SssScheme(code, secret_column),
+                             codes.DEFAULT_BUDGET)
+        assert sorted(set(sizes)) == list(range(1, code.k + 1))
+
+
 @pytest.mark.parametrize("q, span", [(2, 13), (3, 8)])
 @settings(max_examples=15, deadline=None, database=None, derandomize=True)
 @given(data=st.data())

@@ -68,6 +68,12 @@ def test_scheme_participants(f22):
     assert f22.secret_column == 1
 
 
+def test_scheme_repr(f22):
+    assert repr(f22) == "SssScheme(LinearCode([3,2]_2), secret_column=1)"
+    assert repr(SssScheme(first(3, 3), 4)) == (
+        "SssScheme(LinearCode([9,3]_3), secret_column=4)")
+
+
 def test_scheme_rejects_zero_columns():
     code = make_code(2, [[1, 0, 1], [0, 0, 1]])
     with pytest.raises(ZeroColumn):
@@ -271,8 +277,20 @@ def test_minimal_sets_frozen(f22):
 
 def test_minimal_sets_empty_for_identity():
     scheme = SssScheme(make_code(2, [[1, 0], [0, 1]]))
-    assert minimal_authorized_sets(scheme, method="search") == []
+    for method in ("search", "dual", "auto"):
+        assert minimal_authorized_sets(scheme, method=method) == []
+
+
+def test_auto_answers_a_square_code_from_the_dual_branch():
+    # the zero dual has no minimal word: no coalition is searched, and so
+    # none of the 2^29 - 1 that the search's budget counts is spent
+    scheme = SssScheme(make_code(2, np.eye(30, dtype=np.int64)))
+    with mock.patch.object(sss, "_search_path") as search:
+        assert minimal_authorized_sets(scheme) == []
+    assert not search.called
     assert minimal_authorized_sets(scheme, method="dual") == []
+    with pytest.raises(BudgetExceeded, match="^needs 536870911 coalitions"):
+        minimal_authorized_sets(scheme, method="search")
 
 
 def test_minimal_sets_methods_agree():

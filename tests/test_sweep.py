@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from mincodes import analysis, sweep
-from mincodes.codes import (DEFAULT_BUDGET, codeword_blocks,
+from mincodes.codes import (DEFAULT_BUDGET, LinearCode, codeword_blocks,
                             weight_distribution)
-from mincodes.constructions import extended
+from mincodes.constructions import extended, first
 from mincodes.errors import BadParams
+from mincodes.matrix import GFMatrix
 from mincodes.sweep import (load_config, run_criterion, run_sweep,
                             validate_config, write_distribution_csvs)
 
@@ -36,6 +37,15 @@ def test_criterion_1_small_instances():
     assert len(res.checks) == 6
     assert {c.check for c in res.checks} == {
         "params", "stratified-weights", "step-identity"}
+
+
+def test_step_identity_fails_when_per_s_weights_are_not_single_valued():
+    # extended(3,3) weighs w_s or w_s + 1 by its first coefficient
+    checks = list(sweep._first_params(extended(3, 3), DEFAULT_BUDGET, 3, 3))
+    assert [c[:2] for c in checks] == [
+        ("params", False), ("stratified-weights", False),
+        ("step-identity", False)]
+    assert checks[-1][2] == "per-s weights are not single-valued"
 
 
 def test_criterion_2_counter_instance_flagged():
@@ -174,6 +184,22 @@ def test_case_weights_unflagged_when_neither_split_holds():
     assert not case.passed and not case.paper_discrepancy
     assert case.detail == ("coeffs (0, 0, 1) have weight 5, the split "
                            "formula predicts 6")
+
+
+def test_case_weights_pass_when_the_split_holds():
+    # first(3,3) weighs w_s at coefficient weight s, and two columns 1, 2
+    # in row 1 add exactly q-1 = 2 wherever u_0 != 0
+    code = first(3, 3)
+    extra = np.zeros((3, 2), dtype=code.gen.data.dtype)
+    extra[0] = [1, 2]
+    code = LinearCode(GFMatrix(code.field, np.hstack([code.gen.data, extra])))
+    assert sweep._extended_case_counterexample(
+        code, 3, 3, DEFAULT_BUDGET) is None
+    assert first_split_failure(code, lambda s: sweep.predicted_ws(s, 3, 3)) \
+        is None
+    case = list(sweep._extended(code, DEFAULT_BUDGET, 3, 3))[-1]
+    assert case == ("case-weights", True, "weights split as w_s and w_s + "
+                    "(q-1) by the first coefficient", False)
 
 
 def test_criterion_9_passes():
@@ -464,6 +490,28 @@ def test_default_sweep_walks_each_registered_code_once():
     with mock.patch.object(analysis, "column_ranks", spy):
         report = run_sweep()
     assert len(calls) == len(report.registry) == 38
+
+
+def test_default_sweep_passes_over_extended_codes_once_more():
+    # the walks take one projective_blocks pass per registered code, and
+    # criterion 6's case-weights one more per extended code it checks
+    passes = {analysis: [], sweep: []}
+
+    def spy(module):
+        real = module.projective_blocks
+
+        def pass_over(code, *args, **kwargs):
+            passes[module].append(code)
+            return real(code, *args, **kwargs)
+        return mock.patch.object(module, "projective_blocks", pass_over)
+
+    with spy(analysis), spy(sweep):
+        report = run_sweep()
+    label = {id(code): name for name, code in report.registry.items()}
+    assert len(passes[analysis]) == len(report.registry) == 38
+    assert {id(code) for code in passes[analysis]} == set(label)
+    assert [label[id(code)] for code in passes[sweep]] == [
+        "extended(3,3)", "extended(3,4)", "extended(4,3)"]
 
 
 def test_criterion_10_builds_and_walks_each_dual_once():
