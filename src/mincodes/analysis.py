@@ -46,7 +46,8 @@ asked, and kept: classes in canonical order, in blocks of 1, 2, 4, ... up
 to _ROW_BLOCK, are tested against the non-minimal ones (a class that
 covers another is one) up to the first block with a covered class.  Each
 block's words are decoded from class indices (``_class_rows``), and the
-test is a float32 GEMM, exact because every term is nonnegative.
+test is a float32 GEMM, exact because every term is nonnegative.  Each
+decode first spends the rows decoded so far against the budget.
 
 The sufficient (not necessary) weight-ratio test: a code is minimal whenever
 w_min / w_max > (q-1)/q, the second counting fact for every class at once.
@@ -184,7 +185,8 @@ def _words(code: LinearCode, index: np.ndarray) -> list[Codeword]:
             for c, x in zip(u.tolist(), v.tolist())]
 
 
-def _first_cover(code: LinearCode, bad: np.ndarray, classes: int):
+def _first_cover(code: LinearCode, bad: np.ndarray, classes: int,
+                 budget: int):
     """(i, j): the first class i in canonical order whose support lies
     inside the support of a non-minimal class j != i, and the first such j.
 
@@ -192,8 +194,14 @@ def _first_cover(code: LinearCode, bad: np.ndarray, classes: int):
     bad lists the non-minimal classes, ascending.  Covered rows go in
     blocks of 1, 2, 4, ... up to _ROW_BLOCK, so a cover among the first
     classes is found without testing the rest, and the non-minimal side
-    _ROW_BLOCK at a time."""
+    _ROW_BLOCK at a time.  Every decode first spends the rows decoded so
+    far, its own included, as "witness rows" against budget."""
+    decoded = 0
+
     def rows(index):
+        nonlocal decoded
+        decoded += len(index)
+        _spend(decoded, budget, "witness rows")
         return (_class_rows(code, index)[1] != 0).astype(np.float32)
 
     start, size = 0, 1
@@ -324,7 +332,7 @@ def is_minimal_code(code: LinearCode,
     classes = stop = len(minimal)
     witness = None
     if not minimal.all():
-        i, j = _first_cover(code, np.flatnonzero(~minimal), classes)
+        i, j = _first_cover(code, np.flatnonzero(~minimal), classes, budget)
         witness = tuple(_words(code, np.array([i, j])))
         stop = min(i - i % _ROW_BLOCK + _ROW_BLOCK, classes)
     memo["minimality"] = MinimalityReport(witness is None, witness, classes,

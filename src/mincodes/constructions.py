@@ -100,17 +100,11 @@ def _systematic(t: int, q: int, size: int, lead_one: bool) -> LinearCode:
 
 
 def extended(t: int, q: int) -> LinearCode:
-    """``first(t, q)`` with q-2 extra columns xi^1..xi^(q-2) in row 1.
-
-    For q = 2 there is nothing to append and the result is first(t, 2).
-    """
+    """``first(t, q)`` with q-2 extra columns xi^1..xi^(q-2) in row 1."""
     base = first(t, q)
-    f = base.field
-    if q == 2:
-        return base
     extra = np.zeros((t, q - 2), dtype=np.int64)
-    extra[0] = f.powers_of_xi()
-    return LinearCode(base.gen.hstack(GFMatrix(f, extra)))
+    extra[0] = base.field.powers_of_xi()
+    return LinearCode(GFMatrix(base.field, np.hstack([base.gen.data, extra])))
 
 
 def lift(code: LinearCode, s: int, budget: int = DEFAULT_BUDGET) -> LinearCode:

@@ -40,7 +40,7 @@ class BudgetExceeded(MinCodesError):
     unit names what the budget counts: codewords by default, coalitions
     for the access-structure search, points for the function codes,
     generator entries for the constructions, dealing entries for the
-    perfectness checks.
+    perfectness checks, witness rows for the witness scan.
     """
 
     def __init__(self, needed: int, budget: int, *, unit: str = "words"):

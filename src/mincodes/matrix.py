@@ -52,13 +52,6 @@ class GFMatrix:
     def cols(self) -> int:
         return self.data.shape[1]
 
-    def hstack(self, other: "GFMatrix") -> "GFMatrix":
-        if self.field != other.field:
-            raise FieldMismatch("cannot concatenate over different fields")
-        if self.rows != other.rows:
-            raise DimensionMismatch("row counts differ")
-        return GFMatrix(self.field, np.hstack([self.data, other.data]))
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, GFMatrix)

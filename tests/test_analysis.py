@@ -346,6 +346,24 @@ def test_a_full_value_witness_decodes_one_row():
     assert report.witness_values == (0, 1)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: second(5, 4, 2),  # covered class 0: one block
+    lambda: random_code(40, 14, 2, seed=1),  # class 10: blocks 1, 2, 4, 8
+], ids=["second(5,4,2)", "random[40,14]_2"])
+def test_the_witness_scan_spends_the_rows_it_decodes(build):
+    code = build()
+    bad = np.flatnonzero(~analysis._walk(code, DEFAULT_BUDGET)["minimal"])
+    classes = (code.size - 1) // (code.q - 1)
+    with counted_decodes() as counts:
+        want = analysis._first_cover(code, bad, classes, DEFAULT_BUDGET)
+    rows = counts["rows"]
+    assert rows < code.size
+    assert analysis._first_cover(code, bad, classes, rows) == want
+    with pytest.raises(BudgetExceeded, match="witness rows") as exc:
+        analysis._first_cover(code, bad, classes, rows - 1)
+    assert (exc.value.needed, exc.value.unit) == (rows, "witness rows")
+
+
 @contextlib.contextmanager
 def counted_scans():
     """Count the calls of the witness scan, analysis._first_cover."""

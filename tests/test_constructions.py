@@ -342,9 +342,10 @@ def test_extended_3_3():
     assert code.codeword([1, 0, 0]).weight == 6
 
 
-def test_extended_binary_is_first():
-    a, b = extended(3, 2), first(3, 2)
-    assert np.array_equal(a.gen.data, b.gen.data)
+@pytest.mark.parametrize("t", range(2, 6))
+def test_extended_binary_is_first(t):
+    a, b = extended(t, 2), first(t, 2)
+    assert a.gen == b.gen and a.gen.data.dtype == b.gen.data.dtype
 
 
 def test_extended_offset_formula():

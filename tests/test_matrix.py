@@ -205,10 +205,6 @@ def test_matrix_validation():
         gfm(3, [1, 2])
     with pytest.raises(DimensionMismatch, match="ragged"):
         gfm(2, [[1, 0], [1]])
-    with pytest.raises(DimensionMismatch):
-        gfm(3, [[1, 2]]).hstack(gfm(3, [[1], [2]]))
-    with pytest.raises(FieldMismatch):
-        gfm(3, [[1, 2]]).hstack(gfm(5, [[1, 2]]))
 
 
 @pytest.mark.parametrize("q, rows", [

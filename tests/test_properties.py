@@ -474,7 +474,8 @@ def test_growing_cover_scan_matches_fixed_blocks(n, k, q, seed, covered):
                         for _, v in projective_blocks(code)])
     bad = np.nonzero(~analysis._walk(code, codes.DEFAULT_BUDGET)["minimal"])[0]
     with np.errstate(invalid="raise"):
-        got = analysis._first_cover(code, bad, len(packed))
+        got = analysis._first_cover(code, bad, len(packed),
+                                    codes.DEFAULT_BUDGET)
         want = fixed_block_first_cover(packed, bad, n, analysis._ROW_BLOCK)
     assert got == want
     assert got[0] == covered
@@ -501,7 +502,8 @@ def test_growing_cover_scan_matches_fixed_blocks_on_masks(drawn, row_block):
     with np.errstate(invalid="raise"), \
             mock.patch.object(analysis, "_ROW_BLOCK", row_block), \
             mock.patch.object(analysis, "_class_rows", class_rows):
-        got = analysis._first_cover(supp, bad, len(packed))
+        got = analysis._first_cover(supp, bad, len(packed),
+                                    codes.DEFAULT_BUDGET)
     assert got == fixed_block_first_cover(packed, bad, n, row_block)
 
 

@@ -127,7 +127,27 @@ def test_every_recorded_discrepancy_fails_flagged(default_report):
                for c in r.checks if not c.passed and c.paper_discrepancy}
     record = {(label, check) for check, labels
               in sweep._DISCREPANCIES.items() for label in labels}
-    assert len(record) == 13 and record <= flagged
+    assert len(record) == 17 and record <= flagged
+
+
+def test_only_the_record_and_a_proved_alternative_are_flagged(
+        default_report):
+    # a failing check flags itself only when it proves the published
+    # claim's alternative: case-weights, at every extended instance
+    flagged = {(c.instance, c.check) for r in default_report.results
+               for c in r.checks if not c.passed and c.paper_discrepancy}
+    record = {(label, check) for check, labels
+              in sweep._DISCREPANCIES.items() for label in labels}
+    proved = {(f"extended({t},{q})", "case-weights")
+              for t, q in sweep.EXTENDED_INSTANCES}
+    assert flagged == record | proved and len(flagged) == 20
+
+
+def test_a_remark_failure_outside_the_record_is_unflagged():
+    res = run_criterion(5, instances=[[6, 2, 2]])
+    remark, = by_check(res, "minimum-at-r-equals-s")
+    assert remark.instance == "weight_s(2,6,2)"
+    assert not remark.passed and not remark.paper_discrepancy
 
 
 def test_criterion_5_remark_fails_flagged():
