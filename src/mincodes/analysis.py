@@ -34,7 +34,7 @@ ranked again on all of them.
 
 Every whole-code fact comes from that pass, run only by ``_walk`` (in
 one walk of the classes, bar the case its docstring names), which also
-counts the classes by coefficient and codeword weight and finds the first
+counts the words by coefficient and codeword weight and finds the first
 class that misses a field value; only the words a report shows are
 decoded from class indices (``_class_rows``).  The generator is
 read-only, so the results, each class's verdict among them, are kept in
@@ -230,9 +230,9 @@ def _walk(code: LinearCode, budget: int) -> dict:
     classes and keeps ``minimal`` (the verdict, by counting or by rank, one
     bool per class in canonical order), ``full_value`` (the index of the
     first class that misses a field value, or None: a class takes 0 iff its
-    weight is below n) and ``strata``, a (k+1, n+1) array of class counts by
-    coefficient weight s and codeword weight; ``is_minimal_code`` adds
-    ``minimality`` when it is first asked.
+    weight is below n) and ``strata``, a (k+1, n+1) array of word counts
+    (the zero word included) by coefficient weight s and codeword weight;
+    ``is_minimal_code`` adds ``minimality`` when it is first asked.
 
     Counting decides a block's classes first (see the module docstring):
     fewer than k-1 zeros, not minimal; (q-1)*wt < q*M, minimal, where M is
@@ -296,6 +296,8 @@ def _walk(code: LinearCode, budget: int) -> dict:
             redo = (q * m <= (q - 1) * w) & ((q - 1) * w < q * least[b])
             if redo.any():
                 masks[b][redo] = ranked(supp[redo], n - w[redo])
+    strata *= q - 1  # a class stands for its q-1 words
+    strata[0] = 1  # the zero word, at s = 0 and weight 0
     memo.update(minimal=np.concatenate(masks), full_value=missing,
                 strata=strata.reshape(k + 1, n + 1))
     return memo
@@ -344,11 +346,9 @@ def weight_strata(code: LinearCode,
                   budget: int = DEFAULT_BUDGET) -> dict[int, dict[int, int]]:
     """Codeword counts by weight for each coefficient weight s = 0..k:
     {s: {weight: count}} over the words that combine exactly s generator
-    rows, so s = 0 holds only the zero word, {0: 1}."""
-    strata = _walk(code, budget)["strata"] * (code.q - 1)
-    strata[0, 0] = 1  # the zero word
+    rows, as the walk keeps them; s = 0 holds only the zero word, {0: 1}."""
     return {s: {int(w): int(c) for w, c in enumerate(row) if c}
-            for s, row in enumerate(strata)}
+            for s, row in enumerate(_walk(code, budget)["strata"])}
 
 
 def minimal_codewords(code: LinearCode,

@@ -73,19 +73,14 @@ def _print_json(report: dict) -> None:
 
 # family name -> (parameter flags it takes, builder)
 _FAMILIES = {
-    "first": (("t", "q"),
-              lambda a, b: first(a.t, a.q)),
-    "second": (("t", "k", "q"),
-               lambda a, b: second(a.t, a.k, a.q)),
-    "weights": (("s", "t", "q"),
-                lambda a, b: weight_s(a.s, a.t, a.q)),
-    "extended": (("t", "q"),
-                 lambda a, b: extended(a.t, a.q)),
+    "first": (("t", "q"), lambda a: first(a.t, a.q)),
+    "second": (("t", "k", "q"), lambda a: second(a.t, a.k, a.q)),
+    "weights": (("s", "t", "q"), lambda a: weight_s(a.s, a.t, a.q)),
+    "extended": (("t", "q"), lambda a: extended(a.t, a.q)),
     "cf": (("n", "k", "q", "alphas"),
-           lambda a, b: cf_code(a.n, a.k, a.q,
-                                _ints(a.alphas, "--alphas"), b)),
-    "cg": (("r", "k", "q"),
-           lambda a, b: cg_code(a.r, a.k, a.q, b)),
+           lambda a: cf_code(a.n, a.k, a.q, _ints(a.alphas, "--alphas"),
+                             a.budget)),
+    "cg": (("r", "k", "q"), lambda a: cg_code(a.r, a.k, a.q, a.budget)),
 }
 
 _PARAM_FLAGS = ("t", "k", "s", "q", "n", "r", "alphas")
@@ -102,7 +97,7 @@ def _cmd_construct(args) -> int:
             + " ".join(f"--{p}" for p in wanted)
             + (f"; missing {' '.join(missing)}" if missing else "")
             + (f"; unexpected {' '.join(extra)}" if extra else ""))
-    code = build(args, args.budget)
+    code = build(args)
     label = args.family + "(" + ",".join(
         str(getattr(args, p)) for p in wanted) + ")"
     if args.out:

@@ -32,7 +32,7 @@ package, it is spent through the one gate ``errors._spend``.  The
 generator is read-only, so ``analysis._walk`` keeps the whole-code
 results of one walk of the scalar classes on the code
 (``LinearCode._memo``), and ``analysis.is_minimal_code`` adds its report
-there; the weight functions here read the walk's counts.
+there; the weight functions here read the walk's word counts.
 """
 
 from __future__ import annotations
@@ -216,8 +216,8 @@ class WeightDistribution:
         return "\n".join(lines) + "\n"
 
 
-def _class_weights(code: LinearCode, budget: int) -> np.ndarray:
-    """Class counts by weight 0..n, from the strata of ``analysis._walk``."""
+def _word_weights(code: LinearCode, budget: int) -> np.ndarray:
+    """Word counts by weight 0..n, from the strata of ``analysis._walk``."""
     # analysis imports this module, so its walk is imported at call time
     from .analysis import _walk
     return _walk(code, budget)["strata"].sum(axis=0)
@@ -225,10 +225,8 @@ def _class_weights(code: LinearCode, budget: int) -> np.ndarray:
 
 def weight_distribution(code: LinearCode,
                         budget: int = DEFAULT_BUDGET) -> WeightDistribution:
-    """Exhaustive weight distribution of the code, from its class counts."""
-    # a class's q-1 words share its weight
-    counts = _class_weights(code, budget) * (code.q - 1)
-    counts[0] = 1  # the zero word
+    """Exhaustive weight distribution: the walk's word counts by weight."""
+    counts = _word_weights(code, budget)
     return WeightDistribution(
         {int(w): int(c) for w, c in enumerate(counts) if c})
 
@@ -236,8 +234,8 @@ def weight_distribution(code: LinearCode,
 def min_max_weight(code: LinearCode,
                    budget: int = DEFAULT_BUDGET) -> tuple[int, int]:
     """(w_min, w_max) over nonzero codewords; w_min is the distance d."""
-    weights = np.flatnonzero(_class_weights(code, budget))
-    return int(weights[0]), int(weights[-1])
+    weights = np.flatnonzero(_word_weights(code, budget))  # 0: the zero word
+    return int(weights[1]), int(weights[-1])
 
 
 def dual_code(code: LinearCode) -> LinearCode:

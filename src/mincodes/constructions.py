@@ -45,7 +45,7 @@ import numpy as np
 from .analysis import _walk
 from .codes import DEFAULT_BUDGET, LinearCode
 from .errors import BadParams, PreconditionFailed, _int, _ints, _spend
-from .field import build_field
+from .field import _digits, build_field
 from .matrix import GFMatrix, _rref_array, kronecker
 
 
@@ -147,9 +147,7 @@ def tensor_product(c1: LinearCode, c2: LinearCode) -> LinearCode:
 def _points(q: int, n: int, budget: int) -> np.ndarray:
     """All nonzero x in GF(q)^n as rows, ascending base-q encoding."""
     _spend(q**n - 1, budget, "points")
-    idx = np.arange(1, q**n, dtype=np.int64)
-    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    return (idx[:, None] // place[None, :]) % q
+    return _digits(q, n)[1:, ::-1]
 
 
 def _independent_rows(field, rows: np.ndarray) -> np.ndarray:

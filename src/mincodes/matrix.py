@@ -68,11 +68,13 @@ class GFMatrix:
 
 
 def _asarray(data) -> np.ndarray:
-    """np.asarray(data); ragged nested input is a DimensionMismatch."""
+    """np.asarray(data), int64 when empty (``[]`` alone would be float64);
+    ragged nested input is a DimensionMismatch."""
     try:
-        return np.asarray(data)
+        arr = np.asarray(data)
     except ValueError as e:
         raise DimensionMismatch(f"ragged input: {e}") from None
+    return arr if arr.size else arr.astype(np.int64)
 
 
 def _vector(field: GF, values, length: int | None = None) -> np.ndarray:

@@ -568,3 +568,34 @@ def test_a_stale_block_walks_the_classes_twice():
     # have one zero, and 101 and 110 weight 1; the second walk ranks block
     # one's 010 and 011, and stops there
     assert calls == [[], [], [(2, 2)]]
+
+
+def test_second_walk_at_the_default_block_sizes():
+    # random [16,6]_7 (seed 1) walks its 9 blocks twice without a patched
+    # _CHUNK: the first block's least weight is 10 and w_min is 6, so 6
+    # blocks are stale and their 44 classes with 7*6 <= 6*wt < 7*M are
+    # ranked again; one of them is not minimal
+    code = random_code(16, 6, 7, seed=1)
+    walks, real = [], analysis.projective_blocks
+
+    def walk(*args, **kwargs):
+        walks.append([])
+        for block in real(*args, **kwargs):
+            walks[-1].append(block[1])
+            yield block
+
+    with mock.patch.object(analysis, "projective_blocks", walk):
+        mask = analysis._walk(code, DEFAULT_BUDGET)["minimal"]
+    assert len(walks) == 2 and len(walks[0]) == 9
+    q, sizes = code.q, [len(v) for v in walks[0]]
+    least = np.minimum.accumulate([np.count_nonzero(v, axis=1).min()
+                                   for v in walks[0]])
+    assert least[0] == 10 and least[-1] == 6
+    assert len(walks[1]) == np.count_nonzero(least > 6) == 6
+    values = np.concatenate(walks[0])
+    w = np.count_nonzero(values, axis=1)
+    bound = np.repeat(least, sizes)
+    again = np.flatnonzero((q * 6 <= (q - 1) * w) & ((q - 1) * w < q * bound))
+    verdicts = [is_minimal_codeword(code, values[i]) for i in again]
+    assert len(again) == 44 and verdicts.count(False) == 1
+    assert mask[again].tolist() == verdicts

@@ -102,6 +102,12 @@ def test_in_span_empty_family():
     f = build_field(3)
     assert in_span(f, [0, 0], []).tolist() == []
     assert in_span(f, [1, 0], []) is None
+    assert in_span(f, [], []).tolist() == []
+
+
+def test_empty_nested_list_is_an_integer_matrix():
+    f = build_field(3)
+    assert GFMatrix(f, [[]]) == GFMatrix(f, np.zeros((1, 0), dtype=int))
 
 
 def test_in_span_rejects_a_ragged_target():
