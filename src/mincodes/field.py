@@ -168,17 +168,15 @@ class GF:
         an ``add_table`` lookup."""
         return np.bitwise_xor(a, b) if self.p == 2 else self.add_table[a, b]
 
-    def sum(self, x: np.ndarray, axis: int) -> np.ndarray:
-        """Field sum of an encoding array along the nonnegative ``axis``,
-        by the rule of :meth:`add`: one XOR reduction in characteristic 2,
-        else a fold of ``add_table`` from zeros (so an empty axis sums to
-        0)."""
+    def sum(self, x: np.ndarray) -> np.ndarray:
+        """Field sum of a 3-D encoding array along axis 1, by the rule of
+        :meth:`add`: one XOR reduction in characteristic 2, else a fold of
+        ``add_table`` from zeros (so an empty axis sums to 0)."""
         if self.p == 2:
-            return np.bitwise_xor.reduce(x, axis=axis)
-        head = (slice(None),) * axis
-        out = np.zeros(x.shape[:axis] + x.shape[axis + 1:], dtype=self.dtype)
-        for i in range(x.shape[axis]):
-            out = self.add_table[out, x[head + (i,)]]
+            return np.bitwise_xor.reduce(x, axis=1)
+        out = np.zeros((x.shape[0], x.shape[2]), dtype=self.dtype)
+        for i in range(x.shape[1]):
+            out = self.add_table[out, x[:, i]]
         return out
 
     def matmul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -200,7 +198,7 @@ class GF:
             out = (a.astype(np.int64) @ b.astype(np.int64)) % self.p
             return out.astype(self.dtype)
         if r * k * c <= _GATHER:
-            return self.sum(self.mul_table[a[:, :, None], b[None]], axis=1)
+            return self.sum(self.mul_table[a[:, :, None], b[None]])
         out = np.zeros((r, c), dtype=self.dtype)
         for i in range(k):
             out = self.add(out, self.mul_table[a[:, i, None], b[i]])

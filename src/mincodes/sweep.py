@@ -21,9 +21,7 @@ raised in an instance's checks ends that instance only: the checks it
 already yielded are kept, a failed ``budget`` check follows them, and the
 driver goes on to the next instance. The codes a sweep builds live in one
 registry, a plain dict from label to ``LinearCode``, which criterion 11
-audits. Each instance obtains every code it will check before it yields
-its first check, so its checks run up to that one register all its
-codes.  Each registered code is built and walked once per sweep, and
+audits. Each registered code is built and walked once per sweep, and
 criterion 6 reads each extended code's classes once more for their weights.
 
 Checks whose outcome is known to contradict a published closed-form claim
@@ -46,10 +44,10 @@ from __future__ import annotations
 
 import json
 import re
-from contextlib import suppress
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from numbers import Integral
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -531,14 +529,19 @@ _CRITERIA: dict[int, tuple[str, Optional[tuple], Callable]] = {
 }
 
 
-def _check_instances(number, instances) -> Optional[tuple]:
-    """Instances as a tuple of integer tuples (None stays None)."""
-    spec = _CRITERIA.get(number) if type(number) is int else None
+def _is_int(value) -> bool:
+    """An integer other than a bool, so that JSON true stays refused."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_instances(number, instances) -> tuple[int, Optional[tuple]]:
+    """The id as an int, and the instances as int tuples (None stays None)."""
+    spec = _CRITERIA.get(int(number)) if _is_int(number) else None
     if spec is None:
         raise BadParams(f"unknown criterion {number!r}; valid ids are 1..11")
-    defaults = spec[1]
+    number, defaults = int(number), spec[1]
     if instances is None:
-        return None
+        return number, None
     if defaults is None:
         raise BadParams(f"criterion {number} does not take instances")
     if not isinstance(instances, (list, tuple)):
@@ -547,11 +550,11 @@ def _check_instances(number, instances) -> Optional[tuple]:
     arity = len(defaults[0])
     for item in instances:
         if (not isinstance(item, (list, tuple)) or len(item) != arity
-                or not all(type(x) is int for x in item)):
+                or not all(map(_is_int, item))):
             raise BadParams(
                 f"criterion {number} instances must be length-"
                 f"{arity} integer tuples, got {item!r}")
-    return tuple(tuple(item) for item in instances)
+    return number, tuple(tuple(map(int, item)) for item in instances)
 
 
 def _collect(pairs) -> list[CheckResult]:
@@ -574,19 +577,15 @@ def run_criterion(number: int, instances: Optional[Sequence] = None,
     """Run one numbered criterion and collect its checks.
 
     The codes it builds are added to registry (label -> code). Criterion
-    11 audits every code there; given an empty registry, it first fills
-    it from the default instances of criteria 1 to 10, the checks of each
-    run only up to the first (see the module docstring).
+    11 audits every code there; given an empty registry, it first runs
+    criteria 1 to 10 on their default instances into it.
     """
-    use = _check_instances(number, instances)
+    number, use = _check_instances(number, instances)
     budget = _int(budget, "budget")
     registry = {} if registry is None else registry
     if number == 11 and not registry:
         for m in range(1, 11):
-            _, defaults, runner = _CRITERIA[m]
-            for _, checks in runner(defaults, budget, registry):
-                with suppress(BudgetExceeded):  # _collect would record it
-                    next(checks, None)
+            run_criterion(m, None, budget, registry)
     name, defaults, runner = _CRITERIA[number]
     pairs = runner(defaults if use is None else use, budget, registry)
     return CriterionResult(number, name, tuple(_collect(pairs)))
@@ -664,9 +663,9 @@ def validate_config(cfg) -> dict:
         if unknown:
             raise BadParams(f"unknown key {unknown[0]!r} in criteria entry; "
                             f"valid keys are 'id' and 'instances'")
-        number = entry.get("id")
-        entries.append({"id": number, "instances":
-                        _check_instances(number, entry.get("instances"))})
+        number, instances = _check_instances(entry.get("id"),
+                                             entry.get("instances"))
+        entries.append({"id": number, "instances": instances})
     return {"version": version, "criteria": entries}
 
 

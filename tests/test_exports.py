@@ -1,7 +1,7 @@
 """``mincodes.__all__`` lists exactly the public names the package binds,
 ``build_field`` is the one way to a field, ``errors._spend`` the one
-way to ``BudgetExceeded``, and ``GF.add`` and ``GF.sum`` the one way to
-a field sum."""
+way to ``BudgetExceeded``, ``GF.add`` and ``GF.sum`` the one way to a
+field sum, and ``sweep.run_criterion`` the one way to run a criterion."""
 
 import ast
 from pathlib import Path
@@ -106,6 +106,29 @@ def test_reduced_rows_are_read_in_one_place():
     assert callers == {("matrix.py", "rref"), ("matrix.py", "_solve"),
                        ("constructions.py", "_independent_rows")}
     assert sum(calls(tree, "_rref_array") for tree in trees.values()) == 3
+
+
+def test_a_criterion_runs_whole_through_one_call():
+    # run_criterion alone looks a runner up in _CRITERIA, and it hands the
+    # pairs that runner yields to _collect alone, so no caller drains a
+    # runner part way
+    trees = sources()
+    run = next(fn for fn in trees["sweep.py"].body
+               if isinstance(fn, ast.FunctionDef)
+               and fn.name == "run_criterion")
+    lookups = [node for tree in trees.values() for node in ast.walk(tree)
+               if isinstance(node, ast.Subscript)
+               and getattr(node.value, "id", None) == "_CRITERIA"]
+    assert len(lookups) == 1 and lookups[0] in list(ast.walk(run))
+    assert call_counts("_collect", "sweep.py", "run_criterion") == (1, 1)
+    (pairs,), = [node.args for node in ast.walk(run)
+                 if isinstance(node, ast.Call)
+                 and getattr(node.func, "id", None) == "_collect"]
+    bound = [node.value for node in ast.walk(run)
+             if isinstance(node, ast.Assign)
+             and pairs.id in [getattr(t, "id", None) for t in node.targets]]
+    assert [getattr(value.func, "id", None) for value in bound] == ["runner"]
+    assert calls(run, "runner") == 1 and mentions(run, pairs.id) == 2
 
 
 def tables_used(tree) -> set[str]:

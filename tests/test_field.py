@@ -273,15 +273,15 @@ def test_matmul_matches_scalar_loops():
 @pytest.mark.parametrize("q", [2, 4, 256, 3, 9, 243])
 def test_sum_folds_the_add_table_along_each_axis(q):
     f = build_field(q)
+    # the one axis matmul's gather sums over: the middle of three
     x = np.random.default_rng(q).integers(0, q, size=(3, 4, 5))
     x = x.astype(f.dtype)
-    for axis in range(3):
-        want = np.zeros(np.delete(x.shape, axis), dtype=f.dtype)
-        for part in np.moveaxis(x, axis, 0):
-            want = f.add_table[want, part]
-        got = f.sum(x, axis)
-        assert got.dtype == f.dtype and np.array_equal(got, want)
-    empty = f.sum(np.zeros((2, 0, 3), dtype=f.dtype), 1)
+    want = np.zeros((3, 5), dtype=f.dtype)
+    for part in np.moveaxis(x, 1, 0):
+        want = f.add_table[want, part]
+    got = f.sum(x)
+    assert got.dtype == f.dtype and np.array_equal(got, want)
+    empty = f.sum(np.zeros((2, 0, 3), dtype=f.dtype))
     assert empty.dtype == f.dtype and empty.tolist() == [[0] * 3] * 2
 
 
